@@ -22,13 +22,11 @@ from .fmodule import (
     f_stable_span,
 )
 from .gfp_linalg import (
-    GfpMatrix,
     Subspace,
     enumerate_subspaces,
     gaussian_binomial,
     kernel_basis,
     num_subspaces,
-    rref,
     subspace_intersection,
     subspace_sum,
 )

@@ -65,6 +65,16 @@ def _threads() -> int:
     return n
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ParseError(f"expected a positive integer, got {text!r}")
+    return n
+
+
 def _parse_box(text: str) -> tuple[int, int]:
     try:
         lo, hi = (int(part) for part in text.split(":"))
@@ -268,10 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("analyze-complex", help="face-ring pipeline on a facet file")
     pc.add_argument("path")
     pc.add_argument("--prime", type=int, required=True)
-    pc.add_argument("--trunc", type=int, default=DEFAULT_TRUNC)
+    pc.add_argument("--trunc", type=_positive_int, default=DEFAULT_TRUNC)
     pc.add_argument("--box", type=_parse_box, default=_parse_box(DEFAULT_BOX),
                     help="multidegree box LO:HI (use --box=-3:1 for negative bounds)")
-    pc.add_argument("--enumerate-cap", type=int, default=DEFAULT_ENUM_CAP)
+    pc.add_argument("--enumerate-cap", type=_positive_int, default=DEFAULT_ENUM_CAP)
     pc.add_argument("--format", choices=("text", "json"), default="text")
     pc.set_defaults(func=cmd_analyze_complex)
 
@@ -280,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--prime", type=int, required=True)
     ph.add_argument("--params", nargs="*", default=None)
     ph.add_argument("--c", default=None)
-    ph.add_argument("--emax", type=int, default=DEFAULT_EMAX)
+    ph.add_argument("--emax", type=_positive_int, default=DEFAULT_EMAX)
     ph.add_argument("--format", choices=("text", "json"), default="text")
     ph.set_defaults(func=cmd_analyze_hypersurface)
     return parser

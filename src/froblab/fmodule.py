@@ -454,28 +454,3 @@ def annihilator_up_to_cap(t: FModuleTruncation, profile: Profile, cap: int) -> M
     return MonomialIdeal.from_generators(
         t.n_vars, [tuple(1 if i in g else 0 for i in range(t.n_vars)) for g in gens]
     )
-
-
-@dataclass(frozen=True)
-class LyubeznikProfile:
-    """Filtration summary: factor descriptors tagged either as simple
-    with injective Frobenius or as nilpotent.  Anti-nilpotent exactly
-    when no nilpotent factor appears."""
-
-    factors: tuple[tuple[str, Face, int], ...]  # (tag, nu, copies)
-
-    @property
-    def length(self) -> int:
-        return sum(copies for tag, _, copies in self.factors if tag == "simple")
-
-    @property
-    def is_anti_nilpotent(self) -> bool:
-        return all(tag != "nilpotent" for tag, _, _ in self.factors)
-
-
-def lyubeznik_profile(t: FModuleTruncation) -> LyubeznikProfile:
-    """Structural filtration of a model: the isotypic summands are simple
-    with injective Frobenius, except under the zero-Frobenius fixture,
-    where every factor is nilpotent."""
-    tag = "nilpotent" if t.zero_frobenius else "simple"
-    return LyubeznikProfile(tuple((tag, nu, m) for nu, m in t.summands))

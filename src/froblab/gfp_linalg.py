@@ -38,108 +38,57 @@ def check_prime(p: int) -> int:
     return p
 
 
-@dataclass(frozen=True)
-class GfpMatrix:
-    """Dense matrix over F_p, entries row-major and reduced to [0, p)."""
+def row_echelon(rows, p: int, reduced: bool = False) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Echelon basis of the span of `rows`, a 2-D array or a nonempty list
+    of equal-length 1-D arrays, with entries in [0, p).
 
-    p: int
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        check_prime(self.p)
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative matrix dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match shape")
-        if any(e < 0 or e >= self.p for e in self.entries):
-            raise ValueError("entries must be reduced to [0, p)")
-
-    @classmethod
-    def from_rows(cls, p: int, rows: list[list[int]] | tuple, cols: int | None = None) -> "GfpMatrix":
-        rows = [list(r) for r in rows]
-        if rows:
-            cols = len(rows[0])
-            if any(len(r) != cols for r in rows):
-                raise ValueError("ragged rows")
-        elif cols is None:
-            raise ValueError("column count required for a matrix with no rows")
-        flat = tuple(int(e) % p for r in rows for e in r)
-        return cls(p, len(rows), cols, flat)
-
-    @classmethod
-    def from_array(cls, p: int, a: np.ndarray) -> "GfpMatrix":
-        a = np.asarray(a, dtype=np.int64) % p
-        return cls(p, a.shape[0], a.shape[1], tuple(int(x) for x in a.ravel()))
-
-    @classmethod
-    def identity(cls, p: int, n: int) -> "GfpMatrix":
-        return cls.from_array(p, np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def zeros(cls, p: int, rows: int, cols: int) -> "GfpMatrix":
-        return cls(p, rows, cols, (0,) * (rows * cols))
-
-    def array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=np.int64).reshape(self.rows, self.cols)
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def transpose(self) -> "GfpMatrix":
-        return GfpMatrix.from_array(self.p, self.array().T)
-
-
-def _rref_inplace(a: np.ndarray, p: int) -> tuple[int, list[int]]:
-    # Entries of `a` must already be reduced mod p; kept reduced throughout.
-    rows, cols = a.shape
-    r = 0
-    pivots: list[int] = []
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        if inv != 1:
-            a[r] = (a[r] * inv) % p
-        touched = np.nonzero(a[:, c])[0]
-        touched = touched[touched != r]
-        if touched.size:
-            a[touched] = (a[touched] - np.outer(a[touched, c], a[r])) % p
-        pivots.append(c)
-        r += 1
-    return r, pivots
-
-
-def rref(m: GfpMatrix) -> tuple[GfpMatrix, int, tuple[int, ...]]:
-    """Reduced row-echelon form, rank, and pivot columns."""
-    a = m.array()
-    rank, pivots = _rref_inplace(a, m.p)
-    return GfpMatrix.from_array(m.p, a), rank, tuple(pivots)
-
-
-def rank(m: GfpMatrix) -> int:
-    return rref(m)[1]
+    Rows are taken in order of their leading column and each is reduced
+    against the pivot rows found so far.  The result has one monic row
+    per pivot column, rows sorted by pivot; its length is the rank.
+    With reduced=True one back-substitution pass also clears the entries
+    above every pivot, giving the canonical reduced row-echelon form.
+    """
+    order = []
+    for i, row in enumerate(rows):
+        nz = np.flatnonzero(row)
+        if nz.size:
+            order.append((int(nz[0]), i))
+    order.sort()
+    pivot_row: dict[int, np.ndarray] = {}
+    for lead, i in order:
+        v = rows[i]
+        while lead in pivot_row:
+            v = (v - v[lead] * pivot_row[lead]) % p
+            nz = np.flatnonzero(v)
+            if nz.size == 0:
+                break
+            lead = int(nz[0])
+        else:
+            inv = pow(int(v[lead]), p - 2, p)
+            pivot_row[lead] = v if inv == 1 else (v * inv) % p
+    pivots = tuple(sorted(pivot_row))
+    if not pivots:
+        width = len(rows[0]) if len(rows) else rows.shape[1]
+        return np.zeros((0, width), dtype=np.int64), pivots
+    echelon = np.vstack([pivot_row[c] for c in pivots])
+    if reduced:
+        for k in range(len(pivots) - 1, 0, -1):
+            above = np.flatnonzero(echelon[:k, pivots[k]])
+            if above.size:
+                factors = echelon[above, pivots[k]]
+                echelon[above] = (echelon[above] - np.outer(factors, echelon[k])) % p
+    return echelon, pivots
 
 
 def reduce_vector(echelon: np.ndarray, pivots: tuple[int, ...], v: np.ndarray, p: int) -> np.ndarray:
-    """Reduce v against rows of an rref matrix; the residual has zeros in pivot columns."""
+    """Reduce v against the rows of a row_echelon result; the residual has
+    zeros in pivot columns."""
     v = v % p
     for i, c in enumerate(pivots):
         f = int(v[c])
         if f:
             v = (v - f * echelon[i]) % p
     return v
-
-
-def in_row_space(echelon: np.ndarray, pivots: tuple[int, ...], v: np.ndarray, p: int) -> bool:
-    return not np.any(reduce_vector(echelon, pivots, v, p))
 
 
 @dataclass(frozen=True)
@@ -176,9 +125,8 @@ class Subspace:
         vecs = [list(v) for v in vectors]
         if not vecs:
             return cls.zero(p, ambient_dim)
-        a = np.array(vecs, dtype=np.int64) % p
-        r, _ = _rref_inplace(a, p)
-        return cls(p, ambient_dim, tuple(tuple(int(x) for x in row) for row in a[:r]))
+        echelon, _ = row_echelon(np.array(vecs, dtype=np.int64) % p, p, reduced=True)
+        return cls(p, ambient_dim, tuple(tuple(int(x) for x in row) for row in echelon))
 
     def _echelon(self) -> tuple[np.ndarray, tuple[int, ...]]:
         a = np.array(self.basis, dtype=np.int64).reshape(self.dim, self.ambient_dim)
@@ -192,7 +140,7 @@ class Subspace:
         if self.dim == 0:
             return not np.any(v % self.p)
         a, pivots = self._echelon()
-        return in_row_space(a, pivots, v, self.p)
+        return not np.any(reduce_vector(a, pivots, v, self.p))
 
     def contains(self, other: "Subspace") -> bool:
         _check_compatible(self, other)
@@ -216,19 +164,19 @@ def _check_compatible(a: Subspace, b: Subspace) -> None:
         )
 
 
-def kernel_basis(m: GfpMatrix) -> Subspace:
-    """Basis of {v : m v = 0}; its dimension is cols - rank(m)."""
-    r, rk, pivots = rref(m)
-    a = r.array()
-    free = [c for c in range(m.cols) if c not in pivots]
+def kernel_basis(a: np.ndarray, p: int) -> Subspace:
+    """Basis of {v : a v = 0} over F_p; its dimension is cols - rank(a)."""
+    a = np.asarray(a, dtype=np.int64) % p
+    cols = a.shape[1]
+    echelon, pivots = row_echelon(a, p, reduced=True)
+    free = [c for c in range(cols) if c not in pivots]
     vecs = []
     for f in free:
-        v = np.zeros(m.cols, dtype=np.int64)
+        v = np.zeros(cols, dtype=np.int64)
         v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-a[i, f]) % m.p
+        v[list(pivots)] = (-echelon[:, f]) % p
         vecs.append(v)
-    return Subspace.from_vectors(m.p, m.cols, vecs)
+    return Subspace.from_vectors(p, cols, vecs)
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -238,8 +186,7 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 def subspace_perp(a: Subspace) -> Subspace:
     """Orthogonal complement under the standard dot product."""
-    m = GfpMatrix.from_rows(a.p, list(a.basis), cols=a.ambient_dim)
-    return kernel_basis(m)
+    return kernel_basis(np.array(a.basis, dtype=np.int64).reshape(a.dim, a.ambient_dim), a.p)
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, InvalidParametersError, UnsupportedInputError
-from .gfp_linalg import GfpMatrix, _rref_inplace, check_prime, kernel_basis
+from .gfp_linalg import check_prime, kernel_basis, row_echelon
 from .polyfp import (
     DegreeSpans,
     GradedIdealBasis,
@@ -88,8 +88,7 @@ def _check_artinian(h: GradedHypersurface) -> None:
     for r, l in enumerate(h.params):
         for m, c in l.terms:
             lin[r, m.index(1)] = c
-    rank, _ = _rref_inplace(lin % p, p)
-    if rank != n - 1:
+    if len(row_echelon(lin % p, p)[1]) != n - 1:
         raise InvalidParametersError("parameters are linearly dependent")
     e = h.f.degree()
     spans = DegreeSpans(GradedIdealBasis((h.f,) + h.params, e))
@@ -162,8 +161,7 @@ def socle_polynomials(h: GradedHypersurface, t: int) -> list[PolynomialFp]:
                 res = spans.reduce(PolynomialFp.monomial(p, bumped))
                 per_var.append(res)
             rows.append(np.concatenate(per_var))
-        m = np.array(rows, dtype=np.int64).T % p
-        kb = kernel_basis(GfpMatrix.from_array(p, m))
+        kb = kernel_basis(np.array(rows, dtype=np.int64).T, p)
         for coeffs in kb.basis:
             out.append(
                 PolynomialFp.make(p, n, {mono: c for mono, c in zip(q_d, coeffs)})
@@ -198,9 +196,8 @@ def f_injective_top(h: GradedHypersurface, t: int) -> bool:
             return False
         by_degree.setdefault(image.degree(), []).append(res)
     for residuals in by_degree.values():
-        a = np.array(residuals, dtype=np.int64)
-        rank, _ = _rref_inplace(a % h.p, h.p)
-        if rank != len(residuals):
+        a = np.array(residuals, dtype=np.int64) % h.p
+        if len(row_echelon(a, h.p)[1]) != len(residuals):
             return False
     return True
 
@@ -274,6 +271,7 @@ def tight_closure_zero_bounded(
     e_max: int = DEFAULT_E_MAX,
 ) -> TightClosureVerdict:
     """Test c * u^(p^e) = 0 at levels p^e * t for e = 1..e_max."""
+    _check_e_max(e_max)
     if c.is_zero or _in_principal(h, c):
         raise ValueError("the multiplier must be nonzero modulo f")
     for e in range(1, e_max + 1):
@@ -282,6 +280,12 @@ def tight_closure_zero_bounded(
         if not level_contains(h, q * u.t, g):
             return TightClosureVerdict(False, e, e)
     return TightClosureVerdict(True, e_max, None)
+
+
+def _check_e_max(e_max: int) -> None:
+    # with no Frobenius power tested, "consistent" would rest on no check
+    if e_max < 1:
+        raise ValueError(f"e_max must be at least 1, got {e_max}")
 
 
 def _in_principal(h: GradedHypersurface, c: PolynomialFp) -> bool:
@@ -309,6 +313,7 @@ def rf_simplicity_probe(
     Frobenius powers at zero (the bounded tight-closure signal).  Finding
     none does not certify simplicity; the verdict says so.
     """
+    _check_e_max(e_max)
     top = level_top_degree(h, t)
     for s in socle_polynomials(h, t):
         u = make_class(h, s, t)

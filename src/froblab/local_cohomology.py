@@ -15,15 +15,13 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import CapacityError, OracleMismatchError
-from .gfp_linalg import _rref_inplace, check_prime, num_subspaces
+from .gfp_linalg import check_prime, num_subspaces, row_echelon
 from .simplicial import (
     Face,
     SimplicialComplex,
     all_faces,
-    faces,
+    coboundary_matrix,
     link,
     reduced_cohomology,
 )
@@ -124,18 +122,8 @@ def _cech_dims_by_signs(c: SimplicialComplex, p: int, nu: Face, pi: Face) -> tup
     top = max(active)
     ranks: dict[int, int] = {}
     for i in range(0, top + 1):
-        src = active.get(i, [])
-        tgt = active.get(i + 1, [])
-        idx = {f: k for k, f in enumerate(src)}
-        m = np.zeros((len(tgt), len(src)), dtype=np.int64)
-        for r, tau in enumerate(tgt):
-            for k in range(len(tau)):
-                sigma = tau[:k] + tau[k + 1 :]
-                ci = idx.get(sigma)
-                if ci is not None:
-                    m[r, ci] = (m[r, ci] + (-1) ** k) % p
-        rk, _ = _rref_inplace(m, p)
-        ranks[i] = rk
+        m = coboundary_matrix(active.get(i, []), active.get(i + 1, []), p)
+        ranks[i] = len(row_echelon(m, p)[1])
     out = []
     for i in range(0, top + 1):
         h = (len(active.get(i, [])) - ranks.get(i, 0)) - ranks.get(i - 1, 0)

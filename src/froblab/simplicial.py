@@ -10,13 +10,14 @@ at all, which only ever arises as a sentinel and has zero cohomology.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import NotAFaceError, ParseError
-from .gfp_linalg import GfpMatrix, Subspace, _rref_inplace, check_prime, kernel_basis
+from .gfp_linalg import check_prime, row_echelon
 
 Face = tuple[int, ...]
 
@@ -177,7 +178,6 @@ class CohomologyProfile:
 
     p: int
     dims: tuple[tuple[int, int], ...]
-    cocycles: tuple[tuple[int, GfpMatrix], ...] | None = None
 
     def dim_at(self, j: int) -> int:
         return dict(self.dims).get(j, 0)
@@ -187,13 +187,10 @@ class CohomologyProfile:
         return sum(d for _, d in self.dims)
 
 
-def coboundary_matrix(c: SimplicialComplex, j: int, p: int) -> np.ndarray:
-    """Matrix of the reduced coboundary C^j -> C^{j+1}; rows indexed by
-    (j+1)-faces, columns by j-faces, sign (-1)^k for inserting the new
-    vertex at position k of the sorted target face."""
-    fs = faces(c)
-    src = fs.get(j, ())
-    tgt = fs.get(j + 1, ())
+def coboundary_matrix(src: Sequence[Face], tgt: Sequence[Face], p: int) -> np.ndarray:
+    """Matrix of the coboundary between the cochains on the face lists
+    src and tgt; rows indexed by tgt, columns by src, sign (-1)^k for
+    inserting the new vertex at position k of the sorted target face."""
     idx = {f: i for i, f in enumerate(src)}
     m = np.zeros((len(tgt), len(src)), dtype=np.int64)
     for r, tau in enumerate(tgt):
@@ -206,7 +203,7 @@ def coboundary_matrix(c: SimplicialComplex, j: int, p: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def reduced_cohomology(c: SimplicialComplex, p: int, with_cocycles: bool = False) -> CohomologyProfile:
+def reduced_cohomology(c: SimplicialComplex, p: int) -> CohomologyProfile:
     """Reduced simplicial cohomology dimensions over F_p.
 
     Computed as kernel/image ranks of the coboundary maps of the
@@ -215,46 +212,27 @@ def reduced_cohomology(c: SimplicialComplex, p: int, with_cocycles: bool = False
     """
     check_prime(p)
     fs = faces(c)
-    if not fs:
-        return CohomologyProfile(p, ())
-    degrees = sorted(fs)
-    ranks: dict[int, int] = {}
-    kernels: dict[int, Subspace] = {}
-    for j in degrees:
-        m = coboundary_matrix(c, j, p)
-        a = m.copy()
-        r, pivots = _rref_inplace(a, p)
-        ranks[j] = r
-        if with_cocycles:
-            kernels[j] = kernel_basis(GfpMatrix.from_array(p, m))
+    ranks = {
+        j: len(row_echelon(coboundary_matrix(fs[j], fs.get(j + 1, ()), p), p)[1]) for j in fs
+    }
     dims = []
-    cocycles = []
-    for j in degrees:
-        n_j = len(fs[j])
-        h = (n_j - ranks[j]) - ranks.get(j - 1, 0)
+    for j in sorted(fs):
+        h = (len(fs[j]) - ranks[j]) - ranks.get(j - 1, 0)
         if h:
             dims.append((j, h))
-            if with_cocycles:
-                basis = kernels[j]
-                cocycles.append((j, GfpMatrix.from_rows(p, list(basis.basis), cols=basis.ambient_dim)))
-    return CohomologyProfile(p, tuple(dims), tuple(cocycles) if with_cocycles else None)
+    return CohomologyProfile(p, tuple(dims))
 
 
 def boundary_homology_dims(c: SimplicialComplex, p: int) -> dict[int, int]:
     """Reduced homology dimensions via boundary-matrix ranks (cross-check route)."""
     check_prime(p)
     fs = faces(c)
-    if not fs:
-        return {}
-    degrees = sorted(fs)
-    ranks = {}
-    for j in degrees:
-        m = coboundary_matrix(c, j, p).T  # boundary of (j+1)-chains
-        a = m.copy()
-        r, _ = _rref_inplace(a, p)
-        ranks[j] = r
+    # boundary of (j+1)-chains: the transposed coboundary
+    ranks = {
+        j: len(row_echelon(coboundary_matrix(fs[j], fs.get(j + 1, ()), p).T, p)[1]) for j in fs
+    }
     out = {}
-    for j in degrees:
+    for j in sorted(fs):
         h = (len(fs[j]) - ranks.get(j - 1, 0)) - ranks[j]
         if h:
             out[j] = h

@@ -191,6 +191,42 @@ def test_package_exports():
     assert froblab.fh_count(froblab.from_facets(2, [[0], [1]]), 2, 1) == 8
 
 
+def run_cli_process(args):
+    return subprocess.run(
+        [sys.executable, "-m", "froblab.cli", *args], capture_output=True, text=True
+    )
+
+
+def assert_input_error(proc):
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_trunc_zero_is_an_input_error(two_points_file):
+    assert_input_error(
+        run_cli_process(["analyze-complex", two_points_file, "--prime", "2", "--trunc", "0"])
+    )
+
+
+def test_negative_enumerate_cap_is_an_input_error(two_points_file):
+    assert_input_error(
+        run_cli_process(
+            ["analyze-complex", two_points_file, "--prime", "2", "--enumerate-cap", "-5"]
+        )
+    )
+
+
+def test_emax_zero_is_an_input_error():
+    assert_input_error(
+        run_cli_process(
+            ["analyze-hypersurface", "--poly", "x0^3 + x1^3 + x2^3", "--prime", "7",
+             "--emax", "0", "--c", "x0"]
+        )
+    )
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "froblab.cli", "--version"],

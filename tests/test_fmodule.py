@@ -17,7 +17,6 @@ from froblab.fmodule import (
     enumerate_f_stable_submodules,
     f_stable_span,
     lattice_points,
-    lyubeznik_profile,
     search_space_size,
 )
 from froblab.local_cohomology import fh_count
@@ -253,14 +252,6 @@ def test_annihilator_requires_stabilized():
     object.__setattr__(bad, "stabilized", False)
     with pytest.raises(UnsupportedInputError):
         annihilator_up_to_cap(t, bad, cap=4)
-
-
-def test_lyubeznik_profile():
-    t = two_points_model()
-    prof = lyubeznik_profile(t)
-    assert prof.is_anti_nilpotent and prof.length == 3
-    bad = lyubeznik_profile(line_model(zero_frobenius=True))
-    assert not bad.is_anti_nilpotent
 
 
 def test_semilinearity_over_prime_field():

@@ -1,81 +1,84 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from froblab.errors import CapacityError, DimensionMismatchError
 from froblab.gfp_linalg import (
-    GfpMatrix,
     Subspace,
     enumerate_subspaces,
     gaussian_binomial,
     kernel_basis,
     num_subspaces,
-    rank,
-    rref,
+    row_echelon,
     subspace_intersection,
     subspace_sum,
 )
+from froblab.polyfp import DegreeSpans, GradedIdealBasis, PolynomialFp, monomials_of_degree
+
+
+def rank(a, p):
+    return len(row_echelon(np.asarray(a, dtype=np.int64) % p, p)[1])
+
+
+def rref(a, p):
+    return row_echelon(np.asarray(a, dtype=np.int64) % p, p, reduced=True)
+
+
+def random_matrix(rng, p, rows, cols):
+    return np.array(
+        [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)], dtype=np.int64
+    ).reshape(rows, cols)
 
 
 def test_matrix_validation():
     with pytest.raises(ValueError):
-        GfpMatrix(4, 1, 1, (1,))  # 4 not prime
-    with pytest.raises(ValueError):
-        GfpMatrix(5, 1, 1, (5,))  # not reduced
-    with pytest.raises(ValueError):
-        GfpMatrix(2, 2, 2, (1, 0, 1))  # wrong entry count
+        kernel_basis(np.eye(1, dtype=np.int64), 4)  # 4 not prime
+    # entries are reduced on the way in: 5 is zero over F_5
+    assert kernel_basis(np.array([[5]]), 5).dim == 1
 
 
 def test_rref_identity_over_f5():
-    m = GfpMatrix.identity(5, 2)
-    r, rk, pivots = rref(m)
-    assert r == m
-    assert rk == 2
+    m = np.eye(2, dtype=np.int64)
+    r, pivots = rref(m, 5)
+    assert np.array_equal(r, m)
     assert pivots == (0, 1)
 
 
 def test_rref_zero_matrix():
-    m = GfpMatrix.zeros(3, 3, 4)
-    r, rk, pivots = rref(m)
-    assert rk == 0
+    r, pivots = rref(np.zeros((3, 4), dtype=np.int64), 3)
     assert pivots == ()
-    assert r == m
+    assert r.shape == (0, 4)
 
 
 def test_rref_rank_one_over_f2():
-    m = GfpMatrix.from_rows(2, [[1, 1], [1, 1]])
-    _, rk, _ = rref(m)
-    assert rk == 1
+    assert rank([[1, 1], [1, 1]], 2) == 1
 
 
 def test_rref_idempotent_and_rank_transpose():
     rng = random.Random(7)
     for p in (2, 3, 5):
         for _ in range(20):
-            rows = rng.randrange(0, 5)
-            cols = rng.randrange(1, 5)
-            m = GfpMatrix.from_rows(
-                p, [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)], cols=cols
-            )
-            r1, rk, _ = rref(m)
-            r2, rk2, _ = rref(r1)
-            assert r1 == r2 and rk == rk2
-            assert rk == rank(m.transpose())
+            m = random_matrix(rng, p, rng.randrange(0, 5), rng.randrange(1, 5))
+            r1, pivots = rref(m, p)
+            r2, pivots2 = rref(r1, p)
+            assert np.array_equal(r1, r2) and pivots == pivots2
+            assert len(pivots) == rank(m.T, p)
 
 
 def test_kernel_of_identity_is_zero():
-    assert kernel_basis(GfpMatrix.identity(7, 3)).dim == 0
+    assert kernel_basis(np.eye(3, dtype=np.int64), 7).dim == 0
 
 
 def test_kernel_of_zero_matrix_is_full():
-    k = kernel_basis(GfpMatrix.zeros(2, 2, 3))
-    assert k.dim == 3
+    assert kernel_basis(np.zeros((2, 3), dtype=np.int64), 2).dim == 3
 
 
 def test_kernel_explicit():
-    m = GfpMatrix.from_rows(2, [[1, 1, 0], [0, 1, 1]])
-    k = kernel_basis(m)
+    k = kernel_basis(np.array([[1, 1, 0], [0, 1, 1]]), 2)
     assert k.dim == 1
     assert k.basis == ((1, 1, 1),)
 
@@ -84,14 +87,93 @@ def test_kernel_dimension_formula():
     rng = random.Random(11)
     for _ in range(20):
         p = rng.choice([2, 3, 5])
-        rows, cols = rng.randrange(0, 4), rng.randrange(1, 5)
-        m = GfpMatrix.from_rows(
-            p, [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)], cols=cols
-        )
-        assert kernel_basis(m).dim == cols - rank(m)
-        a = m.array()
-        for v in kernel_basis(m).basis:
+        a = random_matrix(rng, p, rng.randrange(0, 4), rng.randrange(1, 5))
+        k = kernel_basis(a, p)
+        assert k.dim == a.shape[1] - rank(a, p)
+        for v in k.basis:
             assert not np.any((a @ np.array(v)) % p)
+
+
+# Brute-force oracle for the elimination kernel: small random matrices
+# whose row spans can be listed outright.
+
+PRIMES = st.sampled_from([2, 3, 5])
+
+
+@st.composite
+def matrices(draw, max_rows=4, max_cols=5):
+    p = draw(PRIMES)
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    entries = draw(st.lists(st.integers(0, p - 1), min_size=rows * cols, max_size=rows * cols))
+    return p, np.array(entries, dtype=np.int64).reshape(rows, cols)
+
+
+def row_span(a, p):
+    return {
+        tuple(int(x) for x in np.asarray(coeffs, dtype=np.int64) @ a % p)
+        for coeffs in itertools.product(range(p), repeat=a.shape[0])
+    }
+
+
+@settings(derandomize=True, deadline=None)
+@given(matrices())
+def test_rank_counts_the_row_span(case):
+    p, a = case
+    span = row_span(a, p) if a.shape[0] else {(0,) * a.shape[1]}
+    assert len(span) == p ** rank(a, p)
+
+
+@settings(derandomize=True, deadline=None)
+@given(matrices(), st.randoms(use_true_random=False))
+def test_reduced_form_is_canonical(case, rng):
+    p, a = case
+    r, pivots = rref(a, p)
+    shuffled = a[rng.sample(range(a.shape[0]), a.shape[0])]
+    combo = np.array([rng.randrange(p) for _ in range(a.shape[0])], dtype=np.int64) @ a % p
+    for b in (shuffled, np.vstack([a, combo])):
+        r2, pivots2 = rref(b, p)
+        assert pivots2 == pivots and np.array_equal(r2, r)
+
+
+@settings(derandomize=True, deadline=None)
+@given(matrices())
+def test_rank_of_transpose(case):
+    p, a = case
+    assert rank(a, p) == rank(a.T, p)
+
+
+@st.composite
+def homogeneous_ideals(draw, n_vars=3):
+    p = draw(PRIMES)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        deg = draw(st.integers(1, 2))
+        monos = monomials_of_degree(n_vars, deg)
+        support = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
+        coeffs = {m: draw(st.integers(1, p - 1)) for m in support}
+        gens.append(PolynomialFp.make(p, n_vars, coeffs))
+    return GradedIdealBasis(tuple(gens), 4), draw(st.integers(1, 3))
+
+
+@settings(derandomize=True, deadline=None)
+@given(homogeneous_ideals())
+def test_degree_spans_match_the_reduced_form(case):
+    ideal, d = case
+    p, n = ideal.p, ideal.n_vars
+    monos = list(monomials_of_degree(n, d))
+    index = {m: i for i, m in enumerate(monos)}
+    rows = [
+        (PolynomialFp.monomial(p, mult) * g).coefficient_vector(monos, index)
+        for g in ideal.generators
+        if g.degree() <= d
+        for mult in monomials_of_degree(n, d - g.degree())
+    ]
+    a = np.array(rows, dtype=np.int64).reshape(len(rows), len(monos))
+    r, pivots = rref(a, p)
+    echelon, spans_pivots = DegreeSpans(ideal).rref_at(d)
+    assert spans_pivots == pivots
+    assert np.array_equal(rref(echelon, p)[0], r)
 
 
 def test_subspace_ops_equal_operands():

@@ -1,0 +1,77 @@
+"""Golden JSON reports of the CLI, compared byte for byte.
+
+Each report was written by the CLI before the F_p elimination kernel was
+consolidated; the input file path is replaced by a placeholder.  To
+rewrite them after an intended report change, run
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from froblab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+PLACEHOLDER = '"<input>"'
+
+RP2_FACETS = [
+    (0, 1, 3), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 4, 5),
+    (1, 2, 4), (1, 2, 5), (1, 3, 4), (2, 3, 5), (3, 4, 5),
+]
+TWO_EDGES_FACETS = [(0, 1), (2, 3)]
+
+# name -> (facets or None, CLI arguments after the input path)
+CASES = {
+    "rp2-p2": (RP2_FACETS, ["--prime", "2"]),
+    "two-edges-p3": (
+        TWO_EDGES_FACETS,
+        ["--prime", "3", "--trunc", "1", "--enumerate-cap", "2097152"],
+    ),
+    "fermat-cubic-p7": (
+        None,
+        ["--poly", "x0^3 + x1^3 + x2^3", "--prime", "7", "--c", "x0"],
+    ),
+    "fermat-quartic-p13": (
+        None,
+        ["--poly", "x0^4 + x1^4 + x2^4", "--prime", "13"],
+    ),
+}
+
+
+def report_text(name: str, workdir: Path) -> str:
+    facets, args = CASES[name]
+    if facets is None:
+        argv = ["analyze-hypersurface", *args]
+        path = None
+    else:
+        path = workdir / f"{name}.facets"
+        path.write_text("".join(" ".join(map(str, f)) + "\n" for f in facets))
+        argv = ["analyze-complex", str(path), *args]
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        code = main([*argv, "--format", "json"])
+    assert code == 0
+    out = buf.getvalue()
+    if path is not None:
+        out = out.replace(json.dumps(str(path)), PLACEHOLDER)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_report(name, tmp_path):
+    expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert report_text(name, tmp_path) == expected
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(CASES):
+            text = report_text(case, Path(tmp))
+            (GOLDEN / f"{case}.json").write_text(text, encoding="utf-8")
+            print(f"wrote {case}.json")

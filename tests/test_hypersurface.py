@@ -162,6 +162,15 @@ def test_tight_closure_rejects_zero_multiplier():
         tight_closure_zero_bounded(h, socle, poly("x0^3 + x1^3 + x2^3", 7), 2)
 
 
+def test_bounded_checks_reject_e_max_below_one():
+    h = fermat(7)
+    socle = make_class(h, poly("x0^2", 7, 3), 1)
+    with pytest.raises(ValueError):
+        tight_closure_zero_bounded(h, socle, poly("x0", 7, 3), 0)
+    with pytest.raises(ValueError):
+        rf_simplicity_probe(h, 1, e_max=0)
+
+
 def test_probe_fermat_p5_frobenius_kills():
     verdict = rf_simplicity_probe(fermat(5), 1)
     assert verdict.found

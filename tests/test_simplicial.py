@@ -158,10 +158,3 @@ def test_cones_are_acyclic():
         assert is_cone_complex(k)
         for p in (2, 3):
             assert reduced_cohomology(k, p).dims == ()
-
-
-def test_cocycle_bases_dimensions():
-    prof = reduced_cohomology(TRIANGLE, 2, with_cocycles=True)
-    bases = dict(prof.cocycles)
-    # degree-1 cocycles of the circle: all of C^1 (no 2-faces)
-    assert bases[1].rows == 3
