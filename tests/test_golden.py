@@ -1,7 +1,9 @@
 """Golden JSON reports of the CLI, compared byte for byte.
 
-Each report was written by the CLI before the F_p elimination kernel was
-consolidated; the input file path is replaced by a placeholder.  To
+The first four reports were written by the CLI before the F_p elimination
+kernel was consolidated, conic-p11 and quadric4-p5 before the hypersurface
+levels were decided by the lex normal form; the input file path is
+replaced by a placeholder.  To
 rewrite them after an intended report change, run
 
     PYTHONPATH=src python tests/test_golden.py
@@ -39,6 +41,15 @@ CASES = {
     "fermat-quartic-p13": (
         None,
         ["--poly", "x0^4 + x1^4 + x2^4", "--prime", "13"],
+    ),
+    # the largest per-degree echelon of the old level route
+    "conic-p11": (
+        None,
+        ["--poly", "x0^2 + 10*x1^2 + 8*x2^2", "--prime", "11"],
+    ),
+    "quadric4-p5": (
+        None,
+        ["--poly", "x0^2 + x1^2 + x2^2 + x3^2", "--prime", "5", "--c", "x0"],
     ),
 }
 
