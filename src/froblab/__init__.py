@@ -51,11 +51,9 @@ from .local_cohomology import (
     oracle_box_check,
 )
 from .polyfp import (
-    GradedIdealBasis,
     MonomialIdeal,
     PolynomialFp,
     frobenius_power,
-    ideal_membership_bounded,
     monomial_colon,
     parse_polynomial,
     standard_monomial_splitting,

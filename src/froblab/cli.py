@@ -2,8 +2,9 @@
 
 Two subcommands: analyze-complex runs the face-ring pipeline on a facet
 file, analyze-hypersurface runs the hypersurface diagnostics.  Output is
-deterministic text or JSON.  Exit codes: 0 success, 1 bad input, 2 an
-internal cross-check (oracle) disagreed, which indicates a bug.
+deterministic text or JSON.  Exit codes: 0 success, 1 bad input (usage
+errors included), 2 an internal cross-check (oracle) disagreed, which
+indicates a bug.
 """
 
 from __future__ import annotations
@@ -270,8 +271,16 @@ def cmd_analyze_hypersurface(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors raise ParseError and so exit 1 like other bad input;
+    argparse's own exit 2 would read as a disagreement between routes."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="froblab", description=__doc__)
+    parser = _ArgumentParser(prog="froblab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"froblab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -4,8 +4,10 @@ Top local cohomology is modeled as the direct limit of the quotients
 A_t = S/((l_1^t, ..., l_d^t) + (f)) along multiplication by l_1...l_d,
 with Frobenius sending the class <r; t> to <r^p; pt>.  The parameters
 l_i are linear forms making the quotient Artinian, so the limit maps are
-injective and questions about classes reduce to exact linear algebra in
-single graded pieces.
+injective.  In coordinates y with y_i = l_i and y_0 a variable the l_i
+leave free, f has the lex leading term y_0^e and A_t is a complete
+intersection with Gröbner basis {f, y_1^t, ..., y_d^t}: classes are
+decided by a lex normal form, and the socle of A_t is one monomial.
 
 The bounded tight-closure test is one-sided by design: "consistent up to
 e_max" means every tested Frobenius power vanished against the supplied
@@ -15,22 +17,18 @@ closure of zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CapacityError, InvalidParametersError, UnsupportedInputError
-from .gfp_linalg import check_prime, kernel_basis, row_echelon
-from .polyfp import (
-    DegreeSpans,
-    GradedIdealBasis,
-    PolynomialFp,
-    ideal_membership_bounded,
-)
+from .gfp_linalg import check_prime, row_echelon
+from .polyfp import Monomial, PolynomialFp, mono_deg
 
 DEFAULT_E_MAX = 2
 DEGREE_CAP_FACTOR = 3
+MAX_SUBSTITUTED_TERMS = 10**6
 
 
 @dataclass(frozen=True)
@@ -42,6 +40,10 @@ class GradedHypersurface:
     n_vars: int
     f: PolynomialFp
     params: tuple[PolynomialFp, ...]
+    # x_j = _to_y[j](y) and y_i = _to_x[i](x), and f in the y coordinates
+    _to_y: tuple[PolynomialFp, ...] = field(init=False, repr=False, compare=False)
+    _to_x: tuple[PolynomialFp, ...] = field(init=False, repr=False, compare=False)
+    _f_y: PolynomialFp = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_prime(self.p)
@@ -58,7 +60,7 @@ class GradedHypersurface:
                 raise InvalidParametersError("parameters must be nonzero linear forms")
             if l.p != self.p or l.n_vars != self.n_vars:
                 raise ValueError("parameter lives in the wrong ring")
-        _check_artinian(self)
+        _set_coordinates(self)
 
     @property
     def dim(self) -> int:
@@ -82,26 +84,106 @@ def make_hypersurface(f: PolynomialFp, params=None) -> GradedHypersurface:
     return GradedHypersurface(f.p, n, f, tuple(params))
 
 
-def _check_artinian(h: GradedHypersurface) -> None:
+def _set_coordinates(h: GradedHypersurface) -> None:
+    """Choose y_0 = x_j for the column j where the parameters' echelon form
+    has no pivot, and y_i = l_i; A_t is Artinian exactly when the y_0^e
+    coefficient of f is nonzero."""
     p, n = h.p, h.n_vars
-    lin = np.zeros((len(h.params), n), dtype=np.int64)
-    for r, l in enumerate(h.params):
+    lin = np.zeros((n, n), dtype=np.int64)
+    for r, l in enumerate(h.params, start=1):
         for m, c in l.terms:
             lin[r, m.index(1)] = c
-    if len(row_echelon(lin % p, p)[1]) != n - 1:
+    pivots = row_echelon(lin[1:], p)[1]
+    if len(pivots) != n - 1:
         raise InvalidParametersError("parameters are linearly dependent")
+    lin[0, next(j for j in range(n) if j not in pivots)] = 1
+    # y = lin x, so the reduced echelon form of [lin | 1] is [1 | lin^-1]
+    inverse = row_echelon(np.hstack([lin, np.eye(n, dtype=np.int64)]), p, reduced=True)[0][:, n:]
+    to_y = tuple(_linear_form(p, row) for row in inverse)
+    f_y = _substitute(h.f, to_y)
     e = h.f.degree()
-    spans = DegreeSpans(GradedIdealBasis((h.f,) + h.params, e))
-    if len(spans.quotient_monomials(e)) != 0:
+    if (e,) + (0,) * (n - 1) not in f_y.as_dict():
         raise InvalidParametersError(
             "quotient by (parameters) + (f) is not finite dimensional"
         )
+    object.__setattr__(h, "_to_y", to_y)
+    object.__setattr__(h, "_to_x", tuple(_linear_form(p, row) for row in lin))
+    object.__setattr__(h, "_f_y", f_y)
 
 
-@lru_cache(maxsize=None)
-def _level(h: GradedHypersurface, t: int) -> DegreeSpans:
-    gens = (h.f,) + tuple(l.pow(t) for l in h.params)
-    return DegreeSpans(GradedIdealBasis(gens, h.degree_cap(t)))
+def _linear_form(p: int, row: np.ndarray) -> PolynomialFp:
+    n = len(row)
+    return PolynomialFp.make(p, n, {tuple(int(i == j) for i in range(n)): int(c) for j, c in enumerate(row)})
+
+
+def _substitute(g: PolynomialFp, forms: tuple[PolynomialFp, ...]) -> PolynomialFp:
+    """g with every x_j replaced by the linear form forms[j]."""
+    # x^m expands to at most prod_j C(m_j + s_j - 1, m_j) terms, s_j = |forms[j]|
+    size = sum(
+        math.prod(math.comb(e + len(form.terms) - 1, e) for form, e in zip(forms, m))
+        for m, _ in g.terms
+    )
+    if size > MAX_SUBSTITUTED_TERMS:
+        raise CapacityError(f"the change of coordinates would expand to {size} terms")
+    out: dict[Monomial, int] = {}
+    for m, c in g.terms:
+        term = PolynomialFp.constant(g.p, g.n_vars, c)
+        for form, e in zip(forms, m):
+            if e:
+                term = term * form.pow(e)
+        for mm, cc in term.terms:
+            out[mm] = (out.get(mm, 0) + cc) % g.p
+    return PolynomialFp.make(g.p, g.n_vars, out)
+
+
+def _up_to_degree(g: PolynomialFp, top: int) -> PolynomialFp:
+    return PolynomialFp(g.p, g.n_vars, tuple((m, c) for m, c in g.terms if mono_deg(m) <= top))
+
+
+def _normal_form(h: GradedHypersurface, t: int | None, g: PolynomialFp) -> PolynomialFp:
+    """Remainder of g, in y coordinates, on division by f in y_0, dropping
+    every term with some y_i^(>= t), i >= 1; with t None, plain division.
+
+    In lex order with y_0 first, f leads with y_0^e, which is coprime to
+    y_1^t, ..., y_d^t; by Buchberger's first criterion these form a
+    Gröbner basis, so the remainder is the lex normal form modulo
+    (f, y_1^t, ..., y_d^t), and modulo (f) when t is None.
+    """
+    p, e = h.p, h.f.degree()
+    inv = pow(h._f_y.as_dict()[(e,) + (0,) * (h.n_vars - 1)], -1, p)
+    tail = [(m[0], m[1:], c * inv % p) for m, c in h._f_y.terms if m[0] < e]
+
+    def kept(rest: Monomial) -> bool:
+        return t is None or all(b < t for b in rest)
+
+    # terms bucketed by their y_0 exponent
+    by_a: dict[int, dict[Monomial, int]] = {}
+    for m, c in g.terms:
+        if kept(m[1:]):
+            by_a.setdefault(m[0], {})[m[1:]] = c
+    while by_a and max(by_a) >= e:
+        a = max(by_a)
+        for rest, c in by_a.pop(a).items():
+            for k, f_rest, fc in tail:
+                m = tuple(x + y for x, y in zip(rest, f_rest))
+                if kept(m):
+                    bucket = by_a.setdefault(a - e + k, {})
+                    bucket[m] = (bucket.get(m, 0) - c * fc) % p
+    return PolynomialFp.make(
+        p, h.n_vars, {(a,) + rest: c for a, bucket in by_a.items() for rest, c in bucket.items()}
+    )
+
+
+def _level_form(h: GradedHypersurface, t: int, g: PolynomialFp) -> PolynomialFp:
+    """Normal form at level t of g given in x, in y coordinates; A_t is
+    zero above its top degree, so those components are dropped first."""
+    kept = _up_to_degree(g, level_top_degree(h, t))
+    return _normal_form(h, t, _substitute(kept, h._to_y))
+
+
+def _socle(h: GradedHypersurface, t: int) -> PolynomialFp:
+    """y_0^(e-1) (y_1...y_d)^(t-1), spanning the socle of the Gorenstein A_t."""
+    return PolynomialFp.monomial(h.p, (h.f.degree() - 1,) + (t - 1,) * h.dim)
 
 
 def level_top_degree(h: GradedHypersurface, t: int) -> int:
@@ -112,61 +194,21 @@ def level_top_degree(h: GradedHypersurface, t: int) -> int:
 
 
 def level_contains(h: GradedHypersurface, t: int, g: PolynomialFp) -> bool:
-    """Membership of g in (params^t) + (f), one graded piece at a time.
-
-    Pieces above the quotient's top degree are full, so only the finitely
-    many low degrees need a rank computation.
-    """
+    """Membership of g in (params^t) + (f): its level-t normal form is zero."""
     if g.is_zero:
         return True
     if g.degree() > h.degree_cap(t):
         raise CapacityError(
             f"degree {g.degree()} exceeds the cap {h.degree_cap(t)} at level {t}"
         )
-    top = level_top_degree(h, t)
-    spans = _level(h, t)
-    for d, comp in g.homogeneous_components().items():
-        if d > top:
-            continue
-        if not spans.contains(comp):
-            return False
-    return True
-
-
-def quotient_dims(h: GradedHypersurface, t: int) -> list[int]:
-    """Hilbert function of A_t, degree by degree up to its top."""
-    spans = _level(h, t)
-    return [len(spans.quotient_monomials(d)) for d in range(level_top_degree(h, t) + 1)]
+    return _level_form(h, t, g).is_zero
 
 
 def socle_polynomials(h: GradedHypersurface, t: int) -> list[PolynomialFp]:
-    """Basis of the socle of A_t, as reduced polynomial representatives.
-
-    Degree by degree, a quotient basis element is in the socle when every
-    variable multiple falls into the ideal piece one degree up.
-    """
-    p, n = h.p, h.n_vars
-    spans = _level(h, t)
-    top = level_top_degree(h, t)
-    out: list[PolynomialFp] = []
-    for d in range(top + 1):
-        q_d = spans.quotient_monomials(d)
-        if not q_d:
-            continue
-        rows = []
-        for mono in q_d:
-            per_var = []
-            for j in range(n):
-                bumped = tuple(e + (1 if k == j else 0) for k, e in enumerate(mono))
-                res = spans.reduce(PolynomialFp.monomial(p, bumped))
-                per_var.append(res)
-            rows.append(np.concatenate(per_var))
-        kb = kernel_basis(np.array(rows, dtype=np.int64).T, p)
-        for coeffs in kb.basis:
-            out.append(
-                PolynomialFp.make(p, n, {mono: c for mono, c in zip(q_d, coeffs)})
-            )
-    return out
+    """Basis of the socle of A_t: A_t is a graded Artinian complete
+    intersection, hence Gorenstein, so the socle is its top-degree piece,
+    spanned by one standard monomial."""
+    return [_substitute(_socle(h, t), h._to_x)]
 
 
 def fedder_fpure_principal(h: GradedHypersurface) -> bool:
@@ -181,31 +223,17 @@ def f_injective_top(h: GradedHypersurface, t: int) -> bool:
 
     The kernel of F is a submodule and so meets the socle when nonzero;
     the socles of the A_t are nested and exhaust the socle of the limit.
-    Hence F is injective exactly when the p-th powers of a socle basis
-    stay independent modulo the level-pt ideal.
+    Hence F is injective exactly when the p-th power of the socle
+    generator is nonzero modulo the level-pt ideal.
     """
-    socle = socle_polynomials(h, t)
-    spans_pt = _level(h, t * h.p)
-    by_degree: dict[int, list[np.ndarray]] = {}
-    for s in socle:
-        image = s.frobenius(h.p)
-        if image.degree() > level_top_degree(h, t * h.p):
-            return False  # image piece is entirely inside the ideal
-        res = spans_pt.reduce(image)
-        if not np.any(res):
-            return False
-        by_degree.setdefault(image.degree(), []).append(res)
-    for residuals in by_degree.values():
-        a = np.array(residuals, dtype=np.int64) % h.p
-        if len(row_echelon(a, h.p)[1]) != len(residuals):
-            return False
-    return True
+    image = _up_to_degree(_socle(h, t).frobenius(h.p), level_top_degree(h, t * h.p))
+    return not _normal_form(h, t * h.p, image).is_zero
 
 
 @dataclass(frozen=True)
 class LocalCohomClass:
     """<r; l_1^t, ..., l_d^t>: a class in the direct-limit model, with r
-    kept reduced against the level-t ideal piece of its degree."""
+    the level-t normal form, written back in the x coordinates."""
 
     r: PolynomialFp
     t: int
@@ -215,20 +243,10 @@ class LocalCohomClass:
         return self.r.is_zero
 
 
-def _normal_form_level(h: GradedHypersurface, t: int, r: PolynomialFp) -> PolynomialFp:
-    # components above the quotient's top degree die without linear algebra
-    top = level_top_degree(h, t)
-    kept = PolynomialFp.zero(h.p, h.n_vars)
-    for d, comp in r.homogeneous_components().items():
-        if d <= top:
-            kept = kept + comp
-    return _level(h, t).normal_form(kept)
-
-
 def make_class(h: GradedHypersurface, r: PolynomialFp, t: int) -> LocalCohomClass:
     if t < 1:
         raise ValueError("level must be positive")
-    return LocalCohomClass(_normal_form_level(h, t, r), t)
+    return LocalCohomClass(_substitute(_level_form(h, t, r), h._to_x), t)
 
 
 def lift_class(h: GradedHypersurface, u: LocalCohomClass, t: int) -> LocalCohomClass:
@@ -289,8 +307,9 @@ def _check_e_max(e_max: int) -> None:
 
 
 def _in_principal(h: GradedHypersurface, c: PolynomialFp) -> bool:
-    gens = GradedIdealBasis((h.f,), h.degree_cap(1))
-    return ideal_membership_bounded(c, gens)
+    if c.degree() > h.degree_cap(1):
+        raise CapacityError(f"degree {c.degree()} exceeds cap {h.degree_cap(1)}")
+    return _normal_form(h, None, _substitute(c, h._to_y)).is_zero
 
 
 @dataclass(frozen=True)

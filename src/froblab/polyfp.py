@@ -1,8 +1,8 @@
 """Multivariate polynomials and monomial ideals over F_p.
 
-Monomials are exponent tuples of fixed length.  Ideal membership is
-decided one graded piece at a time by exact rank computations; this is
-complete for homogeneous data, which is the only case supported.
+Monomials are exponent tuples of fixed length.  Membership in monomial
+ideals is read off the generators; the hypersurface levels, the only
+other ideals decided, get their normal form in froblab.hypersurface.
 """
 
 from __future__ import annotations
@@ -10,12 +10,9 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
-import numpy as np
-
-from .errors import CapacityError, ParseError, UnsupportedInputError
-from .gfp_linalg import check_prime, reduce_vector, row_echelon
+from .errors import ParseError, UnsupportedInputError
+from .gfp_linalg import check_prime
 
 Monomial = tuple[int, ...]
 
@@ -112,12 +109,6 @@ class PolynomialFp:
         degs = {mono_deg(m) for m, _ in self.terms}
         return len(degs) <= 1
 
-    def homogeneous_components(self) -> dict[int, "PolynomialFp"]:
-        buckets: dict[int, dict[Monomial, int]] = {}
-        for m, c in self.terms:
-            buckets.setdefault(mono_deg(m), {})[m] = c
-        return {d: PolynomialFp.make(self.p, self.n_vars, b) for d, b in sorted(buckets.items())}
-
     def __add__(self, other: "PolynomialFp") -> "PolynomialFp":
         self._check(other)
         out = dict(self.terms)
@@ -161,12 +152,6 @@ class PolynomialFp:
         return PolynomialFp.make(
             self.p, self.n_vars, {tuple(e * q for e in m): c for m, c in self.terms}
         )
-
-    def coefficient_vector(self, monos: list[Monomial], index: dict[Monomial, int]) -> np.ndarray:
-        v = np.zeros(len(monos), dtype=np.int64)
-        for m, c in self.terms:
-            v[index[m]] = c
-        return v
 
     def to_text(self) -> str:
         if self.is_zero:
@@ -375,8 +360,6 @@ def frobenius_power(ideal, q: int, p: int):
         return MonomialIdeal.from_generators(
             ideal.n_vars, [tuple(e * q for e in g) for g in ideal.generators]
         )
-    if isinstance(ideal, GradedIdealBasis):
-        return GradedIdealBasis(tuple(g.frobenius(q) for g in ideal.generators), ideal.degree_cap)
     raise TypeError(f"unsupported ideal type {type(ideal)!r}")
 
 
@@ -415,141 +398,3 @@ def split_monomial(m: Monomial, p: int) -> Monomial | None:
     if all(e % p == 0 for e in m):
         return tuple(e // p for e in m)
     return None
-
-
-@dataclass(frozen=True)
-class GradedIdealBasis:
-    """Homogeneous generators plus the degree cap their membership
-    questions are decided under."""
-
-    generators: tuple[PolynomialFp, ...]
-    degree_cap: int
-
-    def __post_init__(self):
-        for g in self.generators:
-            if not g.is_zero and not g.is_homogeneous():
-                raise UnsupportedInputError("generators must be homogeneous")
-
-    @property
-    def n_vars(self) -> int:
-        return self.generators[0].n_vars if self.generators else 0
-
-    @property
-    def p(self) -> int:
-        return self.generators[0].p if self.generators else 2
-
-
-@lru_cache(maxsize=None)
-def monomials_of_degree(n_vars: int, d: int) -> tuple[Monomial, ...]:
-    """All degree-d monomials in n_vars variables, lexicographically descending."""
-    if n_vars == 0:
-        return ((),) if d == 0 else ()
-    if n_vars == 1:
-        return ((d,),)
-    out = []
-    for e in range(d, -1, -1):
-        for rest in monomials_of_degree(n_vars - 1, d - e):
-            out.append((e,) + rest)
-    return tuple(out)
-
-
-class DegreeSpans:
-    """Per-degree rref of the span {m * g : g generator, deg(m g) = d},
-    cached for reuse across membership queries on the same ideal."""
-
-    def __init__(self, ideal: GradedIdealBasis):
-        self.ideal = ideal
-        self._cache: dict[int, tuple[np.ndarray, tuple[int, ...]]] = {}
-
-    def monomials(self, d: int) -> tuple[Monomial, ...]:
-        return monomials_of_degree(self.ideal.n_vars, d)
-
-    def rref_at(self, d: int) -> tuple[np.ndarray, tuple[int, ...]]:
-        """Triangular echelon basis of the degree-d span, rows sorted by
-        their (distinct) leading columns.  Left-to-right reduction against
-        it projects onto the non-pivot monomials, which is all the
-        downstream computations need."""
-        if d in self._cache:
-            return self._cache[d]
-        p = self.ideal.p
-        monos = self.monomials(d)
-        index = {m: i for i, m in enumerate(monos)}
-        width = len(monos)
-        # single-monomial generators contribute unit rows; eliminating them
-        # first just zeroes their columns everywhere else
-        unit_cols: set[int] = set()
-        dense_gens = []
-        for g in self.ideal.generators:
-            if g.is_zero or g.degree() > d:
-                continue
-            if len(g.terms) == 1:
-                gm = g.terms[0][0]
-                for mult in monomials_of_degree(self.ideal.n_vars, d - g.degree()):
-                    unit_cols.add(index[mono_mul(mult, gm)])
-            else:
-                dense_gens.append(g)
-        rows = []
-        for g in dense_gens:
-            for mult in monomials_of_degree(self.ideal.n_vars, d - g.degree()):
-                row = np.zeros(width, dtype=np.int64)
-                for m, c in g.terms:
-                    col = index[mono_mul(mult, m)]
-                    if col not in unit_cols:
-                        row[col] = c
-                if row.any():
-                    rows.append(row)
-        for col in sorted(unit_cols):
-            row = np.zeros(width, dtype=np.int64)
-            row[col] = 1
-            rows.append(row)
-        # a list keeps every sparse row its own allocation; one matrix of
-        # the same rows measured about 10 % more peak memory
-        self._cache[d] = row_echelon(rows or np.zeros((0, width), dtype=np.int64), p)
-        return self._cache[d]
-
-    def reduce(self, poly: PolynomialFp) -> np.ndarray:
-        """Residual coefficient vector of a homogeneous polynomial after
-        reduction by the span of its degree."""
-        d = poly.degree()
-        monos = self.monomials(d)
-        index = {m: i for i, m in enumerate(monos)}
-        ech, pivots = self.rref_at(d)
-        return reduce_vector(ech, pivots, poly.coefficient_vector(list(monos), index), self.ideal.p)
-
-    def contains(self, poly: PolynomialFp) -> bool:
-        if poly.is_zero:
-            return True
-        return not np.any(self.reduce(poly))
-
-    def quotient_monomials(self, d: int) -> tuple[Monomial, ...]:
-        """Monomials spanning the degree-d piece of the quotient (non-pivots)."""
-        monos = self.monomials(d)
-        _, pivots = self.rref_at(d)
-        pset = set(pivots)
-        return tuple(m for i, m in enumerate(monos) if i not in pset)
-
-    def normal_form(self, poly: PolynomialFp) -> PolynomialFp:
-        """Reduce every homogeneous component against its degree span."""
-        if poly.is_zero:
-            return poly
-        out = PolynomialFp.zero(poly.p, poly.n_vars)
-        for _, comp in poly.homogeneous_components().items():
-            res = self.reduce(comp)
-            monos = self.monomials(comp.degree())
-            out = out + PolynomialFp.make(poly.p, poly.n_vars, {m: int(c) for m, c in zip(monos, res)})
-        return out
-
-
-def ideal_membership_bounded(r: PolynomialFp, ideal: GradedIdealBasis, degree_cap: int | None = None) -> bool:
-    """Exact membership test for homogeneous data, one rank comparison
-    per graded piece.  Rejects non-homogeneous generators rather than
-    approximating."""
-    cap = ideal.degree_cap if degree_cap is None else degree_cap
-    if r.is_zero:
-        return True
-    if r.degree() > cap:
-        raise CapacityError(f"degree {r.degree()} exceeds cap {cap}")
-    if not ideal.generators or all(g.is_zero for g in ideal.generators):
-        return False
-    spans = DegreeSpans(ideal)
-    return all(spans.contains(comp) for comp in r.homogeneous_components().values())

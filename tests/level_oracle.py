@@ -1,0 +1,102 @@
+"""The per-degree route to the hypersurface levels A_t = S/(f, l_1^t, ...,
+l_d^t), kept as a test oracle for the normal-form route of
+froblab.hypersurface: each graded piece of the level ideal is spanned
+explicitly by the multiples m * g of its generators and decided by rank
+with gfp_linalg.row_echelon."""
+
+import itertools
+
+import numpy as np
+
+from froblab.gfp_linalg import kernel_basis, reduce_vector, row_echelon
+from froblab.hypersurface import level_top_degree
+from froblab.polyfp import PolynomialFp
+
+
+def monomials_of_degree(n_vars, d):
+    """All degree-d monomials in n_vars variables, lexicographically descending."""
+    return [m for m in itertools.product(range(d, -1, -1), repeat=n_vars) if sum(m) == d]
+
+
+def level_generators(h, t):
+    return (h.f,) + tuple(l.pow(t) for l in h.params)
+
+
+def span(gens, d, p, n):
+    """The spanning set {m * g : deg(m g) = d} of the degree-d piece."""
+    return [
+        PolynomialFp.monomial(p, mult) * g
+        for g in gens
+        if not g.is_zero and g.degree() <= d
+        for mult in monomials_of_degree(n, d - g.degree())
+    ]
+
+
+def vector(g, monos):
+    index = {m: i for i, m in enumerate(monos)}
+    v = np.zeros(len(monos), dtype=np.int64)
+    for m, c in g.terms:
+        v[index[m]] = c
+    return v
+
+
+def rank(polys, monos, p):
+    rows = np.array([vector(g, monos) for g in polys], dtype=np.int64).reshape(len(polys), len(monos))
+    return len(row_echelon(rows, p)[1])
+
+
+def span_contains(gens, g, p, n):
+    """Membership of g, one homogeneous component at a time, by comparing
+    the rank of each piece's span with and without the component."""
+    buckets = {}
+    for m, c in g.terms:
+        buckets.setdefault(sum(m), {})[m] = c
+    for d, coeffs in buckets.items():
+        monos = monomials_of_degree(n, d)
+        piece = span(gens, d, p, n)
+        comp = PolynomialFp.make(p, n, coeffs)
+        if rank(piece + [comp], monos, p) != rank(piece, monos, p):
+            return False
+    return True
+
+
+def _echelon(gens, d, p, n):
+    monos = monomials_of_degree(n, d)
+    piece = span(gens, d, p, n)
+    rows = np.array([vector(g, monos) for g in piece], dtype=np.int64).reshape(len(piece), len(monos))
+    return monos, row_echelon(rows, p)
+
+
+def quotient_monomials(h, t, d):
+    """Monomials without a pivot in the lex-descending echelon of the
+    degree-d piece of the level-t ideal: a basis of the piece of A_t."""
+    monos, (_, pivots) = _echelon(level_generators(h, t), d, h.p, h.n_vars)
+    return [m for i, m in enumerate(monos) if i not in pivots]
+
+
+def hilbert_function(h, t):
+    return [len(quotient_monomials(h, t, d)) for d in range(level_top_degree(h, t) + 1)]
+
+
+def socle_by_kernel_search(h, t):
+    """Socle of A_t degree by degree: a combination of quotient monomials
+    is in the socle when every variable multiple reduces to zero one
+    degree up."""
+    p, n = h.p, h.n_vars
+    gens = level_generators(h, t)
+    out = []
+    for d in range(level_top_degree(h, t) + 1):
+        q_d = quotient_monomials(h, t, d)
+        if not q_d:
+            continue
+        monos, (echelon, pivots) = _echelon(gens, d + 1, p, n)
+        rows = []
+        for mono in q_d:
+            per_var = []
+            for j in range(n):
+                bumped = tuple(e + (k == j) for k, e in enumerate(mono))
+                per_var.append(reduce_vector(echelon, pivots, vector(PolynomialFp.monomial(p, bumped), monos), p))
+            rows.append(np.concatenate(per_var))
+        for coeffs in kernel_basis(np.array(rows, dtype=np.int64).T, p).basis:
+            out.append(PolynomialFp.make(p, n, dict(zip(q_d, coeffs))))
+    return out

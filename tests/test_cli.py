@@ -227,6 +227,41 @@ def test_emax_zero_is_an_input_error():
     )
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [[], ["--prime", "x"], ["--prime", "2", "--bogus"], ["--prime", "2", "--format", "xml"]],
+    ids=["no-prime", "non-integer-prime", "unknown-flag", "unknown-format"],
+)
+def test_usage_errors_are_input_errors(two_points_file, extra, capsys):
+    code, out, err = run_cli(["analyze-complex", two_points_file, *extra], capsys)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_missing_subcommand_is_an_input_error(capsys):
+    code, _, err = run_cli([], capsys)
+    assert code == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("args", [["--help"], ["analyze-hypersurface", "--help"]])
+def test_help_exits_zero(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
+def test_huge_degree_finishes():
+    big = "x0^99999999999 + x1^99999999999 + x2^99999999999"
+    proc = run_cli_process(["analyze-hypersurface", "--poly", big, "--prime", "7", "--format", "json"])
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["f_pure"] is False
+    assert report["f_injective"] == {"t=1": False, "t=2": False}
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "froblab.cli", "--version"],

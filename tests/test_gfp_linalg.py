@@ -17,7 +17,6 @@ from froblab.gfp_linalg import (
     subspace_intersection,
     subspace_sum,
 )
-from froblab.polyfp import DegreeSpans, GradedIdealBasis, PolynomialFp, monomials_of_degree
 
 
 def rank(a, p):
@@ -141,39 +140,6 @@ def test_reduced_form_is_canonical(case, rng):
 def test_rank_of_transpose(case):
     p, a = case
     assert rank(a, p) == rank(a.T, p)
-
-
-@st.composite
-def homogeneous_ideals(draw, n_vars=3):
-    p = draw(PRIMES)
-    gens = []
-    for _ in range(draw(st.integers(1, 3))):
-        deg = draw(st.integers(1, 2))
-        monos = monomials_of_degree(n_vars, deg)
-        support = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
-        coeffs = {m: draw(st.integers(1, p - 1)) for m in support}
-        gens.append(PolynomialFp.make(p, n_vars, coeffs))
-    return GradedIdealBasis(tuple(gens), 4), draw(st.integers(1, 3))
-
-
-@settings(derandomize=True, deadline=None)
-@given(homogeneous_ideals())
-def test_degree_spans_match_the_reduced_form(case):
-    ideal, d = case
-    p, n = ideal.p, ideal.n_vars
-    monos = list(monomials_of_degree(n, d))
-    index = {m: i for i, m in enumerate(monos)}
-    rows = [
-        (PolynomialFp.monomial(p, mult) * g).coefficient_vector(monos, index)
-        for g in ideal.generators
-        if g.degree() <= d
-        for mult in monomials_of_degree(n, d - g.degree())
-    ]
-    a = np.array(rows, dtype=np.int64).reshape(len(rows), len(monos))
-    r, pivots = rref(a, p)
-    echelon, spans_pivots = DegreeSpans(ideal).rref_at(d)
-    assert spans_pivots == pivots
-    assert np.array_equal(rref(echelon, p)[0], r)
 
 
 def test_subspace_ops_equal_operands():

@@ -1,5 +1,19 @@
-import pytest
+import contextlib
+import io
+import json
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from level_oracle import (
+    hilbert_function,
+    level_generators,
+    monomials_of_degree,
+    socle_by_kernel_search,
+    span_contains,
+)
+
+from froblab.cli import main
 from froblab.errors import CapacityError, InvalidParametersError
 from froblab.hypersurface import (
     GradedHypersurface,
@@ -11,7 +25,6 @@ from froblab.hypersurface import (
     lift_class,
     make_class,
     make_hypersurface,
-    quotient_dims,
     rf_simplicity_probe,
     socle_polynomials,
     tight_closure_zero_bounded,
@@ -43,11 +56,14 @@ def test_param_validation():
     bad = poly("x0^3 - x1^3", 7, 3)  # vanishes on the diagonal direction
     with pytest.raises(InvalidParametersError):
         GradedHypersurface(7, 3, bad, (poly("x0 - x1", 7, 3), poly("x2", 7, 3)))
+    with pytest.raises(InvalidParametersError):  # no x0^3 term: not Artinian
+        GradedHypersurface(7, 3, poly("x1^3 + x2^3", 7, 3), (y, z))
 
 
 def test_quotient_dims_fermat():
     h = fermat(7)
-    assert quotient_dims(h, 1) == [1, 1, 1]
+    assert hilbert_function(h, 1) == [1, 1, 1]
+    assert hilbert_function(h, 2) == [1, 3, 4, 3, 1]
     assert level_top_degree(h, 1) == 2
     assert level_top_degree(h, 2) == 4
 
@@ -195,3 +211,154 @@ def test_level_membership_cap():
     big = poly("x0", 2, 3).pow(200)
     with pytest.raises(CapacityError):
         level_contains(h, 1, big)
+
+
+def run_json(args):
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        code = main(["analyze-hypersurface", *args, "--format", "json"])
+    return code, json.loads(buf.getvalue())
+
+
+@pytest.mark.parametrize(
+    "text,p",
+    [
+        ("x0^3 + x1^3 + x2^3", 13),
+        ("x0^3 + x1^3 + x2^3", 31),
+        ("x0^3 + x1^3 + x2^3 + x3^3", 7),
+    ],
+)
+def test_former_walls_finish(text, p):
+    # these ran out of memory or time with dense per-degree elimination
+    code, report = run_json(["--poly", text, "--prime", str(p)])
+    assert code == 0
+    assert report["f_injective"] == {"t=1": report["f_pure"], "t=2": report["f_pure"]}
+
+
+def test_noncoordinate_params_of_huge_degree_are_a_capacity_error():
+    big = "x0^99999999999 + x1^99999999999 + x2^99999999999"
+    with pytest.raises(CapacityError):
+        make_hypersurface(poly(big, 7), params=(poly("x0 + x1", 7, 3), poly("x2", 7, 3)))
+
+
+def test_noncoordinate_params_keep_their_verdicts():
+    code, report = run_json(["--poly", "x0*x1 + x2^2", "--prime", "3", "--params", "x0 + x1", "x2"])
+    assert code == 0
+    assert report["f_pure"] is True
+    assert report["f_injective"] == {"t=1": True, "t=2": True}
+    assert report["simplicity_probe"]["found"] is False
+
+
+@pytest.mark.parametrize(
+    "h,t",
+    [(fermat(2), 1), (fermat(2), 2), (fermat(3), 2), (fermat(5), 1),
+     (make_hypersurface(poly("x0^2 + x1*x2", 3)), 2),
+     (make_hypersurface(poly("x0^2", 3, 2)), 3),
+     (make_hypersurface(poly("x0^2 + x0*x1 + x1^2 + x2^2 + x3^2", 2)), 2)],
+)
+def test_socle_formula_matches_kernel_search(h, t):
+    assert socle_by_kernel_search(h, t) == socle_polynomials(h, t)
+
+
+PRIMES = st.sampled_from([2, 3, 5, 7])
+
+
+@st.composite
+def monic_levels(draw):
+    """A hypersurface in 3 variables monic in x0, with the default
+    parameters, and a level t."""
+    p, e = draw(PRIMES), draw(st.integers(1, 3))
+    others = [m for m in monomials_of_degree(3, e) if m[0] < e]
+    support = draw(st.lists(st.sampled_from(others), max_size=4, unique=True))
+    coeffs = {m: draw(st.integers(1, p - 1)) for m in support}
+    coeffs[(e, 0, 0)] = 1
+    return make_hypersurface(PolynomialFp.make(p, 3, coeffs)), draw(st.integers(1, 3))
+
+
+@st.composite
+def polynomials(draw, p):
+    monos = [m for d in range(7) for m in monomials_of_degree(3, d)]
+    support = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=5, unique=True))
+    return PolynomialFp.make(p, 3, {m: draw(st.integers(1, p - 1)) for m in support})
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.data())
+def test_normal_form_matches_sympy_groebner(data):
+    sympy = pytest.importorskip("sympy")
+    h, t = data.draw(monic_levels())
+    g = data.draw(polynomials(h.p))
+    xs = sympy.symbols("x0:3")
+
+    def to_sympy(r):
+        return sum(c * sympy.prod(x**k for x, k in zip(xs, m)) for m, c in r.terms)
+
+    basis = sympy.groebner(
+        [to_sympy(q) for q in level_generators(h, t)], *xs, modulus=h.p, order="lex"
+    )
+    _, remainder = basis.reduce(to_sympy(g))
+    terms = sympy.Poly(remainder, *xs, modulus=h.p).terms()
+    expected = PolynomialFp.make(h.p, 3, {m: int(c) for m, c in terms})
+    assert make_class(h, g, t).r == expected
+
+
+@st.composite
+def forms_and_params(draw):
+    """A form f of degree 1 to 3 in 3 variables and two nonzero linear forms."""
+    p, e = draw(PRIMES), draw(st.integers(1, 3))
+    support = draw(st.lists(st.sampled_from(monomials_of_degree(3, e)), min_size=1, max_size=4, unique=True))
+    f = PolynomialFp.make(p, 3, {m: draw(st.integers(1, p - 1)) for m in support})
+    rows = [[draw(st.integers(0, p - 1)) for _ in range(3)] for _ in range(2)]
+    assume(all(any(row) for row in rows))
+    params = tuple(PolynomialFp.make(p, 3, {tuple(int(i == j) for i in range(3)): c for j, c in enumerate(row)}) for row in rows)
+    return f, params
+
+
+@st.composite
+def levels_with_params(draw):
+    """A hypersurface in 3 variables with random linear parameters, a
+    level t and a homogeneous g of positive degree up to the top of A_t:
+    a random element of the level ideal, plus a random form half the time."""
+    f, params = draw(forms_and_params())
+    try:
+        h = GradedHypersurface(f.p, 3, f, params)
+    except InvalidParametersError:
+        assume(False)
+    rng = draw(st.randoms(use_true_random=False))
+    p, t = h.p, rng.randint(1, 2)
+    d = rng.randint(1, max(1, level_top_degree(h, t)))
+
+    def random_form(degree, low):
+        return PolynomialFp.make(p, 3, {m: rng.randint(low, p - 1) for m in monomials_of_degree(3, degree)})
+
+    g = PolynomialFp.zero(p, 3)
+    for q in level_generators(h, t):
+        if q.degree() <= d:
+            g = g + random_form(d - q.degree(), 0) * q
+    if rng.random() < 0.5:
+        g = g + random_form(d, 1)
+    return h, t, g
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(levels_with_params())
+def test_level_contains_matches_span_rank(case):
+    h, t, g = case
+    assert level_contains(h, t, g) == span_contains(level_generators(h, t), g, h.p, h.n_vars)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(forms_and_params())
+def test_artinian_check_matches_span_rank(case):
+    # A_1 is finite dimensional exactly when (f, l_1, l_2) contains every
+    # monomial of degree deg f
+    f, params = case
+    p, e = f.p, f.degree()
+    expected = all(
+        span_contains((f,) + params, PolynomialFp.monomial(p, m), p, 3) for m in monomials_of_degree(3, e)
+    )
+    try:
+        GradedHypersurface(p, 3, f, params)
+        built = True
+    except InvalidParametersError:
+        built = False
+    assert built == expected

@@ -3,17 +3,17 @@ import random
 
 import pytest
 
+from level_oracle import level_generators, monomials_of_degree
+
 from froblab.errors import ParseError, UnsupportedInputError
+from froblab.hypersurface import level_contains, make_hypersurface
 from froblab.polyfp import (
-    GradedIdealBasis,
     MonomialIdeal,
     PolynomialFp,
     frobenius_power,
-    ideal_membership_bounded,
     monomial_colon,
     monomial_ideal_intersection,
     monomial_ideal_sum,
-    monomials_of_degree,
     parse_polynomial,
     squarefree_minimal_primes,
     standard_monomial_splitting,
@@ -135,39 +135,40 @@ def test_splitting_semilinearity():
             assert standard_monomial_splitting(s.pow(p) * r) == s * standard_monomial_splitting(r)
 
 
+# Beyond monomial ideals, membership is decided in the hypersurface levels
+# (f, x_1^t, ..., x_{n-1}^t) only; these tests pin it there.
+
+
 def test_membership_trivial_cases():
     p = 5
-    gens = GradedIdealBasis((poly("x0^2", p, 2), poly("x1", p, 2)), degree_cap=10)
-    assert ideal_membership_bounded(poly("x0^2", p, 2), gens)
-    assert not ideal_membership_bounded(poly("x0", p, 2), GradedIdealBasis((poly("x0^2", p, 2),), 10))
+    h = make_hypersurface(poly("x0^2", p, 2))  # level 1 is (x0^2, x1)
+    assert level_contains(h, 1, poly("x0^2", p, 2))
+    assert level_contains(h, 1, poly("x1", p, 2))
+    assert not level_contains(h, 1, poly("x0", p, 2))
 
 
 def test_membership_fermat_cubic_examples():
     p7 = 7
-    gens7 = GradedIdealBasis(
-        (poly("x0^3 + x1^3 + x2^3", p7), poly("x1^7", p7, 3), poly("x2^7", p7, 3)), 40
-    )
-    assert not ideal_membership_bounded(poly("x0^14", p7, 3), gens7)
+    h7 = make_hypersurface(poly("x0^3 + x1^3 + x2^3", p7))
+    assert not level_contains(h7, 7, poly("x0^14", p7, 3))
     p5 = 5
-    gens5 = GradedIdealBasis(
-        (poly("x0^3 + x1^3 + x2^3", p5), poly("x1^5", p5, 3), poly("x2^5", p5, 3)), 40
-    )
-    assert ideal_membership_bounded(poly("x0^10", p5, 3), gens5)
+    h5 = make_hypersurface(poly("x0^3 + x1^3 + x2^3", p5))
+    assert level_contains(h5, 5, poly("x0^10", p5, 3))
 
 
 def test_membership_rejects_inhomogeneous_generators():
     p = 3
     bad = poly("x0^2 + x1", p, 2)
     with pytest.raises(UnsupportedInputError):
-        GradedIdealBasis((bad,), 10)
+        make_hypersurface(bad)
 
 
 def test_membership_inhomogeneous_element_with_homogeneous_generators():
-    # each graded component is tested separately
+    # each graded component is tested separately; level 3 is (x0, x1^3)
     p = 3
-    gens = GradedIdealBasis((poly("x0", p, 2),), 10)
-    assert ideal_membership_bounded(poly("x0^2 + x0*x1", p, 2), gens)
-    assert not ideal_membership_bounded(poly("x0 + x1^2", p, 2), gens)
+    h = make_hypersurface(poly("x0", p, 2))
+    assert level_contains(h, 3, poly("x0^2 + x0*x1", p, 2))
+    assert not level_contains(h, 3, poly("x0 + x1^2", p, 2))
 
 
 def _naive_membership(r, gens, p, n):
@@ -194,20 +195,17 @@ def test_membership_agrees_with_naive_span():
     checked_in = 0
     for _ in range(30):
         dg = rng.randrange(1, 3)
-        g1 = PolynomialFp.make(
-            p, n, {m: rng.randrange(p) for m in monomials_of_degree(n, dg)}
-        )
-        g2 = PolynomialFp.make(
-            p, n, {m: rng.randrange(p) for m in monomials_of_degree(n, 2)}
-        )
-        gens = GradedIdealBasis((g1, g2), 8)
-        d = rng.randrange(2, 4)
+        coeffs = {m: rng.randrange(p) for m in monomials_of_degree(n, dg)}
+        coeffs[(dg, 0)] = 1
+        h = make_hypersurface(PolynomialFp.make(p, n, coeffs))
+        t = rng.randrange(1, 4)
+        d = rng.randrange(1, 4)
         r = PolynomialFp.make(p, n, {m: rng.randrange(p) for m in monomials_of_degree(n, d)})
-        fast = ideal_membership_bounded(r, gens)
-        slow = _naive_membership(r, (g1, g2), p, n)
+        fast = level_contains(h, t, r)
+        slow = _naive_membership(r, level_generators(h, t), p, n)
         assert fast == slow
         checked_in += fast
-    assert checked_in > 0  # the comparison saw both outcomes
+    assert 0 < checked_in < 30  # the comparison saw both outcomes
 
 
 def test_monomial_ideal_sum_intersection():
