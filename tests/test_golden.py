@@ -2,8 +2,9 @@
 
 The first four reports were written by the CLI before the F_p elimination
 kernel was consolidated, conic-p11 and quadric4-p5 before the hypersurface
-levels were decided by the lex normal form; the input file path is
-replaced by a placeholder.  To
+levels were decided by the lex normal form, torus-p3 before the graded
+oracle ran over sign patterns and Fedder's test lost the colon ideal; the
+input file path is replaced by a placeholder.  To
 rewrite them after an intended report change, run
 
     PYTHONPATH=src python tests/test_golden.py
@@ -26,10 +27,17 @@ RP2_FACETS = [
     (1, 2, 4), (1, 2, 5), (1, 3, 4), (2, 3, 5), (3, 4, 5),
 ]
 TWO_EDGES_FACETS = [(0, 1), (2, 3)]
+# the 7-vertex torus: the largest oracle box of the goldens, 5^7 points
+TORUS_FACETS = [
+    tuple(sorted(((i + a) % 7, (i + b) % 7, (i + 3) % 7)))
+    for a, b in ((0, 1), (0, 2))
+    for i in range(7)
+]
 
 # name -> (facets or None, CLI arguments after the input path)
 CASES = {
     "rp2-p2": (RP2_FACETS, ["--prime", "2"]),
+    "torus-p3": (TORUS_FACETS, ["--prime", "3"]),
     "two-edges-p3": (
         TWO_EDGES_FACETS,
         ["--prime", "3", "--trunc", "1", "--enumerate-cap", "2097152"],
