@@ -54,7 +54,6 @@ from .polyfp import (
     MonomialIdeal,
     PolynomialFp,
     frobenius_power,
-    monomial_colon,
     parse_polynomial,
     standard_monomial_splitting,
 )

@@ -3,8 +3,9 @@
 Two subcommands: analyze-complex runs the face-ring pipeline on a facet
 file, analyze-hypersurface runs the hypersurface diagnostics.  Output is
 deterministic text or JSON.  Exit codes: 0 success, 1 bad input (usage
-errors included), 2 an internal cross-check (oracle) disagreed, which
-indicates a bug.
+errors included) or a capacity limit (running out of memory included),
+2 an internal cross-check (oracle) disagreed, 3 any other internal error;
+2 and 3 indicate a bug.
 """
 
 from __future__ import annotations
@@ -326,6 +327,14 @@ def main(argv=None) -> int:
     except FroblabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: capacity exceeded: out of memory{detail}", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -29,15 +29,6 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def mono_quotient_clamped(a: Monomial, b: Monomial) -> Monomial:
-    """Componentwise max(a - b, 0); the generator rule for monomial colons."""
-    return tuple(max(x - y, 0) for x, y in zip(a, b))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def mono_to_text(m: Monomial) -> str:
     parts = []
     for i, e in enumerate(m):
@@ -328,29 +319,6 @@ def _antichain(n_vars: int, gens: list[Monomial]) -> tuple[Monomial, ...]:
 
 def monomial_ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal.from_generators(a.n_vars, a.generators + b.generators)
-
-
-def monomial_ideal_intersection(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    gens = [mono_lcm(g, h) for g in a.generators for h in b.generators]
-    return MonomialIdeal.from_generators(a.n_vars, gens)
-
-
-def monomial_colon(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    """(a : b), by the generator-wise exponent rule intersected over b's
-    generators; (a : (0)) is the unit ideal."""
-    if b.is_zero:
-        return MonomialIdeal.unit(a.n_vars)
-    parts = []
-    for h in b.generators:
-        parts.append(
-            MonomialIdeal.from_generators(
-                a.n_vars, [mono_quotient_clamped(g, h) for g in a.generators]
-            )
-        )
-    out = parts[0]
-    for q in parts[1:]:
-        out = monomial_ideal_intersection(out, q)
-    return out
 
 
 def frobenius_power(ideal, q: int, p: int):

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from colon_oracle import monomial_ideal_intersection
 from corpus import POINT, RP2, TRIANGLE, TWO_EDGES, TWO_POINTS, acceptance_corpus
 from froblab.fmodule import (
     adjoin_inverse_variable,
@@ -19,7 +20,6 @@ from froblab.hypersurface import f_injective_top, fedder_fpure_principal, make_h
 from froblab.local_cohomology import depth_and_cm, fh_count, graded_dim, oracle_box_check
 from froblab.polyfp import (
     MonomialIdeal,
-    monomial_ideal_intersection,
     parse_polynomial,
     squarefree_minimal_primes,
 )

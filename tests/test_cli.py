@@ -76,6 +76,31 @@ def test_analyze_complex_oracle_mismatch_exit_code(two_points_file, capsys, monk
     assert "cross-check" in err
 
 
+def test_internal_error_exit_code(two_points_file, capsys, monkeypatch):
+    import froblab.cli as cli_mod
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli_mod, "oracle_box_check", boom)
+    code, out, err = run_cli(["analyze-complex", two_points_file, "--prime", "2"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom second line\n"
+
+
+def test_out_of_memory_is_a_capacity_error(two_points_file, capsys, monkeypatch):
+    import froblab.cli as cli_mod
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli_mod, "oracle_box_check", exhausted)
+    code, _, err = run_cli(["analyze-complex", two_points_file, "--prime", "2"], capsys)
+    assert code == 1
+    assert err == "error: capacity exceeded: out of memory\n"
+
+
 def test_threads_env_var(two_points_file, capsys, monkeypatch):
     monkeypatch.setenv("FROBLAB_THREADS", "4")
     code, out, _ = run_cli(

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from colon_oracle import monomial_ideal_intersection
 from corpus import POINT, SEGMENT, TRIANGLE, TWO_EDGES, TWO_POINTS
 from froblab.errors import CapacityError, UnsupportedInputError
 from froblab.fmodule import (
@@ -20,7 +21,7 @@ from froblab.fmodule import (
     search_space_size,
 )
 from froblab.local_cohomology import fh_count
-from froblab.polyfp import MonomialIdeal, monomial_ideal_intersection, squarefree_minimal_primes
+from froblab.polyfp import MonomialIdeal, squarefree_minimal_primes
 
 
 def two_points_model(T=2, p=2, **kw):

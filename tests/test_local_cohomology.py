@@ -2,7 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from box_oracle import oracle_box_check_per_theta
 from corpus import (
     EMPTY,
     FULL3,
@@ -12,8 +15,10 @@ from corpus import (
     TRIANGLE,
     TWO_EDGES,
     TWO_POINTS,
+    acceptance_corpus,
     small_complexes,
 )
+from froblab import local_cohomology as lc
 from froblab.errors import CapacityError
 from froblab.local_cohomology import (
     analysis_report,
@@ -25,7 +30,7 @@ from froblab.local_cohomology import (
     oracle_box_check,
     reisner_cm_condition,
 )
-from froblab.simplicial import cone, relabel
+from froblab.simplicial import cone, make_complex, relabel
 
 
 def test_decomposition_two_points():
@@ -87,6 +92,48 @@ def test_oracle_agrees_on_projective_plane():
     for p in (2, 3):
         _, mismatches = oracle_box_check(RP2, p)
         assert mismatches == []
+
+
+BOXES = [(-3, 1), (0, 0), (1, 3), (-2, -1)]
+
+
+def test_sign_patterns_match_per_theta_loop_on_corpus():
+    for c in acceptance_corpus():
+        for p in (2, 3):
+            for lo, hi in BOXES:
+                expected = oracle_box_check_per_theta(c, p, lo, hi)
+                assert oracle_box_check(c, p, lo, hi) == expected
+
+
+@st.composite
+def complexes(draw, max_vertices=5):
+    """Random complexes on at most max_vertices vertices; a vertex may
+    belong to no facet, and the complex may be {empty face}."""
+    n = draw(st.integers(1, max_vertices))
+    facets = draw(st.lists(st.sets(st.integers(0, n - 1)), min_size=1, max_size=5))
+    return make_complex(n, [sorted(f) for f in facets])
+
+
+@settings(derandomize=True, deadline=None)
+@given(complexes(), st.sampled_from([2, 3]), st.sampled_from(BOXES))
+def test_sign_patterns_match_per_theta_loop_on_random_complexes(c, p, box):
+    lo, hi = box
+    assert oracle_box_check(c, p, lo, hi) == oracle_box_check_per_theta(c, p, lo, hi)
+
+
+def test_forced_mismatch_is_reported_alike(monkeypatch):
+    true_dim = lc.graded_dim
+
+    def off_by_one(c, p, i, theta):
+        # one face, (0,), at one index gains a phantom summand
+        return true_dim(c, p, i, theta) + (i == 2 and lc.neg_support(theta) == (0,))
+
+    monkeypatch.setattr(lc, "graded_dim", off_by_one)
+    for c in (TRIANGLE, TWO_EDGES, RP2):
+        for lo, hi in BOXES:
+            agree, mismatches = oracle_box_check(c, 2, lo, hi)
+            assert (agree, mismatches) == oracle_box_check_per_theta(c, 2, lo, hi)
+            assert bool(mismatches) == (lo < 0 <= hi)
 
 
 def test_table_equivariant_under_relabeling():

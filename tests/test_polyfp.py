@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from colon_oracle import monomial_colon, monomial_ideal_intersection
 from level_oracle import level_generators, monomials_of_degree
 
 from froblab.errors import ParseError, UnsupportedInputError
@@ -11,8 +12,6 @@ from froblab.polyfp import (
     MonomialIdeal,
     PolynomialFp,
     frobenius_power,
-    monomial_colon,
-    monomial_ideal_intersection,
     monomial_ideal_sum,
     parse_polynomial,
     squarefree_minimal_primes,

@@ -1,10 +1,15 @@
-import pytest
+from types import SimpleNamespace
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from colon_oracle import colon_radical_contains_nonfaces, fedder_fpure_by_colon
+from corpus import acceptance_corpus
 from froblab.polyfp import MonomialIdeal
 from froblab.simplicial import from_facets, make_complex
 from froblab.stanley_reisner import (
     FaceRing,
-    colon_radical_contains_nonfaces,
     fedder_fpure_monomial,
     irrelevant_ideal,
     minimal_primes,
@@ -77,6 +82,30 @@ def test_fedder_true_on_corpus():
     for c in CORPUS:
         for p in (2, 3, 5):
             assert fedder_fpure_monomial(FaceRing(c, p))
+
+
+def test_fedder_matches_colon_route_on_corpus():
+    for c in acceptance_corpus():
+        for p in (2, 3, 5):
+            ring = FaceRing(c, p)
+            assert fedder_fpure_monomial(ring) == fedder_fpure_by_colon(ring)
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.lists(st.tuples(*[st.integers(0, 4)] * 3), min_size=1, max_size=4),
+)
+def test_fedder_matches_colon_route_beyond_square_free(p, gens):
+    # the criterion holds for any monomial ideal; off the square-free ones
+    # both verdicts occur
+    ring = SimpleNamespace(p=p, nonface_ideal=MonomialIdeal.from_generators(3, gens))
+    assert fedder_fpure_monomial(ring) == fedder_fpure_by_colon(ring)
+
+
+def test_fedder_rejects_a_non_square_free_ideal():
+    ring = SimpleNamespace(p=2, nonface_ideal=MonomialIdeal.from_generators(2, [(2, 0)]))
+    assert not fedder_fpure_monomial(ring) and not fedder_fpure_by_colon(ring)
 
 
 def test_colon_radical_contains_nonfaces():
