@@ -28,7 +28,6 @@ from .fmodule import (
     build_truncation,
     check_antinilpotent,
     enumerate_f_stable_submodules,
-    search_space_size,
 )
 from .gfp_linalg import DEFAULT_ENUM_CAP, check_prime
 from .hypersurface import (
@@ -136,9 +135,14 @@ def cmd_analyze_complex(args) -> int:
         count = fh_count(complex_, p, i)
         trunc = build_truncation(complex_, p, i, args.trunc)
         model = {"i": i, "basis_size": len(trunc.basis()), "skipped": None}
-        if search_space_size(trunc) <= args.enumerate_cap:
-            enumerated, _ = enumerate_f_stable_submodules(trunc, args.enumerate_cap)
-            anti, _ = check_antinilpotent(trunc, args.enumerate_cap)
+        try:
+            enumerated, profiles = enumerate_f_stable_submodules(trunc, args.enumerate_cap)
+        except CapacityError:
+            model["enumerated_count"] = None
+            model["anti_nilpotent"] = None
+            model["skipped"] = "cap"
+        else:
+            anti, _ = check_antinilpotent(trunc, profiles)
             model["enumerated_count"] = enumerated
             model["anti_nilpotent"] = anti
             validated[i] = enumerated == count
@@ -148,10 +152,6 @@ def cmd_analyze_complex(args) -> int:
                     file=sys.stderr,
                 )
                 return 2
-        else:
-            model["enumerated_count"] = None
-            model["anti_nilpotent"] = None
-            model["skipped"] = "cap"
         models.append(model)
 
     analysis = analysis_report(complex_, p, validated)

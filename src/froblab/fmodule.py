@@ -21,7 +21,11 @@ computed over graded profiles: assignments of a subspace of the
 multiplicity space to each multidegree in the working box [-pT, 0]^n.
 The enumeration searches graded profiles only; the semisimple graded
 structure of the models justifies this, and reports flag it as a scope
-condition.
+condition.  Both the search and the anti-nilpotence check hold each
+subspace as its index into subspace_lattice and test containment and
+meets by lookups in lattice_tables.  Since F is theta -> p*theta and the
+identity on multiplicity coordinates, Frobenius is injective on N/N' at
+an interior theta exactly when N(theta) ∩ N'(p*theta) ⊆ N'(theta).
 """
 
 from __future__ import annotations
@@ -30,11 +34,14 @@ import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import CapacityError, UnsupportedInputError
 from .gfp_linalg import (
     DEFAULT_ENUM_CAP,
     Subspace,
     check_prime,
+    lattice_tables,
     num_subspaces,
     subspace_lattice,
     subspace_sum,
@@ -151,14 +158,6 @@ def apply_x(t: FModuleTruncation, j: int, v: Element) -> Element:
     return {b: c for b, c in out.items() if c}
 
 
-def apply_monomial(t: FModuleTruncation, exponents, v: Element) -> Element:
-    out = v
-    for j, e in enumerate(exponents):
-        for _ in range(e):
-            out = apply_x(t, j, out)
-    return out
-
-
 def apply_F(t: FModuleTruncation, v: Element) -> Element:
     """Frobenius: magnitudes scale by p, coefficients are fixed (prime field)."""
     if t.zero_frobenius:
@@ -183,23 +182,9 @@ class Profile:
     stabilized: bool
     patterns: tuple[tuple[Face, Subspace], ...]
 
-    def subspace_at(self, theta: MultiDegree, ambient: int, p: int) -> Subspace:
-        for th, s in self.assignments:
-            if th == theta:
-                return s
-        return Subspace.zero(p, ambient)
-
     @property
     def is_zero(self) -> bool:
         return not self.assignments
-
-    def contains(self, other: "Profile", dims: dict, p: int) -> bool:
-        for theta, ambient in dims.items():
-            if not self.subspace_at(theta, ambient, p).contains(
-                other.subspace_at(theta, ambient, p)
-            ):
-                return False
-        return True
 
 
 def _neg_support(theta: MultiDegree) -> Face:
@@ -248,22 +233,25 @@ def _constraints(t: FModuleTruncation, points: dict[MultiDegree, int]):
     return cons
 
 
-def _profile_from_assignment(points, assignment) -> Profile:
-    nonzero = tuple(
-        (theta, s) for theta, s in sorted(assignment.items()) if s.dim > 0
-    )
-    by_nu: dict[Face, set] = {}
-    for theta in points:
-        by_nu.setdefault(_neg_support(theta), set()).add(assignment[theta])
-    stabilized = all(len(vals) == 1 for vals in by_nu.values())
-    patterns = ()
-    if stabilized:
-        patterns = tuple(
-            (nu, next(iter(vals)))
-            for nu, vals in sorted(by_nu.items())
-            if next(iter(vals)).dim > 0
-        )
-    return Profile(nonzero, stabilized, patterns)
+def _profile_builder(order: list[MultiDegree]):
+    """Profile from the subspaces listed along order; keys[j] are equal
+    exactly when the subspaces are, and decide stabilization.  Faces and
+    the sorted multidegrees are worked out once per model."""
+    ranked = sorted(range(len(order)), key=order.__getitem__)
+    by_face: dict[Face, list[int]] = {}
+    for j, theta in enumerate(order):
+        by_face.setdefault(_neg_support(theta), []).append(j)
+    faces = sorted(by_face.items())
+
+    def build(subspaces: list[Subspace], keys: list) -> Profile:
+        nonzero = tuple((order[j], subspaces[j]) for j in ranked if subspaces[j].basis)
+        stabilized = all(len({keys[j] for j in block}) == 1 for _, block in faces)
+        patterns = ()
+        if stabilized:
+            patterns = tuple((nu, subspaces[b[0]]) for nu, b in faces if subspaces[b[0]].basis)
+        return Profile(nonzero, stabilized, patterns)
+
+    return build
 
 
 def search_space_size(t: FModuleTruncation) -> int:
@@ -281,41 +269,42 @@ def enumerate_f_stable_submodules(
     variable action inside the box and with Frobenius wherever its image
     stays inside the box.  Degrees outside the box are unconstrained,
     so no genuine submodule is ever rejected."""
+    size = search_space_size(t)
+    if size > cap:
+        raise CapacityError(f"profile search space {size} exceeds cap {cap}")
     points, order = lattice_points(t)
-    if search_space_size(t) > cap:
-        raise CapacityError(
-            f"profile search space {search_space_size(t)} exceeds cap {cap}"
-        )
     if not points:
         return 1, [Profile((), True, ())]
-    cons = _constraints(t, points)
-    cons_by_point: dict[MultiDegree, list[tuple[MultiDegree, MultiDegree]]] = {
-        theta: [] for theta in points
-    }
+    # every constraint is checked at whichever of its two points the
+    # search assigns later: there the current index is the source
+    # (bounded by the target above) or the target (bounding the source)
     position = {theta: k for k, theta in enumerate(order)}
-    for src, tgt in cons:
-        later = src if position[src] >= position[tgt] else tgt
-        cons_by_point[later].append((src, tgt))
+    above: list[list[int]] = [[] for _ in order]
+    below: list[list[int]] = [[] for _ in order]
+    for src, tgt in _constraints(t, points):
+        if position[src] >= position[tgt]:
+            above[position[src]].append(position[tgt])
+        else:
+            below[position[tgt]].append(position[src])
+    dims = [points[theta] for theta in order]
+    lattices = {m: subspace_lattice(t.p, m) for m in set(dims)}
+    contains = {m: lattice_tables(t.p, m).contains.tolist() for m in set(dims)}
+    build = _profile_builder(order)
 
     profiles: list[Profile] = []
-    assignment: dict[MultiDegree, Subspace] = {}
+    ids = [0] * len(order)
 
     def dfs(k: int):
         if k == len(order):
-            profiles.append(_profile_from_assignment(points, assignment))
+            profiles.append(build([lattices[m][s] for m, s in zip(dims, ids)], ids))
             return
-        theta = order[k]
-        for s in subspace_lattice(t.p, points[theta]):
-            assignment[theta] = s
-            ok = True
-            for src, tgt in cons_by_point[theta]:
-                if src in assignment and tgt in assignment:
-                    if not assignment[tgt].contains(assignment[src]):
-                        ok = False
-                        break
-            if ok:
+        table = contains[dims[k]]
+        for s in range(len(table)):
+            if all(table[ids[j]][s] for j in above[k]) and all(
+                table[s][ids[j]] for j in below[k]
+            ):
+                ids[k] = s
                 dfs(k + 1)
-        del assignment[theta]
 
     dfs(0)
     return len(profiles), profiles
@@ -324,7 +313,7 @@ def enumerate_f_stable_submodules(
 def f_stable_span(t: FModuleTruncation, generators: list[Element]) -> Profile:
     """Smallest graded profile containing the generators and closed under
     the variable action inside the box and under F into the box."""
-    points, _ = lattice_points(t)
+    points, order = lattice_points(t)
     spans: dict[MultiDegree, Subspace] = {
         theta: Subspace.zero(t.p, m) for theta, m in points.items()
     }
@@ -365,8 +354,8 @@ def f_stable_span(t: FModuleTruncation, generators: list[Element]) -> Profile:
             ptheta = tuple(t.p * v for v in theta)
             if ptheta != theta and ptheta in points:
                 add(ptheta, vec)
-    assignment = {theta: spans[theta] for theta in points}
-    return _profile_from_assignment(points, assignment)
+    subspaces = [spans[theta] for theta in order]
+    return _profile_builder(order)(subspaces, subspaces)
 
 
 class AntiNilpotenceWitness(NamedTuple):
@@ -376,36 +365,52 @@ class AntiNilpotenceWitness(NamedTuple):
 
 
 def check_antinilpotent(
-    t: FModuleTruncation, cap: int = DEFAULT_ENUM_CAP
+    t: FModuleTruncation, profiles: list[Profile]
 ) -> tuple[bool, AntiNilpotenceWitness | None]:
-    """For every nested pair of enumerated stable profiles, Frobenius must
-    act injectively on the quotient over the box interior (the degrees
-    whose image under F stays inside the box)."""
+    """For every nested pair of the profiles enumerate_f_stable_submodules
+    returned, Frobenius must act injectively on the quotient over the box
+    interior (the degrees whose image under F stays inside the box).
+    The witness is the first failing (smaller, larger, theta) with both
+    profiles taken in list order."""
     points, _ = lattice_points(t)
-    _, profiles = enumerate_f_stable_submodules(t, cap)
+    thetas = list(points)
+    column = {theta: k for k, theta in enumerate(thetas)}
+    # the tables of every multiplicity present, set block-diagonally: a
+    # code is the block's offset plus the index into its lattice
+    dims = sorted(set(points.values()))
+    blocks = {m: lattice_tables(t.p, m) for m in dims}
+    sizes = [len(blocks[m].index) for m in dims]
+    offsets = dict(zip(dims, itertools.accumulate(sizes, initial=0)))
+    contains = np.zeros((sum(sizes), sum(sizes)), dtype=bool)
+    meet = np.zeros((sum(sizes), sum(sizes)), dtype=np.int64)
+    for m, size in zip(dims, sizes):
+        block = slice(offsets[m], offsets[m] + size)
+        contains[block, block] = blocks[m].contains
+        meet[block, block] = blocks[m].meet + offsets[m]
+    zero = [offsets[points[theta]] for theta in thetas]  # index 0 is the zero subspace
+    rows = []
+    for profile in profiles:
+        row = zero.copy()
+        for theta, s in profile.assignments:
+            row[column[theta]] += blocks[s.ambient_dim].index[s]
+        rows.append(row)
+    codes = np.array(rows, dtype=np.int64).reshape(len(profiles), len(thetas))
     interior = [
-        theta
-        for theta in points
-        if all(t.p * v >= -t.extension_depth for v in theta)
+        k for k, theta in enumerate(thetas) if all(t.p * v >= -t.extension_depth for v in theta)
     ]
-    for small in profiles:
-        for large in profiles:
-            if small == large or not large.contains(small, points, t.p):
-                continue
-            for theta in interior:
-                m = points[theta]
-                u_small = small.subspace_at(theta, m, t.p)
-                u_large = large.subspace_at(theta, m, t.p)
-                ptheta = tuple(t.p * v for v in theta)
-                if t.zero_frobenius:
-                    # zero map: injective on the quotient only if it vanishes
-                    if not u_small.contains(u_large):
-                        return False, AntiNilpotenceWitness(small, large, theta)
-                    continue
-                target_small = small.subspace_at(ptheta, points.get(ptheta, m), t.p)
-                for vec in u_large.vectors():
-                    if target_small.contains_vector(vec) and not u_small.contains_vector(vec):
-                        return False, AntiNilpotenceWitness(small, large, theta)
+    images = [column[tuple(t.p * v for v in thetas[k])] for k in interior]
+    for small, code in enumerate(codes):
+        nested = contains[codes, code].all(axis=1) & (codes != code).any(axis=1)
+        held = codes[nested][:, interior]
+        if not t.zero_frobenius:
+            # the part of N(theta) that F sends into N'(p*theta)
+            held = meet[held, code[images]]
+        fails = ~contains[code[interior], held]
+        bad = np.flatnonzero(fails.any(axis=1))
+        if bad.size:
+            large = int(np.flatnonzero(nested)[bad[0]])
+            theta = thetas[interior[int(np.argmax(fails[bad[0]]))]]
+            return False, AntiNilpotenceWitness(profiles[small], profiles[large], theta)
     return True, None
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,7 +51,7 @@ def row_echelon(rows, p: int, reduced: bool = False) -> tuple[np.ndarray, tuple[
     """
     order = []
     for i, row in enumerate(rows):
-        nz = np.flatnonzero(row)
+        nz = row.nonzero()[0]
         if nz.size:
             order.append((int(nz[0]), i))
     order.sort()
@@ -59,7 +60,7 @@ def row_echelon(rows, p: int, reduced: bool = False) -> tuple[np.ndarray, tuple[
         v = rows[i]
         while lead in pivot_row:
             v = (v - v[lead] * pivot_row[lead]) % p
-            nz = np.flatnonzero(v)
+            nz = v.nonzero()[0]
             if nz.size == 0:
                 break
             lead = int(nz[0])
@@ -73,22 +74,11 @@ def row_echelon(rows, p: int, reduced: bool = False) -> tuple[np.ndarray, tuple[
     echelon = np.vstack([pivot_row[c] for c in pivots])
     if reduced:
         for k in range(len(pivots) - 1, 0, -1):
-            above = np.flatnonzero(echelon[:k, pivots[k]])
+            above = echelon[:k, pivots[k]].nonzero()[0]
             if above.size:
                 factors = echelon[above, pivots[k]]
                 echelon[above] = (echelon[above] - np.outer(factors, echelon[k])) % p
     return echelon, pivots
-
-
-def reduce_vector(echelon: np.ndarray, pivots: tuple[int, ...], v: np.ndarray, p: int) -> np.ndarray:
-    """Reduce v against the rows of a row_echelon result; the residual has
-    zeros in pivot columns."""
-    v = v % p
-    for i, c in enumerate(pivots):
-        f = int(v[c])
-        if f:
-            v = (v - f * echelon[i]) % p
-    return v
 
 
 @dataclass(frozen=True)
@@ -128,19 +118,15 @@ class Subspace:
         echelon, _ = row_echelon(np.array(vecs, dtype=np.int64) % p, p, reduced=True)
         return cls(p, ambient_dim, tuple(tuple(int(x) for x in row) for row in echelon))
 
-    def _echelon(self) -> tuple[np.ndarray, tuple[int, ...]]:
-        a = np.array(self.basis, dtype=np.int64).reshape(self.dim, self.ambient_dim)
-        pivots = tuple(int(np.nonzero(row)[0][0]) for row in a)
-        return a, pivots
-
     def contains_vector(self, v) -> bool:
-        v = np.array(list(v), dtype=np.int64)
-        if v.shape[0] != self.ambient_dim:
+        v = [int(x) % self.p for x in v]
+        if len(v) != self.ambient_dim:
             raise DimensionMismatchError("vector length differs from ambient dimension")
-        if self.dim == 0:
-            return not np.any(v % self.p)
-        a, pivots = self._echelon()
-        return not np.any(reduce_vector(a, pivots, v, self.p))
+        for row in self.basis:  # echelon rows, each monic at its pivot
+            f = v[next(j for j, x in enumerate(row) if x)]
+            if f:
+                v = [(a - f * b) % self.p for a, b in zip(v, row)]
+        return not any(v)
 
     def contains(self, other: "Subspace") -> bool:
         _check_compatible(self, other)
@@ -184,16 +170,17 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     return Subspace.from_vectors(a.p, a.ambient_dim, list(a.basis) + list(b.basis))
 
 
-def subspace_perp(a: Subspace) -> Subspace:
-    """Orthogonal complement under the standard dot product."""
-    return kernel_basis(np.array(a.basis, dtype=np.int64).reshape(a.dim, a.ambient_dim), a.p)
-
-
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    # (U + V)^perp = U^perp ∩ V^perp and perp is an involution for the
-    # standard (nondegenerate) pairing, so intersect via complements.
+    """A ∩ B from one kernel: x = cA = dB exactly when (c, d) kills the
+    stacked rows [A; -B], and c determines x since A has full rank."""
     _check_compatible(a, b)
-    return subspace_perp(subspace_sum(subspace_perp(a), subspace_perp(b)))
+    if a.dim == 0 or b.dim == 0:
+        return Subspace.zero(a.p, a.ambient_dim)
+    rows_a = np.array(a.basis, dtype=np.int64)
+    rows_b = np.array(b.basis, dtype=np.int64)
+    relations = kernel_basis(np.vstack([rows_a, -rows_b]).T, a.p)
+    coeffs = np.array(relations.basis, dtype=np.int64).reshape(relations.dim, a.dim + b.dim)[:, : a.dim]
+    return Subspace.from_vectors(a.p, a.ambient_dim, coeffs @ rows_a % a.p)
 
 
 def enumerate_subspaces(p: int, dim: int, cap: int = DEFAULT_ENUM_CAP):
@@ -241,3 +228,26 @@ def num_subspaces(p: int, n: int) -> int:
 def subspace_lattice(p: int, dim: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[Subspace, ...]:
     """All subspaces of F_p^dim as a cached tuple, zero subspace first."""
     return tuple(enumerate_subspaces(p, dim, cap))
+
+
+class LatticeTables(NamedTuple):
+    """index maps each subspace of subspace_lattice(p, dim) to its
+    position; contains[a, b] says L[a] ⊇ L[b]; meet[a, b] is the position
+    of L[a] ∩ L[b]."""
+
+    index: dict[Subspace, int]
+    contains: np.ndarray
+    meet: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def lattice_tables(p: int, dim: int) -> LatticeTables:
+    lattice = subspace_lattice(p, dim)
+    index = {s: k for k, s in enumerate(lattice)}
+    size = len(lattice)
+    meet = np.empty((size, size), dtype=np.int64)
+    for a in range(size):
+        for b in range(a, size):
+            meet[a, b] = meet[b, a] = index[subspace_intersection(lattice[a], lattice[b])]
+    # L[a] contains L[b] exactly when their meet is L[b]
+    return LatticeTables(index, meet == np.arange(size), meet)

@@ -7,11 +7,10 @@ other ideals decided, get their normal form in froblab.hypersurface.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 
-from .errors import ParseError, UnsupportedInputError
+from .errors import ParseError
 from .gfp_linalg import check_prime
 
 Monomial = tuple[int, ...]
@@ -329,26 +328,6 @@ def frobenius_power(ideal, q: int, p: int):
             ideal.n_vars, [tuple(e * q for e in g) for g in ideal.generators]
         )
     raise TypeError(f"unsupported ideal type {type(ideal)!r}")
-
-
-def squarefree_minimal_primes(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
-    """Minimal primes of a square-free monomial ideal, each as a sorted
-    tuple of variable indices (minimal hitting sets of the generator
-    supports).  The unit ideal has none."""
-    if not ideal.is_squarefree():
-        raise UnsupportedInputError("ideal is not square-free")
-    if ideal.is_unit:
-        return ()
-    if ideal.is_zero:
-        return ((),)
-    supports = [frozenset(i for i, e in enumerate(g) if e) for g in ideal.generators]
-    hits: list[tuple[int, ...]] = []
-    for size in range(0, ideal.n_vars + 1):
-        for cand in itertools.combinations(range(ideal.n_vars), size):
-            cs = set(cand)
-            if all(cs & s for s in supports) and not any(set(h) <= cs for h in hits):
-                hits.append(cand)
-    return tuple(sorted(hits))
 
 
 def standard_monomial_splitting(r: PolynomialFp) -> PolynomialFp:

@@ -1,0 +1,142 @@
+"""Subspace-object routes for submodule enumeration and anti-nilpotence,
+kept as test oracles.
+
+froblab.fmodule searches profiles as indices into subspace_lattice and
+decides anti-nilpotence by lookups in the lattice's containment and meet
+tables.  These are the loops they replaced: a depth-first search that
+holds Subspace objects and tests each constraint with Subspace.contains,
+and a check over every ordered pair of profiles that walks every vector
+of the larger subspace at every interior multidegree.  The search turns
+each leaf into a Profile on its own, grouping the Subspace objects into
+one set per face.  Pure helpers are memoized; that changes no result.
+"""
+
+import functools
+
+from froblab.errors import CapacityError
+from froblab.fmodule import (
+    AntiNilpotenceWitness,
+    Profile,
+    _constraints,
+    _neg_support,
+    lattice_points,
+    search_space_size,
+)
+from froblab.gfp_linalg import DEFAULT_ENUM_CAP, Subspace, subspace_lattice
+
+
+# the searches meet the same few arguments over and over
+neg_support = functools.lru_cache(maxsize=None)(_neg_support)
+contains = functools.lru_cache(maxsize=None)(Subspace.contains)
+contains_vector = functools.lru_cache(maxsize=None)(Subspace.contains_vector)
+
+
+@functools.lru_cache(maxsize=None)
+def vectors(subspace):
+    return tuple(subspace.vectors())
+
+
+def subspace_at(profile, theta, ambient, p):
+    for th, s in profile.assignments:
+        if th == theta:
+            return s
+    return Subspace.zero(p, ambient)
+
+
+def profile_contains(large, small, dims, p):
+    """Whether large contains small at every multidegree of dims."""
+    return all(
+        subspace_at(large, theta, ambient, p).contains(subspace_at(small, theta, ambient, p))
+        for theta, ambient in dims.items()
+    )
+
+
+def profile_from_assignment(points, assignment):
+    nonzero = tuple(
+        (theta, s) for theta, s in sorted(assignment.items()) if s.dim > 0
+    )
+    by_nu = {}
+    for theta in points:
+        by_nu.setdefault(neg_support(theta), set()).add(assignment[theta])
+    stabilized = all(len(vals) == 1 for vals in by_nu.values())
+    patterns = ()
+    if stabilized:
+        patterns = tuple(
+            (nu, next(iter(vals)))
+            for nu, vals in sorted(by_nu.items())
+            if next(iter(vals)).dim > 0
+        )
+    return Profile(nonzero, stabilized, patterns)
+
+
+def enumerate_by_subspaces(t, cap=DEFAULT_ENUM_CAP):
+    points, order = lattice_points(t)
+    size = search_space_size(t)
+    if size > cap:
+        raise CapacityError(f"profile search space {size} exceeds cap {cap}")
+    if not points:
+        return 1, [Profile((), True, ())]
+    cons_by_point = {theta: [] for theta in points}
+    position = {theta: k for k, theta in enumerate(order)}
+    for src, tgt in _constraints(t, points):
+        later = src if position[src] >= position[tgt] else tgt
+        cons_by_point[later].append((src, tgt))
+
+    profiles = []
+    assignment = {}
+
+    def dfs(k):
+        if k == len(order):
+            profiles.append(profile_from_assignment(points, assignment))
+            return
+        theta = order[k]
+        for s in subspace_lattice(t.p, points[theta]):
+            assignment[theta] = s
+            ok = True
+            for src, tgt in cons_by_point[theta]:
+                if src in assignment and tgt in assignment:
+                    if not contains(assignment[tgt], assignment[src]):
+                        ok = False
+                        break
+            if ok:
+                dfs(k + 1)
+        del assignment[theta]
+
+    dfs(0)
+    return len(profiles), profiles
+
+
+def antinilpotent_by_pairs(t, profiles):
+    """Frobenius injective on large/small over the box interior, for
+    every nested pair of profiles; the first failure in list order."""
+    points, _ = lattice_points(t)
+    interior = [
+        theta
+        for theta in points
+        if all(t.p * v >= -t.extension_depth for v in theta)
+    ]
+    zero = {m: Subspace.zero(t.p, m) for m in set(points.values())}
+    # each profile's assignments as a map, omitted multidegrees being zero
+    at = [dict(prof.assignments) for prof in profiles]
+    for small, small_at in zip(profiles, at):
+        for large, large_at in zip(profiles, at):
+            if small == large or not all(
+                contains(large_at.get(th, zero[m]), small_at.get(th, zero[m]))
+                for th, m in points.items()
+            ):
+                continue
+            for theta in interior:
+                m = points[theta]
+                u_small = small_at.get(theta, zero[m])
+                u_large = large_at.get(theta, zero[m])
+                ptheta = tuple(t.p * v for v in theta)
+                if t.zero_frobenius:
+                    # zero map: injective on the quotient only if it vanishes
+                    if not contains(u_small, u_large):
+                        return False, AntiNilpotenceWitness(small, large, theta)
+                    continue
+                target_small = small_at.get(ptheta, zero[points.get(ptheta, m)])
+                for vec in vectors(u_large):
+                    if contains_vector(target_small, vec) and not contains_vector(u_small, vec):
+                        return False, AntiNilpotenceWitness(small, large, theta)
+    return True, None

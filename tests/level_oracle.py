@@ -8,9 +8,20 @@ import itertools
 
 import numpy as np
 
-from froblab.gfp_linalg import kernel_basis, reduce_vector, row_echelon
+from froblab.gfp_linalg import kernel_basis, row_echelon
 from froblab.hypersurface import level_top_degree
 from froblab.polyfp import PolynomialFp
+
+
+def reduce_vector(echelon, pivots, v, p):
+    """Reduce v against the rows of a row_echelon result; the residual has
+    zeros in pivot columns."""
+    v = v % p
+    for i, c in enumerate(pivots):
+        f = int(v[c])
+        if f:
+            v = (v - f * echelon[i]) % p
+    return v
 
 
 def monomials_of_degree(n_vars, d):

@@ -1,0 +1,24 @@
+"""Subspace intersection through orthogonal complements, kept as a test
+oracle.
+
+froblab.gfp_linalg.subspace_intersection reads A ∩ B off one kernel of
+the stacked bases.  This is the route it replaced: (U + V)^perp =
+U^perp ∩ V^perp, and perp is an involution for the standard pairing, so
+A ∩ B = (A^perp + B^perp)^perp.
+"""
+
+import functools
+
+import numpy as np
+
+from froblab.gfp_linalg import Subspace, kernel_basis, subspace_sum
+
+
+@functools.lru_cache(maxsize=None)
+def subspace_perp(a: Subspace) -> Subspace:
+    """Orthogonal complement under the standard dot product."""
+    return kernel_basis(np.array(a.basis, dtype=np.int64).reshape(a.dim, a.ambient_dim), a.p)
+
+
+def intersection_by_perps(a: Subspace, b: Subspace) -> Subspace:
+    return subspace_perp(subspace_sum(subspace_perp(a), subspace_perp(b)))

@@ -9,6 +9,7 @@ import pytest
 
 from colon_oracle import monomial_ideal_intersection
 from corpus import POINT, RP2, TRIANGLE, TWO_EDGES, TWO_POINTS, acceptance_corpus
+from helpers import squarefree_minimal_primes
 from froblab.fmodule import (
     adjoin_inverse_variable,
     annihilator_up_to_cap,
@@ -18,11 +19,7 @@ from froblab.fmodule import (
 )
 from froblab.hypersurface import f_injective_top, fedder_fpure_principal, make_hypersurface
 from froblab.local_cohomology import depth_and_cm, fh_count, graded_dim, oracle_box_check
-from froblab.polyfp import (
-    MonomialIdeal,
-    parse_polynomial,
-    squarefree_minimal_primes,
-)
+from froblab.polyfp import parse_polynomial
 from froblab.simplicial import cone
 from froblab.stanley_reisner import (
     FaceRing,
@@ -115,10 +112,11 @@ CORPUS_MODELS = [
 def test_criterion_6_anti_nilpotence():
     with Budget("6 (anti-nilpotence)", 30):
         for name, make in CORPUS_MODELS:
-            ok, witness = check_antinilpotent(make())
+            t = make()
+            ok, witness = check_antinilpotent(t, enumerate_f_stable_submodules(t)[1])
             assert ok, name
         fixture = build_truncation(POINT, 2, 1, 2, zero_frobenius=True)
-        ok, witness = check_antinilpotent(fixture)
+        ok, witness = check_antinilpotent(fixture, enumerate_f_stable_submodules(fixture)[1])
         assert not ok and witness is not None
 
 

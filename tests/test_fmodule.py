@@ -1,16 +1,20 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from antinil_oracle import antinilpotent_by_pairs, enumerate_by_subspaces, profile_contains
 from colon_oracle import monomial_ideal_intersection
 from corpus import POINT, SEGMENT, TRIANGLE, TWO_EDGES, TWO_POINTS
+from helpers import apply_monomial, squarefree_minimal_primes
+from test_acceptance import CORPUS_MODELS
 from froblab.errors import CapacityError, UnsupportedInputError
 from froblab.fmodule import (
     BasisElement,
     annihilator_up_to_cap,
     adjoin_inverse_variable,
     apply_F,
-    apply_monomial,
     apply_x,
     build_truncation,
     check_antinilpotent,
@@ -20,8 +24,10 @@ from froblab.fmodule import (
     lattice_points,
     search_space_size,
 )
-from froblab.local_cohomology import fh_count
-from froblab.polyfp import MonomialIdeal, squarefree_minimal_primes
+from froblab.gfp_linalg import DEFAULT_ENUM_CAP
+from froblab.local_cohomology import decomposition, fh_count
+from froblab.polyfp import MonomialIdeal
+from froblab.simplicial import from_facets, make_complex
 
 
 def two_points_model(T=2, p=2, **kw):
@@ -163,7 +169,7 @@ def test_enumeration_with_multiplicity_two_block():
     count, profiles = enumerate_f_stable_submodules(t)
     assert count == 5 * 2 * 2 * 2 == fh_count(three, 2, 1)
     assert all(p.stabilized for p in profiles)
-    assert check_antinilpotent(t)[0]
+    assert check_antinilpotent(t, enumerate_f_stable_submodules(t)[1])[0]
 
 
 def test_enumeration_cap():
@@ -181,17 +187,17 @@ def test_antinilpotent_on_models():
         build_truncation(TWO_EDGES, 2, 1, 2),
         build_truncation(TRIANGLE, 2, 2, 2, nu_filter=[(), (0,), (1,)]),
     ):
-        ok, witness = check_antinilpotent(t)
+        ok, witness = check_antinilpotent(t, enumerate_f_stable_submodules(t)[1])
         assert ok and witness is None
 
 
 def test_antinilpotent_fails_for_zero_frobenius_fixture():
     t = line_model(T=2, zero_frobenius=True)
-    ok, witness = check_antinilpotent(t)
+    ok, witness = check_antinilpotent(t, enumerate_f_stable_submodules(t)[1])
     assert not ok
     assert witness is not None
     points, _ = lattice_points(t)
-    assert witness.larger.contains(witness.smaller, points, t.p)
+    assert profile_contains(witness.larger, witness.smaller, points, t.p)
 
 
 def test_adjoin_line_model_gives_plane_model():
@@ -204,7 +210,7 @@ def test_adjoin_line_model_gives_plane_model():
     assert adj.summands == direct.summands
     count, _ = enumerate_f_stable_submodules(adj)
     assert count == 2
-    assert check_antinilpotent(adj)[0]
+    assert check_antinilpotent(adj, enumerate_f_stable_submodules(adj)[1])[0]
 
 
 def test_adjoin_zero_module():
@@ -219,7 +225,7 @@ def test_adjoin_two_points_keeps_count():
     count, profiles = enumerate_f_stable_submodules(adj, cap=2**40)
     assert count == 8
     assert all(p.stabilized for p in profiles)
-    assert check_antinilpotent(adj, cap=2**40)[0]
+    assert check_antinilpotent(adj, enumerate_f_stable_submodules(adj, 2**40)[1])[0]
 
 
 def test_annihilators_two_points():
@@ -266,3 +272,65 @@ def test_semilinearity_over_prime_field():
             lhs = apply_F(t, {b: (c * x) % p for b, x in v.items()})
             rhs = {b: (pow(c, p, p) * x) % p for b, x in apply_F(t, v).items()}
             assert lhs == rhs
+
+
+def agrees_with_oracle(t, cap=DEFAULT_ENUM_CAP):
+    """The index search lists the oracle's profiles in the oracle's order,
+    and the table check gives the pair loop's verdict and witness;
+    returns the verdict."""
+    count, profiles = enumerate_f_stable_submodules(t, cap)
+    assert (count, profiles) == enumerate_by_subspaces(t, cap)
+    result = check_antinilpotent(t, profiles)
+    assert result == antinilpotent_by_pairs(t, profiles)
+    return result[0]
+
+
+THREE_POINTS = from_facets(3, [[0], [1], [2]])
+STAR3 = from_facets(4, [[0, 1], [0, 2], [0, 3]])
+
+# the complex-enumerate rungs of the benchmark: complex, prime, depth
+RUNGS = {
+    "triangle-p2": (TRIANGLE, 2, 1),
+    "three-points-p2": (THREE_POINTS, 2, 3),
+    "three-points-p3": (THREE_POINTS, 3, 2),
+    "star3-p2": (STAR3, 2, 1),
+    "two-edges-p3": (TWO_EDGES, 3, 1),
+}
+
+
+@pytest.mark.parametrize("rung", sorted(RUNGS))
+def test_rung_models_agree_with_oracle(rung):
+    c, p, depth = RUNGS[rung]
+    verdicts = set()
+    for i in decomposition(c, p).indices():
+        for zero in (False, True):
+            t = build_truncation(c, p, i, depth, zero_frobenius=zero)
+            verdicts.add(agrees_with_oracle(t, cap=2**21))
+    assert verdicts == {True, False}
+
+
+def test_corpus_and_adjoined_models_agree_with_oracle():
+    models = [make() for _, make in CORPUS_MODELS]
+    models += [adjoin_inverse_variable(t) for t in (line_model(T=2), two_points_model(T=1))]
+    models += [line_model(T=2, zero_frobenius=True), adjoin_inverse_variable(line_model(T=1, zero_frobenius=True))]
+    assert [agrees_with_oracle(t, cap=2**40) for t in models] == [True] * 8 + [False] * 2
+
+
+@st.composite
+def small_models(draw):
+    n = draw(st.integers(1, 4))
+    facets = draw(st.lists(st.sets(st.integers(0, n - 1)), min_size=1, max_size=4))
+    c = make_complex(n, [sorted(f) for f in facets])
+    p = draw(st.sampled_from([2, 3]))
+    indices = decomposition(c, p).indices()
+    assume(indices)
+    i = draw(st.sampled_from(indices))
+    t = build_truncation(c, p, i, draw(st.integers(1, 2)), zero_frobenius=draw(st.booleans()))
+    assume(search_space_size(t) <= DEFAULT_ENUM_CAP)
+    return t
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(small_models())
+def test_random_models_agree_with_oracle(t):
+    agrees_with_oracle(t)

@@ -6,15 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perp_oracle import intersection_by_perps
 from froblab.errors import CapacityError, DimensionMismatchError
 from froblab.gfp_linalg import (
     Subspace,
     enumerate_subspaces,
     gaussian_binomial,
     kernel_basis,
+    lattice_tables,
     num_subspaces,
     row_echelon,
     subspace_intersection,
+    subspace_lattice,
     subspace_sum,
 )
 
@@ -203,6 +206,26 @@ def test_modular_law():
                 lhs = subspace_intersection(a, subspace_sum(b, subspace_intersection(a, c)))
                 rhs = subspace_sum(subspace_intersection(a, b), subspace_intersection(a, c))
                 assert lhs == rhs
+
+
+@pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (2, 4), (5, 2)])
+def test_intersection_matches_perp_route(p, n):
+    subs = list(enumerate_subspaces(p, n))
+    for k, a in enumerate(subs):
+        for b in subs[k:]:
+            expected = intersection_by_perps(a, b)
+            assert subspace_intersection(a, b) == expected == subspace_intersection(b, a)
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (3, 2), (2, 3)])
+def test_lattice_tables(p, n):
+    lattice = subspace_lattice(p, n)
+    tables = lattice_tables(p, n)
+    assert [tables.index[s] for s in lattice] == list(range(len(lattice)))
+    vectors = [set(s.vectors()) for s in lattice]
+    for a, b in itertools.product(range(len(lattice)), repeat=2):
+        assert tables.contains[a, b] == (vectors[b] <= vectors[a])
+        assert vectors[tables.meet[a, b]] == vectors[a] & vectors[b]
 
 
 def test_membership():

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from colon_oracle import monomial_colon, monomial_ideal_intersection
+from helpers import squarefree_minimal_primes
 from level_oracle import level_generators, monomials_of_degree
 
 from froblab.errors import ParseError, UnsupportedInputError
@@ -14,7 +15,6 @@ from froblab.polyfp import (
     frobenius_power,
     monomial_ideal_sum,
     parse_polynomial,
-    squarefree_minimal_primes,
     standard_monomial_splitting,
 )
 
