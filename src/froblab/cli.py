@@ -33,10 +33,9 @@ from .gfp_linalg import DEFAULT_ENUM_CAP, check_prime
 from .hypersurface import (
     f_injective_top,
     fedder_fpure_principal,
-    make_class,
     make_hypersurface,
     rf_simplicity_probe,
-    socle_polynomials,
+    socle_class,
     tight_closure_zero_bounded,
 )
 from .local_cohomology import (
@@ -252,19 +251,15 @@ def cmd_analyze_hypersurface(args) -> int:
     if args.c is not None:
         try:
             c = parse_polynomial(args.c, h.p, h.n_vars)
-            verdicts = []
-            for s in socle_polynomials(h, 1):
-                u = make_class(h, s, 1)
-                v = tight_closure_zero_bounded(h, u, c, args.emax)
-                verdicts.append(
-                    {
-                        "class": u.r.to_text(),
-                        "consistent_up_to": v.e_checked if v.consistent else None,
-                        "fails_at": v.fails_at,
-                        "note": v.note,
-                    }
-                )
-            report["tight_closure"] = {"c": c.to_text(), "socle_classes": verdicts}
+            u = socle_class(h, 1)
+            v = tight_closure_zero_bounded(h, u, c, args.emax)
+            verdict = {
+                "class": u.r.to_text(),
+                "consistent_up_to": v.e_checked if v.consistent else None,
+                "fails_at": v.fails_at,
+                "note": v.note,
+            }
+            report["tight_closure"] = {"c": c.to_text(), "socle_classes": [verdict]}
         except (ValueError, ParseError, CapacityError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -31,6 +31,8 @@ an interior theta exactly when N(theta) ∩ N'(p*theta) ⊆ N'(theta).
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -255,11 +257,13 @@ def _profile_builder(order: list[MultiDegree]):
 
 
 def search_space_size(t: FModuleTruncation) -> int:
-    points, _ = lattice_points(t)
-    size = 1
-    for theta, m in points.items():
-        size *= num_subspaces(t.p, m)
-    return size
+    return _profile_count(t.p, lattice_points(t)[0])
+
+
+def _profile_count(p: int, points: dict[MultiDegree, int]) -> int:
+    # one power per multiplicity: a running product of many factors is quadratic
+    dims = Counter(points.values())
+    return math.prod(num_subspaces(p, m) ** k for m, k in dims.items())
 
 
 def enumerate_f_stable_submodules(
@@ -269,10 +273,11 @@ def enumerate_f_stable_submodules(
     variable action inside the box and with Frobenius wherever its image
     stays inside the box.  Degrees outside the box are unconstrained,
     so no genuine submodule is ever rejected."""
-    size = search_space_size(t)
-    if size > cap:
-        raise CapacityError(f"profile search space {size} exceeds cap {cap}")
     points, order = lattice_points(t)
+    size = _profile_count(t.p, points)
+    if size > cap:
+        # str() of an integer past 4300 digits raises
+        raise CapacityError(f"profile search space of {size.bit_length()} bits exceeds cap {cap}")
     if not points:
         return 1, [Profile((), True, ())]
     # every constraint is checked at whichever of its two points the

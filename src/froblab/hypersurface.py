@@ -9,6 +9,13 @@ leave free, f has the lex leading term y_0^e and A_t is a complete
 intersection with Gröbner basis {f, y_1^t, ..., y_d^t}: classes are
 decided by a lex normal form, and the socle of A_t is one monomial.
 
+Frobenius commutes with the F_p-linear change to y, and
+(f, y_1^s, ..., y_d^s)^[p] lies in (f, y_1^(ps), ..., y_d^(ps)), so
+NF_ps(g^p) = NF_ps(NF_s(g)^p).  Every Frobenius power u^(p^e) at level
+p^e * t is therefore taken in e steps, each one reduction of the p-th
+power of the previous normal form (`_frobenius_powers`), never as one
+reduction of u^(p^e), which touches about p^(2e) terms.
+
 The bounded tight-closure test is one-sided by design: "consistent up to
 e_max" means every tested Frobenius power vanished against the supplied
 multiplier, which is evidence, not a proof, of membership in the tight
@@ -142,12 +149,14 @@ def _up_to_degree(g: PolynomialFp, top: int) -> PolynomialFp:
 
 def _normal_form(h: GradedHypersurface, t: int | None, g: PolynomialFp) -> PolynomialFp:
     """Remainder of g, in y coordinates, on division by f in y_0, dropping
-    every term with some y_i^(>= t), i >= 1; with t None, plain division.
+    every term with some y_i^(>= t), i >= 1, or of degree above the top of
+    A_t; with t None, plain division.
 
     In lex order with y_0 first, f leads with y_0^e, which is coprime to
     y_1^t, ..., y_d^t; by Buchberger's first criterion these form a
     Gröbner basis, so the remainder is the lex normal form modulo
-    (f, y_1^t, ..., y_d^t), and modulo (f) when t is None.
+    (f, y_1^t, ..., y_d^t), and modulo (f) when t is None.  Division by
+    the homogeneous f keeps degrees, so the degree test is made once.
     """
     p, e = h.p, h.f.degree()
     inv = pow(h._f_y.as_dict()[(e,) + (0,) * (h.n_vars - 1)], -1, p)
@@ -156,6 +165,8 @@ def _normal_form(h: GradedHypersurface, t: int | None, g: PolynomialFp) -> Polyn
     def kept(rest: Monomial) -> bool:
         return t is None or all(b < t for b in rest)
 
+    if t is not None:
+        g = _up_to_degree(g, level_top_degree(h, t))
     # terms bucketed by their y_0 exponent
     by_a: dict[int, dict[Monomial, int]] = {}
     for m, c in g.terms:
@@ -176,9 +187,21 @@ def _normal_form(h: GradedHypersurface, t: int | None, g: PolynomialFp) -> Polyn
 
 def _level_form(h: GradedHypersurface, t: int, g: PolynomialFp) -> PolynomialFp:
     """Normal form at level t of g given in x, in y coordinates; A_t is
-    zero above its top degree, so those components are dropped first."""
+    zero above its top degree, so those components are dropped before
+    the change of coordinates."""
     kept = _up_to_degree(g, level_top_degree(h, t))
     return _normal_form(h, t, _substitute(kept, h._to_y))
+
+
+def _frobenius_powers(h: GradedHypersurface, t: int, g: PolynomialFp, e_max: int):
+    """Yield the level-(p^e * t) normal forms of g^(p^e) for e = 1..e_max,
+    g in y coordinates; each step reduces the p-th power of the previous
+    form, as NF_ps(g^p) = NF_ps(NF_s(g)^p)."""
+    s = t
+    for _ in range(e_max):
+        s *= h.p
+        g = _normal_form(h, s, g.frobenius(h.p))
+        yield g
 
 
 def _socle(h: GradedHypersurface, t: int) -> PolynomialFp:
@@ -204,13 +227,6 @@ def level_contains(h: GradedHypersurface, t: int, g: PolynomialFp) -> bool:
     return _level_form(h, t, g).is_zero
 
 
-def socle_polynomials(h: GradedHypersurface, t: int) -> list[PolynomialFp]:
-    """Basis of the socle of A_t: A_t is a graded Artinian complete
-    intersection, hence Gorenstein, so the socle is its top-degree piece,
-    spanned by one standard monomial."""
-    return [_substitute(_socle(h, t), h._to_x)]
-
-
 def fedder_fpure_principal(h: GradedHypersurface) -> bool:
     """F-purity of a principal quotient: f^(p-1) must have a monomial
     with every exponent below p."""
@@ -226,8 +242,7 @@ def f_injective_top(h: GradedHypersurface, t: int) -> bool:
     Hence F is injective exactly when the p-th power of the socle
     generator is nonzero modulo the level-pt ideal.
     """
-    image = _up_to_degree(_socle(h, t).frobenius(h.p), level_top_degree(h, t * h.p))
-    return not _normal_form(h, t * h.p, image).is_zero
+    return not next(_frobenius_powers(h, t, _socle(h, t), 1)).is_zero
 
 
 @dataclass(frozen=True)
@@ -249,26 +264,11 @@ def make_class(h: GradedHypersurface, r: PolynomialFp, t: int) -> LocalCohomClas
     return LocalCohomClass(_substitute(_level_form(h, t, r), h._to_x), t)
 
 
-def lift_class(h: GradedHypersurface, u: LocalCohomClass, t: int) -> LocalCohomClass:
-    """Rewrite at a deeper level via multiplication by (l_1 ... l_d)^(t - u.t)."""
-    if t < u.t:
-        raise ValueError("can only lift to a deeper level")
-    shift = PolynomialFp.constant(h.p, h.n_vars, 1)
-    for l in h.params:
-        shift = shift * l
-    r = u.r
-    for _ in range(t - u.t):
-        r = r * shift
-    return make_class(h, r, t)
-
-
-def classes_equal(h: GradedHypersurface, u: LocalCohomClass, v: LocalCohomClass) -> bool:
-    t = max(u.t, v.t)
-    return lift_class(h, u, t).r == lift_class(h, v, t).r
-
-
-def unit_class(h: GradedHypersurface, t: int) -> LocalCohomClass:
-    return make_class(h, PolynomialFp.constant(h.p, h.n_vars, 1), t)
+def socle_class(h: GradedHypersurface, t: int) -> LocalCohomClass:
+    """The class spanning the socle of A_t: A_t is a graded Artinian
+    complete intersection, hence Gorenstein, so the socle is its
+    top-degree piece, spanned by one standard monomial."""
+    return LocalCohomClass(_substitute(_socle(h, t), h._to_x), t)
 
 
 @dataclass(frozen=True)
@@ -292,10 +292,10 @@ def tight_closure_zero_bounded(
     _check_e_max(e_max)
     if c.is_zero or _in_principal(h, c):
         raise ValueError("the multiplier must be nonzero modulo f")
-    for e in range(1, e_max + 1):
-        q = h.p**e
-        g = c * u.r.frobenius(q)
-        if not level_contains(h, q * u.t, g):
+    c_y = _substitute(c, h._to_y)
+    powers = _frobenius_powers(h, u.t, _substitute(u.r, h._to_y), e_max)
+    for e, power in enumerate(powers, start=1):
+        if not _normal_form(h, h.p**e * u.t, c_y * power).is_zero:
             return TightClosureVerdict(False, e, e)
     return TightClosureVerdict(True, e_max, None)
 
@@ -325,32 +325,25 @@ class SimplicityProbeVerdict:
 def rf_simplicity_probe(
     h: GradedHypersurface, t: int, e_max: int = DEFAULT_E_MAX
 ) -> SimplicityProbeVerdict:
-    """Search level-t socle classes for a proper nonzero stable span.
+    """Search the level-t socle class for a proper nonzero stable span.
 
-    A witness is reported when Frobenius kills a socle class within
+    A witness is reported when Frobenius kills the socle class within
     e_max steps, or when some variable multiplier keeps all its tested
     Frobenius powers at zero (the bounded tight-closure signal).  Finding
     none does not certify simplicity; the verdict says so.
     """
     _check_e_max(e_max)
-    top = level_top_degree(h, t)
-    for s in socle_polynomials(h, t):
-        u = make_class(h, s, t)
-        if u.is_zero:
+    none_found = SimplicityProbeVerdict(None, "no-proper-nonzero-F-stable-found-at-this-resolution")
+    if level_top_degree(h, t) == 0:
+        return none_found  # the socle class is the unit, which spans everything
+    u = socle_class(h, t)
+    for e, power in enumerate(_frobenius_powers(h, t, _socle(h, t), e_max), start=1):
+        if power.is_zero:
+            return SimplicityProbeVerdict(u, f"frobenius-kills-socle-at-e={e}")
+    for j in range(h.n_vars):
+        c = PolynomialFp.variable(h.p, h.n_vars, j)
+        if _in_principal(h, c):
             continue
-        if u.r.degree() == 0 and top == 0:
-            continue  # the unit class spans everything
-        for e in range(1, e_max + 1):
-            q = h.p**e
-            if level_contains(h, q * t, u.r.frobenius(q)):
-                return SimplicityProbeVerdict(u, f"frobenius-kills-socle-at-e={e}")
-        for j in range(h.n_vars):
-            c = PolynomialFp.variable(h.p, h.n_vars, j)
-            if _in_principal(h, c):
-                continue
-            verdict = tight_closure_zero_bounded(h, u, c, e_max)
-            if verdict.consistent:
-                return SimplicityProbeVerdict(
-                    u, f"bounded-tight-closure-consistent-with-c=x{j}"
-                )
-    return SimplicityProbeVerdict(None, "no-proper-nonzero-F-stable-found-at-this-resolution")
+        if tight_closure_zero_bounded(h, u, c, e_max).consistent:
+            return SimplicityProbeVerdict(u, f"bounded-tight-closure-consistent-with-c=x{j}")
+    return none_found

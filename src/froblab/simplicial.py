@@ -150,28 +150,6 @@ def link(c: SimplicialComplex, sigma) -> SimplicialComplex:
     return make_complex(c.n_vertices, lk_facets)
 
 
-def cone(c: SimplicialComplex) -> SimplicialComplex:
-    """Add a fresh apex vertex to every facet."""
-    apex = c.n_vertices
-    if c.is_void:
-        return SimplicialComplex(apex + 1, ((apex,),))
-    return make_complex(apex + 1, [f + (apex,) for f in c.facets])
-
-
-def relabel(c: SimplicialComplex, perm) -> SimplicialComplex:
-    """Apply a vertex permutation (perm[v] = new label)."""
-    return make_complex(c.n_vertices, [tuple(perm[v] for v in f) for f in c.facets])
-
-
-def is_cone_complex(c: SimplicialComplex) -> bool:
-    if c.is_void or not c.facets[0]:
-        return False
-    common = set(range(c.n_vertices))
-    for f in c.facets:
-        common &= set(f)
-    return bool(common)
-
-
 @dataclass(frozen=True)
 class CohomologyProfile:
     """Reduced cohomology dimensions over F_p; only nonzero degrees stored."""
@@ -221,24 +199,3 @@ def reduced_cohomology(c: SimplicialComplex, p: int) -> CohomologyProfile:
         if h:
             dims.append((j, h))
     return CohomologyProfile(p, tuple(dims))
-
-
-def boundary_homology_dims(c: SimplicialComplex, p: int) -> dict[int, int]:
-    """Reduced homology dimensions via boundary-matrix ranks (cross-check route)."""
-    check_prime(p)
-    fs = faces(c)
-    # boundary of (j+1)-chains: the transposed coboundary
-    ranks = {
-        j: len(row_echelon(coboundary_matrix(fs[j], fs.get(j + 1, ()), p).T, p)[1]) for j in fs
-    }
-    out = {}
-    for j in sorted(fs):
-        h = (len(fs[j]) - ranks.get(j - 1, 0)) - ranks[j]
-        if h:
-            out[j] = h
-    return out
-
-
-def euler_characteristic_faces(c: SimplicialComplex) -> int:
-    """Alternating face count including the empty face with sign -1."""
-    return sum((-1) ** d * len(fs) for d, fs in faces(c).items())

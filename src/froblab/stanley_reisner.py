@@ -104,7 +104,3 @@ def splitting_containment_check(ring: FaceRing, j: MonomialIdeal) -> bool:
             if t is not None and not target.contains_monomial(t):
                 return False
     return True
-
-
-def irrelevant_ideal(n_vars: int) -> MonomialIdeal:
-    return prime_to_ideal(n_vars, tuple(range(n_vars)))

@@ -73,7 +73,7 @@ def enumerate_by_subspaces(t, cap=DEFAULT_ENUM_CAP):
     points, order = lattice_points(t)
     size = search_space_size(t)
     if size > cap:
-        raise CapacityError(f"profile search space {size} exceeds cap {cap}")
+        raise CapacityError(f"profile search space of {size.bit_length()} bits exceeds cap {cap}")
     if not points:
         return 1, [Profile((), True, ())]
     cons_by_point = {theta: [] for theta in points}

@@ -19,6 +19,17 @@ RP2 = from_facets(6, [
 ])
 
 
+def boundary_facets(k, first=0):
+    """Facets of the boundary of the k-simplex on first, ..., first + k."""
+    return list(itertools.combinations(range(first, first + k + 1), k))
+
+
+# search spaces of tens of thousands of bits at p = 3
+BOUNDARY_5 = from_facets(6, boundary_facets(5))
+CROSS_POLYTOPE_8 = from_facets(8, list(itertools.product(*((2 * i, 2 * i + 1) for i in range(4)))))
+TWO_BOUNDARY_4 = from_facets(10, boundary_facets(4) + boundary_facets(4, 5))
+
+
 def _canonical(n, facets):
     best = None
     for perm in itertools.permutations(range(n)):

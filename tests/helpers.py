@@ -1,11 +1,16 @@
 """Small helpers that only the tests use: repeated variable action on a
-truncation model, and the minimal primes of a square-free monomial
-ideal."""
+truncation model, the minimal primes of a square-free monomial ideal and
+the irrelevant ideal, cones and relabelings of complexes, and the
+homology and Euler characteristic routes that cross-check reduced
+cohomology."""
 
 import itertools
 
 from froblab.errors import UnsupportedInputError
 from froblab.fmodule import apply_x
+from froblab.gfp_linalg import check_prime, row_echelon
+from froblab.simplicial import SimplicialComplex, coboundary_matrix, faces, make_complex
+from froblab.stanley_reisner import prime_to_ideal
 
 
 def apply_monomial(t, exponents, v):
@@ -35,3 +40,50 @@ def squarefree_minimal_primes(ideal):
             if all(cs & s for s in supports) and not any(set(h) <= cs for h in hits):
                 hits.append(cand)
     return tuple(sorted(hits))
+
+
+def irrelevant_ideal(n_vars):
+    return prime_to_ideal(n_vars, tuple(range(n_vars)))
+
+
+def cone(c):
+    """Add a fresh apex vertex to every facet."""
+    apex = c.n_vertices
+    if c.is_void:
+        return SimplicialComplex(apex + 1, ((apex,),))
+    return make_complex(apex + 1, [f + (apex,) for f in c.facets])
+
+
+def relabel(c, perm):
+    """Apply a vertex permutation (perm[v] = new label)."""
+    return make_complex(c.n_vertices, [tuple(perm[v] for v in f) for f in c.facets])
+
+
+def is_cone_complex(c):
+    if c.is_void or not c.facets[0]:
+        return False
+    common = set(range(c.n_vertices))
+    for f in c.facets:
+        common &= set(f)
+    return bool(common)
+
+
+def boundary_homology_dims(c, p):
+    """Reduced homology dimensions via boundary-matrix ranks (cross-check route)."""
+    check_prime(p)
+    fs = faces(c)
+    # boundary of (j+1)-chains: the transposed coboundary
+    ranks = {
+        j: len(row_echelon(coboundary_matrix(fs[j], fs.get(j + 1, ()), p).T, p)[1]) for j in fs
+    }
+    out = {}
+    for j in sorted(fs):
+        h = (len(fs[j]) - ranks.get(j - 1, 0)) - ranks[j]
+        if h:
+            out[j] = h
+    return out
+
+
+def euler_characteristic_faces(c):
+    """Alternating face count including the empty face with sign -1."""
+    return sum((-1) ** d * len(fs) for d, fs in faces(c).items())

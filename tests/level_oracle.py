@@ -1,16 +1,48 @@
-"""The per-degree route to the hypersurface levels A_t = S/(f, l_1^t, ...,
-l_d^t), kept as a test oracle for the normal-form route of
-froblab.hypersurface: each graded piece of the level ideal is spanned
-explicitly by the multiples m * g of its generators and decided by rank
-with gfp_linalg.row_echelon."""
+"""Test oracles for the hypersurface levels A_t = S/(f, l_1^t, ..., l_d^t)
+of froblab.hypersurface.
+
+The per-degree route backs the normal-form route: each graded piece of
+the level ideal is spanned explicitly by the multiples m * g of its
+generators and decided by rank with gfp_linalg.row_echelon.  The direct
+Frobenius route backs the Frobenius-step helper: it reduces the whole
+power g^(p^e) in one normal form.  The class helpers compare classes of
+the direct-limit model across levels."""
 
 import itertools
 
 import numpy as np
 
 from froblab.gfp_linalg import kernel_basis, row_echelon
-from froblab.hypersurface import level_top_degree
+from froblab.hypersurface import _normal_form, level_top_degree, make_class
 from froblab.polyfp import PolynomialFp
+
+
+def frobenius_powers_direct(h, t, g, e_max):
+    """Level-(p^e * t) normal forms of g^(p^e), e = 1..e_max, for g in y
+    coordinates, each from one normal form of the whole power."""
+    return [_normal_form(h, h.p**e * t, g.frobenius(h.p**e)) for e in range(1, e_max + 1)]
+
+
+def lift_class(h, u, t):
+    """Rewrite at a deeper level via multiplication by (l_1 ... l_d)^(t - u.t)."""
+    if t < u.t:
+        raise ValueError("can only lift to a deeper level")
+    shift = PolynomialFp.constant(h.p, h.n_vars, 1)
+    for l in h.params:
+        shift = shift * l
+    r = u.r
+    for _ in range(t - u.t):
+        r = r * shift
+    return make_class(h, r, t)
+
+
+def classes_equal(h, u, v):
+    t = max(u.t, v.t)
+    return lift_class(h, u, t).r == lift_class(h, v, t).r
+
+
+def unit_class(h, t):
+    return make_class(h, PolynomialFp.constant(h.p, h.n_vars, 1), t)
 
 
 def reduce_vector(echelon, pivots, v, p):

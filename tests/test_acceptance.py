@@ -9,7 +9,7 @@ import pytest
 
 from colon_oracle import monomial_ideal_intersection
 from corpus import POINT, RP2, TRIANGLE, TWO_EDGES, TWO_POINTS, acceptance_corpus
-from helpers import squarefree_minimal_primes
+from helpers import cone, irrelevant_ideal, squarefree_minimal_primes
 from froblab.fmodule import (
     adjoin_inverse_variable,
     annihilator_up_to_cap,
@@ -20,10 +20,8 @@ from froblab.fmodule import (
 from froblab.hypersurface import f_injective_top, fedder_fpure_principal, make_hypersurface
 from froblab.local_cohomology import depth_and_cm, fh_count, graded_dim, oracle_box_check
 from froblab.polyfp import parse_polynomial
-from froblab.simplicial import cone
 from froblab.stanley_reisner import (
     FaceRing,
-    irrelevant_ideal,
     minimal_primes,
     prime_to_ideal,
     splitting_containment_check,

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from corpus import BOUNDARY_5
 from froblab.cli import main
 
 
@@ -285,6 +290,74 @@ def test_huge_degree_finishes():
     report = json.loads(proc.stdout)
     assert report["f_pure"] is False
     assert report["f_injective"] == {"t=1": False, "t=2": False}
+
+
+def test_boundary_of_5_simplex_skips_its_model(tmp_path, capsys):
+    # the enumeration's search-space size has 70,994 bits at p = 3
+    path = tmp_path / "boundary5.facets"
+    path.write_text("".join(" ".join(map(str, f)) + "\n" for f in BOUNDARY_5.facets))
+    code, out, err = run_cli(["analyze-complex", str(path), "--prime", "3", "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    assert [m["skipped"] for m in json.loads(out)["models"]] == ["cap"]
+
+
+MALFORMED = ["", "x", "x0^", "^2", "2*", "x0**2", "x0^-1", "x0 x1", "y0", "(x0)", "x0 +", "+", "1/2*x0", "x0^x1"]
+VARIABLES = st.sampled_from(["x0", "x1", "x2", "x3"])
+
+
+@st.composite
+def terms(draw, degree):
+    """A monomial of the given degree with an optional coefficient."""
+    exponents = {}
+    for v in draw(st.lists(VARIABLES, min_size=degree, max_size=degree)):
+        exponents[v] = exponents.get(v, 0) + 1
+    factors = [v if e == 1 else f"{v}^{e}" for v, e in sorted(exponents.items())]
+    coeff = draw(st.sampled_from(["", "1*", "2*", "3*", "10*"]))
+    return coeff + "*".join(factors) if factors else coeff.rstrip("*") or "1"
+
+
+@st.composite
+def polynomial_texts(draw, max_degree=4):
+    """Text from a small polynomial grammar: mostly homogeneous forms, half
+    of them monic in x0, sometimes mixed degrees, sometimes malformed."""
+    kind = draw(st.sampled_from(["monic", "form", "monic", "form", "mixed", "malformed"]))
+    if kind == "malformed":
+        return draw(st.sampled_from(MALFORMED))
+    degree = draw(st.integers(1, max_degree))
+    count = draw(st.integers(1, 4))
+    parts = [
+        draw(terms(degree if kind != "mixed" else draw(st.integers(0, max_degree))))
+        for _ in range(count)
+    ]
+    if kind == "monic":
+        parts[0] = f"x0^{degree}"
+    text = parts[0]
+    for part in parts[1:]:
+        text += draw(st.sampled_from([" + ", " - ", "+"])) + part
+    return text
+
+
+@st.composite
+def hypersurface_args(draw):
+    args = ["analyze-hypersurface", "--poly", draw(polynomial_texts())]
+    args += ["--prime", str(draw(st.sampled_from([2, 3, 4, 5, 7, 9])))]
+    if draw(st.booleans()):
+        args += ["--params", *draw(st.lists(polynomial_texts(max_degree=1), min_size=1, max_size=3))]
+    if draw(st.booleans()):
+        args += ["--c", draw(polynomial_texts(max_degree=2))]
+    return args + ["--emax", str(draw(st.integers(1, 6))), "--format", "json"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(hypersurface_args())
+def test_analyze_hypersurface_fuzz(args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    assert code in (0, 1), err.getvalue()
+    assert "internal error" not in err.getvalue() and "Traceback" not in err.getvalue()
+    if code == 0:
+        assert json.loads(out.getvalue())["tool"] == "froblab"
 
 
 def test_console_entry_point():

@@ -6,7 +6,16 @@ from hypothesis import strategies as st
 
 from antinil_oracle import antinilpotent_by_pairs, enumerate_by_subspaces, profile_contains
 from colon_oracle import monomial_ideal_intersection
-from corpus import POINT, SEGMENT, TRIANGLE, TWO_EDGES, TWO_POINTS
+from corpus import (
+    BOUNDARY_5,
+    CROSS_POLYTOPE_8,
+    POINT,
+    SEGMENT,
+    TRIANGLE,
+    TWO_BOUNDARY_4,
+    TWO_EDGES,
+    TWO_POINTS,
+)
 from helpers import apply_monomial, squarefree_minimal_primes
 from test_acceptance import CORPUS_MODELS
 from froblab.errors import CapacityError, UnsupportedInputError
@@ -177,6 +186,20 @@ def test_enumeration_cap():
     assert search_space_size(big) > 2**16
     with pytest.raises(CapacityError):
         enumerate_f_stable_submodules(big)
+
+
+@pytest.mark.parametrize(
+    "c,i",
+    [(BOUNDARY_5, 5), (CROSS_POLYTOPE_8, 4), (TWO_BOUNDARY_4, 4)],
+    ids=["boundary-5-simplex", "cross-polytope-8", "two-boundary-4-simplices"],
+)
+def test_capacity_message_of_a_huge_search_space(c, i):
+    t = build_truncation(c, 3, i, 2)
+    size = search_space_size(t)
+    assert size > 10**4300  # past the digits that str() of an int allows
+    with pytest.raises(CapacityError) as info:
+        enumerate_f_stable_submodules(t)
+    assert str(info.value) == f"profile search space of {size.bit_length()} bits exceeds cap {DEFAULT_ENUM_CAP}"
 
 
 def test_antinilpotent_on_models():

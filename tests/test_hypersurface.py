@@ -6,29 +6,31 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from level_oracle import (
+    classes_equal,
+    frobenius_powers_direct,
     hilbert_function,
     level_generators,
+    lift_class,
     monomials_of_degree,
     socle_by_kernel_search,
     span_contains,
+    unit_class,
 )
 
 from froblab.cli import main
 from froblab.errors import CapacityError, InvalidParametersError
 from froblab.hypersurface import (
     GradedHypersurface,
-    classes_equal,
+    _frobenius_powers,
     f_injective_top,
     fedder_fpure_principal,
     level_contains,
     level_top_degree,
-    lift_class,
     make_class,
     make_hypersurface,
     rf_simplicity_probe,
-    socle_polynomials,
+    socle_class,
     tight_closure_zero_bounded,
-    unit_class,
 )
 from froblab.polyfp import PolynomialFp, parse_polynomial
 
@@ -70,9 +72,8 @@ def test_quotient_dims_fermat():
 
 def test_socle_fermat_level_one():
     h = fermat(7)
-    socle = socle_polynomials(h, 1)
-    assert len(socle) == 1
-    assert socle[0] == poly("x0^2", 7, 3)
+    socle = socle_class(h, 1)
+    assert (socle.r, socle.t) == (poly("x0^2", 7, 3), 1)
 
 
 def test_fedder_fermat():
@@ -234,6 +235,21 @@ def test_former_walls_finish(text, p):
     assert report["f_injective"] == {"t=1": report["f_pure"], "t=2": report["f_pure"]}
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--poly", "x0^2 + x1^2", "--prime", "3", "--emax", "40", "--c", "x0"],
+        ["--poly", "x0^3 + x1^3 + x2^3 + x3^3", "--prime", "7", "--emax", "3"],
+    ],
+    ids=["conic-p3-emax40", "cubic4-p7-emax3"],
+)
+def test_deep_frobenius_powers_finish(args):
+    # a single normal form of u^(p^e) would touch about p^(2e) terms
+    code, report = run_json(args)
+    assert code == 0
+    assert report["f_injective"] == {"t=1": report["f_pure"], "t=2": report["f_pure"]}
+
+
 def test_noncoordinate_params_of_huge_degree_are_a_capacity_error():
     big = "x0^99999999999 + x1^99999999999 + x2^99999999999"
     with pytest.raises(CapacityError):
@@ -256,7 +272,7 @@ def test_noncoordinate_params_keep_their_verdicts():
      (make_hypersurface(poly("x0^2 + x0*x1 + x1^2 + x2^2 + x3^2", 2)), 2)],
 )
 def test_socle_formula_matches_kernel_search(h, t):
-    assert socle_by_kernel_search(h, t) == socle_polynomials(h, t)
+    assert socle_by_kernel_search(h, t) == [socle_class(h, t).r]
 
 
 PRIMES = st.sampled_from([2, 3, 5, 7])
@@ -302,9 +318,9 @@ def test_normal_form_matches_sympy_groebner(data):
 
 
 @st.composite
-def forms_and_params(draw):
+def forms_and_params(draw, primes=PRIMES):
     """A form f of degree 1 to 3 in 3 variables and two nonzero linear forms."""
-    p, e = draw(PRIMES), draw(st.integers(1, 3))
+    p, e = draw(primes), draw(st.integers(1, 3))
     support = draw(st.lists(st.sampled_from(monomials_of_degree(3, e)), min_size=1, max_size=4, unique=True))
     f = PolynomialFp.make(p, 3, {m: draw(st.integers(1, p - 1)) for m in support})
     rows = [[draw(st.integers(0, p - 1)) for _ in range(3)] for _ in range(2)]
@@ -362,3 +378,25 @@ def test_artinian_check_matches_span_rank(case):
     except InvalidParametersError:
         built = False
     assert built == expected
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.data())
+def test_frobenius_steps_match_one_step_normal_form(data):
+    f, params = data.draw(forms_and_params(st.sampled_from([2, 3, 5])))
+    try:
+        h = GradedHypersurface(f.p, 3, f, params)
+    except InvalidParametersError:
+        assume(False)
+    t, e_max = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3))
+    # g in y coordinates, mostly standard monomials of A_t, so that many
+    # of its powers survive; y_i^t and degree top + 1 are in the ideal
+    monos = [
+        m
+        for d in range(level_top_degree(h, t) + 2)
+        for m in monomials_of_degree(3, d)
+        if max(m[1:]) <= t
+    ]
+    support = data.draw(st.lists(st.sampled_from(monos), min_size=1, max_size=5, unique=True))
+    g = PolynomialFp.make(h.p, 3, {m: data.draw(st.integers(1, h.p - 1)) for m in support})
+    assert list(_frobenius_powers(h, t, g, e_max)) == frobenius_powers_direct(h, t, g, e_max)

@@ -18,6 +18,7 @@ from corpus import (
     acceptance_corpus,
     small_complexes,
 )
+from helpers import cone, relabel
 from froblab import local_cohomology as lc
 from froblab.errors import CapacityError
 from froblab.local_cohomology import (
@@ -30,7 +31,7 @@ from froblab.local_cohomology import (
     oracle_box_check,
     reisner_cm_condition,
 )
-from froblab.simplicial import cone, make_complex, relabel
+from froblab.simplicial import make_complex
 
 
 def test_decomposition_two_points():

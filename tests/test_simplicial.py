@@ -2,22 +2,18 @@ import random
 
 import pytest
 
+from helpers import boundary_homology_dims, cone, euler_characteristic_faces, is_cone_complex, relabel
 from froblab.errors import NotAFaceError, ParseError
 from froblab.simplicial import (
     CohomologyProfile,
     SimplicialComplex,
     all_faces,
-    boundary_homology_dims,
-    cone,
-    euler_characteristic_faces,
     faces,
     from_facets,
-    is_cone_complex,
     link,
     make_complex,
     parse_facets_text,
     reduced_cohomology,
-    relabel,
 )
 
 TRIANGLE = from_facets(3, [[0, 1], [1, 2], [0, 2]])

@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 
 from colon_oracle import colon_radical_contains_nonfaces, fedder_fpure_by_colon
 from corpus import acceptance_corpus
+from helpers import irrelevant_ideal
 from froblab.polyfp import MonomialIdeal
 from froblab.simplicial import from_facets, make_complex
 from froblab.stanley_reisner import (
     FaceRing,
     fedder_fpure_monomial,
-    irrelevant_ideal,
     minimal_primes,
     nonface_ideal,
     prime_to_ideal,
