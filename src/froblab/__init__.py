@@ -4,23 +4,13 @@ Exact diagnostics over F_p for Stanley-Reisner rings (graded
 decomposition of local cohomology, depth, Cohen-Macaulayness, counts of
 Frobenius-stable submodules) and for graded hypersurfaces (F-purity,
 F-injectivity, bounded tight-closure probes), with independent
-brute-force oracles backing every nontrivial computation.
+brute-force oracles backing every nontrivial computation.  The
+face-ring submodule models live in froblab.fmodule, the one module that
+needs numpy, and are not imported here.
 """
 
 __version__ = "0.1.0"
 
-from .fmodule import (
-    BasisElement,
-    FModuleTruncation,
-    adjoin_inverse_variable,
-    annihilator_up_to_cap,
-    apply_F,
-    apply_x,
-    build_truncation,
-    check_antinilpotent,
-    enumerate_f_stable_submodules,
-    f_stable_span,
-)
 from .gfp_linalg import (
     Subspace,
     enumerate_subspaces,

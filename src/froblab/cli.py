@@ -24,11 +24,6 @@ from .errors import (
     ParseError,
     UnsupportedInputError,
 )
-from .fmodule import (
-    build_truncation,
-    check_antinilpotent,
-    enumerate_f_stable_submodules,
-)
 from .gfp_linalg import DEFAULT_ENUM_CAP, check_prime
 from .hypersurface import (
     f_injective_top,
@@ -111,6 +106,9 @@ def _emit_text(report: dict, prefix: str = "") -> None:
 
 
 def cmd_analyze_complex(args) -> int:
+    # the submodule models use numpy, which analyze-hypersurface never loads
+    from .fmodule import build_truncation, check_antinilpotent, enumerate_f_stable_submodules
+
     try:
         with open(args.path, encoding="utf-8") as fh:
             complex_ = parse_facets_text(fh.read())

@@ -23,9 +23,11 @@ The enumeration searches graded profiles only; the semisimple graded
 structure of the models justifies this, and reports flag it as a scope
 condition.  Both the search and the anti-nilpotence check hold each
 subspace as its index into subspace_lattice and test containment and
-meets by lookups in lattice_tables.  Since F is theta -> p*theta and the
-identity on multiplicity coordinates, Frobenius is injective on N/N' at
-an interior theta exactly when N(theta) ∩ N'(p*theta) ⊆ N'(theta).
+meets by lookups in lattice_tables.  Those tables are numpy arrays, so
+the anti-nilpotence check runs vectorised; this is the one module of
+froblab that uses numpy.  Since F is theta -> p*theta and the identity
+on multiplicity coordinates, Frobenius is injective on N/N' at an
+interior theta exactly when N(theta) ∩ N'(p*theta) ⊆ N'(theta).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -43,8 +46,8 @@ from .gfp_linalg import (
     DEFAULT_ENUM_CAP,
     Subspace,
     check_prime,
-    lattice_tables,
     num_subspaces,
+    subspace_intersection,
     subspace_lattice,
     subspace_sum,
 )
@@ -191,6 +194,29 @@ class Profile:
 
 def _neg_support(theta: MultiDegree) -> Face:
     return tuple(i for i, v in enumerate(theta) if v < 0)
+
+
+class LatticeTables(NamedTuple):
+    """index maps each subspace of subspace_lattice(p, dim) to its
+    position; contains[a, b] says L[a] ⊇ L[b]; meet[a, b] is the position
+    of L[a] ∩ L[b]."""
+
+    index: dict[Subspace, int]
+    contains: np.ndarray
+    meet: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def lattice_tables(p: int, dim: int) -> LatticeTables:
+    lattice = subspace_lattice(p, dim)
+    index = {s: k for k, s in enumerate(lattice)}
+    size = len(lattice)
+    meet = np.empty((size, size), dtype=np.int64)
+    for a in range(size):
+        for b in range(a, size):
+            meet[a, b] = meet[b, a] = index[subspace_intersection(lattice[a], lattice[b])]
+    # L[a] contains L[b] exactly when their meet is L[b]
+    return LatticeTables(index, meet == np.arange(size), meet)
 
 
 def lattice_points(t: FModuleTruncation) -> tuple[dict[MultiDegree, int], list[MultiDegree]]:

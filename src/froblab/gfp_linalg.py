@@ -1,8 +1,9 @@
-"""Exact dense linear algebra over the prime field F_p.
+"""Exact dense linear algebra over the prime field F_p, in pure Python.
 
-Matrix entries are machine integers kept reduced to [0, p); p is checked
-prime by trial division and bounded so that products fit in int64 with
-plenty of slack.  All values are immutable and all operations are pure.
+Vectors and matrices are lists (or tuples) of Python integers kept
+reduced to [0, p); p is checked prime by trial division, once per
+prime, and bounded below 2^15 (desk scale).  Subspaces are immutable
+and all operations are pure.
 """
 
 from __future__ import annotations
@@ -10,9 +11,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
-
-import numpy as np
 
 from .errors import CapacityError, DimensionMismatchError
 
@@ -20,6 +18,7 @@ MAX_PRIME = 2**15
 DEFAULT_ENUM_CAP = 2**16
 
 
+@lru_cache(maxsize=None)
 def is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -31,6 +30,7 @@ def is_prime(p: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def check_prime(p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
@@ -39,45 +39,41 @@ def check_prime(p: int) -> int:
     return p
 
 
-def row_echelon(rows, p: int, reduced: bool = False) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Echelon basis of the span of `rows`, a 2-D array or a nonempty list
-    of equal-length 1-D arrays, with entries in [0, p).
+def _lead(v: list[int], start: int = 0) -> int | None:
+    return next((j for j in range(start, len(v)) if v[j]), None)
 
-    Rows are taken in order of their leading column and each is reduced
-    against the pivot rows found so far.  The result has one monic row
-    per pivot column, rows sorted by pivot; its length is the rank.
-    With reduced=True one back-substitution pass also clears the entries
-    above every pivot, giving the canonical reduced row-echelon form.
+
+def row_echelon(rows, p: int, reduced: bool = False) -> tuple[list[list[int]], tuple[int, ...]]:
+    """Echelon basis of the span of `rows`, any sequence of integer rows
+    of equal length.
+
+    Each row is reduced mod p and against the pivot rows found so far.
+    The result is one monic row per pivot column, rows sorted by pivot,
+    and the pivots; the number of rows is the rank.  With reduced=True
+    one back-substitution pass also clears the entries above every
+    pivot, giving the canonical reduced row-echelon form.
     """
-    order = []
-    for i, row in enumerate(rows):
-        nz = row.nonzero()[0]
-        if nz.size:
-            order.append((int(nz[0]), i))
-    order.sort()
-    pivot_row: dict[int, np.ndarray] = {}
-    for lead, i in order:
-        v = rows[i]
+    pivot_row: dict[int, list[int]] = {}
+    for row in rows:
+        v = [int(x) % p for x in row]
+        lead = _lead(v)
         while lead in pivot_row:
-            v = (v - v[lead] * pivot_row[lead]) % p
-            nz = v.nonzero()[0]
-            if nz.size == 0:
-                break
-            lead = int(nz[0])
-        else:
-            inv = pow(int(v[lead]), p - 2, p)
-            pivot_row[lead] = v if inv == 1 else (v * inv) % p
+            f, pivot = v[lead], pivot_row[lead]
+            # the pivot row is zero left of its pivot
+            v[lead:] = [(a - f * b) % p for a, b in zip(v[lead:], pivot[lead:])]
+            lead = _lead(v, lead + 1)
+        if lead is not None:
+            inv = pow(v[lead], p - 2, p)
+            pivot_row[lead] = v if inv == 1 else [x * inv % p for x in v]
     pivots = tuple(sorted(pivot_row))
-    if not pivots:
-        width = len(rows[0]) if len(rows) else rows.shape[1]
-        return np.zeros((0, width), dtype=np.int64), pivots
-    echelon = np.vstack([pivot_row[c] for c in pivots])
+    echelon = [pivot_row[c] for c in pivots]
     if reduced:
         for k in range(len(pivots) - 1, 0, -1):
-            above = echelon[:k, pivots[k]].nonzero()[0]
-            if above.size:
-                factors = echelon[above, pivots[k]]
-                echelon[above] = (echelon[above] - np.outer(factors, echelon[k])) % p
+            c, below = pivots[k], echelon[k]
+            for row in echelon[:k]:
+                f = row[c]
+                if f:
+                    row[c:] = [(a - f * b) % p for a, b in zip(row[c:], below[c:])]
     return echelon, pivots
 
 
@@ -112,11 +108,8 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, p: int, ambient_dim: int, vectors) -> "Subspace":
-        vecs = [list(v) for v in vectors]
-        if not vecs:
-            return cls.zero(p, ambient_dim)
-        echelon, _ = row_echelon(np.array(vecs, dtype=np.int64) % p, p, reduced=True)
-        return cls(p, ambient_dim, tuple(tuple(int(x) for x in row) for row in echelon))
+        echelon, _ = row_echelon(vectors, p, reduced=True)
+        return cls(p, ambient_dim, tuple(map(tuple, echelon)))
 
     def contains_vector(self, v) -> bool:
         v = [int(x) % self.p for x in v]
@@ -134,11 +127,15 @@ class Subspace:
 
     def vectors(self):
         """Iterate over all vectors of the subspace (desk scale only)."""
+        # zip of no rows gives no columns, but the zero vector has ambient_dim
+        columns = list(zip(*self.basis)) if self.basis else [()] * self.ambient_dim
         for coeffs in itertools.product(range(self.p), repeat=self.dim):
-            v = np.zeros(self.ambient_dim, dtype=np.int64)
-            for c, row in zip(coeffs, self.basis):
-                v = (v + c * np.array(row, dtype=np.int64)) % self.p
-            yield tuple(int(x) for x in v)
+            yield _combine(coeffs, columns, self.p)
+
+
+def _combine(coeffs, columns, p: int) -> tuple[int, ...]:
+    """The combination sum_i coeffs[i] * row_i, given the rows' columns."""
+    return tuple(sum(c * x for c, x in zip(coeffs, col)) % p for col in columns)
 
 
 def _check_compatible(a: Subspace, b: Subspace) -> None:
@@ -150,24 +147,25 @@ def _check_compatible(a: Subspace, b: Subspace) -> None:
         )
 
 
-def kernel_basis(a: np.ndarray, p: int) -> Subspace:
-    """Basis of {v : a v = 0} over F_p; its dimension is cols - rank(a)."""
-    a = np.asarray(a, dtype=np.int64) % p
-    cols = a.shape[1]
+def kernel_basis(a, p: int, cols: int | None = None) -> Subspace:
+    """Basis of {v : a v = 0} over F_p for the matrix with rows a; its
+    dimension is cols - rank(a).  cols defaults to the length of the
+    first row and is needed when a has no rows."""
+    cols = len(a[0]) if cols is None else cols
     echelon, pivots = row_echelon(a, p, reduced=True)
-    free = [c for c in range(cols) if c not in pivots]
     vecs = []
-    for f in free:
-        v = np.zeros(cols, dtype=np.int64)
+    for f in sorted(set(range(cols)) - set(pivots)):
+        v = [0] * cols
         v[f] = 1
-        v[list(pivots)] = (-echelon[:, f]) % p
+        for c, row in zip(pivots, echelon):
+            v[c] = -row[f] % p
         vecs.append(v)
     return Subspace.from_vectors(p, cols, vecs)
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     _check_compatible(a, b)
-    return Subspace.from_vectors(a.p, a.ambient_dim, list(a.basis) + list(b.basis))
+    return Subspace.from_vectors(a.p, a.ambient_dim, a.basis + b.basis)
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
@@ -176,13 +174,13 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     _check_compatible(a, b)
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(a.p, a.ambient_dim)
-    rows_a = np.array(a.basis, dtype=np.int64)
-    rows_b = np.array(b.basis, dtype=np.int64)
-    relations = kernel_basis(np.vstack([rows_a, -rows_b]).T, a.p)
-    coeffs = np.array(relations.basis, dtype=np.int64).reshape(relations.dim, a.dim + b.dim)[:, : a.dim]
-    return Subspace.from_vectors(a.p, a.ambient_dim, coeffs @ rows_a % a.p)
-
-
+    stacked = a.basis + tuple(tuple(-x for x in row) for row in b.basis)
+    relations = kernel_basis(list(zip(*stacked)), a.p)
+    columns = list(zip(*a.basis))
+    # a relation is (c, d); _combine reads its first a.dim entries, c
+    return Subspace.from_vectors(
+        a.p, a.ambient_dim, [_combine(coeffs, columns, a.p) for coeffs in relations.basis]
+    )
 def enumerate_subspaces(p: int, dim: int, cap: int = DEFAULT_ENUM_CAP):
     """Yield every subspace of F_p^dim exactly once, via rref normal forms."""
     check_prime(p)
@@ -228,26 +226,3 @@ def num_subspaces(p: int, n: int) -> int:
 def subspace_lattice(p: int, dim: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[Subspace, ...]:
     """All subspaces of F_p^dim as a cached tuple, zero subspace first."""
     return tuple(enumerate_subspaces(p, dim, cap))
-
-
-class LatticeTables(NamedTuple):
-    """index maps each subspace of subspace_lattice(p, dim) to its
-    position; contains[a, b] says L[a] ⊇ L[b]; meet[a, b] is the position
-    of L[a] ∩ L[b]."""
-
-    index: dict[Subspace, int]
-    contains: np.ndarray
-    meet: np.ndarray
-
-
-@lru_cache(maxsize=None)
-def lattice_tables(p: int, dim: int) -> LatticeTables:
-    lattice = subspace_lattice(p, dim)
-    index = {s: k for k, s in enumerate(lattice)}
-    size = len(lattice)
-    meet = np.empty((size, size), dtype=np.int64)
-    for a in range(size):
-        for b in range(a, size):
-            meet[a, b] = meet[b, a] = index[subspace_intersection(lattice[a], lattice[b])]
-    # L[a] contains L[b] exactly when their meet is L[b]
-    return LatticeTables(index, meet == np.arange(size), meet)

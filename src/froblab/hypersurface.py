@@ -27,11 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import CapacityError, InvalidParametersError, UnsupportedInputError
 from .gfp_linalg import check_prime, row_echelon
-from .polyfp import Monomial, PolynomialFp, mono_deg
+from .polyfp import Monomial, PolynomialFp, mono_deg, mono_mul
 
 DEFAULT_E_MAX = 2
 DEGREE_CAP_FACTOR = 3
@@ -96,17 +94,17 @@ def _set_coordinates(h: GradedHypersurface) -> None:
     has no pivot, and y_i = l_i; A_t is Artinian exactly when the y_0^e
     coefficient of f is nonzero."""
     p, n = h.p, h.n_vars
-    lin = np.zeros((n, n), dtype=np.int64)
-    for r, l in enumerate(h.params, start=1):
+    lin = [[0] * n for _ in range(n)]
+    for row, l in zip(lin[1:], h.params):
         for m, c in l.terms:
-            lin[r, m.index(1)] = c
+            row[m.index(1)] = c
     pivots = row_echelon(lin[1:], p)[1]
     if len(pivots) != n - 1:
         raise InvalidParametersError("parameters are linearly dependent")
-    lin[0, next(j for j in range(n) if j not in pivots)] = 1
+    lin[0][next(j for j in range(n) if j not in pivots)] = 1
     # y = lin x, so the reduced echelon form of [lin | 1] is [1 | lin^-1]
-    inverse = row_echelon(np.hstack([lin, np.eye(n, dtype=np.int64)]), p, reduced=True)[0][:, n:]
-    to_y = tuple(_linear_form(p, row) for row in inverse)
+    augmented = [row + [int(i == j) for j in range(n)] for i, row in enumerate(lin)]
+    to_y = tuple(_linear_form(p, row[n:]) for row in row_echelon(augmented, p, reduced=True)[0])
     f_y = _substitute(h.f, to_y)
     e = h.f.degree()
     if (e,) + (0,) * (n - 1) not in f_y.as_dict():
@@ -118,9 +116,9 @@ def _set_coordinates(h: GradedHypersurface) -> None:
     object.__setattr__(h, "_f_y", f_y)
 
 
-def _linear_form(p: int, row: np.ndarray) -> PolynomialFp:
+def _linear_form(p: int, row: list[int]) -> PolynomialFp:
     n = len(row)
-    return PolynomialFp.make(p, n, {tuple(int(i == j) for i in range(n)): int(c) for j, c in enumerate(row)})
+    return PolynomialFp.make(p, n, {tuple(int(i == j) for i in range(n)): c for j, c in enumerate(row)})
 
 
 def _substitute(g: PolynomialFp, forms: tuple[PolynomialFp, ...]) -> PolynomialFp:
@@ -229,9 +227,22 @@ def level_contains(h: GradedHypersurface, t: int, g: PolynomialFp) -> bool:
 
 def fedder_fpure_principal(h: GradedHypersurface) -> bool:
     """F-purity of a principal quotient: f^(p-1) must have a monomial
-    with every exponent below p."""
-    fp = h.f.pow(h.p - 1)
-    return any(all(e < h.p for e in m) for m, _ in fp.terms)
+    with every exponent below p, that is, lie outside (x_0^p, ..., x_(n-1)^p).
+
+    Exponents only grow in a product, so the power is built modulo that
+    ideal, one factor f at a time, dropping every monomial with an
+    exponent of p or more as it appears."""
+    p = h.p
+    power = {(0,) * h.n_vars: 1}
+    for _ in range(p - 1):
+        out: dict[Monomial, int] = {}
+        for m1, c1 in power.items():
+            for m2, c2 in h.f.terms:
+                m = mono_mul(m1, m2)
+                if max(m) < p:
+                    out[m] = (out.get(m, 0) + c1 * c2) % p
+        power = {m: c for m, c in out.items() if c}
+    return bool(power)
 
 
 def f_injective_top(h: GradedHypersurface, t: int) -> bool:

@@ -14,8 +14,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import NotAFaceError, ParseError
 from .gfp_linalg import check_prime, row_echelon
 
@@ -165,18 +163,18 @@ class CohomologyProfile:
         return sum(d for _, d in self.dims)
 
 
-def coboundary_matrix(src: Sequence[Face], tgt: Sequence[Face], p: int) -> np.ndarray:
+def coboundary_matrix(src: Sequence[Face], tgt: Sequence[Face], p: int) -> list[list[int]]:
     """Matrix of the coboundary between the cochains on the face lists
     src and tgt; rows indexed by tgt, columns by src, sign (-1)^k for
     inserting the new vertex at position k of the sorted target face."""
     idx = {f: i for i, f in enumerate(src)}
-    m = np.zeros((len(tgt), len(src)), dtype=np.int64)
-    for r, tau in enumerate(tgt):
+    m = [[0] * len(src) for _ in tgt]
+    for row, tau in zip(m, tgt):
         for k in range(len(tau)):
             sigma = tau[:k] + tau[k + 1 :]
             ci = idx.get(sigma)
             if ci is not None:
-                m[r, ci] = (m[r, ci] + (-1) ** k) % p
+                row[ci] = (row[ci] + (-1) ** k) % p
     return m
 
 

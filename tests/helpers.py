@@ -74,7 +74,8 @@ def boundary_homology_dims(c, p):
     fs = faces(c)
     # boundary of (j+1)-chains: the transposed coboundary
     ranks = {
-        j: len(row_echelon(coboundary_matrix(fs[j], fs.get(j + 1, ()), p).T, p)[1]) for j in fs
+        j: len(row_echelon(zip(*coboundary_matrix(fs[j], fs.get(j + 1, ()), p)), p)[1])
+        for j in fs
     }
     out = {}
     for j in sorted(fs):

@@ -10,8 +10,6 @@ the direct-limit model across levels."""
 
 import itertools
 
-import numpy as np
-
 from froblab.gfp_linalg import kernel_basis, row_echelon
 from froblab.hypersurface import _normal_form, level_top_degree, make_class
 from froblab.polyfp import PolynomialFp
@@ -48,11 +46,11 @@ def unit_class(h, t):
 def reduce_vector(echelon, pivots, v, p):
     """Reduce v against the rows of a row_echelon result; the residual has
     zeros in pivot columns."""
-    v = v % p
-    for i, c in enumerate(pivots):
-        f = int(v[c])
+    v = [x % p for x in v]
+    for row, c in zip(echelon, pivots):
+        f = v[c]
         if f:
-            v = (v - f * echelon[i]) % p
+            v = [(a - f * b) % p for a, b in zip(v, row)]
     return v
 
 
@@ -77,15 +75,14 @@ def span(gens, d, p, n):
 
 def vector(g, monos):
     index = {m: i for i, m in enumerate(monos)}
-    v = np.zeros(len(monos), dtype=np.int64)
+    v = [0] * len(monos)
     for m, c in g.terms:
         v[index[m]] = c
     return v
 
 
 def rank(polys, monos, p):
-    rows = np.array([vector(g, monos) for g in polys], dtype=np.int64).reshape(len(polys), len(monos))
-    return len(row_echelon(rows, p)[1])
+    return len(row_echelon([vector(g, monos) for g in polys], p)[1])
 
 
 def span_contains(gens, g, p, n):
@@ -106,8 +103,7 @@ def span_contains(gens, g, p, n):
 def _echelon(gens, d, p, n):
     monos = monomials_of_degree(n, d)
     piece = span(gens, d, p, n)
-    rows = np.array([vector(g, monos) for g in piece], dtype=np.int64).reshape(len(piece), len(monos))
-    return monos, row_echelon(rows, p)
+    return monos, row_echelon([vector(g, monos) for g in piece], p)
 
 
 def quotient_monomials(h, t, d):
@@ -135,11 +131,12 @@ def socle_by_kernel_search(h, t):
         monos, (echelon, pivots) = _echelon(gens, d + 1, p, n)
         rows = []
         for mono in q_d:
-            per_var = []
+            row = []
             for j in range(n):
                 bumped = tuple(e + (k == j) for k, e in enumerate(mono))
-                per_var.append(reduce_vector(echelon, pivots, vector(PolynomialFp.monomial(p, bumped), monos), p))
-            rows.append(np.concatenate(per_var))
-        for coeffs in kernel_basis(np.array(rows, dtype=np.int64).T, p).basis:
+                row += reduce_vector(echelon, pivots, vector(PolynomialFp.monomial(p, bumped), monos), p)
+            rows.append(row)
+        # the kernel of the transpose: combinations of the rows that vanish
+        for coeffs in kernel_basis(list(zip(*rows)), p, len(q_d)).basis:
             out.append(PolynomialFp.make(p, n, dict(zip(q_d, coeffs))))
     return out

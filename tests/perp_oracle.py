@@ -9,15 +9,13 @@ A ∩ B = (A^perp + B^perp)^perp.
 
 import functools
 
-import numpy as np
-
 from froblab.gfp_linalg import Subspace, kernel_basis, subspace_sum
 
 
 @functools.lru_cache(maxsize=None)
 def subspace_perp(a: Subspace) -> Subspace:
     """Orthogonal complement under the standard dot product."""
-    return kernel_basis(np.array(a.basis, dtype=np.int64).reshape(a.dim, a.ambient_dim), a.p)
+    return kernel_basis(a.basis, a.p, a.ambient_dim)
 
 
 def intersection_by_perps(a: Subspace, b: Subspace) -> Subspace:

@@ -360,6 +360,72 @@ def test_analyze_hypersurface_fuzz(args):
         assert json.loads(out.getvalue())["tool"] == "froblab"
 
 
+NUMPY_FREE_RUN = """
+import sys
+import froblab, froblab.cli
+
+cubic = ["--poly", "x0^3 + x1^3 + x2^3", "--prime", "7", "--c", "x0"]
+code = froblab.cli.main(["analyze-hypersurface", *cubic])
+print(code, "numpy" in sys.modules, file=sys.stderr)
+code = froblab.cli.main(["analyze-complex", sys.argv[1], "--prime", "2"])
+print(code, file=sys.stderr)
+"""
+
+
+def test_hypersurface_run_does_not_import_numpy(triangle_file):
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_RUN, triangle_file], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    # analyze-complex loads the face-ring models, numpy with them, on demand
+    assert proc.stderr.splitlines() == ["0 False", "0"]
+
+
+MALFORMED_FACETS = ["", "# only a comment\n", "0 a\n", "-1\n", "0 1.5\n", "0,1\n", "0\n2\n", "3\n"]
+
+
+@st.composite
+def facet_files(draw):
+    """Facet files on at most 4 vertices, with comments and blank lines."""
+    facet = st.lists(st.integers(0, 3), min_size=1, max_size=4)
+    facets = draw(st.lists(facet, min_size=1, max_size=5))
+    # relabel the vertices in use to 0..n-1: a file that skips a label is malformed
+    label = {v: k for k, v in enumerate(sorted({v for f in facets for v in f}))}
+    lines = [" ".join(str(label[v]) for v in f) for f in facets]
+    if draw(st.booleans()):
+        extra = draw(st.sampled_from(["# comment", "", "   "]))
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    return "\n".join(lines) + "\n"
+
+
+# well-formed files twice as often as malformed text
+facet_texts = st.one_of(st.sampled_from(MALFORMED_FACETS), facet_files(), facet_files())
+
+
+@st.composite
+def complex_args(draw):
+    args = ["--prime", str(draw(st.sampled_from([2, 3, 4, 5])))]
+    if draw(st.booleans()):
+        args += ["--trunc", str(draw(st.integers(1, 2)))]
+    if draw(st.booleans()):
+        args.append("--box=" + draw(st.sampled_from(["-3:1", "-2:0", "0:0", "-1:2", "1:-1", "x"])))
+    if draw(st.booleans()):
+        args += ["--enumerate-cap", str(draw(st.sampled_from([1, 8, 64, 256])))]
+    return args + ["--format", draw(st.sampled_from(["json", "text"]))]
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(facet_texts, complex_args())
+def test_analyze_complex_fuzz(tmp_path_factory, text, args):
+    path = tmp_path_factory.mktemp("fuzz") / "complex.facets"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["analyze-complex", str(path), *args])
+    assert code in (0, 1), err.getvalue()
+    assert "internal error" not in err.getvalue() and "Traceback" not in err.getvalue()
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "froblab.cli", "--version"],

@@ -1,7 +1,6 @@
 import itertools
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,47 +12,53 @@ from froblab.gfp_linalg import (
     enumerate_subspaces,
     gaussian_binomial,
     kernel_basis,
-    lattice_tables,
     num_subspaces,
     row_echelon,
     subspace_intersection,
     subspace_lattice,
     subspace_sum,
 )
+from froblab.fmodule import lattice_tables
 
 
 def rank(a, p):
-    return len(row_echelon(np.asarray(a, dtype=np.int64) % p, p)[1])
+    return len(row_echelon(a, p)[1])
 
 
 def rref(a, p):
-    return row_echelon(np.asarray(a, dtype=np.int64) % p, p, reduced=True)
+    return row_echelon(a, p, reduced=True)
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)]
 
 
 def random_matrix(rng, p, rows, cols):
-    return np.array(
-        [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)], dtype=np.int64
-    ).reshape(rows, cols)
+    return [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+
+
+def combine(coeffs, a, cols, p):
+    return tuple(sum(c * row[j] for c, row in zip(coeffs, a)) % p for j in range(cols))
 
 
 def test_matrix_validation():
     with pytest.raises(ValueError):
-        kernel_basis(np.eye(1, dtype=np.int64), 4)  # 4 not prime
+        kernel_basis([[1]], 4)  # 4 not prime
     # entries are reduced on the way in: 5 is zero over F_5
-    assert kernel_basis(np.array([[5]]), 5).dim == 1
+    assert kernel_basis([[5]], 5).dim == 1
 
 
 def test_rref_identity_over_f5():
-    m = np.eye(2, dtype=np.int64)
+    m = [[1, 0], [0, 1]]
     r, pivots = rref(m, 5)
-    assert np.array_equal(r, m)
+    assert r == m
     assert pivots == (0, 1)
 
 
 def test_rref_zero_matrix():
-    r, pivots = rref(np.zeros((3, 4), dtype=np.int64), 3)
+    r, pivots = rref([[0] * 4 for _ in range(3)], 3)
     assert pivots == ()
-    assert r.shape == (0, 4)
+    assert r == []
 
 
 def test_rref_rank_one_over_f2():
@@ -67,20 +72,20 @@ def test_rref_idempotent_and_rank_transpose():
             m = random_matrix(rng, p, rng.randrange(0, 5), rng.randrange(1, 5))
             r1, pivots = rref(m, p)
             r2, pivots2 = rref(r1, p)
-            assert np.array_equal(r1, r2) and pivots == pivots2
-            assert len(pivots) == rank(m.T, p)
+            assert r1 == r2 and pivots == pivots2
+            assert len(pivots) == rank(transpose(m), p)
 
 
 def test_kernel_of_identity_is_zero():
-    assert kernel_basis(np.eye(3, dtype=np.int64), 7).dim == 0
+    assert kernel_basis([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 7).dim == 0
 
 
 def test_kernel_of_zero_matrix_is_full():
-    assert kernel_basis(np.zeros((2, 3), dtype=np.int64), 2).dim == 3
+    assert kernel_basis([[0, 0, 0], [0, 0, 0]], 2).dim == 3
 
 
 def test_kernel_explicit():
-    k = kernel_basis(np.array([[1, 1, 0], [0, 1, 1]]), 2)
+    k = kernel_basis([[1, 1, 0], [0, 1, 1]], 2)
     assert k.dim == 1
     assert k.basis == ((1, 1, 1),)
 
@@ -89,11 +94,12 @@ def test_kernel_dimension_formula():
     rng = random.Random(11)
     for _ in range(20):
         p = rng.choice([2, 3, 5])
-        a = random_matrix(rng, p, rng.randrange(0, 4), rng.randrange(1, 5))
-        k = kernel_basis(a, p)
-        assert k.dim == a.shape[1] - rank(a, p)
+        cols = rng.randrange(1, 5)
+        a = random_matrix(rng, p, rng.randrange(0, 4), cols)
+        k = kernel_basis(a, p, cols)
+        assert k.dim == cols - rank(a, p)
         for v in k.basis:
-            assert not np.any((a @ np.array(v)) % p)
+            assert all(sum(x * y for x, y in zip(row, v)) % p == 0 for row in a)
 
 
 # Brute-force oracle for the elimination kernel: small random matrices
@@ -107,42 +113,40 @@ def matrices(draw, max_rows=4, max_cols=5):
     p = draw(PRIMES)
     rows = draw(st.integers(0, max_rows))
     cols = draw(st.integers(1, max_cols))
-    entries = draw(st.lists(st.integers(0, p - 1), min_size=rows * cols, max_size=rows * cols))
-    return p, np.array(entries, dtype=np.int64).reshape(rows, cols)
+    row = st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols)
+    a = draw(st.lists(row, min_size=rows, max_size=rows))
+    return p, a, cols
 
 
-def row_span(a, p):
-    return {
-        tuple(int(x) for x in np.asarray(coeffs, dtype=np.int64) @ a % p)
-        for coeffs in itertools.product(range(p), repeat=a.shape[0])
-    }
+def row_span(a, cols, p):
+    return {combine(coeffs, a, cols, p) for coeffs in itertools.product(range(p), repeat=len(a))}
 
 
 @settings(derandomize=True, deadline=None)
 @given(matrices())
 def test_rank_counts_the_row_span(case):
-    p, a = case
-    span = row_span(a, p) if a.shape[0] else {(0,) * a.shape[1]}
+    p, a, cols = case
+    span = row_span(a, cols, p)
     assert len(span) == p ** rank(a, p)
 
 
 @settings(derandomize=True, deadline=None)
 @given(matrices(), st.randoms(use_true_random=False))
 def test_reduced_form_is_canonical(case, rng):
-    p, a = case
+    p, a, cols = case
     r, pivots = rref(a, p)
-    shuffled = a[rng.sample(range(a.shape[0]), a.shape[0])]
-    combo = np.array([rng.randrange(p) for _ in range(a.shape[0])], dtype=np.int64) @ a % p
-    for b in (shuffled, np.vstack([a, combo])):
+    shuffled = rng.sample(a, len(a))
+    combo = combine([rng.randrange(p) for _ in a], a, cols, p)
+    for b in (shuffled, a + [combo]):
         r2, pivots2 = rref(b, p)
-        assert pivots2 == pivots and np.array_equal(r2, r)
+        assert pivots2 == pivots and r2 == r
 
 
 @settings(derandomize=True, deadline=None)
 @given(matrices())
 def test_rank_of_transpose(case):
-    p, a = case
-    assert rank(a, p) == rank(a.T, p)
+    p, a, _ = case
+    assert rank(a, p) == rank(transpose(a), p)
 
 
 def test_subspace_ops_equal_operands():

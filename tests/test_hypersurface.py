@@ -400,3 +400,19 @@ def test_frobenius_steps_match_one_step_normal_form(data):
     support = data.draw(st.lists(st.sampled_from(monos), min_size=1, max_size=5, unique=True))
     g = PolynomialFp.make(h.p, 3, {m: data.draw(st.integers(1, h.p - 1)) for m in support})
     assert list(_frobenius_powers(h, t, g, e_max)) == frobenius_powers_direct(h, t, g, e_max)
+
+
+def fedder_by_full_power(f):
+    """Fedder's criterion read off the whole expansion of f^(p-1)."""
+    return any(all(e < f.p for e in m) for m, _ in f.pow(f.p - 1).terms)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(forms_and_params())
+def test_fedder_truncated_power_matches_full_expansion(case):
+    f, params = case
+    try:
+        h = GradedHypersurface(f.p, 3, f, params)
+    except InvalidParametersError:
+        assume(False)
+    assert fedder_fpure_principal(h) == fedder_by_full_power(f)
