@@ -5,8 +5,11 @@ decomposition of local cohomology, depth, Cohen-Macaulayness, counts of
 Frobenius-stable submodules) and for graded hypersurfaces (F-purity,
 F-injectivity, bounded tight-closure probes), with independent
 brute-force oracles backing every nontrivial computation.  The
-face-ring submodule models live in froblab.fmodule, the one module that
-needs numpy, and are not imported here.
+face-ring submodule models live in froblab.fmodule and are not imported
+here, so analyze-hypersurface never loads them.  M is anti-nilpotent
+when F acts injectively on M/N for every F-stable submodule N; that
+condition on a pair N' ⊂ N only gets harder as N grows, so fmodule
+checks each enumerated submodule once, against the whole module.
 """
 
 __version__ = "0.1.0"
@@ -25,7 +28,6 @@ from .hypersurface import (
     LocalCohomClass,
     f_injective_top,
     fedder_fpure_principal,
-    make_class,
     make_hypersurface,
     rf_simplicity_probe,
     tight_closure_zero_bounded,
@@ -45,7 +47,6 @@ from .polyfp import (
     PolynomialFp,
     frobenius_power,
     parse_polynomial,
-    standard_monomial_splitting,
 )
 from .simplicial import (
     CohomologyProfile,

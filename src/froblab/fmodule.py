@@ -3,31 +3,36 @@ face ring, with their variable action and Frobenius action.
 
 A model is determined by the prime p, the ambient variable count, a
 cohomological index, a depth bound T, and the isotypic summands
-(nu, multiplicity) from the decomposition table.  Basis elements are
-triples (nu, class_index, w) where w records the magnitudes of strictly
-negative exponents supported exactly on nu; the window holds magnitudes
-in [1, T] and Frobenius maps it into the depth-p*T extension.
+(nu, multiplicity) from the decomposition table.  The summand of nu sits
+at the multidegrees whose negative support is exactly nu; the window
+holds exponent magnitudes in [1, T] and Frobenius maps it into the
+depth-p*T extension.
 
-Action rules on a basis element:
+Action rules on the summand of nu at a multidegree:
   * x_j with j outside nu kills it;
   * x_j at magnitude 1 (exponent -1) kills it;
   * otherwise x_j lowers the magnitude by one;
   * F scales every magnitude by p (and is the identity on the
     multiplicity coordinate, the coefficient field being F_p).
 
-Everything downstream of these rules (stable-span closure, brute-force
-submodule enumeration, the anti-nilpotence check, annihilators) is
-computed over graded profiles: assignments of a subspace of the
-multiplicity space to each multidegree in the working box [-pT, 0]^n.
-The enumeration searches graded profiles only; the semisimple graded
-structure of the models justifies this, and reports flag it as a scope
-condition.  Both the search and the anti-nilpotence check hold each
-subspace as its index into subspace_lattice and test containment and
-meets by lookups in lattice_tables.  Those tables are numpy arrays, so
-the anti-nilpotence check runs vectorised; this is the one module of
-froblab that uses numpy.  Since F is theta -> p*theta and the identity
-on multiplicity coordinates, Frobenius is injective on N/N' at an
-interior theta exactly when N(theta) ∩ N'(p*theta) ⊆ N'(theta).
+Everything downstream of these rules (brute-force submodule
+enumeration, the anti-nilpotence check, annihilators) is computed over
+graded profiles: assignments of a subspace of the multiplicity space to
+each multidegree in the working box [-pT, 0]^n.  The enumeration
+searches graded profiles only; the semisimple graded structure of the
+models justifies this, and reports flag it as a scope condition.  Both
+the search and the anti-nilpotence check hold each subspace as its index
+into subspace_lattice and test containment and meets by lookups in
+lattice_tables.
+
+M is anti-nilpotent when F acts injectively on M/N for every F-stable
+submodule N (Enescu-Hochster).  Since F is theta -> p*theta and the
+identity on multiplicity coordinates, Frobenius is injective on N/N' at
+an interior theta exactly when N(theta) ∩ N'(p*theta) ⊆ N'(theta).  That
+only gets harder as N grows, and the whole module contains every
+profile, so N' fails with some N exactly when it fails with the whole
+module: when N'(p*theta) ⊄ N'(theta) at some interior theta, or, for the
+zero map, when N'(theta) is not the full space.
 """
 
 from __future__ import annotations
@@ -39,8 +44,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import CapacityError, UnsupportedInputError
 from .gfp_linalg import (
     DEFAULT_ENUM_CAP,
@@ -49,22 +52,12 @@ from .gfp_linalg import (
     num_subspaces,
     subspace_intersection,
     subspace_lattice,
-    subspace_sum,
 )
 from .local_cohomology import decomposition
 from .polyfp import MonomialIdeal
 from .simplicial import Face, SimplicialComplex
 
 MultiDegree = tuple[int, ...]
-
-
-class BasisElement(NamedTuple):
-    nu: Face
-    class_index: int
-    w: tuple[int, ...]  # magnitudes of the negative exponents; support == nu
-
-
-Element = dict[BasisElement, int]
 
 
 @dataclass(frozen=True)
@@ -94,29 +87,6 @@ class FModuleTruncation:
     def extension_depth(self) -> int:
         return self.p * self.depth
 
-    def multiplicity(self, nu) -> int:
-        nu = tuple(sorted(nu))
-        for s, m in self.summands:
-            if s == nu:
-                return m
-        return 0
-
-    def basis(self, depth: int | None = None) -> list[BasisElement]:
-        """Window basis (or the depth-p*T extension when depth is given)."""
-        bound = self.depth if depth is None else depth
-        out = []
-        for nu, m in self.summands:
-            for w_on_nu in itertools.product(range(1, bound + 1), repeat=len(nu)):
-                w = [0] * self.n_vars
-                for v, mag in zip(nu, w_on_nu):
-                    w[v] = mag
-                for k in range(m):
-                    out.append(BasisElement(nu, k, tuple(w)))
-        return sorted(out)
-
-    def is_zero_module(self) -> bool:
-        return not self.summands
-
 
 def build_truncation(
     c: SimplicialComplex,
@@ -143,37 +113,6 @@ def build_truncation(
     return FModuleTruncation(p, c.n_vertices, i, depth, summands, zero_frobenius)
 
 
-def degree_of(b: BasisElement) -> MultiDegree:
-    return tuple(-m for m in b.w)
-
-
-def apply_x(t: FModuleTruncation, j: int, v: Element) -> Element:
-    """Multiplication by x_j, extended linearly."""
-    out: dict[BasisElement, int] = {}
-    for b, c in v.items():
-        if j not in b.nu:
-            continue
-        mag = b.w[j]
-        if mag == 1:
-            continue
-        w = list(b.w)
-        w[j] = mag - 1
-        nb = BasisElement(b.nu, b.class_index, tuple(w))
-        out[nb] = (out.get(nb, 0) + c) % t.p
-    return {b: c for b, c in out.items() if c}
-
-
-def apply_F(t: FModuleTruncation, v: Element) -> Element:
-    """Frobenius: magnitudes scale by p, coefficients are fixed (prime field)."""
-    if t.zero_frobenius:
-        return {}
-    out: dict[BasisElement, int] = {}
-    for b, c in v.items():
-        nb = BasisElement(b.nu, b.class_index, tuple(m * t.p for m in b.w))
-        out[nb] = (out.get(nb, 0) + c) % t.p
-    return {b: c for b, c in out.items() if c}
-
-
 @dataclass(frozen=True)
 class Profile:
     """Graded profile: one subspace of the multiplicity space for each
@@ -198,25 +137,26 @@ def _neg_support(theta: MultiDegree) -> Face:
 
 class LatticeTables(NamedTuple):
     """index maps each subspace of subspace_lattice(p, dim) to its
-    position; contains[a, b] says L[a] ⊇ L[b]; meet[a, b] is the position
-    of L[a] ∩ L[b]."""
+    position (the zero subspace first, the full space last);
+    contains[a][b] says L[a] ⊇ L[b]; meet[a][b] is the position of
+    L[a] ∩ L[b]."""
 
     index: dict[Subspace, int]
-    contains: np.ndarray
-    meet: np.ndarray
+    contains: list[list[bool]]
+    meet: list[list[int]]
 
 
 @lru_cache(maxsize=None)
 def lattice_tables(p: int, dim: int) -> LatticeTables:
     lattice = subspace_lattice(p, dim)
     index = {s: k for k, s in enumerate(lattice)}
-    size = len(lattice)
-    meet = np.empty((size, size), dtype=np.int64)
-    for a in range(size):
-        for b in range(a, size):
-            meet[a, b] = meet[b, a] = index[subspace_intersection(lattice[a], lattice[b])]
+    meet = [[0] * len(lattice) for _ in lattice]
+    for a, sa in enumerate(lattice):
+        for b in range(a, len(lattice)):
+            meet[a][b] = meet[b][a] = index[subspace_intersection(sa, lattice[b])]
     # L[a] contains L[b] exactly when their meet is L[b]
-    return LatticeTables(index, meet == np.arange(size), meet)
+    contains = [[m == b for b, m in enumerate(row)] for row in meet]
+    return LatticeTables(index, contains, meet)
 
 
 def lattice_points(t: FModuleTruncation) -> tuple[dict[MultiDegree, int], list[MultiDegree]]:
@@ -282,10 +222,6 @@ def _profile_builder(order: list[MultiDegree]):
     return build
 
 
-def search_space_size(t: FModuleTruncation) -> int:
-    return _profile_count(t.p, lattice_points(t)[0])
-
-
 def _profile_count(p: int, points: dict[MultiDegree, int]) -> int:
     # one power per multiplicity: a running product of many factors is quadratic
     dims = Counter(points.values())
@@ -319,7 +255,7 @@ def enumerate_f_stable_submodules(
             below[position[tgt]].append(position[src])
     dims = [points[theta] for theta in order]
     lattices = {m: subspace_lattice(t.p, m) for m in set(dims)}
-    contains = {m: lattice_tables(t.p, m).contains.tolist() for m in set(dims)}
+    contains = {m: lattice_tables(t.p, m).contains for m in set(dims)}
     build = _profile_builder(order)
 
     profiles: list[Profile] = []
@@ -341,54 +277,6 @@ def enumerate_f_stable_submodules(
     return len(profiles), profiles
 
 
-def f_stable_span(t: FModuleTruncation, generators: list[Element]) -> Profile:
-    """Smallest graded profile containing the generators and closed under
-    the variable action inside the box and under F into the box."""
-    points, order = lattice_points(t)
-    spans: dict[MultiDegree, Subspace] = {
-        theta: Subspace.zero(t.p, m) for theta, m in points.items()
-    }
-
-    def vector_of(el: Element) -> tuple[MultiDegree, tuple[int, ...]]:
-        degs = {degree_of(b) for b in el}
-        if len(degs) != 1:
-            raise UnsupportedInputError("generators must be homogeneous")
-        theta = degs.pop()
-        if theta not in points:
-            raise UnsupportedInputError(f"degree {theta} outside the model")
-        vec = [0] * points[theta]
-        for b, c in el.items():
-            vec[b.class_index] = c
-        return theta, tuple(vec)
-
-    queue: list[tuple[MultiDegree, tuple[int, ...]]] = []
-
-    def add(theta: MultiDegree, vec: tuple[int, ...]):
-        if spans[theta].contains_vector(vec):
-            return
-        spans[theta] = subspace_sum(
-            spans[theta], Subspace.from_vectors(t.p, points[theta], [vec])
-        )
-        queue.append((theta, vec))
-
-    for g in generators:
-        if g:
-            add(*vector_of(g))
-    while queue:
-        theta, vec = queue.pop()
-        for j in range(t.n_vars):
-            if theta[j] <= -2:
-                tgt = tuple(v + 1 if k == j else v for k, v in enumerate(theta))
-                if tgt in points:
-                    add(tgt, vec)
-        if not t.zero_frobenius:
-            ptheta = tuple(t.p * v for v in theta)
-            if ptheta != theta and ptheta in points:
-                add(ptheta, vec)
-    subspaces = [spans[theta] for theta in order]
-    return _profile_builder(order)(subspaces, subspaces)
-
-
 class AntiNilpotenceWitness(NamedTuple):
     smaller: Profile
     larger: Profile
@@ -398,50 +286,50 @@ class AntiNilpotenceWitness(NamedTuple):
 def check_antinilpotent(
     t: FModuleTruncation, profiles: list[Profile]
 ) -> tuple[bool, AntiNilpotenceWitness | None]:
-    """For every nested pair of the profiles enumerate_f_stable_submodules
-    returned, Frobenius must act injectively on the quotient over the box
-    interior (the degrees whose image under F stays inside the box).
-    The witness is the first failing (smaller, larger, theta) with both
-    profiles taken in list order."""
+    """Whether Frobenius acts injectively, over the box interior (the
+    degrees whose image under F stays inside the box), on every quotient
+    N/N' of two nested profiles that enumerate_f_stable_submodules
+    returned.  The list must hold the whole module, the largest profile,
+    so one check of each N' against it decides; only for the first N'
+    that fails are the larger profiles scanned, so the witness is the
+    first failing (smaller, larger, theta) with both profiles taken in
+    list order and theta in the order of lattice_points."""
     points, _ = lattice_points(t)
     thetas = list(points)
+    tables = [lattice_tables(t.p, m) for m in points.values()]
     column = {theta: k for k, theta in enumerate(thetas)}
-    # the tables of every multiplicity present, set block-diagonally: a
-    # code is the block's offset plus the index into its lattice
-    dims = sorted(set(points.values()))
-    blocks = {m: lattice_tables(t.p, m) for m in dims}
-    sizes = [len(blocks[m].index) for m in dims]
-    offsets = dict(zip(dims, itertools.accumulate(sizes, initial=0)))
-    contains = np.zeros((sum(sizes), sum(sizes)), dtype=bool)
-    meet = np.zeros((sum(sizes), sum(sizes)), dtype=np.int64)
-    for m, size in zip(dims, sizes):
-        block = slice(offsets[m], offsets[m] + size)
-        contains[block, block] = blocks[m].contains
-        meet[block, block] = blocks[m].meet + offsets[m]
-    zero = [offsets[points[theta]] for theta in thetas]  # index 0 is the zero subspace
-    rows = []
+    codes = []
     for profile in profiles:
-        row = zero.copy()
+        code = [0] * len(points)  # index 0 is the zero subspace
         for theta, s in profile.assignments:
-            row[column[theta]] += blocks[s.ambient_dim].index[s]
-        rows.append(row)
-    codes = np.array(rows, dtype=np.int64).reshape(len(profiles), len(thetas))
+            code[column[theta]] = tables[column[theta]].index[s]
+        codes.append(code)
+    whole = [len(table.index) - 1 for table in tables]
+    if profiles and whole not in codes:
+        raise ValueError("the profiles do not include the whole module")
     interior = [
-        k for k, theta in enumerate(thetas) if all(t.p * v >= -t.extension_depth for v in theta)
+        (k, column[tuple(t.p * v for v in theta)])
+        for k, theta in enumerate(thetas)
+        if all(t.p * v >= -t.extension_depth for v in theta)
     ]
-    images = [column[tuple(t.p * v for v in thetas[k])] for k in interior]
+
+    def fails(small: list[int], large: list[int], k: int, pk: int) -> bool:
+        # the part of N(theta) that F sends into N'(p*theta) must lie in N'(theta)
+        table = tables[k]
+        held = large[k] if t.zero_frobenius else table.meet[large[k]][small[pk]]
+        return not table.contains[small[k]][held]
+
     for small, code in enumerate(codes):
-        nested = contains[codes, code].all(axis=1) & (codes != code).any(axis=1)
-        held = codes[nested][:, interior]
-        if not t.zero_frobenius:
-            # the part of N(theta) that F sends into N'(p*theta)
-            held = meet[held, code[images]]
-        fails = ~contains[code[interior], held]
-        bad = np.flatnonzero(fails.any(axis=1))
-        if bad.size:
-            large = int(np.flatnonzero(nested)[bad[0]])
-            theta = thetas[interior[int(np.argmax(fails[bad[0]]))]]
-            return False, AntiNilpotenceWitness(profiles[small], profiles[large], theta)
+        if not any(fails(code, whole, k, pk) for k, pk in interior):
+            continue
+        for large, other in enumerate(codes):
+            if other == code or not all(
+                table.contains[a][b] for table, a, b in zip(tables, other, code)
+            ):
+                continue
+            for k, pk in interior:
+                if fails(code, other, k, pk):
+                    return False, AntiNilpotenceWitness(profiles[small], profiles[large], thetas[k])
     return True, None
 
 

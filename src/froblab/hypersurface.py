@@ -183,14 +183,6 @@ def _normal_form(h: GradedHypersurface, t: int | None, g: PolynomialFp) -> Polyn
     )
 
 
-def _level_form(h: GradedHypersurface, t: int, g: PolynomialFp) -> PolynomialFp:
-    """Normal form at level t of g given in x, in y coordinates; A_t is
-    zero above its top degree, so those components are dropped before
-    the change of coordinates."""
-    kept = _up_to_degree(g, level_top_degree(h, t))
-    return _normal_form(h, t, _substitute(kept, h._to_y))
-
-
 def _frobenius_powers(h: GradedHypersurface, t: int, g: PolynomialFp, e_max: int):
     """Yield the level-(p^e * t) normal forms of g^(p^e) for e = 1..e_max,
     g in y coordinates; each step reduces the p-th power of the previous
@@ -212,17 +204,6 @@ def level_top_degree(h: GradedHypersurface, t: int) -> int:
     sequence of degrees (deg f, t, ..., t), so the Hilbert series is a
     polynomial of this degree."""
     return (h.f.degree() - 1) + (h.n_vars - 1) * (t - 1)
-
-
-def level_contains(h: GradedHypersurface, t: int, g: PolynomialFp) -> bool:
-    """Membership of g in (params^t) + (f): its level-t normal form is zero."""
-    if g.is_zero:
-        return True
-    if g.degree() > h.degree_cap(t):
-        raise CapacityError(
-            f"degree {g.degree()} exceeds the cap {h.degree_cap(t)} at level {t}"
-        )
-    return _level_form(h, t, g).is_zero
 
 
 def fedder_fpure_principal(h: GradedHypersurface) -> bool:
@@ -267,12 +248,6 @@ class LocalCohomClass:
     @property
     def is_zero(self) -> bool:
         return self.r.is_zero
-
-
-def make_class(h: GradedHypersurface, r: PolynomialFp, t: int) -> LocalCohomClass:
-    if t < 1:
-        raise ValueError("level must be positive")
-    return LocalCohomClass(_substitute(_level_form(h, t, r), h._to_x), t)
 
 
 def socle_class(h: GradedHypersurface, t: int) -> LocalCohomClass:

@@ -52,9 +52,6 @@ class LocalCohomologyTable:
     def indices(self) -> tuple[int, ...]:
         return tuple(sorted({i for i, _, _ in self.entries}))
 
-    def by_index(self, i: int) -> dict[Face, int]:
-        return {nu: m for ei, nu, m in self.entries if ei == i}
-
     def to_report(self) -> list[dict]:
         return [
             {"i": i, "nu": list(nu), "mult": m}

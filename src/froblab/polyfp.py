@@ -330,17 +330,6 @@ def frobenius_power(ideal, q: int, p: int):
     raise TypeError(f"unsupported ideal type {type(ideal)!r}")
 
 
-def standard_monomial_splitting(r: PolynomialFp) -> PolynomialFp:
-    """The F_p-linear Frobenius splitting of a polynomial ring: keep the
-    terms whose exponents are all divisible by p, dividing them by p.
-    Satisfies T(s^p r) = s T(r)."""
-    out = {}
-    for m, c in r.terms:
-        if all(e % r.p == 0 for e in m):
-            out[tuple(e // r.p for e in m)] = c
-    return PolynomialFp.make(r.p, r.n_vars, out)
-
-
 def split_monomial(m: Monomial, p: int) -> Monomial | None:
     if all(e % p == 0 for e in m):
         return tuple(e // p for e in m)

@@ -155,13 +155,6 @@ class CohomologyProfile:
     p: int
     dims: tuple[tuple[int, int], ...]
 
-    def dim_at(self, j: int) -> int:
-        return dict(self.dims).get(j, 0)
-
-    @property
-    def total(self) -> int:
-        return sum(d for _, d in self.dims)
-
 
 def coboundary_matrix(src: Sequence[Face], tgt: Sequence[Face], p: int) -> list[list[int]]:
     """Matrix of the coboundary between the cochains on the face lists

@@ -53,7 +53,7 @@ def prime_to_ideal(n_vars: int, variables: tuple[int, ...]) -> MonomialIdeal:
 
 @dataclass(frozen=True)
 class FaceRing:
-    """K[Delta] with its prime, nonface ideal and Krull dimension."""
+    """K[Delta] with its prime and nonface ideal."""
 
     complex: SimplicialComplex
     p: int
@@ -62,10 +62,6 @@ class FaceRing:
     def __post_init__(self):
         check_prime(self.p)
         object.__setattr__(self, "nonface_ideal", nonface_ideal(self.complex))
-
-    @property
-    def krull_dim(self) -> int:
-        return self.complex.dim + 1
 
 
 def fedder_fpure_monomial(ring: FaceRing) -> bool:

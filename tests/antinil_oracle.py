@@ -13,6 +13,7 @@ one set per face.  Pure helpers are memoized; that changes no result.
 
 import functools
 
+from element_model import search_space_size
 from froblab.errors import CapacityError
 from froblab.fmodule import (
     AntiNilpotenceWitness,
@@ -20,7 +21,6 @@ from froblab.fmodule import (
     _constraints,
     _neg_support,
     lattice_points,
-    search_space_size,
 )
 from froblab.gfp_linalg import DEFAULT_ENUM_CAP, Subspace, subspace_lattice
 

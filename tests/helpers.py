@@ -1,14 +1,16 @@
 """Small helpers that only the tests use: repeated variable action on a
 truncation model, the minimal primes of a square-free monomial ideal and
-the irrelevant ideal, cones and relabelings of complexes, and the
-homology and Euler characteristic routes that cross-check reduced
-cohomology."""
+the irrelevant ideal, the standard Frobenius splitting of a polynomial
+ring, lookups into decomposition tables, cohomology profiles and face
+rings, cones and relabelings of complexes, and the homology and Euler
+characteristic routes that cross-check reduced cohomology."""
 
 import itertools
 
+from element_model import apply_x
 from froblab.errors import UnsupportedInputError
-from froblab.fmodule import apply_x
 from froblab.gfp_linalg import check_prime, row_echelon
+from froblab.polyfp import PolynomialFp
 from froblab.simplicial import SimplicialComplex, coboundary_matrix, faces, make_complex
 from froblab.stanley_reisner import prime_to_ideal
 
@@ -40,6 +42,31 @@ def squarefree_minimal_primes(ideal):
             if all(cs & s for s in supports) and not any(set(h) <= cs for h in hits):
                 hits.append(cand)
     return tuple(sorted(hits))
+
+
+def standard_monomial_splitting(r):
+    """The F_p-linear Frobenius splitting of a polynomial ring: keep the
+    terms whose exponents are all divisible by p, dividing them by p.
+    Satisfies T(s^p r) = s T(r)."""
+    out = {}
+    for m, c in r.terms:
+        if all(e % r.p == 0 for e in m):
+            out[tuple(e // r.p for e in m)] = c
+    return PolynomialFp.make(r.p, r.n_vars, out)
+
+
+def by_index(table, i):
+    """The summands {nu: multiplicity} of H^i in a decomposition table."""
+    return {nu: m for ei, nu, m in table.entries if ei == i}
+
+
+def dim_at(profile, j):
+    """Dimension of reduced cohomology in degree j of a CohomologyProfile."""
+    return dict(profile.dims).get(j, 0)
+
+
+def krull_dim(ring):
+    return ring.complex.dim + 1
 
 
 def irrelevant_ideal(n_vars):

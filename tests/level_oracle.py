@@ -5,14 +5,46 @@ The per-degree route backs the normal-form route: each graded piece of
 the level ideal is spanned explicitly by the multiples m * g of its
 generators and decided by rank with gfp_linalg.row_echelon.  The direct
 Frobenius route backs the Frobenius-step helper: it reduces the whole
-power g^(p^e) in one normal form.  The class helpers compare classes of
-the direct-limit model across levels."""
+power g^(p^e) in one normal form.  The class helpers build classes of
+the direct-limit model from x coordinates and compare them across
+levels."""
 
 import itertools
 
+from froblab.errors import CapacityError
 from froblab.gfp_linalg import kernel_basis, row_echelon
-from froblab.hypersurface import _normal_form, level_top_degree, make_class
+from froblab.hypersurface import (
+    LocalCohomClass,
+    _normal_form,
+    _substitute,
+    _up_to_degree,
+    level_top_degree,
+)
 from froblab.polyfp import PolynomialFp
+
+
+def level_form(h, t, g):
+    """Normal form at level t of g given in x, in y coordinates; A_t is
+    zero above its top degree, so those components are dropped before
+    the change of coordinates."""
+    kept = _up_to_degree(g, level_top_degree(h, t))
+    return _normal_form(h, t, _substitute(kept, h._to_y))
+
+
+def level_contains(h, t, g):
+    """Membership of g in (params^t) + (f): its level-t normal form is zero."""
+    if g.is_zero:
+        return True
+    if g.degree() > h.degree_cap(t):
+        raise CapacityError(f"degree {g.degree()} exceeds the cap {h.degree_cap(t)} at level {t}")
+    return level_form(h, t, g).is_zero
+
+
+def make_class(h, r, t):
+    """The class <r; t>, its level-t normal form written back in x."""
+    if t < 1:
+        raise ValueError("level must be positive")
+    return LocalCohomClass(_substitute(level_form(h, t, r), h._to_x), t)
 
 
 def frobenius_powers_direct(h, t, g, e_max):

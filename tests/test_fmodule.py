@@ -16,22 +16,25 @@ from corpus import (
     TWO_EDGES,
     TWO_POINTS,
 )
+from element_model import (
+    BasisElement,
+    apply_F,
+    apply_x,
+    basis,
+    degree_of,
+    f_stable_span,
+    search_space_size,
+)
 from helpers import apply_monomial, squarefree_minimal_primes
 from test_acceptance import CORPUS_MODELS
 from froblab.errors import CapacityError, UnsupportedInputError
 from froblab.fmodule import (
-    BasisElement,
     annihilator_up_to_cap,
     adjoin_inverse_variable,
-    apply_F,
-    apply_x,
     build_truncation,
     check_antinilpotent,
-    degree_of,
     enumerate_f_stable_submodules,
-    f_stable_span,
     lattice_points,
-    search_space_size,
 )
 from froblab.gfp_linalg import DEFAULT_ENUM_CAP
 from froblab.local_cohomology import decomposition, fh_count
@@ -49,9 +52,9 @@ def line_model(T=3, p=2, **kw):
 
 
 def test_build_truncation_sizes():
-    assert len(two_points_model(T=2).basis()) == 5
-    assert len(line_model(T=3).basis()) == 3
-    assert len(build_truncation(TRIANGLE, 2, 2, 1).basis()) == 7
+    assert len(basis(two_points_model(T=2))) == 5
+    assert len(basis(line_model(T=3))) == 3
+    assert len(basis(build_truncation(TRIANGLE, 2, 2, 1))) == 7
 
 
 def test_build_truncation_summands():
@@ -104,7 +107,7 @@ def test_degree_laws():
 def test_frobenius_injective_on_window_basis():
     for t in (two_points_model(), line_model(), build_truncation(TRIANGLE, 2, 2, 1)):
         images = {}
-        for b in t.basis():
+        for b in basis(t):
             fb = apply_F(t, {b: 1})
             assert len(fb) == 1
             images[b] = next(iter(fb))
@@ -149,7 +152,7 @@ def test_enumeration_counts():
     count2, _ = enumerate_f_stable_submodules(line_model())
     assert count2 == 2
     zero = build_truncation(TWO_POINTS, 2, 0, 2)
-    assert zero.is_zero_module()
+    assert not zero.summands
     assert enumerate_f_stable_submodules(zero)[0] == 1
 
 
@@ -174,7 +177,7 @@ def test_enumeration_with_multiplicity_two_block():
 
     three = from_facets(3, [[0], [1], [2]])
     t = build_truncation(three, 2, 1, 1)
-    assert t.multiplicity(()) == 2
+    assert dict(t.summands)[()] == 2
     count, profiles = enumerate_f_stable_submodules(t)
     assert count == 5 * 2 * 2 * 2 == fh_count(three, 2, 1)
     assert all(p.stabilized for p in profiles)
@@ -223,6 +226,20 @@ def test_antinilpotent_fails_for_zero_frobenius_fixture():
     assert profile_contains(witness.larger, witness.smaller, points, t.p)
 
 
+def is_whole_module(t, profile):
+    """Every point of the box at its full multiplicity space."""
+    return {theta: s.dim for theta, s in profile.assignments} == lattice_points(t)[0]
+
+
+def test_antinilpotence_check_needs_the_whole_module():
+    t = two_points_model()
+    _, profiles = enumerate_f_stable_submodules(t)
+    assert sum(is_whole_module(t, prof) for prof in profiles) == 1
+    with pytest.raises(ValueError):
+        check_antinilpotent(t, [prof for prof in profiles if not is_whole_module(t, prof)])
+    assert check_antinilpotent(t, []) == (True, None)
+
+
 def test_adjoin_line_model_gives_plane_model():
     t = line_model(T=2, p=2)
     adj = adjoin_inverse_variable(t)
@@ -239,7 +256,7 @@ def test_adjoin_line_model_gives_plane_model():
 def test_adjoin_zero_module():
     zero = build_truncation(TWO_POINTS, 2, 0, 2)
     adj = adjoin_inverse_variable(zero)
-    assert adj.is_zero_module()
+    assert not adj.summands
 
 
 def test_adjoin_two_points_keeps_count():
@@ -288,9 +305,9 @@ def test_semilinearity_over_prime_field():
     rng = random.Random(41)
     for p in (2, 3):
         t = build_truncation(TWO_POINTS, p, 1, 2)
-        basis = t.basis()
+        elements = basis(t)
         for _ in range(10):
-            v = {b: rng.randrange(1, p) for b in rng.sample(basis, 2)}
+            v = {b: rng.randrange(1, p) for b in rng.sample(elements, 2)}
             c = rng.randrange(1, p)
             lhs = apply_F(t, {b: (c * x) % p for b, x in v.items()})
             rhs = {b: (pow(c, p, p) * x) % p for b, x in apply_F(t, v).items()}
@@ -357,3 +374,10 @@ def small_models(draw):
 @given(small_models())
 def test_random_models_agree_with_oracle(t):
     agrees_with_oracle(t)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(small_models())
+def test_random_enumerations_contain_the_whole_module(t):
+    _, profiles = enumerate_f_stable_submodules(t)
+    assert any(is_whole_module(t, prof) for prof in profiles)

@@ -228,8 +228,8 @@ def test_lattice_tables(p, n):
     assert [tables.index[s] for s in lattice] == list(range(len(lattice)))
     vectors = [set(s.vectors()) for s in lattice]
     for a, b in itertools.product(range(len(lattice)), repeat=2):
-        assert tables.contains[a, b] == (vectors[b] <= vectors[a])
-        assert vectors[tables.meet[a, b]] == vectors[a] & vectors[b]
+        assert tables.contains[a][b] == (vectors[b] <= vectors[a])
+        assert vectors[tables.meet[a][b]] == vectors[a] & vectors[b]
 
 
 def test_membership():

@@ -9,8 +9,10 @@ from level_oracle import (
     classes_equal,
     frobenius_powers_direct,
     hilbert_function,
+    level_contains,
     level_generators,
     lift_class,
+    make_class,
     monomials_of_degree,
     socle_by_kernel_search,
     span_contains,
@@ -24,9 +26,7 @@ from froblab.hypersurface import (
     _frobenius_powers,
     f_injective_top,
     fedder_fpure_principal,
-    level_contains,
     level_top_degree,
-    make_class,
     make_hypersurface,
     rf_simplicity_probe,
     socle_class,

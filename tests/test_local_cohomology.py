@@ -18,7 +18,7 @@ from corpus import (
     acceptance_corpus,
     small_complexes,
 )
-from helpers import cone, relabel
+from helpers import by_index, cone, relabel
 from froblab import local_cohomology as lc
 from froblab.errors import CapacityError
 from froblab.local_cohomology import (
@@ -36,19 +36,19 @@ from froblab.simplicial import make_complex
 
 def test_decomposition_two_points():
     t = decomposition(TWO_POINTS, 2)
-    assert t.by_index(1) == {(): 1, (0,): 1, (1,): 1}
-    assert t.by_index(0) == {}
+    assert by_index(t, 1) == {(): 1, (0,): 1, (1,): 1}
+    assert by_index(t, 0) == {}
     assert t.indices() == (1,)
 
 
 def test_decomposition_triangle():
     t = decomposition(TRIANGLE, 3)
-    by2 = t.by_index(2)
+    by2 = by_index(t, 2)
     assert by2[()] == 1
     assert all(by2[(v,)] == 1 for v in range(3))
     assert all(by2[e] == 1 for e in [(0, 1), (0, 2), (1, 2)])
     assert len(by2) == 7
-    assert t.by_index(1) == {}
+    assert by_index(t, 1) == {}
 
 
 def test_decomposition_full_simplex():

@@ -4,18 +4,17 @@ import random
 import pytest
 
 from colon_oracle import monomial_colon, monomial_ideal_intersection
-from helpers import squarefree_minimal_primes
-from level_oracle import level_generators, monomials_of_degree
+from helpers import squarefree_minimal_primes, standard_monomial_splitting
+from level_oracle import level_contains, level_generators, monomials_of_degree
 
 from froblab.errors import ParseError, UnsupportedInputError
-from froblab.hypersurface import level_contains, make_hypersurface
+from froblab.hypersurface import make_hypersurface
 from froblab.polyfp import (
     MonomialIdeal,
     PolynomialFp,
     frobenius_power,
     monomial_ideal_sum,
     parse_polynomial,
-    standard_monomial_splitting,
 )
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from colon_oracle import colon_radical_contains_nonfaces, fedder_fpure_by_colon
 from corpus import acceptance_corpus
-from helpers import irrelevant_ideal
+from helpers import irrelevant_ideal, krull_dim
 from froblab.polyfp import MonomialIdeal
 from froblab.simplicial import from_facets, make_complex
 from froblab.stanley_reisner import (
@@ -60,12 +60,12 @@ def test_minimal_primes():
 
 
 def test_krull_dim():
-    assert FaceRing(TWO_POINTS, 2).krull_dim == 1
-    assert FaceRing(TRIANGLE, 2).krull_dim == 2
-    assert FaceRing(TWO_EDGES, 3).krull_dim == 2
-    assert FaceRing(make_complex(0, [[]]), 2).krull_dim == 0
+    assert krull_dim(FaceRing(TWO_POINTS, 2)) == 1
+    assert krull_dim(FaceRing(TRIANGLE, 2)) == 2
+    assert krull_dim(FaceRing(TWO_EDGES, 3)) == 2
+    assert krull_dim(FaceRing(make_complex(0, [[]]), 2)) == 0
     for c in CORPUS:
-        assert FaceRing(c, 2).krull_dim == 1 + max(len(f) - 1 for f in c.facets)
+        assert krull_dim(FaceRing(c, 2)) == 1 + max(len(f) - 1 for f in c.facets)
 
 
 def test_fedder_two_points_p2():
