@@ -240,6 +240,18 @@ def test_antinilpotence_check_needs_the_whole_module():
     assert check_antinilpotent(t, []) == (True, None)
 
 
+def test_witness_names_the_first_failing_theta():
+    # in an enumerated list the first failing pair differs at one interior
+    # point; the zero profile and the whole module differ at all of them
+    for t in (line_model(T=2, zero_frobenius=True), two_points_model(T=1, p=3, zero_frobenius=True)):
+        _, profiles = enumerate_f_stable_submodules(t)
+        zero = next(prof for prof in profiles if prof.is_zero)
+        whole = next(prof for prof in profiles if is_whole_module(t, prof))
+        ok, witness = check_antinilpotent(t, [zero, whole])
+        assert not ok and (ok, witness) == antinilpotent_by_pairs(t, [zero, whole])
+        assert witness.theta == next(iter(lattice_points(t)[0]))
+
+
 def test_adjoin_line_model_gives_plane_model():
     t = line_model(T=2, p=2)
     adj = adjoin_inverse_variable(t)
