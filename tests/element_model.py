@@ -26,12 +26,11 @@ class BasisElement(NamedTuple):
 Element = dict[BasisElement, int]
 
 
-def basis(t, depth=None):
-    """Window basis of the truncation t (or the extension to the given depth)."""
-    bound = t.depth if depth is None else depth
+def basis(t):
+    """Window basis of the truncation t."""
     out = []
     for nu, m in t.summands:
-        for w_on_nu in itertools.product(range(1, bound + 1), repeat=len(nu)):
+        for w_on_nu in itertools.product(range(1, t.depth + 1), repeat=len(nu)):
             w = [0] * t.n_vars
             for v, mag in zip(nu, w_on_nu):
                 w[v] = mag
