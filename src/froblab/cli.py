@@ -119,11 +119,7 @@ def cmd_analyze_complex(args) -> int:
         return 1
     box_lo, box_hi = args.box
     table = decomposition(complex_, p)
-    try:
-        depth_and_cm(complex_, p)
-    except OracleMismatchError as exc:
-        print(f"internal cross-check failed: {exc}", file=sys.stderr)
-        return 2
+    depth_and_cm(complex_, p)
     ring = FaceRing(complex_, p)
     agree, mismatches = oracle_box_check(complex_, p, box_lo, box_hi)
 
@@ -136,22 +132,22 @@ def cmd_analyze_complex(args) -> int:
         basis_size = sum(m * trunc.depth ** len(nu) for nu, m in trunc.summands)
         model = {"i": i, "basis_size": basis_size, "skipped": None}
         try:
-            enumerated, profiles = enumerate_f_stable_submodules(trunc, args.enumerate_cap)
+            enumerated, codes = enumerate_f_stable_submodules(trunc, args.enumerate_cap)
         except CapacityError:
             model["enumerated_count"] = None
             model["anti_nilpotent"] = None
             model["skipped"] = "cap"
         else:
-            anti, _ = check_antinilpotent(trunc, profiles)
+            anti, _ = check_antinilpotent(trunc, codes)
             model["enumerated_count"] = enumerated
             model["anti_nilpotent"] = anti
-            validated[i] = enumerated == count
             if enumerated != count:
                 print(
                     f"internal cross-check failed: enumeration {enumerated} != formula {count} at i={i}",
                     file=sys.stderr,
                 )
                 return 2
+            validated[i] = True
         models.append(model)
 
     analysis = analysis_report(complex_, p, validated)
@@ -311,12 +307,6 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except OracleMismatchError as exc:
         print(f"internal cross-check failed: {exc}", file=sys.stderr)
         return 2

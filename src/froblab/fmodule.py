@@ -17,20 +17,20 @@ Action rules on the summand of nu at a multidegree:
 
 Everything downstream of these rules (brute-force submodule
 enumeration, the anti-nilpotence check, annihilators) is computed over
-graded profiles: assignments of a subspace of the multiplicity space to
-each multidegree in the working box [-pT, 0]^n.  The enumeration
-searches graded profiles only; the semisimple graded structure of the
-models justifies this, and reports flag it as a scope condition.  Both
-the search and the anti-nilpotence check hold each subspace as its index
-into subspace_lattice and test containment and meets by lookups in
-lattice_tables.
+graded submodules held as codes: a code is a tuple with one index into
+subspace_lattice for each multidegree of lattice_points(t), in that
+order, index 0 being the zero subspace and the last index the full
+multiplicity space.  The enumeration searches graded submodules only;
+the semisimple graded structure of the models justifies this, and
+reports flag it as a scope condition.  Containment and meets are
+lookups in lattice_tables.
 
 M is anti-nilpotent when F acts injectively on M/N for every F-stable
 submodule N (Enescu-Hochster).  Since F is theta -> p*theta and the
 identity on multiplicity coordinates, Frobenius is injective on N/N' at
 an interior theta exactly when N(theta) ∩ N'(p*theta) ⊆ N'(theta).  That
 only gets harder as N grows, and the whole module contains every
-profile, so N' fails with some N exactly when it fails with the whole
+submodule, so N' fails with some N exactly when it fails with the whole
 module: when N'(p*theta) ⊄ N'(theta) at some interior theta, or, for the
 zero map, when N'(theta) is not the full space.
 """
@@ -53,11 +53,13 @@ from .gfp_linalg import (
     subspace_intersection,
     subspace_lattice,
 )
-from .local_cohomology import decomposition
+from .local_cohomology import decomposition, neg_support
 from .polyfp import MonomialIdeal
 from .simplicial import Face, SimplicialComplex
 
 MultiDegree = tuple[int, ...]
+# one index into subspace_lattice per point of lattice_points(t), in order
+Code = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -113,28 +115,6 @@ def build_truncation(
     return FModuleTruncation(p, c.n_vertices, i, depth, summands, zero_frobenius)
 
 
-@dataclass(frozen=True)
-class Profile:
-    """Graded profile: one subspace of the multiplicity space for each
-    multidegree of the working box (zero subspaces omitted).
-
-    stabilized records whether the assignment depends on the multidegree
-    only through its negative support; patterns then hold the common
-    subspace per face."""
-
-    assignments: tuple[tuple[MultiDegree, Subspace], ...]
-    stabilized: bool
-    patterns: tuple[tuple[Face, Subspace], ...]
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.assignments
-
-
-def _neg_support(theta: MultiDegree) -> Face:
-    return tuple(i for i, v in enumerate(theta) if v < 0)
-
-
 class LatticeTables(NamedTuple):
     """index maps each subspace of subspace_lattice(p, dim) to its
     position (the zero subspace first, the full space last);
@@ -159,7 +139,7 @@ def lattice_tables(p: int, dim: int) -> LatticeTables:
     return LatticeTables(index, contains, meet)
 
 
-def lattice_points(t: FModuleTruncation) -> tuple[dict[MultiDegree, int], list[MultiDegree]]:
+def lattice_points(t: FModuleTruncation) -> dict[MultiDegree, int]:
     """Multidegrees of the working box [-pT, 0]^n whose negative support
     carries a summand, with the multiplicity-space dimension at each;
     ordered shallow-first so constraints bind early during search."""
@@ -173,8 +153,7 @@ def lattice_points(t: FModuleTruncation) -> tuple[dict[MultiDegree, int], list[M
             for v, mag in zip(free, mags):
                 theta[v] = -mag
             points[tuple(theta)] = m
-    order = sorted(points, key=lambda th: (-sum(th), th))
-    return points, order
+    return {theta: points[theta] for theta in sorted(points, key=lambda th: (-sum(th), th))}
 
 
 def _constraints(t: FModuleTruncation, points: dict[MultiDegree, int]):
@@ -201,27 +180,6 @@ def _constraints(t: FModuleTruncation, points: dict[MultiDegree, int]):
     return cons
 
 
-def _profile_builder(order: list[MultiDegree]):
-    """Profile from the subspaces listed along order; keys[j] are equal
-    exactly when the subspaces are, and decide stabilization.  Faces and
-    the sorted multidegrees are worked out once per model."""
-    ranked = sorted(range(len(order)), key=order.__getitem__)
-    by_face: dict[Face, list[int]] = {}
-    for j, theta in enumerate(order):
-        by_face.setdefault(_neg_support(theta), []).append(j)
-    faces = sorted(by_face.items())
-
-    def build(subspaces: list[Subspace], keys: list) -> Profile:
-        nonzero = tuple((order[j], subspaces[j]) for j in ranked if subspaces[j].basis)
-        stabilized = all(len({keys[j] for j in block}) == 1 for _, block in faces)
-        patterns = ()
-        if stabilized:
-            patterns = tuple((nu, subspaces[b[0]]) for nu, b in faces if subspaces[b[0]].basis)
-        return Profile(nonzero, stabilized, patterns)
-
-    return build
-
-
 def _profile_count(p: int, points: dict[MultiDegree, int]) -> int:
     # one power per multiplicity: a running product of many factors is quadratic
     dims = Counter(points.values())
@@ -230,40 +188,37 @@ def _profile_count(p: int, points: dict[MultiDegree, int]) -> int:
 
 def enumerate_f_stable_submodules(
     t: FModuleTruncation, cap: int = DEFAULT_ENUM_CAP
-) -> tuple[int, list[Profile]]:
-    """Brute-force search over all graded profiles compatible with the
-    variable action inside the box and with Frobenius wherever its image
-    stays inside the box.  Degrees outside the box are unconstrained,
-    so no genuine submodule is ever rejected."""
-    points, order = lattice_points(t)
+) -> tuple[int, list[Code]]:
+    """Brute-force search over the codes of all graded submodules
+    compatible with the variable action inside the box and with Frobenius
+    wherever its image stays inside the box; returns their number and the
+    codes in search order.  Degrees outside the box are unconstrained, so
+    no genuine submodule is ever rejected."""
+    points = lattice_points(t)
     size = _profile_count(t.p, points)
     if size > cap:
         # str() of an integer past 4300 digits raises
         raise CapacityError(f"profile search space of {size.bit_length()} bits exceeds cap {cap}")
-    if not points:
-        return 1, [Profile((), True, ())]
     # every constraint is checked at whichever of its two points the
     # search assigns later: there the current index is the source
     # (bounded by the target above) or the target (bounding the source)
-    position = {theta: k for k, theta in enumerate(order)}
-    above: list[list[int]] = [[] for _ in order]
-    below: list[list[int]] = [[] for _ in order]
+    position = {theta: k for k, theta in enumerate(points)}
+    above: list[list[int]] = [[] for _ in points]
+    below: list[list[int]] = [[] for _ in points]
     for src, tgt in _constraints(t, points):
         if position[src] >= position[tgt]:
             above[position[src]].append(position[tgt])
         else:
             below[position[tgt]].append(position[src])
-    dims = [points[theta] for theta in order]
-    lattices = {m: subspace_lattice(t.p, m) for m in set(dims)}
+    dims = list(points.values())
     contains = {m: lattice_tables(t.p, m).contains for m in set(dims)}
-    build = _profile_builder(order)
 
-    profiles: list[Profile] = []
-    ids = [0] * len(order)
+    codes: list[Code] = []
+    ids = [0] * len(dims)
 
     def dfs(k: int):
-        if k == len(order):
-            profiles.append(build([lattices[m][s] for m, s in zip(dims, ids)], ids))
+        if k == len(dims):
+            codes.append(tuple(ids))
             return
         table = contains[dims[k]]
         for s in range(len(table)):
@@ -274,62 +229,56 @@ def enumerate_f_stable_submodules(
                 dfs(k + 1)
 
     dfs(0)
-    return len(profiles), profiles
+    return len(codes), codes
 
 
 class AntiNilpotenceWitness(NamedTuple):
-    smaller: Profile
-    larger: Profile
+    smaller: Code
+    larger: Code
     theta: MultiDegree
 
 
 def check_antinilpotent(
-    t: FModuleTruncation, profiles: list[Profile]
+    t: FModuleTruncation, codes: list[Code]
 ) -> tuple[bool, AntiNilpotenceWitness | None]:
     """Whether Frobenius acts injectively, over the box interior (the
     degrees whose image under F stays inside the box), on every quotient
-    N/N' of two nested profiles that enumerate_f_stable_submodules
-    returned.  The list must hold the whole module, the largest profile,
-    so one check of each N' against it decides; only for the first N'
-    that fails are the larger profiles scanned, so the witness is the
-    first failing (smaller, larger, theta) with both profiles taken in
-    list order and theta in the order of lattice_points."""
-    points, _ = lattice_points(t)
+    N/N' of two nested submodules whose codes
+    enumerate_f_stable_submodules returned.  The list must hold the whole
+    module, the largest code, so one check of each N' against it decides;
+    only for the first N' that fails are the larger codes scanned, so the
+    witness is the first failing (smaller, larger, theta) with both codes
+    taken in list order and theta in the order of lattice_points."""
+    points = lattice_points(t)
     thetas = list(points)
     tables = [lattice_tables(t.p, m) for m in points.values()]
     column = {theta: k for k, theta in enumerate(thetas)}
-    codes = []
-    for profile in profiles:
-        code = [0] * len(points)  # index 0 is the zero subspace
-        for theta, s in profile.assignments:
-            code[column[theta]] = tables[column[theta]].index[s]
-        codes.append(code)
-    whole = [len(table.index) - 1 for table in tables]
-    if profiles and whole not in codes:
-        raise ValueError("the profiles do not include the whole module")
+    whole = tuple(len(table.index) - 1 for table in tables)
+    if codes and whole not in codes:
+        raise ValueError("the codes do not include the whole module")
     interior = [
         (k, column[tuple(t.p * v for v in theta)])
         for k, theta in enumerate(thetas)
         if all(t.p * v >= -t.extension_depth for v in theta)
     ]
 
-    def fails(small: list[int], large: list[int], k: int, pk: int) -> bool:
+    def fails(small: Code, large: Code, k: int, pk: int) -> bool:
         # the part of N(theta) that F sends into N'(p*theta) must lie in N'(theta)
         table = tables[k]
         held = large[k] if t.zero_frobenius else table.meet[large[k]][small[pk]]
         return not table.contains[small[k]][held]
 
-    for small, code in enumerate(codes):
+    for code in codes:
         if not any(fails(code, whole, k, pk) for k, pk in interior):
             continue
-        for large, other in enumerate(codes):
+        for other in codes:
             if other == code or not all(
                 table.contains[a][b] for table, a, b in zip(tables, other, code)
             ):
                 continue
             for k, pk in interior:
                 if fails(code, other, k, pk):
-                    return False, AntiNilpotenceWitness(profiles[small], profiles[large], thetas[k])
+                    return False, AntiNilpotenceWitness(code, other, thetas[k])
     return True, None
 
 
@@ -344,23 +293,27 @@ def adjoin_inverse_variable(t: FModuleTruncation) -> FModuleTruncation:
     return FModuleTruncation(t.p, t.n_vars + 1, t.index + 1, t.depth, summands, t.zero_frobenius)
 
 
-def annihilator_up_to_cap(t: FModuleTruncation, profile: Profile, cap: int) -> MonomialIdeal:
-    """Monomial annihilator of the submodule a stabilized profile spans,
-    reported up to the given degree cap.
+def annihilator_up_to_cap(t: FModuleTruncation, code: Code, cap: int) -> MonomialIdeal:
+    """Monomial annihilator of the submodule with the given code, which
+    must be constant on each face block, reported up to the given degree
+    cap.
 
     A monomial x^a acts on a basis element by the magnitude rules, so it
     kills the whole nu-block tail exactly when its support is not
-    contained in nu.  For a stabilized profile the annihilator is the
-    square-free ideal of supports hitting the complement of every
-    nonzero block, truncated to generators of degree at most cap.
+    contained in nu.  So the annihilator is the square-free ideal of
+    supports hitting the complement of every nonzero block, truncated to
+    generators of degree at most cap.
     """
-    if not profile.stabilized:
+    blocks: dict[Face, set[int]] = {}
+    for theta, s in zip(lattice_points(t), code):
+        blocks.setdefault(neg_support(theta), set()).add(s)
+    if any(len(ids) > 1 for ids in blocks.values()):
         raise UnsupportedInputError(
-            "annihilators are reported only for stabilized profiles"
+            "annihilators are reported only for codes constant on each face block"
         )
-    if not profile.assignments:
+    active = [nu for nu, ids in blocks.items() if ids != {0}]
+    if not active:
         return MonomialIdeal.unit(t.n_vars)
-    active = [nu for nu, _ in profile.patterns]
     complements = [
         frozenset(range(t.n_vars)) - frozenset(nu) for nu in active
     ]

@@ -320,14 +320,12 @@ def monomial_ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal.from_generators(a.n_vars, a.generators + b.generators)
 
 
-def frobenius_power(ideal, q: int, p: int):
+def frobenius_power(ideal: MonomialIdeal, q: int, p: int) -> MonomialIdeal:
     """Generator-wise q-th power for q = p^e (e >= 0)."""
     _check_p_power(q, p)
-    if isinstance(ideal, MonomialIdeal):
-        return MonomialIdeal.from_generators(
-            ideal.n_vars, [tuple(e * q for e in g) for g in ideal.generators]
-        )
-    raise TypeError(f"unsupported ideal type {type(ideal)!r}")
+    return MonomialIdeal.from_generators(
+        ideal.n_vars, [tuple(e * q for e in g) for g in ideal.generators]
+    )
 
 
 def split_monomial(m: Monomial, p: int) -> Monomial | None:

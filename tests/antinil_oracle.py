@@ -1,28 +1,26 @@
 """Subspace-object routes for submodule enumeration and anti-nilpotence,
 kept as test oracles.
 
-froblab.fmodule searches profiles as indices into subspace_lattice and
-decides anti-nilpotence by lookups in the lattice's containment and meet
-tables.  These are the loops they replaced: a depth-first search that
-holds Subspace objects and tests each constraint with Subspace.contains,
-and a check over every ordered pair of profiles that walks every vector
-of the larger subspace at every interior multidegree.  The search turns
-each leaf into a Profile on its own, grouping the Subspace objects into
-one set per face.  Pure helpers are memoized; that changes no result.
+froblab.fmodule holds each graded submodule as a code, one index into
+subspace_lattice per point of lattice_points, and decides
+anti-nilpotence by lookups in the lattice's containment and meet tables.
+These are the loops they replaced: a depth-first search that holds
+Subspace objects and tests each constraint with Subspace.contains, and a
+check over every ordered pair of profiles that walks every vector of the
+larger subspace at every interior multidegree.  The search turns each
+leaf into a Profile on its own, grouping the Subspace objects into one
+set per face; decode turns a code into the same Profile.  Pure helpers
+are memoized; that changes no result.
 """
 
 import functools
+from dataclasses import dataclass
 
 from element_model import search_space_size
 from froblab.errors import CapacityError
-from froblab.fmodule import (
-    AntiNilpotenceWitness,
-    Profile,
-    _constraints,
-    _neg_support,
-    lattice_points,
-)
+from froblab.fmodule import AntiNilpotenceWitness, _constraints, lattice_points
 from froblab.gfp_linalg import DEFAULT_ENUM_CAP, Subspace, subspace_lattice
+from froblab.local_cohomology import neg_support as _neg_support
 
 
 # the searches meet the same few arguments over and over
@@ -34,6 +32,24 @@ contains_vector = functools.lru_cache(maxsize=None)(Subspace.contains_vector)
 @functools.lru_cache(maxsize=None)
 def vectors(subspace):
     return tuple(subspace.vectors())
+
+
+@dataclass(frozen=True)
+class Profile:
+    """Graded profile: one subspace of the multiplicity space for each
+    multidegree of the working box (zero subspaces omitted).
+
+    stabilized records whether the assignment depends on the multidegree
+    only through its negative support; patterns then hold the common
+    subspace per face."""
+
+    assignments: tuple
+    stabilized: bool
+    patterns: tuple
+
+    @property
+    def is_zero(self):
+        return not self.assignments
 
 
 def subspace_at(profile, theta, ambient, p):
@@ -69,8 +85,18 @@ def profile_from_assignment(points, assignment):
     return Profile(nonzero, stabilized, patterns)
 
 
+def decode(t, code):
+    """The Profile of a code of froblab.fmodule."""
+    points = lattice_points(t)
+    return profile_from_assignment(
+        points,
+        {theta: subspace_lattice(t.p, m)[s] for (theta, m), s in zip(points.items(), code)},
+    )
+
+
 def enumerate_by_subspaces(t, cap=DEFAULT_ENUM_CAP):
-    points, order = lattice_points(t)
+    points = lattice_points(t)
+    order = list(points)
     size = search_space_size(t)
     if size > cap:
         raise CapacityError(f"profile search space of {size.bit_length()} bits exceeds cap {cap}")
@@ -109,7 +135,7 @@ def enumerate_by_subspaces(t, cap=DEFAULT_ENUM_CAP):
 def antinilpotent_by_pairs(t, profiles):
     """Frobenius injective on large/small over the box interior, for
     every nested pair of profiles; the first failure in list order."""
-    points, _ = lattice_points(t)
+    points = lattice_points(t)
     interior = [
         theta
         for theta in points

@@ -1,18 +1,19 @@
 """The element model of the froblab.fmodule truncations, kept for tests.
 
-froblab computes over graded profiles only.  Here a basis element is a
-triple (nu, class_index, w) where w records the magnitudes of the
-strictly negative exponents, supported exactly on nu, and an element is
-a map from basis elements to nonzero coefficients.  x_j and F act on
-elements by the rules in the froblab.fmodule docstring, and
-f_stable_span closes a set of elements under them inside the box.
+froblab computes over graded submodules held as codes only.  Here a
+basis element is a triple (nu, class_index, w) where w records the
+magnitudes of the strictly negative exponents, supported exactly on nu,
+and an element is a map from basis elements to nonzero coefficients.
+x_j and F act on elements by the rules in the froblab.fmodule docstring,
+and f_stable_span closes a set of elements under them inside the box and
+returns the code of the span.
 """
 
 import itertools
 from typing import NamedTuple
 
 from froblab.errors import UnsupportedInputError
-from froblab.fmodule import _profile_builder, _profile_count, lattice_points
+from froblab.fmodule import _profile_count, lattice_points, lattice_tables
 from froblab.gfp_linalg import Subspace, subspace_sum
 from froblab.simplicial import Face
 
@@ -72,13 +73,14 @@ def apply_F(t, v):
 
 def search_space_size(t):
     """Number of graded profiles of the box, F-stable or not."""
-    return _profile_count(t.p, lattice_points(t)[0])
+    return _profile_count(t.p, lattice_points(t))
 
 
 def f_stable_span(t, generators):
-    """Smallest graded profile containing the generators and closed under
-    the variable action inside the box and under F into the box."""
-    points, order = lattice_points(t)
+    """Code of the smallest graded submodule containing the generators and
+    closed under the variable action inside the box and under F into the
+    box."""
+    points = lattice_points(t)
     spans = {theta: Subspace.zero(t.p, m) for theta, m in points.items()}
 
     def vector_of(el):
@@ -115,5 +117,4 @@ def f_stable_span(t, generators):
             ptheta = tuple(t.p * v for v in theta)
             if ptheta != theta and ptheta in points:
                 add(ptheta, vec)
-    subspaces = [spans[theta] for theta in order]
-    return _profile_builder(order)(subspaces, subspaces)
+    return tuple(lattice_tables(t.p, m).index[spans[theta]] for theta, m in points.items())

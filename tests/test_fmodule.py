@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from antinil_oracle import antinilpotent_by_pairs, enumerate_by_subspaces, profile_contains
+from antinil_oracle import antinilpotent_by_pairs, decode, enumerate_by_subspaces, profile_contains
 from colon_oracle import monomial_ideal_intersection
 from corpus import (
     BOUNDARY_5,
@@ -29,6 +29,7 @@ from helpers import apply_monomial, squarefree_minimal_primes
 from test_acceptance import CORPUS_MODELS
 from froblab.errors import CapacityError, UnsupportedInputError
 from froblab.fmodule import (
+    AntiNilpotenceWitness,
     annihilator_up_to_cap,
     adjoin_inverse_variable,
     build_truncation,
@@ -128,7 +129,7 @@ def test_return_identity():
 def test_f_stable_span_socle():
     t = two_points_model()
     socle = {BasisElement((), 0, (0, 0)): 1}
-    prof = f_stable_span(t, [socle])
+    prof = decode(t, f_stable_span(t, [socle]))
     assert [theta for theta, _ in prof.assignments] == [(0, 0)]
     assert prof.stabilized
 
@@ -136,29 +137,29 @@ def test_f_stable_span_socle():
 def test_f_stable_span_fills_line_model():
     t = line_model(T=2, p=2)
     gen = {BasisElement((0,), 0, (1,)): 1}
-    prof = f_stable_span(t, [gen])
-    points, _ = lattice_points(t)
-    assert len(prof.assignments) == len(points)  # the whole module
+    prof = decode(t, f_stable_span(t, [gen]))
+    assert len(prof.assignments) == len(lattice_points(t))  # the whole module
 
 
 def test_f_stable_span_empty():
     t = two_points_model()
-    assert f_stable_span(t, []).is_zero
+    assert decode(t, f_stable_span(t, [])).is_zero
 
 
 def test_enumeration_counts():
-    count, profiles = enumerate_f_stable_submodules(two_points_model())
-    assert count == 8 == len(set(profiles))
+    count, codes = enumerate_f_stable_submodules(two_points_model())
+    assert count == 8 == len(set(codes))
     count2, _ = enumerate_f_stable_submodules(line_model())
     assert count2 == 2
     zero = build_truncation(TWO_POINTS, 2, 0, 2)
     assert not zero.summands
-    assert enumerate_f_stable_submodules(zero)[0] == 1
+    assert enumerate_f_stable_submodules(zero) == (1, [()])
 
 
 def test_enumeration_profiles_are_stabilized():
-    _, profiles = enumerate_f_stable_submodules(two_points_model())
-    assert all(p.stabilized for p in profiles)
+    t = two_points_model()
+    _, codes = enumerate_f_stable_submodules(t)
+    assert all(decode(t, code).stabilized for code in codes)
 
 
 def test_enumeration_matches_formula_count():
@@ -178,9 +179,9 @@ def test_enumeration_with_multiplicity_two_block():
     three = from_facets(3, [[0], [1], [2]])
     t = build_truncation(three, 2, 1, 1)
     assert dict(t.summands)[()] == 2
-    count, profiles = enumerate_f_stable_submodules(t)
+    count, codes = enumerate_f_stable_submodules(t)
     assert count == 5 * 2 * 2 * 2 == fh_count(three, 2, 1)
-    assert all(p.stabilized for p in profiles)
+    assert all(decode(t, code).stabilized for code in codes)
     assert check_antinilpotent(t, enumerate_f_stable_submodules(t)[1])[0]
 
 
@@ -222,21 +223,30 @@ def test_antinilpotent_fails_for_zero_frobenius_fixture():
     ok, witness = check_antinilpotent(t, enumerate_f_stable_submodules(t)[1])
     assert not ok
     assert witness is not None
-    points, _ = lattice_points(t)
-    assert profile_contains(witness.larger, witness.smaller, points, t.p)
+    larger, smaller = decode(t, witness.larger), decode(t, witness.smaller)
+    assert profile_contains(larger, smaller, lattice_points(t), t.p)
 
 
-def is_whole_module(t, profile):
+def is_whole_module(t, code):
     """Every point of the box at its full multiplicity space."""
-    return {theta: s.dim for theta, s in profile.assignments} == lattice_points(t)[0]
+    return {theta: s.dim for theta, s in decode(t, code).assignments} == lattice_points(t)
+
+
+def decoded(t, result):
+    """A verdict of check_antinilpotent with its witness decoded into the
+    oracle's profiles."""
+    ok, witness = result
+    if witness is None:
+        return result
+    return ok, AntiNilpotenceWitness(decode(t, witness.smaller), decode(t, witness.larger), witness.theta)
 
 
 def test_antinilpotence_check_needs_the_whole_module():
     t = two_points_model()
-    _, profiles = enumerate_f_stable_submodules(t)
-    assert sum(is_whole_module(t, prof) for prof in profiles) == 1
+    _, codes = enumerate_f_stable_submodules(t)
+    assert sum(is_whole_module(t, code) for code in codes) == 1
     with pytest.raises(ValueError):
-        check_antinilpotent(t, [prof for prof in profiles if not is_whole_module(t, prof)])
+        check_antinilpotent(t, [code for code in codes if not is_whole_module(t, code)])
     assert check_antinilpotent(t, []) == (True, None)
 
 
@@ -244,12 +254,13 @@ def test_witness_names_the_first_failing_theta():
     # in an enumerated list the first failing pair differs at one interior
     # point; the zero profile and the whole module differ at all of them
     for t in (line_model(T=2, zero_frobenius=True), two_points_model(T=1, p=3, zero_frobenius=True)):
-        _, profiles = enumerate_f_stable_submodules(t)
-        zero = next(prof for prof in profiles if prof.is_zero)
-        whole = next(prof for prof in profiles if is_whole_module(t, prof))
-        ok, witness = check_antinilpotent(t, [zero, whole])
-        assert not ok and (ok, witness) == antinilpotent_by_pairs(t, [zero, whole])
-        assert witness.theta == next(iter(lattice_points(t)[0]))
+        _, codes = enumerate_f_stable_submodules(t)
+        zero = next(code for code in codes if decode(t, code).is_zero)
+        whole = next(code for code in codes if is_whole_module(t, code))
+        ok, witness = result = check_antinilpotent(t, [zero, whole])
+        oracle = antinilpotent_by_pairs(t, [decode(t, zero), decode(t, whole)])
+        assert not ok and decoded(t, result) == oracle
+        assert witness.theta == next(iter(lattice_points(t)))
 
 
 def test_adjoin_line_model_gives_plane_model():
@@ -274,16 +285,16 @@ def test_adjoin_zero_module():
 def test_adjoin_two_points_keeps_count():
     t = two_points_model(T=2, p=2)
     adj = adjoin_inverse_variable(t)
-    count, profiles = enumerate_f_stable_submodules(adj, cap=2**40)
+    count, codes = enumerate_f_stable_submodules(adj, cap=2**40)
     assert count == 8
-    assert all(p.stabilized for p in profiles)
+    assert all(decode(adj, code).stabilized for code in codes)
     assert check_antinilpotent(adj, enumerate_f_stable_submodules(adj, 2**40)[1])[0]
 
 
 def test_annihilators_two_points():
     t = two_points_model()
-    _, profiles = enumerate_f_stable_submodules(t)
-    anns = {annihilator_up_to_cap(t, prof, cap=4) for prof in profiles}
+    _, codes = enumerate_f_stable_submodules(t)
+    anns = {annihilator_up_to_cap(t, code, cap=4) for code in codes}
     texts = {a.to_text() for a in anns}
     assert texts == {"(1)", "(x0, x1)", "(x0)", "(x1)", "(x0*x1)"}
     for a in anns:
@@ -305,10 +316,11 @@ def test_annihilators_two_points():
 
 
 def test_annihilator_requires_stabilized():
-    t = two_points_model()
-    _, profiles = enumerate_f_stable_submodules(t)
-    bad = profiles[0]
-    object.__setattr__(bad, "stabilized", False)
+    # without Frobenius, U(-1) may be the whole line while U(-2) is zero
+    t = line_model(T=2, zero_frobenius=True)
+    _, codes = enumerate_f_stable_submodules(t)
+    bad = (1, 0, 0, 0)
+    assert bad in codes and not decode(t, bad).stabilized
     with pytest.raises(UnsupportedInputError):
         annihilator_up_to_cap(t, bad, cap=4)
 
@@ -327,13 +339,14 @@ def test_semilinearity_over_prime_field():
 
 
 def agrees_with_oracle(t, cap=DEFAULT_ENUM_CAP):
-    """The index search lists the oracle's profiles in the oracle's order,
-    and the table check gives the pair loop's verdict and witness;
-    returns the verdict."""
-    count, profiles = enumerate_f_stable_submodules(t, cap)
+    """The index search lists the codes of the oracle's profiles in the
+    oracle's order, and the table check gives the pair loop's verdict and
+    witness; returns the verdict."""
+    count, codes = enumerate_f_stable_submodules(t, cap)
+    profiles = [decode(t, code) for code in codes]
     assert (count, profiles) == enumerate_by_subspaces(t, cap)
-    result = check_antinilpotent(t, profiles)
-    assert result == antinilpotent_by_pairs(t, profiles)
+    result = check_antinilpotent(t, codes)
+    assert decoded(t, result) == antinilpotent_by_pairs(t, profiles)
     return result[0]
 
 
@@ -391,5 +404,10 @@ def test_random_models_agree_with_oracle(t):
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(small_models())
 def test_random_enumerations_contain_the_whole_module(t):
-    _, profiles = enumerate_f_stable_submodules(t)
-    assert any(is_whole_module(t, prof) for prof in profiles)
+    _, codes = enumerate_f_stable_submodules(t)
+    assert any(is_whole_module(t, code) for code in codes)
+    if not t.zero_frobenius:
+        # with Frobenius every submodule is constant on each face block
+        for code in codes:
+            assert decode(t, code).stabilized
+            annihilator_up_to_cap(t, code, cap=t.n_vars)
