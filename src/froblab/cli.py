@@ -33,13 +33,7 @@ from .hypersurface import (
     socle_class,
     tight_closure_zero_bounded,
 )
-from .local_cohomology import (
-    analysis_report,
-    decomposition,
-    depth_and_cm,
-    fh_count,
-    oracle_box_check,
-)
+from .local_cohomology import analysis_report, oracle_box_check
 from .polyfp import parse_polynomial
 from .simplicial import parse_facets_text
 from .stanley_reisner import FaceRing, fedder_fpure_monomial
@@ -118,15 +112,13 @@ def cmd_analyze_complex(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     box_lo, box_hi = args.box
-    table = decomposition(complex_, p)
-    depth_and_cm(complex_, p)
+    analysis = analysis_report(complex_, p)
     ring = FaceRing(complex_, p)
     agree, mismatches = oracle_box_check(complex_, p, box_lo, box_hi)
 
-    validated: dict[int, bool] = {}
     models = []
-    for i in table.indices():
-        count = fh_count(complex_, p, i)
+    for entry in analysis["fh_counts"]:
+        i, count = entry["i"], entry["count"]
         trunc = build_truncation(complex_, p, i, args.trunc)
         # the window holds T^|nu| magnitude vectors for each of the m classes of a summand
         basis_size = sum(m * trunc.depth ** len(nu) for nu, m in trunc.summands)
@@ -147,16 +139,13 @@ def cmd_analyze_complex(args) -> int:
                     file=sys.stderr,
                 )
                 return 2
-            validated[i] = True
-        models.append(model)
-
-    analysis = analysis_report(complex_, p, validated)
-    for entry in analysis["fh_counts"]:
+            entry["validated"] = True
         entry["note"] = (
             "count (validated by brute force at desk scale)"
             if entry["validated"]
             else "formula only (enumeration skipped: cap)"
         )
+        models.append(model)
 
     report = {
         "tool": "froblab",

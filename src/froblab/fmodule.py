@@ -16,7 +16,7 @@ Action rules on the summand of nu at a multidegree:
     multiplicity coordinate, the coefficient field being F_p).
 
 Everything downstream of these rules (brute-force submodule
-enumeration, the anti-nilpotence check, annihilators) is computed over
+enumeration and the anti-nilpotence check) is computed over
 graded submodules held as codes: a code is a tuple with one index into
 subspace_lattice for each multidegree of lattice_points(t), in that
 order, index 0 being the zero subspace and the last index the full
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import CapacityError, UnsupportedInputError
+from .errors import CapacityError
 from .gfp_linalg import (
     DEFAULT_ENUM_CAP,
     Subspace,
@@ -53,8 +53,7 @@ from .gfp_linalg import (
     subspace_intersection,
     subspace_lattice,
 )
-from .local_cohomology import decomposition, neg_support
-from .polyfp import MonomialIdeal
+from .local_cohomology import decomposition
 from .simplicial import Face, SimplicialComplex
 
 MultiDegree = tuple[int, ...]
@@ -141,19 +140,22 @@ def lattice_tables(p: int, dim: int) -> LatticeTables:
 
 def lattice_points(t: FModuleTruncation) -> dict[MultiDegree, int]:
     """Multidegrees of the working box [-pT, 0]^n whose negative support
-    carries a summand, with the multiplicity-space dimension at each;
-    ordered shallow-first so constraints bind early during search."""
-    nus = {nu: m for nu, m in t.summands}
+    carries a summand, with the multiplicity-space dimension at each.
+
+    They come face by face, magnitudes ascending within a face.  Every
+    constraint of the action rules joins two points of one face, so the
+    search settles each face before it enters the next and never repeats
+    a dead end of one face under every partial choice of another.
+    """
     bound = t.extension_depth
     points: dict[MultiDegree, int] = {}
-    for nu, m in nus.items():
-        free = [v for v in nu]
-        for mags in itertools.product(range(1, bound + 1), repeat=len(free)):
+    for nu, m in t.summands:
+        for mags in itertools.product(range(1, bound + 1), repeat=len(nu)):
             theta = [0] * t.n_vars
-            for v, mag in zip(free, mags):
+            for v, mag in zip(nu, mags):
                 theta[v] = -mag
             points[tuple(theta)] = m
-    return {theta: points[theta] for theta in sorted(points, key=lambda th: (-sum(th), th))}
+    return points
 
 
 def _constraints(t: FModuleTruncation, points: dict[MultiDegree, int]):
@@ -280,54 +282,3 @@ def check_antinilpotent(
                 if fails(code, other, k, pk):
                     return False, AntiNilpotenceWitness(code, other, thetas[k])
     return True, None
-
-
-def adjoin_inverse_variable(t: FModuleTruncation) -> FModuleTruncation:
-    """Model of M<x^{-1}> over one extra variable: every summand picks up
-    the new vertex, the cohomological index shifts by one, and the new
-    variable acts by the same magnitude rules (killing magnitude 1)."""
-    new = t.n_vars
-    summands = tuple(
-        (tuple(sorted(nu + (new,))), m) for nu, m in t.summands
-    )
-    return FModuleTruncation(t.p, t.n_vars + 1, t.index + 1, t.depth, summands, t.zero_frobenius)
-
-
-def annihilator_up_to_cap(t: FModuleTruncation, code: Code, cap: int) -> MonomialIdeal:
-    """Monomial annihilator of the submodule with the given code, which
-    must be constant on each face block, reported up to the given degree
-    cap.
-
-    A monomial x^a acts on a basis element by the magnitude rules, so it
-    kills the whole nu-block tail exactly when its support is not
-    contained in nu.  So the annihilator is the square-free ideal of
-    supports hitting the complement of every nonzero block, truncated to
-    generators of degree at most cap.
-    """
-    blocks: dict[Face, set[int]] = {}
-    for theta, s in zip(lattice_points(t), code):
-        blocks.setdefault(neg_support(theta), set()).add(s)
-    if any(len(ids) > 1 for ids in blocks.values()):
-        raise UnsupportedInputError(
-            "annihilators are reported only for codes constant on each face block"
-        )
-    active = [nu for nu, ids in blocks.items() if ids != {0}]
-    if not active:
-        return MonomialIdeal.unit(t.n_vars)
-    complements = [
-        frozenset(range(t.n_vars)) - frozenset(nu) for nu in active
-    ]
-    gens = []
-    for size in range(0, t.n_vars + 1):
-        if size > cap:
-            break
-        for cand in itertools.combinations(range(t.n_vars), size):
-            cs = set(cand)
-            if not all(cs & comp for comp in complements):
-                continue
-            if any(set(g) <= cs for g in gens):
-                continue
-            gens.append(cand)
-    return MonomialIdeal.from_generators(
-        t.n_vars, [tuple(1 if i in g else 0 for i in range(t.n_vars)) for g in gens]
-    )

@@ -163,11 +163,6 @@ def kernel_basis(a, p: int, cols: int | None = None) -> Subspace:
     return Subspace.from_vectors(p, cols, vecs)
 
 
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    _check_compatible(a, b)
-    return Subspace.from_vectors(a.p, a.ambient_dim, a.basis + b.basis)
-
-
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     """A ∩ B from one kernel: x = cA = dB exactly when (c, d) kills the
     stacked rows [A; -B], and c determines x since A has full rank."""
@@ -181,6 +176,8 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     return Subspace.from_vectors(
         a.p, a.ambient_dim, [_combine(coeffs, columns, a.p) for coeffs in relations.basis]
     )
+
+
 def enumerate_subspaces(p: int, dim: int, cap: int = DEFAULT_ENUM_CAP):
     """Yield every subspace of F_p^dim exactly once, via rref normal forms."""
     check_prime(p)

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import CapacityError, OracleMismatchError
+from .errors import OracleMismatchError
 from .gfp_linalg import check_prime, num_subspaces, row_echelon
 from .simplicial import (
     Face,
@@ -30,8 +30,6 @@ from .simplicial import (
 )
 
 MultiDegree = tuple[int, ...]
-
-DEFAULT_DEGREE_BOUND = 16
 
 
 @dataclass(frozen=True)
@@ -132,16 +130,12 @@ def _cech_dims_by_signs(c: SimplicialComplex, p: int, nu: Face, pi: Face) -> tup
     return tuple(out)
 
 
-def cech_graded_oracle(
-    c: SimplicialComplex, p: int, theta, bound: int = DEFAULT_DEGREE_BOUND
-) -> dict[int, int]:
+def cech_graded_oracle(c: SimplicialComplex, p: int, theta) -> dict[int, int]:
     """Brute-force dims of every H^i_m(K[Delta]) in one multidegree,
     built directly from the localization complex with no reference to
     links or to the decomposition table."""
     check_prime(p)
     theta = tuple(int(t) for t in theta)
-    if any(abs(t) > bound for t in theta):
-        raise CapacityError(f"|theta| exceeds the configured bound {bound}")
     dims = _cech_dims_by_signs(c, p, neg_support(theta), pos_support(theta))
     return dict(dims)
 
@@ -158,7 +152,6 @@ def oracle_box_check(
     and counted for all of them; a disagreeing pattern is expanded back
     into its box points, listed in the order of the box."""
     top = c.dim + 1
-    bound = max(abs(lo), abs(hi), 1)
     by_sign = (
         range(lo, min(hi, -1) + 1),
         range(max(lo, 0), min(hi, 0) + 1),
@@ -170,7 +163,7 @@ def oracle_box_check(
     for pattern in itertools.product(values, repeat=c.n_vertices):
         theta = tuple(r[0] for r in pattern)
         weight = math.prod(len(r) for r in pattern)
-        oracle = cech_graded_oracle(c, p, theta, bound=bound)
+        oracle = cech_graded_oracle(c, p, theta)
         for i in range(0, top + 1):
             lhs = graded_dim(c, p, i, theta)
             rhs = oracle.get(i, 0)
@@ -213,15 +206,13 @@ def depth_and_cm(c: SimplicialComplex, p: int) -> tuple[int, int, bool]:
     return depth, dim, is_cm
 
 
-def analysis_report(
-    c: SimplicialComplex, p: int, validated: dict[int, bool] | None = None
-) -> dict:
+def analysis_report(c: SimplicialComplex, p: int) -> dict:
     """Serializable summary of the decomposition: {complex, p, dim, depth,
-    is_cm, table, fh_counts}.  validated records, per index, whether the
-    submodule count was confirmed by brute-force enumeration."""
+    is_cm, table, fh_counts}.  Every submodule count starts with
+    validated False; the caller sets it once brute-force enumeration
+    confirms the count."""
     table = decomposition(c, p)
     depth, dim, is_cm = depth_and_cm(c, p)
-    validated = validated or {}
     return {
         "complex": {
             "n_vertices": c.n_vertices,
@@ -236,7 +227,7 @@ def analysis_report(
             {
                 "i": i,
                 "count": fh_count(c, p, i),
-                "validated": bool(validated.get(i, False)),
+                "validated": False,
             }
             for i in table.indices()
         ],

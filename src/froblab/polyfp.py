@@ -316,19 +316,9 @@ def _antichain(n_vars: int, gens: list[Monomial]) -> tuple[Monomial, ...]:
     return tuple(sorted(kept))
 
 
-def monomial_ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    return MonomialIdeal.from_generators(a.n_vars, a.generators + b.generators)
-
-
 def frobenius_power(ideal: MonomialIdeal, q: int, p: int) -> MonomialIdeal:
     """Generator-wise q-th power for q = p^e (e >= 0)."""
     _check_p_power(q, p)
     return MonomialIdeal.from_generators(
         ideal.n_vars, [tuple(e * q for e in g) for g in ideal.generators]
     )
-
-
-def split_monomial(m: Monomial, p: int) -> Monomial | None:
-    if all(e % p == 0 for e in m):
-        return tuple(e // p for e in m)
-    return None

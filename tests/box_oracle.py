@@ -18,7 +18,7 @@ def oracle_box_check_per_theta(c, p, lo=-3, hi=1):
     agree = 0
     mismatches = []
     for theta in itertools.product(range(lo, hi + 1), repeat=c.n_vertices):
-        oracle = lc.cech_graded_oracle(c, p, theta, bound=max(abs(lo), abs(hi), 1))
+        oracle = lc.cech_graded_oracle(c, p, theta)
         for i in range(0, top + 1):
             lhs = lc.graded_dim(c, p, i, theta)
             rhs = oracle.get(i, 0)

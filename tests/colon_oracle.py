@@ -3,10 +3,15 @@
 froblab decides F-purity of a face ring from the minimal nonfaces alone.
 These helpers form the whole colon ideal (I^[p] : I) instead, by the
 generator-wise exponent rule intersected over the generators of I, and
-read the verdict off its generators.
+read the verdict off its generators.  The sum and intersection of
+monomial ideals, which froblab itself never forms, live here too.
 """
 
 from froblab.polyfp import MonomialIdeal, frobenius_power
+
+
+def monomial_ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
+    return MonomialIdeal.from_generators(a.n_vars, a.generators + b.generators)
 
 
 def monomial_ideal_intersection(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:

@@ -6,16 +6,22 @@ magnitudes of the strictly negative exponents, supported exactly on nu,
 and an element is a map from basis elements to nonzero coefficients.
 x_j and F act on elements by the rules in the froblab.fmodule docstring,
 and f_stable_span closes a set of elements under them inside the box and
-returns the code of the span.
+returns the code of the span.  The same rules give two paper features
+that the froblab command does not run and the acceptance suite checks:
+the model of M<x^{-1}> (adjoin_inverse_variable) and the monomial
+annihilator of a submodule (annihilator_up_to_cap).
 """
 
 import itertools
 from typing import NamedTuple
 
 from froblab.errors import UnsupportedInputError
-from froblab.fmodule import _profile_count, lattice_points, lattice_tables
-from froblab.gfp_linalg import Subspace, subspace_sum
+from froblab.fmodule import FModuleTruncation, _profile_count, lattice_points, lattice_tables
+from froblab.gfp_linalg import Subspace
+from froblab.local_cohomology import neg_support
+from froblab.polyfp import MonomialIdeal
 from froblab.simplicial import Face
+from perp_oracle import subspace_sum
 
 
 class BasisElement(NamedTuple):
@@ -118,3 +124,54 @@ def f_stable_span(t, generators):
             if ptheta != theta and ptheta in points:
                 add(ptheta, vec)
     return tuple(lattice_tables(t.p, m).index[spans[theta]] for theta, m in points.items())
+
+
+def adjoin_inverse_variable(t):
+    """Model of M<x^{-1}> over one extra variable: every summand picks up
+    the new vertex, the cohomological index shifts by one, and the new
+    variable acts by the same magnitude rules (killing magnitude 1)."""
+    new = t.n_vars
+    summands = tuple(
+        (tuple(sorted(nu + (new,))), m) for nu, m in t.summands
+    )
+    return FModuleTruncation(t.p, t.n_vars + 1, t.index + 1, t.depth, summands, t.zero_frobenius)
+
+
+def annihilator_up_to_cap(t, code, cap):
+    """Monomial annihilator of the submodule with the given code, which
+    must be constant on each face block, reported up to the given degree
+    cap.
+
+    A monomial x^a acts on a basis element by the magnitude rules, so it
+    kills the whole nu-block tail exactly when its support is not
+    contained in nu.  So the annihilator is the square-free ideal of
+    supports hitting the complement of every nonzero block, truncated to
+    generators of degree at most cap.
+    """
+    blocks = {}
+    for theta, s in zip(lattice_points(t), code):
+        blocks.setdefault(neg_support(theta), set()).add(s)
+    if any(len(ids) > 1 for ids in blocks.values()):
+        raise UnsupportedInputError(
+            "annihilators are reported only for codes constant on each face block"
+        )
+    active = [nu for nu, ids in blocks.items() if ids != {0}]
+    if not active:
+        return MonomialIdeal.unit(t.n_vars)
+    complements = [
+        frozenset(range(t.n_vars)) - frozenset(nu) for nu in active
+    ]
+    gens = []
+    for size in range(0, t.n_vars + 1):
+        if size > cap:
+            break
+        for cand in itertools.combinations(range(t.n_vars), size):
+            cs = set(cand)
+            if not all(cs & comp for comp in complements):
+                continue
+            if any(set(g) <= cs for g in gens):
+                continue
+            gens.append(cand)
+    return MonomialIdeal.from_generators(
+        t.n_vars, [tuple(1 if i in g else 0 for i in range(t.n_vars)) for g in gens]
+    )

@@ -1,18 +1,19 @@
 """Small helpers that only the tests use: repeated variable action on a
-truncation model, the minimal primes of a square-free monomial ideal and
-the irrelevant ideal, the standard Frobenius splitting of a polynomial
-ring, lookups into decomposition tables, cohomology profiles and face
-rings, cones and relabelings of complexes, and the homology and Euler
-characteristic routes that cross-check reduced cohomology."""
+truncation model, the minimal primes of a square-free monomial ideal,
+prime and irrelevant ideals, the standard Frobenius splitting of a
+polynomial ring and the containment check built on it, lookups into
+decomposition tables, cohomology profiles and face rings, cones and
+relabelings of complexes, and the homology and Euler characteristic
+routes that cross-check reduced cohomology."""
 
 import itertools
 
+from colon_oracle import monomial_ideal_sum
 from element_model import apply_x
 from froblab.errors import UnsupportedInputError
 from froblab.gfp_linalg import check_prime, row_echelon
-from froblab.polyfp import PolynomialFp
+from froblab.polyfp import MonomialIdeal, PolynomialFp
 from froblab.simplicial import SimplicialComplex, coboundary_matrix, faces, make_complex
-from froblab.stanley_reisner import prime_to_ideal
 
 
 def apply_monomial(t, exponents, v):
@@ -55,6 +56,29 @@ def standard_monomial_splitting(r):
     return PolynomialFp.make(r.p, r.n_vars, out)
 
 
+def splitting_containment_check(ring, j):
+    """Finite generating check that the standard splitting T maps the
+    p-th-root image of j back into j, modulo the nonface ideal.
+
+    Verifies T(g * x^a) in j + I_Delta for every generator g of j and
+    every exponent vector a with all entries below p; by the
+    T(s^p r) = s T(r) law this covers the whole module.
+    Requires I_Delta to be contained in j.
+    """
+    i = ring.nonface_ideal
+    if not j.contains_ideal(i):
+        raise ValueError("j must contain the nonface ideal")
+    p = ring.p
+    target = monomial_ideal_sum(j, i)
+    for g in j.generators:
+        for a in itertools.product(range(p), repeat=i.n_vars):
+            m = tuple(e + x for e, x in zip(g, a))
+            split = standard_monomial_splitting(PolynomialFp.monomial(p, m))
+            if not all(target.contains_monomial(t) for t, _ in split.terms):
+                return False
+    return True
+
+
 def by_index(table, i):
     """The summands {nu: multiplicity} of H^i in a decomposition table."""
     return {nu: m for ei, nu, m in table.entries if ei == i}
@@ -67,6 +91,11 @@ def dim_at(profile, j):
 
 def krull_dim(ring):
     return ring.complex.dim + 1
+
+
+def prime_to_ideal(n_vars, variables):
+    gens = [tuple(1 if i == v else 0 for i in range(n_vars)) for v in variables]
+    return MonomialIdeal.from_generators(n_vars, gens) if gens else MonomialIdeal.zero(n_vars)
 
 
 def irrelevant_ideal(n_vars):

@@ -4,12 +4,18 @@ oracle.
 froblab.gfp_linalg.subspace_intersection reads A ∩ B off one kernel of
 the stacked bases.  This is the route it replaced: (U + V)^perp =
 U^perp ∩ V^perp, and perp is an involution for the standard pairing, so
-A ∩ B = (A^perp + B^perp)^perp.
+A ∩ B = (A^perp + B^perp)^perp.  The sum U + V, which froblab itself
+never forms, lives here too.
 """
 
 import functools
 
-from froblab.gfp_linalg import Subspace, kernel_basis, subspace_sum
+from froblab.gfp_linalg import Subspace, _check_compatible, kernel_basis
+
+
+def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
+    _check_compatible(a, b)
+    return Subspace.from_vectors(a.p, a.ambient_dim, a.basis + b.basis)
 
 
 @functools.lru_cache(maxsize=None)

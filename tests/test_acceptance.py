@@ -9,23 +9,19 @@ import pytest
 
 from colon_oracle import monomial_ideal_intersection
 from corpus import POINT, RP2, TRIANGLE, TWO_EDGES, TWO_POINTS, acceptance_corpus
-from helpers import cone, irrelevant_ideal, squarefree_minimal_primes
-from froblab.fmodule import (
-    adjoin_inverse_variable,
-    annihilator_up_to_cap,
-    build_truncation,
-    check_antinilpotent,
-    enumerate_f_stable_submodules,
+from element_model import adjoin_inverse_variable, annihilator_up_to_cap
+from helpers import (
+    cone,
+    irrelevant_ideal,
+    prime_to_ideal,
+    splitting_containment_check,
+    squarefree_minimal_primes,
 )
+from froblab.fmodule import build_truncation, check_antinilpotent, enumerate_f_stable_submodules
 from froblab.hypersurface import f_injective_top, fedder_fpure_principal, make_hypersurface
 from froblab.local_cohomology import depth_and_cm, fh_count, graded_dim, oracle_box_check
 from froblab.polyfp import parse_polynomial
-from froblab.stanley_reisner import (
-    FaceRing,
-    minimal_primes,
-    prime_to_ideal,
-    splitting_containment_check,
-)
+from froblab.stanley_reisner import FaceRing, nonface_ideal
 
 
 class Budget:
@@ -165,7 +161,8 @@ def test_criterion_9_splitting_containment():
             ring = FaceRing(c, 2)
             candidates = [ring.nonface_ideal, irrelevant_ideal(c.n_vertices)]
             candidates += [
-                prime_to_ideal(c.n_vertices, prime) for prime in minimal_primes(c)
+                prime_to_ideal(c.n_vertices, prime)
+                for prime in squarefree_minimal_primes(nonface_ideal(c))
             ]
             for j in candidates:
                 assert splitting_containment_check(ring, j), (c, j)

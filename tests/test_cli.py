@@ -215,12 +215,6 @@ def test_explicit_box_flag(two_points_file, capsys):
     assert json.loads(out)["caps"]["box"] == [-2, 0]
 
 
-def test_package_exports():
-    import froblab
-
-    assert froblab.fh_count(froblab.from_facets(2, [[0], [1]]), 2, 1) == 8
-
-
 def run_cli_process(args):
     return subprocess.run(
         [sys.executable, "-m", "froblab.cli", *args], capture_output=True, text=True

@@ -18,6 +18,8 @@ from corpus import (
 )
 from element_model import (
     BasisElement,
+    adjoin_inverse_variable,
+    annihilator_up_to_cap,
     apply_F,
     apply_x,
     basis,
@@ -30,8 +32,6 @@ from test_acceptance import CORPUS_MODELS
 from froblab.errors import CapacityError, UnsupportedInputError
 from froblab.fmodule import (
     AntiNilpotenceWitness,
-    annihilator_up_to_cap,
-    adjoin_inverse_variable,
     build_truncation,
     check_antinilpotent,
     enumerate_f_stable_submodules,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perp_oracle import intersection_by_perps
+from perp_oracle import intersection_by_perps, subspace_sum
 from froblab.errors import CapacityError, DimensionMismatchError
 from froblab.gfp_linalg import (
     Subspace,
@@ -16,7 +16,6 @@ from froblab.gfp_linalg import (
     row_echelon,
     subspace_intersection,
     subspace_lattice,
-    subspace_sum,
 )
 from froblab.fmodule import lattice_tables
 

@@ -20,7 +20,6 @@ from corpus import (
 )
 from helpers import by_index, cone, relabel
 from froblab import local_cohomology as lc
-from froblab.errors import CapacityError
 from froblab.local_cohomology import (
     analysis_report,
     cech_graded_oracle,
@@ -74,11 +73,6 @@ def test_oracle_full_simplex_two_vertices():
 
 def test_oracle_two_points_origin():
     assert cech_graded_oracle(TWO_POINTS, 2, (0, 0)) == {1: 1}
-
-
-def test_oracle_degree_bound():
-    with pytest.raises(CapacityError):
-        cech_graded_oracle(TWO_POINTS, 2, (-99, 0))
 
 
 def test_oracle_agrees_on_named_complexes():
@@ -198,7 +192,7 @@ def test_cone_table_shift():
 
 
 def test_analysis_report_document():
-    doc = analysis_report(TWO_POINTS, 2, validated={1: True})
+    doc = analysis_report(TWO_POINTS, 2)
     assert set(doc) == {"complex", "p", "dim", "depth", "is_cm", "table", "fh_counts"}
     assert doc["complex"] == {"n_vertices": 2, "facets": [[0], [1]]}
     assert doc["p"] == 2 and doc["dim"] == 1 and doc["depth"] == 1 and doc["is_cm"]
@@ -207,7 +201,7 @@ def test_analysis_report_document():
         {"i": 1, "nu": [0], "mult": 1},
         {"i": 1, "nu": [1], "mult": 1},
     ]
-    assert doc["fh_counts"] == [{"i": 1, "count": 8, "validated": True}]
+    assert doc["fh_counts"] == [{"i": 1, "count": 8, "validated": False}]
     import json
 
     assert json.loads(json.dumps(doc)) == doc

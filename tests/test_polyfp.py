@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from colon_oracle import monomial_colon, monomial_ideal_intersection
+from colon_oracle import monomial_colon, monomial_ideal_intersection, monomial_ideal_sum
 from helpers import squarefree_minimal_primes, standard_monomial_splitting
 from level_oracle import level_contains, level_generators, monomials_of_degree
 
@@ -13,7 +13,6 @@ from froblab.polyfp import (
     MonomialIdeal,
     PolynomialFp,
     frobenius_power,
-    monomial_ideal_sum,
     parse_polynomial,
 )
 

@@ -6,17 +6,16 @@ from hypothesis import strategies as st
 
 from colon_oracle import colon_radical_contains_nonfaces, fedder_fpure_by_colon
 from corpus import acceptance_corpus
-from helpers import irrelevant_ideal, krull_dim
-from froblab.polyfp import MonomialIdeal
-from froblab.simplicial import from_facets, make_complex
-from froblab.stanley_reisner import (
-    FaceRing,
-    fedder_fpure_monomial,
-    minimal_primes,
-    nonface_ideal,
+from helpers import (
+    irrelevant_ideal,
+    krull_dim,
     prime_to_ideal,
     splitting_containment_check,
+    squarefree_minimal_primes,
 )
+from froblab.polyfp import MonomialIdeal
+from froblab.simplicial import from_facets, make_complex
+from froblab.stanley_reisner import FaceRing, fedder_fpure_monomial, nonface_ideal
 
 TWO_POINTS = from_facets(2, [[0], [1]])
 TRIANGLE = from_facets(3, [[0, 1], [1, 2], [0, 2]])
@@ -53,10 +52,18 @@ def test_nonface_ideal_two_edges():
     }
 
 
+def minimal_primes(c):
+    return squarefree_minimal_primes(nonface_ideal(c))
+
+
 def test_minimal_primes():
     assert minimal_primes(TWO_POINTS) == ((0,), (1,))
     assert minimal_primes(TRIANGLE) == ((0,), (1,), (2,))
     assert minimal_primes(FULL) == ((),)
+    # one prime per facet, generated by the variables outside it
+    for c in acceptance_corpus():
+        complements = {tuple(v for v in range(c.n_vertices) if v not in f) for f in c.facets}
+        assert minimal_primes(c) == tuple(sorted(complements)), c
 
 
 def test_krull_dim():
