@@ -2,7 +2,7 @@
 face ring, with their variable action and Frobenius action.
 
 A model is determined by the prime p, the ambient variable count, a
-cohomological index, a depth bound T, and the isotypic summands
+cohomological index, a depth bound T, and the face blocks
 (nu, multiplicity) from the decomposition table.  The summand of nu sits
 at the multidegrees whose negative support is exactly nu; the window
 holds exponent magnitudes in [1, T] and Frobenius maps it into the
@@ -15,14 +15,19 @@ Action rules on the summand of nu at a multidegree:
   * F scales every magnitude by p (and is the identity on the
     multiplicity coordinate, the coefficient field being F_p).
 
+The second rule is not the action on H^i_m(K[Delta]): there x_j at
+exponent -1 maps the block of nu into the block of nu minus {j}, often
+by a nonzero map.  So the models have the right graded dimensions, but
+their submodule counts are known to be wrong (two points: 8 against
+the true 5; ROADMAP.md, open item 1).
+
 Everything downstream of these rules (brute-force submodule
 enumeration and the anti-nilpotence check) is computed over
 graded submodules held as codes: a code is a tuple with one index into
 subspace_lattice for each multidegree of lattice_points(t), in that
 order, index 0 being the zero subspace and the last index the full
-multiplicity space.  The enumeration searches graded submodules only;
-the semisimple graded structure of the models justifies this, and
-reports flag it as a scope condition.  Containment and meets are
+multiplicity space.  The enumeration searches graded submodules only,
+and reports flag that as a scope condition.  Containment and meets are
 lookups in lattice_tables.
 
 M is anti-nilpotent when F acts injectively on M/N for every F-stable
@@ -100,7 +105,7 @@ def build_truncation(
     """Model of H^i over the window of exponent magnitudes [1, depth].
 
     nu_filter optionally restricts to a subset of faces, giving the
-    sub-model spanned by those isotypic blocks.
+    sub-model spanned by those face blocks.
     """
     table = decomposition(c, p)
     if i < 0 or i > c.dim + 1:

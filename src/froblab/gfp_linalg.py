@@ -102,35 +102,9 @@ class Subspace:
         return cls(p, ambient_dim, ())
 
     @classmethod
-    def full(cls, p: int, ambient_dim: int) -> "Subspace":
-        rows = tuple(tuple(1 if j == i else 0 for j in range(ambient_dim)) for i in range(ambient_dim))
-        return cls(p, ambient_dim, rows)
-
-    @classmethod
     def from_vectors(cls, p: int, ambient_dim: int, vectors) -> "Subspace":
         echelon, _ = row_echelon(vectors, p, reduced=True)
         return cls(p, ambient_dim, tuple(map(tuple, echelon)))
-
-    def contains_vector(self, v) -> bool:
-        v = [int(x) % self.p for x in v]
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatchError("vector length differs from ambient dimension")
-        for row in self.basis:  # echelon rows, each monic at its pivot
-            f = v[next(j for j, x in enumerate(row) if x)]
-            if f:
-                v = [(a - f * b) % self.p for a, b in zip(v, row)]
-        return not any(v)
-
-    def contains(self, other: "Subspace") -> bool:
-        _check_compatible(self, other)
-        return all(self.contains_vector(row) for row in other.basis)
-
-    def vectors(self):
-        """Iterate over all vectors of the subspace (desk scale only)."""
-        # zip of no rows gives no columns, but the zero vector has ambient_dim
-        columns = list(zip(*self.basis)) if self.basis else [()] * self.ambient_dim
-        for coeffs in itertools.product(range(self.p), repeat=self.dim):
-            yield _combine(coeffs, columns, self.p)
 
 
 def _combine(coeffs, columns, p: int) -> tuple[int, ...]:

@@ -278,6 +278,9 @@ def tight_closure_zero_bounded(
     _check_e_max(e_max)
     if c.is_zero or _in_principal(h, c):
         raise ValueError("the multiplier must be nonzero modulo f")
+    shared = [j for j in _variable_factors(h) if len(c.terms) == 1 and c.terms[0][0][j]]
+    if shared:
+        raise ValueError(f"the multiplier is a zero divisor: x{shared[0]} divides f")
     c_y = _substitute(c, h._to_y)
     powers = _frobenius_powers(h, u.t, _substitute(u.r, h._to_y), e_max)
     for e, power in enumerate(powers, start=1):
@@ -290,6 +293,12 @@ def _check_e_max(e_max: int) -> None:
     # with no Frobenius power tested, "consistent" would rest on no check
     if e_max < 1:
         raise ValueError(f"e_max must be at least 1, got {e_max}")
+
+
+def _variable_factors(h: GradedHypersurface) -> list[int]:
+    """The j with x_j dividing f.  Such an x_j lies in the minimal prime
+    (x_j) of R, so it is a zero divisor and no tight-closure multiplier."""
+    return [j for j in range(h.n_vars) if all(m[j] for m, _ in h.f.terms)]
 
 
 def _in_principal(h: GradedHypersurface, c: PolynomialFp) -> bool:
@@ -314,9 +323,10 @@ def rf_simplicity_probe(
     """Search the level-t socle class for a proper nonzero stable span.
 
     A witness is reported when Frobenius kills the socle class within
-    e_max steps, or when some variable multiplier keeps all its tested
-    Frobenius powers at zero (the bounded tight-closure signal).  Finding
-    none does not certify simplicity; the verdict says so.
+    e_max steps, or when some variable multiplier that does not divide f
+    keeps all its tested Frobenius powers at zero (the bounded
+    tight-closure signal).  Finding none does not certify simplicity;
+    the verdict says so.
     """
     _check_e_max(e_max)
     none_found = SimplicityProbeVerdict(None, "no-proper-nonzero-F-stable-found-at-this-resolution")
@@ -326,9 +336,10 @@ def rf_simplicity_probe(
     for e, power in enumerate(_frobenius_powers(h, t, _socle(h, t), e_max), start=1):
         if power.is_zero:
             return SimplicityProbeVerdict(u, f"frobenius-kills-socle-at-e={e}")
+    zero_divisors = _variable_factors(h)
     for j in range(h.n_vars):
         c = PolynomialFp.variable(h.p, h.n_vars, j)
-        if _in_principal(h, c):
+        if j in zero_divisors or _in_principal(h, c):
             continue
         if tight_closure_zero_bounded(h, u, c, e_max).consistent:
             return SimplicityProbeVerdict(u, f"bounded-tight-closure-consistent-with-c=x{j}")

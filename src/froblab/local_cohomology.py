@@ -1,14 +1,21 @@
-"""Graded decomposition of local cohomology for face rings over F_p.
+"""Graded dimensions of local cohomology for face rings over F_p.
 
 For a complex Delta with face ring R = K[Delta] and homogeneous maximal
-ideal m, each H^i_m(R) splits as a finite direct sum of simple modules
-with injective Frobenius action, one isotypic block per face nu with
-multiplicity dim H~^{i-1-|nu|}(link(nu); F_p).  This module computes
-that table, the graded Hilbert function it predicts, and an independent
-brute-force oracle that evaluates any single multidegree piece directly
-from the monomial-localization complex.  Both depend on a multidegree
-only through its sign pattern, so the oracle box is checked once per
-pattern, not once per box point.
+ideal m, the multidegree-theta piece of H^i_m(R) is nonzero only when
+theta has no positive entry and its negative support is a face nu; its
+dimension is then m(i, nu) = dim H~^{i-1-|nu|}(link(nu); F_p).  This
+module computes that table, which gives the graded dimensions exactly,
+and checks it against an independent oracle that evaluates a
+multidegree piece directly from the monomial-localization complex.
+Both depend on a multidegree only through its sign pattern, and both
+vanish unless that pattern splits a face, so the oracle box is checked
+once per such pattern, not once per box point.
+
+The table is not a module decomposition: x_j maps the block of nu into
+the block of nu minus {j}, often by a nonzero map, so H^i_m(R) is not a
+direct sum of its face blocks.  fh_count treats it as one, and its
+counts are known to be wrong (two points: 8 where the true count is 5;
+ROADMAP.md, open item 1).
 """
 
 from __future__ import annotations
@@ -19,12 +26,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import OracleMismatchError
-from .gfp_linalg import check_prime, num_subspaces, row_echelon
+from .gfp_linalg import check_prime, num_subspaces
 from .simplicial import (
     Face,
     SimplicialComplex,
     all_faces,
-    coboundary_matrix,
+    cochain_cohomology,
     link,
     reduced_cohomology,
 )
@@ -34,7 +41,8 @@ MultiDegree = tuple[int, ...]
 
 @dataclass(frozen=True)
 class LocalCohomologyTable:
-    """Multiplicities m(i, nu) of the simple summands of H^i_m(K[Delta]).
+    """Multiplicities m(i, nu) of the face blocks of H^i_m(K[Delta]): the
+    dimension of each of its pieces with negative support nu.
 
     Entries are stored only when nonzero; i ranges in [0, dim Delta + 1].
     """
@@ -77,29 +85,6 @@ def decomposition(c: SimplicialComplex, p: int) -> LocalCohomologyTable:
     return LocalCohomologyTable(p, c.n_vertices, c.dim, tuple(entries))
 
 
-def neg_support(theta: MultiDegree) -> Face:
-    return tuple(i for i, t in enumerate(theta) if t < 0)
-
-
-def pos_support(theta: MultiDegree) -> Face:
-    return tuple(i for i, t in enumerate(theta) if t > 0)
-
-
-def graded_dim(c: SimplicialComplex, p: int, i: int, theta) -> int:
-    """dim of the theta-graded piece of H^i_m(K[Delta]), read off the table.
-
-    Nonzero only when theta has no positive entry and the negatively
-    supported variables form a face nu; then it equals m(i, nu).
-    """
-    theta = tuple(int(t) for t in theta)
-    if any(t > 0 for t in theta):
-        return 0
-    nu = neg_support(theta)
-    if not c.is_face(nu):
-        return 0
-    return decomposition(c, p).multiplicity(i, nu)
-
-
 @lru_cache(maxsize=None)
 def _cech_dims_by_signs(c: SimplicialComplex, p: int, nu: Face, pi: Face) -> tuple[tuple[int, int], ...]:
     """Cohomology of the single-multidegree piece of the localization
@@ -107,72 +92,56 @@ def _cech_dims_by_signs(c: SimplicialComplex, p: int, nu: Face, pi: Face) -> tup
     each face sigma with |sigma| = i, nu contained in sigma, and
     sigma union pi a face; differentials carry the usual alternating
     signs.  Depends on theta only through the sign pattern (nu, pi)."""
-    if c.is_void:
-        return ()
-    active: dict[int, list[Face]] = {}
     nu_set = set(nu)
     pi_set = set(pi)
+    cochains: dict[int, list[Face]] = {}
     for sigma in all_faces(c):
         if nu_set <= set(sigma) and c.is_face(set(sigma) | pi_set):
-            active.setdefault(len(sigma), []).append(sigma)
-    if not active:
-        return ()
-    top = max(active)
-    ranks: dict[int, int] = {}
-    for i in range(0, top + 1):
-        m = coboundary_matrix(active.get(i, []), active.get(i + 1, []), p)
-        ranks[i] = len(row_echelon(m, p)[1])
-    out = []
-    for i in range(0, top + 1):
-        h = (len(active.get(i, [])) - ranks.get(i, 0)) - ranks.get(i - 1, 0)
-        if h:
-            out.append((i, h))
-    return tuple(out)
-
-
-def cech_graded_oracle(c: SimplicialComplex, p: int, theta) -> dict[int, int]:
-    """Brute-force dims of every H^i_m(K[Delta]) in one multidegree,
-    built directly from the localization complex with no reference to
-    links or to the decomposition table."""
-    check_prime(p)
-    theta = tuple(int(t) for t in theta)
-    dims = _cech_dims_by_signs(c, p, neg_support(theta), pos_support(theta))
-    return dict(dims)
+            cochains.setdefault(len(sigma), []).append(sigma)
+    return cochain_cohomology(cochains, p)
 
 
 def oracle_box_check(
     c: SimplicialComplex, p: int, lo: int = -3, hi: int = 1
 ) -> tuple[int, list[tuple[MultiDegree, int, int, int]]]:
-    """Compare graded_dim against the oracle for every multidegree in the
-    box [lo, hi]^n and every cohomological index.  Returns the number of
-    agreeing (theta, i) pairs and a list of mismatches (expected empty).
+    """Compare the table against the localization-complex oracle at every
+    multidegree theta in the box [lo, hi]^n and every cohomological index.
+    Returns the number of agreeing (theta, i) pairs and a list of
+    mismatches (expected empty).
 
-    Both sides depend on theta only through its sign pattern, so each of
-    the at most 3^n patterns is evaluated once, at one of its box points,
-    and counted for all of them; a disagreeing pattern is expanded back
-    into its box points, listed in the order of the box."""
+    Both sides depend on theta only through its sign pattern: nu where
+    theta < 0 and pi where theta > 0.  The table side is m(i, nu) when pi
+    is empty and 0 otherwise; the oracle's piece has no cochains unless
+    nu union pi is a face.  So both vanish unless the pattern splits a
+    face sigma into nu and pi, and only those patterns are evaluated,
+    each weighted by its box points.  A disagreeing pattern is expanded
+    back into its box points, listed in the order of the box."""
+    neg = range(lo, min(hi, -1) + 1)
+    zero = range(max(lo, 0), min(hi, 0) + 1)
+    pos = range(max(lo, 1), hi + 1)
     top = c.dim + 1
-    by_sign = (
-        range(lo, min(hi, -1) + 1),
-        range(max(lo, 0), min(hi, 0) + 1),
-        range(max(lo, 1), hi + 1),
-    )
-    values = [r for r in by_sign if r]
-    agree = 0
+    table = decomposition(c, p)
+    disagree = 0
     mismatches = []
-    for pattern in itertools.product(values, repeat=c.n_vertices):
-        theta = tuple(r[0] for r in pattern)
-        weight = math.prod(len(r) for r in pattern)
-        oracle = cech_graded_oracle(c, p, theta)
-        for i in range(0, top + 1):
-            lhs = graded_dim(c, p, i, theta)
-            rhs = oracle.get(i, 0)
-            if lhs == rhs:
-                agree += weight
-            else:
-                mismatches += [(t, i, lhs, rhs) for t in itertools.product(*pattern)]
+    for sigma in all_faces(c):
+        for k in range(len(sigma) + 1):
+            for nu in itertools.combinations(sigma, k):
+                pi = tuple(v for v in sigma if v not in nu)
+                ranges = [
+                    neg if v in nu else pos if v in pi else zero for v in range(c.n_vertices)
+                ]
+                weight = math.prod(map(len, ranges))
+                if not weight:
+                    continue
+                oracle = dict(_cech_dims_by_signs(c, p, nu, pi))
+                for i in range(0, top + 1):
+                    lhs = 0 if pi else table.multiplicity(i, nu)
+                    rhs = oracle.get(i, 0)
+                    if lhs != rhs:
+                        disagree += weight
+                        mismatches += [(t, i, lhs, rhs) for t in itertools.product(*ranges)]
     mismatches.sort()
-    return agree, mismatches
+    return max(hi - lo + 1, 0) ** c.n_vertices * (top + 1) - disagree, mismatches
 
 
 def reisner_cm_condition(c: SimplicialComplex, p: int) -> bool:
@@ -235,11 +204,14 @@ def analysis_report(c: SimplicialComplex, p: int) -> dict:
 
 
 def fh_count(c: SimplicialComplex, p: int, i: int) -> int:
-    """Number of F-stable submodules of H^i_m(K[Delta]) predicted by the
-    isotypic structure: distinct faces give non-isomorphic simples with
-    scalar endomorphisms F_p, so submodules choose one subspace per
-    multiplicity space independently.  Validated against brute-force
-    enumeration at desk scale; reports must carry that label.
+    """Number of F-stable submodules of H^i_m(K[Delta]) if it were the
+    direct sum of its face blocks with scalar endomorphisms F_p: one
+    subspace per multiplicity space, chosen independently.
+
+    Known to be wrong: x_j maps the block of nu into the block of nu
+    minus {j}, so the choices are not independent (two points: 8 here,
+    5 in truth; ROADMAP.md, open item 1).  The brute-force enumeration
+    that validates it models the same independent blocks.
     """
     check_prime(p)
     table = decomposition(c, p)

@@ -68,10 +68,6 @@ class PolynomialFp:
         return cls(p, n_vars, tuple(items))
 
     @classmethod
-    def zero(cls, p: int, n_vars: int) -> "PolynomialFp":
-        return cls(p, n_vars, ())
-
-    @classmethod
     def constant(cls, p: int, n_vars: int, c: int) -> "PolynomialFp":
         return cls.make(p, n_vars, {(0,) * n_vars: c})
 
@@ -120,9 +116,6 @@ class PolynomialFp:
                 m = mono_mul(m1, m2)
                 out[m] = (out.get(m, 0) + c1 * c2) % self.p
         return PolynomialFp.make(self.p, self.n_vars, out)
-
-    def scale(self, c: int) -> "PolynomialFp":
-        return PolynomialFp.make(self.p, self.n_vars, {m: (c0 * c) % self.p for m, c0 in self.terms})
 
     def pow(self, e: int) -> "PolynomialFp":
         if e < 0:
@@ -275,30 +268,12 @@ class MonomialIdeal:
     def from_generators(cls, n_vars: int, gens) -> "MonomialIdeal":
         return cls(n_vars, _antichain(n_vars, [tuple(g) for g in gens]))
 
-    @classmethod
-    def zero(cls, n_vars: int) -> "MonomialIdeal":
-        return cls(n_vars, ())
-
-    @classmethod
-    def unit(cls, n_vars: int) -> "MonomialIdeal":
-        return cls(n_vars, ((0,) * n_vars,))
-
     @property
     def is_zero(self) -> bool:
         return not self.generators
 
-    @property
-    def is_unit(self) -> bool:
-        return any(mono_deg(g) == 0 for g in self.generators)
-
     def contains_monomial(self, m: Monomial) -> bool:
         return any(mono_divides(g, m) for g in self.generators)
-
-    def contains_ideal(self, other: "MonomialIdeal") -> bool:
-        return all(self.contains_monomial(g) for g in other.generators)
-
-    def is_squarefree(self) -> bool:
-        return all(all(e <= 1 for e in g) for g in self.generators)
 
     def to_text(self) -> str:
         if self.is_zero:

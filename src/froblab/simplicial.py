@@ -171,22 +171,25 @@ def coboundary_matrix(src: Sequence[Face], tgt: Sequence[Face], p: int) -> list[
     return m
 
 
+def cochain_cohomology(cochains: dict[int, Sequence[Face]], p: int) -> tuple[tuple[int, int], ...]:
+    """Nonzero (degree, dim) of the cohomology over F_p of the cochain
+    complex with one summand per face of cochains[d] in degree d and
+    coboundary_matrix as differential; dim = faces - rank out - rank in."""
+    ranks = {
+        d: len(row_echelon(coboundary_matrix(fs, cochains.get(d + 1, ()), p), p)[1])
+        for d, fs in cochains.items()
+    }
+    dims = ((d, len(cochains[d]) - ranks[d] - ranks.get(d - 1, 0)) for d in sorted(cochains))
+    return tuple((d, h) for d, h in dims if h)
+
+
 @lru_cache(maxsize=None)
 def reduced_cohomology(c: SimplicialComplex, p: int) -> CohomologyProfile:
     """Reduced simplicial cohomology dimensions over F_p.
 
-    Computed as kernel/image ranks of the coboundary maps of the
-    augmented cochain complex (the empty face sits in degree -1).  The
-    void complex has all dims zero; {()} has exactly dims[-1] = 1.
+    Computed by cochain_cohomology on the augmented cochain complex (the
+    empty face sits in degree -1).  The void complex has all dims zero;
+    {()} has exactly dims[-1] = 1.
     """
     check_prime(p)
-    fs = faces(c)
-    ranks = {
-        j: len(row_echelon(coboundary_matrix(fs[j], fs.get(j + 1, ()), p), p)[1]) for j in fs
-    }
-    dims = []
-    for j in sorted(fs):
-        h = (len(fs[j]) - ranks[j]) - ranks.get(j - 1, 0)
-        if h:
-            dims.append((j, h))
-    return CohomologyProfile(p, tuple(dims))
+    return CohomologyProfile(p, cochain_cohomology(faces(c), p))

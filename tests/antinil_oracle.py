@@ -5,7 +5,7 @@ froblab.fmodule holds each graded submodule as a code, one index into
 subspace_lattice per point of lattice_points, and decides
 anti-nilpotence by lookups in the lattice's containment and meet tables.
 These are the loops they replaced: a depth-first search that holds
-Subspace objects and tests each constraint with Subspace.contains, and a
+Subspace objects and tests each constraint with subspace_contains, and a
 check over every ordered pair of profiles that walks every vector of the
 larger subspace at every interior multidegree.  The search turns each
 leaf into a Profile on its own, grouping the Subspace objects into one
@@ -16,22 +16,24 @@ are memoized; that changes no result.
 import functools
 from dataclasses import dataclass
 
+from box_oracle import neg_support as _neg_support
 from element_model import search_space_size
 from froblab.errors import CapacityError
 from froblab.fmodule import AntiNilpotenceWitness, _constraints, lattice_points
 from froblab.gfp_linalg import DEFAULT_ENUM_CAP, Subspace, subspace_lattice
-from froblab.local_cohomology import neg_support as _neg_support
+from perp_oracle import contains_vector as _contains_vector
+from perp_oracle import subspace_contains, subspace_vectors
 
 
 # the searches meet the same few arguments over and over
 neg_support = functools.lru_cache(maxsize=None)(_neg_support)
-contains = functools.lru_cache(maxsize=None)(Subspace.contains)
-contains_vector = functools.lru_cache(maxsize=None)(Subspace.contains_vector)
+contains = functools.lru_cache(maxsize=None)(subspace_contains)
+contains_vector = functools.lru_cache(maxsize=None)(_contains_vector)
 
 
 @functools.lru_cache(maxsize=None)
 def vectors(subspace):
-    return tuple(subspace.vectors())
+    return tuple(subspace_vectors(subspace))
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,7 @@ def subspace_at(profile, theta, ambient, p):
 def profile_contains(large, small, dims, p):
     """Whether large contains small at every multidegree of dims."""
     return all(
-        subspace_at(large, theta, ambient, p).contains(subspace_at(small, theta, ambient, p))
+        contains(subspace_at(large, theta, ambient, p), subspace_at(small, theta, ambient, p))
         for theta, ambient in dims.items()
     )
 

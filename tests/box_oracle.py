@@ -1,16 +1,53 @@
-"""Per-multidegree reference for the graded oracle box.
+"""Per-multidegree and per-sign-pattern references for the graded oracle box.
 
-froblab.local_cohomology.oracle_box_check evaluates each sign pattern of
-theta once and weights it by the box points it covers.  This is the loop
-it replaced, over every point of the box [lo, hi]^n, kept so that "both
-sides depend on theta only through its signs" stays checked.  It looks
-graded_dim and the oracle up on the module, so a monkeypatched graded_dim
-reaches both routes.
+froblab.local_cohomology.oracle_box_check evaluates only the sign
+patterns of theta that split a face into its negative and positive
+support, each weighted by the box points it covers.  These are the
+routes it replaced: graded_dim reads one multidegree off the table and
+cech_graded_oracle evaluates it from the localization complex;
+oracle_box_check_per_theta compares them at every point of the box
+[lo, hi]^n, and oracle_box_check_by_signs once per sign pattern, 3^n of
+them.  graded_dim looks decomposition up on the module, so a
+monkeypatched table reaches every route.
 """
 
 import itertools
+import math
 
 from froblab import local_cohomology as lc
+from froblab.gfp_linalg import check_prime
+
+
+def neg_support(theta):
+    return tuple(i for i, t in enumerate(theta) if t < 0)
+
+
+def pos_support(theta):
+    return tuple(i for i, t in enumerate(theta) if t > 0)
+
+
+def graded_dim(c, p, i, theta):
+    """dim of the theta-graded piece of H^i_m(K[Delta]), read off the table.
+
+    Nonzero only when theta has no positive entry and the negatively
+    supported variables form a face nu; then it equals m(i, nu).
+    """
+    theta = tuple(int(t) for t in theta)
+    if any(t > 0 for t in theta):
+        return 0
+    nu = neg_support(theta)
+    if not c.is_face(nu):
+        return 0
+    return lc.decomposition(c, p).multiplicity(i, nu)
+
+
+def cech_graded_oracle(c, p, theta):
+    """Dims of every H^i_m(K[Delta]) in one multidegree, built directly
+    from the localization complex with no reference to links or to the
+    decomposition table."""
+    check_prime(p)
+    theta = tuple(int(t) for t in theta)
+    return dict(lc._cech_dims_by_signs(c, p, neg_support(theta), pos_support(theta)))
 
 
 def oracle_box_check_per_theta(c, p, lo=-3, hi=1):
@@ -18,12 +55,39 @@ def oracle_box_check_per_theta(c, p, lo=-3, hi=1):
     agree = 0
     mismatches = []
     for theta in itertools.product(range(lo, hi + 1), repeat=c.n_vertices):
-        oracle = lc.cech_graded_oracle(c, p, theta)
+        oracle = cech_graded_oracle(c, p, theta)
         for i in range(0, top + 1):
-            lhs = lc.graded_dim(c, p, i, theta)
+            lhs = graded_dim(c, p, i, theta)
             rhs = oracle.get(i, 0)
             if lhs == rhs:
                 agree += 1
             else:
                 mismatches.append((theta, i, lhs, rhs))
+    return agree, mismatches
+
+
+def oracle_box_check_by_signs(c, p, lo=-3, hi=1):
+    """Every sign pattern evaluated once, at one of its box points, and
+    counted for all of them; mismatches sorted as the box lists them."""
+    top = c.dim + 1
+    by_sign = (
+        range(lo, min(hi, -1) + 1),
+        range(max(lo, 0), min(hi, 0) + 1),
+        range(max(lo, 1), hi + 1),
+    )
+    values = [r for r in by_sign if r]
+    agree = 0
+    mismatches = []
+    for pattern in itertools.product(values, repeat=c.n_vertices):
+        theta = tuple(r[0] for r in pattern)
+        weight = math.prod(len(r) for r in pattern)
+        oracle = cech_graded_oracle(c, p, theta)
+        for i in range(0, top + 1):
+            lhs = graded_dim(c, p, i, theta)
+            rhs = oracle.get(i, 0)
+            if lhs == rhs:
+                agree += weight
+            else:
+                mismatches += [(t, i, lhs, rhs) for t in itertools.product(*pattern)]
+    mismatches.sort()
     return agree, mismatches

@@ -15,13 +15,13 @@ annihilator of a submodule (annihilator_up_to_cap).
 import itertools
 from typing import NamedTuple
 
+from box_oracle import neg_support
 from froblab.errors import UnsupportedInputError
 from froblab.fmodule import FModuleTruncation, _profile_count, lattice_points, lattice_tables
 from froblab.gfp_linalg import Subspace
-from froblab.local_cohomology import neg_support
 from froblab.polyfp import MonomialIdeal
 from froblab.simplicial import Face
-from perp_oracle import subspace_sum
+from perp_oracle import contains_vector, subspace_sum
 
 
 class BasisElement(NamedTuple):
@@ -104,7 +104,7 @@ def f_stable_span(t, generators):
     queue = []
 
     def add(theta, vec):
-        if spans[theta].contains_vector(vec):
+        if contains_vector(spans[theta], vec):
             return
         spans[theta] = subspace_sum(spans[theta], Subspace.from_vectors(t.p, points[theta], [vec]))
         queue.append((theta, vec))
@@ -157,7 +157,7 @@ def annihilator_up_to_cap(t, code, cap):
         )
     active = [nu for nu, ids in blocks.items() if ids != {0}]
     if not active:
-        return MonomialIdeal.unit(t.n_vars)
+        return MonomialIdeal.from_generators(t.n_vars, [(0,) * t.n_vars])
     complements = [
         frozenset(range(t.n_vars)) - frozenset(nu) for nu in active
     ]

@@ -8,7 +8,7 @@ routes that cross-check reduced cohomology."""
 
 import itertools
 
-from colon_oracle import monomial_ideal_sum
+from colon_oracle import contains_ideal, monomial_ideal_sum
 from element_model import apply_x
 from froblab.errors import UnsupportedInputError
 from froblab.gfp_linalg import check_prime, row_echelon
@@ -25,13 +25,21 @@ def apply_monomial(t, exponents, v):
     return out
 
 
+def is_squarefree(ideal):
+    return all(all(e <= 1 for e in g) for g in ideal.generators)
+
+
+def is_unit(ideal):
+    return any(not any(g) for g in ideal.generators)
+
+
 def squarefree_minimal_primes(ideal):
     """Minimal primes of a square-free monomial ideal, each as a sorted
     tuple of variable indices (minimal hitting sets of the generator
     supports).  The unit ideal has none."""
-    if not ideal.is_squarefree():
+    if not is_squarefree(ideal):
         raise UnsupportedInputError("ideal is not square-free")
-    if ideal.is_unit:
+    if is_unit(ideal):
         return ()
     if ideal.is_zero:
         return ((),)
@@ -66,7 +74,7 @@ def splitting_containment_check(ring, j):
     Requires I_Delta to be contained in j.
     """
     i = ring.nonface_ideal
-    if not j.contains_ideal(i):
+    if not contains_ideal(j, i):
         raise ValueError("j must contain the nonface ideal")
     p = ring.p
     target = monomial_ideal_sum(j, i)
@@ -95,7 +103,7 @@ def krull_dim(ring):
 
 def prime_to_ideal(n_vars, variables):
     gens = [tuple(1 if i == v else 0 for i in range(n_vars)) for v in variables]
-    return MonomialIdeal.from_generators(n_vars, gens) if gens else MonomialIdeal.zero(n_vars)
+    return MonomialIdeal.from_generators(n_vars, gens)
 
 
 def irrelevant_ideal(n_vars):

@@ -7,19 +7,30 @@ import time
 
 import pytest
 
+from box_oracle import graded_dim
 from colon_oracle import monomial_ideal_intersection
-from corpus import POINT, RP2, TRIANGLE, TWO_EDGES, TWO_POINTS, acceptance_corpus
+from corpus import (
+    CROSS_POLYTOPE_8,
+    POINT,
+    RP2,
+    TRIANGLE,
+    TWO_BOUNDARY_4,
+    TWO_EDGES,
+    TWO_POINTS,
+    acceptance_corpus,
+)
 from element_model import adjoin_inverse_variable, annihilator_up_to_cap
 from helpers import (
     cone,
     irrelevant_ideal,
+    is_squarefree,
     prime_to_ideal,
     splitting_containment_check,
     squarefree_minimal_primes,
 )
 from froblab.fmodule import build_truncation, check_antinilpotent, enumerate_f_stable_submodules
 from froblab.hypersurface import f_injective_top, fedder_fpure_principal, make_hypersurface
-from froblab.local_cohomology import depth_and_cm, fh_count, graded_dim, oracle_box_check
+from froblab.local_cohomology import depth_and_cm, fh_count, oracle_box_check
 from froblab.polyfp import parse_polynomial
 from froblab.stanley_reisner import FaceRing, nonface_ideal
 
@@ -69,6 +80,9 @@ def test_criterion_3_graded_oracle_equivalence():
             for p in (2, 3):
                 agree, mismatches = oracle_box_check(c, p, -3, 1)
                 assert mismatches == [], (c, p, mismatches[:3])
+        for c in (CROSS_POLYTOPE_8, TWO_BOUNDARY_4):
+            agree, mismatches = oracle_box_check(c, 3, -3, 1)
+            assert mismatches == [] and agree == 5**c.n_vertices * (c.dim + 2)
 
 
 def test_criterion_4_reisner_criterion():
@@ -143,7 +157,7 @@ def test_criterion_8_radical_annihilators():
             anns = []
             for prof in profiles:
                 ann = annihilator_up_to_cap(model, prof, cap)
-                assert ann.is_squarefree()
+                assert is_squarefree(ann)
                 anns.append(ann)
             for a in anns:
                 for b in anns:

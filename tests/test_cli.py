@@ -251,6 +251,16 @@ def test_emax_zero_is_an_input_error():
     )
 
 
+def test_zero_divisor_multiplier_is_an_input_error():
+    # x0 divides f, so x0 lies in a minimal prime and not in R°
+    assert_input_error(
+        run_cli_process(
+            ["analyze-hypersurface", "--poly", "x0*x1*x2", "--prime", "3",
+             "--params", "x0-x1", "x1-x2", "--c", "x0^2*x2"]
+        )
+    )
+
+
 @pytest.mark.parametrize(
     "extra",
     [[], ["--prime", "x"], ["--prime", "2", "--bogus"], ["--prime", "2", "--format", "xml"]],

@@ -27,7 +27,7 @@ from element_model import (
     f_stable_span,
     search_space_size,
 )
-from helpers import apply_monomial, squarefree_minimal_primes
+from helpers import apply_monomial, is_squarefree, prime_to_ideal, squarefree_minimal_primes
 from test_acceptance import CORPUS_MODELS
 from froblab.errors import CapacityError, UnsupportedInputError
 from froblab.fmodule import (
@@ -39,7 +39,6 @@ from froblab.fmodule import (
 )
 from froblab.gfp_linalg import DEFAULT_ENUM_CAP
 from froblab.local_cohomology import decomposition, fh_count
-from froblab.polyfp import MonomialIdeal
 from froblab.simplicial import from_facets, make_complex
 
 
@@ -298,7 +297,7 @@ def test_annihilators_two_points():
     texts = {a.to_text() for a in anns}
     assert texts == {"(1)", "(x0, x1)", "(x0)", "(x1)", "(x0*x1)"}
     for a in anns:
-        assert a.is_squarefree()
+        assert is_squarefree(a)
     # closed under intersection
     for a in anns:
         for b in anns:
@@ -306,12 +305,7 @@ def test_annihilators_two_points():
     # closed under minimal primes
     for a in anns:
         for prime in squarefree_minimal_primes(a):
-            gens = [tuple(1 if i == v else 0 for i in range(2)) for v in prime]
-            pid = (
-                MonomialIdeal.from_generators(2, gens)
-                if gens
-                else MonomialIdeal.zero(2)
-            )
+            pid = prime_to_ideal(2, prime)
             assert pid in anns or pid.is_zero
 
 

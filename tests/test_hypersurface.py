@@ -153,7 +153,7 @@ def test_socle_class_nonzero_at_deeper_level():
 
 def test_tight_closure_zero_class():
     h = fermat(7)
-    zero = make_class(h, PolynomialFp.zero(7, 3), 1)
+    zero = make_class(h, PolynomialFp(7, 3, ()), 1)
     v = tight_closure_zero_bounded(h, zero, poly("x0", 7, 3), 2)
     assert v.consistent
 
@@ -205,6 +205,18 @@ def test_probe_regular_ring_finds_nothing():
     h = make_hypersurface(poly("x0", 3, 3))
     verdict = rf_simplicity_probe(h, 1)
     assert not verdict.found
+
+
+def test_probe_skips_variables_dividing_f():
+    # every x_j divides f = x0*x1*x2, so no variable lies in R°
+    h = make_hypersurface(poly("x0*x1*x2", 3), (poly("x0 - x1", 3, 3), poly("x1 - x2", 3, 3)))
+    verdict = rf_simplicity_probe(h, 1)
+    assert not verdict.found
+    socle = socle_class(h, 1)
+    for c in ("x0", "x1^2", "x0*x2"):
+        with pytest.raises(ValueError, match="zero divisor"):
+            tight_closure_zero_bounded(h, socle, poly(c, 3, 3))
+    assert tight_closure_zero_bounded(h, socle, poly("x0 + x1", 3, 3)).e_checked >= 1
 
 
 def test_level_membership_cap():
@@ -346,7 +358,7 @@ def levels_with_params(draw):
     def random_form(degree, low):
         return PolynomialFp.make(p, 3, {m: rng.randint(low, p - 1) for m in monomials_of_degree(3, degree)})
 
-    g = PolynomialFp.zero(p, 3)
+    g = PolynomialFp(p, 3, ())
     for q in level_generators(h, t):
         if q.degree() <= d:
             g = g + random_form(d - q.degree(), 0) * q
