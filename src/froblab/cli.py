@@ -25,18 +25,6 @@ from .errors import (
     UnsupportedInputError,
 )
 from .gfp_linalg import DEFAULT_ENUM_CAP, check_prime
-from .hypersurface import (
-    f_injective_top,
-    fedder_fpure_principal,
-    make_hypersurface,
-    rf_simplicity_probe,
-    socle_class,
-    tight_closure_zero_bounded,
-)
-from .local_cohomology import analysis_report, oracle_box_check
-from .polyfp import parse_polynomial
-from .simplicial import parse_facets_text
-from .stanley_reisner import FaceRing, fedder_fpure_monomial
 
 DEFAULT_TRUNC = 2
 DEFAULT_BOX = "-3:1"
@@ -100,9 +88,14 @@ def _emit_text(report: dict, prefix: str = "") -> None:
 
 
 def cmd_analyze_complex(args) -> int:
-    # imported here, not at the top: analyze-hypersurface never needs the
-    # submodule models, and loading them costs it about 3.5 ms per run
+    # Each command imports its own layers here, not at the top: every run
+    # is a fresh process, which would pay at start-up for loading the
+    # other command's modules.  The names are read from their modules at
+    # call time, so a patched module attribute is the one called.
     from .fmodule import build_truncation, check_antinilpotent, enumerate_f_stable_submodules
+    from .local_cohomology import analysis_report, oracle_box_check
+    from .simplicial import parse_facets_text
+    from .stanley_reisner import FaceRing, fedder_fpure_monomial
 
     try:
         with open(args.path, encoding="utf-8") as fh:
@@ -186,6 +179,16 @@ def cmd_analyze_complex(args) -> int:
 
 
 def cmd_analyze_hypersurface(args) -> int:
+    from .hypersurface import (
+        f_injective_top,
+        fedder_fpure_principal,
+        make_hypersurface,
+        rf_simplicity_probe,
+        socle_class,
+        tight_closure_zero_bounded,
+    )
+    from .polyfp import parse_polynomial
+
     try:
         f = parse_polynomial(args.poly, args.prime)
         if not f.is_homogeneous() or f.is_zero:

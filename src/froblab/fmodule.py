@@ -45,7 +45,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -59,6 +58,7 @@ from .gfp_linalg import (
     subspace_lattice,
 )
 from .local_cohomology import decomposition
+from .record import record
 from .simplicial import Face, SimplicialComplex
 
 MultiDegree = tuple[int, ...]
@@ -66,7 +66,7 @@ MultiDegree = tuple[int, ...]
 Code = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class FModuleTruncation:
     """Finite window of one graded local cohomology module.
 

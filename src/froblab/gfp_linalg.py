@@ -9,10 +9,10 @@ and all operations are pure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CapacityError, DimensionMismatchError
+from .record import record
 
 MAX_PRIME = 2**15
 DEFAULT_ENUM_CAP = 2**16
@@ -77,7 +77,7 @@ def row_echelon(rows, p: int, reduced: bool = False) -> tuple[list[list[int]], t
     return echelon, pivots
 
 
-@dataclass(frozen=True)
+@record
 class Subspace:
     """Subspace of F_p^ambient_dim, stored as a canonical rref basis (no zero rows)."""
 

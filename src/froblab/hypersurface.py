@@ -25,18 +25,18 @@ closure of zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import CapacityError, InvalidParametersError, UnsupportedInputError
 from .gfp_linalg import check_prime, row_echelon
 from .polyfp import Monomial, PolynomialFp, mono_deg, mono_mul
+from .record import record
 
 DEFAULT_E_MAX = 2
 DEGREE_CAP_FACTOR = 3
 MAX_SUBSTITUTED_TERMS = 10**6
 
 
-@dataclass(frozen=True)
+@record
 class GradedHypersurface:
     """A homogeneous hypersurface with a homogeneous linear system of
     parameters; checked Artinian at construction."""
@@ -45,10 +45,8 @@ class GradedHypersurface:
     n_vars: int
     f: PolynomialFp
     params: tuple[PolynomialFp, ...]
-    # x_j = _to_y[j](y) and y_i = _to_x[i](x), and f in the y coordinates
-    _to_y: tuple[PolynomialFp, ...] = field(init=False, repr=False, compare=False)
-    _to_x: tuple[PolynomialFp, ...] = field(init=False, repr=False, compare=False)
-    _f_y: PolynomialFp = field(init=False, repr=False, compare=False)
+    # derived by _set_coordinates: x_j = _to_y[j](y) and y_i = _to_x[i](x),
+    # and _f_y is f in the y coordinates
 
     def __post_init__(self):
         check_prime(self.p)
@@ -237,7 +235,7 @@ def f_injective_top(h: GradedHypersurface, t: int) -> bool:
     return not next(_frobenius_powers(h, t, _socle(h, t), 1)).is_zero
 
 
-@dataclass(frozen=True)
+@record
 class LocalCohomClass:
     """<r; l_1^t, ..., l_d^t>: a class in the direct-limit model, with r
     the level-t normal form, written back in the x coordinates."""
@@ -257,7 +255,7 @@ def socle_class(h: GradedHypersurface, t: int) -> LocalCohomClass:
     return LocalCohomClass(_substitute(_socle(h, t), h._to_x), t)
 
 
-@dataclass(frozen=True)
+@record
 class TightClosureVerdict:
     consistent: bool
     e_checked: int
@@ -278,9 +276,12 @@ def tight_closure_zero_bounded(
     _check_e_max(e_max)
     if c.is_zero or _in_principal(h, c):
         raise ValueError("the multiplier must be nonzero modulo f")
-    shared = [j for j in _variable_factors(h) if len(c.terms) == 1 and c.terms[0][0][j]]
-    if shared:
-        raise ValueError(f"the multiplier is a zero divisor: x{shared[0]} divides f")
+    if len(c.terms) == 1:
+        shared = [j for j in _variable_factors(h) if c.terms[0][0][j]]
+        if shared:
+            raise ValueError(f"the multiplier is a zero divisor: x{shared[0]} divides f")
+    elif c.degree() == 1 and _linear_divides(c, h.f):
+        raise ValueError(f"the multiplier is a zero divisor: {c.to_text()} divides f")
     c_y = _substitute(c, h._to_y)
     powers = _frobenius_powers(h, u.t, _substitute(u.r, h._to_y), e_max)
     for e, power in enumerate(powers, start=1):
@@ -301,13 +302,25 @@ def _variable_factors(h: GradedHypersurface) -> list[int]:
     return [j for j in range(h.n_vars) if all(m[j] for m, _ in h.f.terms)]
 
 
+def _linear_divides(l: PolynomialFp, g: PolynomialFp) -> bool:
+    """Whether the degree-1 l divides g.  Its lex-first term is a*x_j, and
+    with l = a*x_j + r the remainder of g modulo l is g at x_j = -r/a.
+    A linear l is irreducible, so it is a zero divisor modulo g exactly
+    when it divides g."""
+    (m, a), n = l.terms[0], l.n_vars
+    forms = [PolynomialFp.variable(l.p, n, k) for k in range(n)]
+    j = m.index(1)
+    forms[j] = forms[j] - l * PolynomialFp.constant(l.p, n, pow(a, -1, l.p))
+    return _substitute(g, tuple(forms)).is_zero
+
+
 def _in_principal(h: GradedHypersurface, c: PolynomialFp) -> bool:
     if c.degree() > h.degree_cap(1):
         raise CapacityError(f"degree {c.degree()} exceeds cap {h.degree_cap(1)}")
     return _normal_form(h, None, _substitute(c, h._to_y)).is_zero
 
 
-@dataclass(frozen=True)
+@record
 class SimplicityProbeVerdict:
     witness: LocalCohomClass | None
     reason: str

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import OracleMismatchError
 from .gfp_linalg import check_prime, num_subspaces
+from .record import record
 from .simplicial import (
     Face,
     SimplicialComplex,
@@ -39,7 +39,7 @@ from .simplicial import (
 MultiDegree = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class LocalCohomologyTable:
     """Multiplicities m(i, nu) of the face blocks of H^i_m(K[Delta]): the
     dimension of each of its pieces with negative support nu.

@@ -8,10 +8,10 @@ other ideals decided, get their normal form in froblab.hypersurface.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ParseError
 from .gfp_linalg import check_prime
+from .record import record
 
 Monomial = tuple[int, ...]
 
@@ -38,7 +38,7 @@ def mono_to_text(m: Monomial) -> str:
     return "*".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
+@record
 class PolynomialFp:
     """Polynomial over F_p with nonzero coefficients only; terms are kept
     sorted lexicographically descending for deterministic output."""
@@ -250,7 +250,7 @@ def _check_p_power(q: int, p: int) -> None:
         raise ValueError(f"{q} is not a power of {p}")
 
 
-@dataclass(frozen=True)
+@record
 class MonomialIdeal:
     """Monomial ideal given by its unique antichain of minimal generators."""
 

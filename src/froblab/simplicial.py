@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import NotAFaceError, ParseError
 from .gfp_linalg import check_prime, row_echelon
+from .record import record
 
 Face = tuple[int, ...]
 
@@ -35,7 +35,7 @@ def _normalize_facets(facets) -> tuple[Face, ...]:
     return tuple(kept)
 
 
-@dataclass(frozen=True)
+@record
 class SimplicialComplex:
     """Vertices 0..n_vertices-1 with a canonical antichain of facets.
 
@@ -70,8 +70,7 @@ class SimplicialComplex:
         return max(len(f) for f in self.facets) - 1
 
     def is_face(self, sigma) -> bool:
-        s = frozenset(sigma)
-        return not self.is_void and any(s <= set(f) for f in self.facets)
+        return tuple(sorted(set(sigma))) in _face_set(self)
 
 
 def make_complex(n_vertices: int, facets) -> SimplicialComplex:
@@ -131,6 +130,11 @@ def all_faces(c: SimplicialComplex) -> tuple[Face, ...]:
     return tuple(f for d in sorted(faces(c)) for f in faces(c)[d])
 
 
+@lru_cache(maxsize=None)
+def _face_set(c: SimplicialComplex) -> frozenset[Face]:
+    return frozenset(all_faces(c))
+
+
 def link(c: SimplicialComplex, sigma) -> SimplicialComplex:
     """link(sigma): faces disjoint from sigma whose union with it is a face.
 
@@ -148,7 +152,7 @@ def link(c: SimplicialComplex, sigma) -> SimplicialComplex:
     return make_complex(c.n_vertices, lk_facets)
 
 
-@dataclass(frozen=True)
+@record
 class CohomologyProfile:
     """Reduced cohomology dimensions over F_p; only nonzero degrees stored."""
 

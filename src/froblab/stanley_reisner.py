@@ -7,11 +7,11 @@ nonfaces.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .errors import UnsupportedInputError
 from .gfp_linalg import check_prime
 from .polyfp import MonomialIdeal, frobenius_power
+from .record import record
 from .simplicial import SimplicialComplex
 
 
@@ -30,13 +30,12 @@ def nonface_ideal(c: SimplicialComplex) -> MonomialIdeal:
     return MonomialIdeal.from_generators(n, minimal)
 
 
-@dataclass(frozen=True)
+@record
 class FaceRing:
-    """K[Delta] with its prime and nonface ideal."""
+    """K[Delta] with its prime and nonface ideal (derived, so not compared)."""
 
     complex: SimplicialComplex
     p: int
-    nonface_ideal: MonomialIdeal = field(init=False)
 
     def __post_init__(self):
         check_prime(self.p)

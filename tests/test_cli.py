@@ -71,10 +71,10 @@ def test_analyze_complex_triangle_p3(triangle_file, capsys):
 
 
 def test_analyze_complex_oracle_mismatch_exit_code(two_points_file, capsys, monkeypatch):
-    import froblab.cli as cli_mod
+    import froblab.local_cohomology as lc
 
     monkeypatch.setattr(
-        cli_mod, "oracle_box_check", lambda *a, **k: (0, [((0, 0), 1, 1, 0)])
+        lc, "oracle_box_check", lambda *a, **k: (0, [((0, 0), 1, 1, 0)])
     )
     code, _, err = run_cli(["analyze-complex", two_points_file, "--prime", "2"], capsys)
     assert code == 2
@@ -82,12 +82,12 @@ def test_analyze_complex_oracle_mismatch_exit_code(two_points_file, capsys, monk
 
 
 def test_internal_error_exit_code(two_points_file, capsys, monkeypatch):
-    import froblab.cli as cli_mod
+    import froblab.local_cohomology as lc
 
     def boom(*args, **kwargs):
         raise RuntimeError("boom\nsecond line")
 
-    monkeypatch.setattr(cli_mod, "oracle_box_check", boom)
+    monkeypatch.setattr(lc, "oracle_box_check", boom)
     code, out, err = run_cli(["analyze-complex", two_points_file, "--prime", "2"], capsys)
     assert code == 3
     assert out == ""
@@ -95,12 +95,12 @@ def test_internal_error_exit_code(two_points_file, capsys, monkeypatch):
 
 
 def test_out_of_memory_is_a_capacity_error(two_points_file, capsys, monkeypatch):
-    import froblab.cli as cli_mod
+    import froblab.local_cohomology as lc
 
     def exhausted(*args, **kwargs):
         raise MemoryError()
 
-    monkeypatch.setattr(cli_mod, "oracle_box_check", exhausted)
+    monkeypatch.setattr(lc, "oracle_box_check", exhausted)
     code, _, err = run_cli(["analyze-complex", two_points_file, "--prime", "2"], capsys)
     assert code == 1
     assert err == "error: capacity exceeded: out of memory\n"
@@ -261,6 +261,15 @@ def test_zero_divisor_multiplier_is_an_input_error():
     )
 
 
+def test_linear_zero_divisor_multiplier_is_an_input_error(capsys):
+    # f = x0 * (x0 + x1): the multiplier x0 + x1 divides f, x0 - x1 is coprime to it
+    args = ["analyze-hypersurface", "--poly", "x0^2 + x0*x1", "--prime", "3", "--params", "x1"]
+    assert_input_error(run_cli_process([*args, "--c", "x0+x1"]))
+    code, out, _ = run_cli([*args, "--c", "x0-x1", "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["tight_closure"]["c"] == "x0 + 2*x1"
+
+
 @pytest.mark.parametrize(
     "extra",
     [[], ["--prime", "x"], ["--prime", "2", "--bogus"], ["--prime", "2", "--format", "xml"]],
@@ -364,24 +373,36 @@ def test_analyze_hypersurface_fuzz(args):
         assert json.loads(out.getvalue())["tool"] == "froblab"
 
 
-NUMPY_FREE_RUN = """
+LOADED_AFTER_RUN = """
 import sys
-import froblab, froblab.cli
+import froblab.cli
 
-cubic = ["--poly", "x0^3 + x1^3 + x2^3", "--prime", "7", "--c", "x0"]
-code = froblab.cli.main(["analyze-hypersurface", *cubic])
-print(code, "numpy" in sys.modules, file=sys.stderr)
-code = froblab.cli.main(["analyze-complex", sys.argv[1], "--prime", "2"])
-print(code, "numpy" in sys.modules, file=sys.stderr)
+code = froblab.cli.main(sys.argv[1:])
+watched = ["numpy", "dataclasses", "inspect", "froblab.simplicial", "froblab.local_cohomology",
+           "froblab.stanley_reisner", "froblab.fmodule", "froblab.polyfp", "froblab.hypersurface"]
+print(code, *[name for name in watched if name in sys.modules], file=sys.stderr)
 """
 
 
-def test_hypersurface_run_does_not_import_numpy(triangle_file):
+def loaded_after_run(args):
+    """Exit code of one CLI run in a fresh interpreter, then the watched
+    modules loaded by its end."""
     proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_FREE_RUN, triangle_file], capture_output=True, text=True
+        [sys.executable, "-c", LOADED_AFTER_RUN, *args], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines() == ["0 False", "0 False"]
+    return proc.stderr.split()
+
+
+def test_each_command_loads_only_its_own_modules(triangle_file):
+    cubic = ["--poly", "x0^3 + x1^3 + x2^3", "--prime", "7", "--c", "x0"]
+    assert loaded_after_run(["analyze-hypersurface", *cubic]) == [
+        "0", "froblab.polyfp", "froblab.hypersurface",
+    ]
+    assert loaded_after_run(["analyze-complex", triangle_file, "--prime", "2"]) == [
+        "0", "froblab.simplicial", "froblab.local_cohomology", "froblab.stanley_reisner",
+        "froblab.fmodule", "froblab.polyfp",
+    ]
 
 
 MALFORMED_FACETS = ["", "# only a comment\n", "0 a\n", "-1\n", "0 1.5\n", "0,1\n", "0\n2\n", "3\n"]

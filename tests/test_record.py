@@ -1,0 +1,111 @@
+"""The value-record contract of the immutable classes built with @record."""
+
+import pytest
+
+from froblab.errors import InvalidParametersError
+from froblab.fmodule import FModuleTruncation
+from froblab.gfp_linalg import Subspace
+from froblab.hypersurface import (
+    GradedHypersurface,
+    LocalCohomClass,
+    SimplicityProbeVerdict,
+    TightClosureVerdict,
+)
+from froblab.local_cohomology import LocalCohomologyTable
+from froblab.polyfp import MonomialIdeal, PolynomialFp, parse_polynomial
+from froblab.simplicial import CohomologyProfile, SimplicialComplex
+from froblab.stanley_reisner import FaceRing
+
+PATH = SimplicialComplex(3, ((0, 1), (1, 2)))
+X0 = PolynomialFp(3, 2, (((1, 0), 1),))
+
+
+def hypersurface(*params):
+    f = parse_polynomial("x0^2 + x1^2 + x2^2", 5)
+    return GradedHypersurface(5, 3, f, tuple(parse_polynomial(l, 5, 3) for l in params))
+
+
+# name -> (build an instance, build a rejected one or None, its error)
+CASES = {
+    "SimplicialComplex": (
+        lambda: SimplicialComplex(3, ((0, 1), (1, 2))),
+        lambda: SimplicialComplex(2, ((0,), (0, 1))),  # not an antichain
+        ValueError,
+    ),
+    "CohomologyProfile": (lambda: CohomologyProfile(2, ((0, 1),)), None, None),
+    "PolynomialFp": (
+        lambda: PolynomialFp(3, 2, (((1, 0), 1), ((0, 1), 2))),
+        lambda: PolynomialFp(3, 2, (((1, 0), 3),)),  # coefficient equal to p
+        ValueError,
+    ),
+    "MonomialIdeal": (
+        lambda: MonomialIdeal(2, ((0, 2), (1, 0))),
+        lambda: MonomialIdeal(2, ((1, 0), (1, 1))),  # not an antichain
+        ValueError,
+    ),
+    "Subspace": (
+        lambda: Subspace(3, 2, ((1, 2),)),
+        lambda: Subspace(3, 2, ((1,),)),  # wrong row length
+        ValueError,
+    ),
+    "LocalCohomologyTable": (
+        lambda: LocalCohomologyTable(2, 2, 0, ((1, (), 1), (1, (0,), 1))), None, None
+    ),
+    "FModuleTruncation": (
+        lambda: FModuleTruncation(2, 2, 1, 2, (((0,), 1),)),
+        lambda: FModuleTruncation(2, 2, 1, 0, (((0,), 1),)),  # depth 0
+        ValueError,
+    ),
+    "FaceRing": (lambda: FaceRing(PATH, 2), lambda: FaceRing(PATH, 4), ValueError),
+    "GradedHypersurface": (
+        lambda: hypersurface("x1", "x2"),
+        lambda: hypersurface("x1", "2*x1"),  # dependent parameters
+        InvalidParametersError,
+    ),
+    "LocalCohomClass": (lambda: LocalCohomClass(X0, 1), None, None),
+    "TightClosureVerdict": (lambda: TightClosureVerdict(True, 2, None), None, None),
+    "SimplicityProbeVerdict": (
+        lambda: SimplicityProbeVerdict(LocalCohomClass(X0, 1), "found"), None, None
+    ),
+}
+
+
+@pytest.mark.parametrize("make, make_bad, error", CASES.values(), ids=list(CASES))
+def test_record_contract(make, make_bad, error):
+    a, b = make(), make()
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a != object()
+    field = next(iter(type(a).__annotations__))
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+    with pytest.raises(AttributeError):
+        a.unknown = 1
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    assert a == b
+    if make_bad is not None:
+        with pytest.raises(error):
+            make_bad()
+
+
+def test_defaults_and_argument_count():
+    t = FModuleTruncation(2, 2, 1, 2, ())
+    assert t.zero_frobenius is False
+    assert t == FModuleTruncation(2, 2, 1, 2, (), False)
+    assert t != FModuleTruncation(2, 2, 1, 2, (), True)
+    assert TightClosureVerdict(True, 2, None).note.startswith("one-sided bounded check")
+    with pytest.raises(TypeError):
+        FModuleTruncation(2, 2, 1)
+    with pytest.raises(TypeError):
+        FModuleTruncation(2, 2, 1, 2, (), False, 3)
+
+
+def test_derived_attributes_stay_out_of_equality():
+    h, ring = hypersurface("x1", "x2"), FaceRing(PATH, 2)
+    assert ring.nonface_ideal.to_text() == "(x0*x2)"
+    other_h, other_ring = hypersurface("x1", "x2"), FaceRing(PATH, 2)
+    object.__setattr__(other_h, "_f_y", None)
+    object.__setattr__(other_ring, "nonface_ideal", None)
+    assert (h, ring) == (other_h, other_ring)
+    assert hash((h, ring)) == hash((other_h, other_ring))
