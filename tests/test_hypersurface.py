@@ -24,6 +24,7 @@ from froblab.errors import CapacityError, InvalidParametersError
 from froblab.hypersurface import (
     GradedHypersurface,
     _frobenius_powers,
+    _linear_divides,
     f_injective_top,
     fedder_fpure_principal,
     level_top_degree,
@@ -327,6 +328,28 @@ def test_normal_form_matches_sympy_groebner(data):
     terms = sympy.Poly(remainder, *xs, modulus=h.p).terms()
     expected = PolynomialFp.make(h.p, 3, {m: int(c) for m, c in terms})
     assert make_class(h, g, t).r == expected
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.data())
+def test_linear_divides_matches_sympy_membership(data):
+    sympy = pytest.importorskip("sympy")
+    p = data.draw(PRIMES)
+    coeffs = [data.draw(st.integers(0, p - 1)) for _ in range(4)]
+    assume(sum(map(bool, coeffs[:3])) >= 2)  # degree 1 and not a monomial
+    monos = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]
+    l = PolynomialFp.make(p, 3, dict(zip(monos, coeffs)))
+    g = data.draw(polynomials(p))
+    if data.draw(st.booleans()):
+        g = g * l
+    xs = sympy.symbols("x0:3")
+
+    def to_sympy(r):
+        return sum(c * sympy.prod(x**k for x, k in zip(xs, m)) for m, c in r.terms)
+
+    # {l} is a Gröbner basis of (l), so this is exact membership of g in (l)
+    expected = sympy.groebner([to_sympy(l)], *xs, modulus=p, order="lex").contains(to_sympy(g))
+    assert _linear_divides(l, g) == expected
 
 
 @st.composite
