@@ -87,7 +87,7 @@ def _emit_text(report: dict, prefix: str = "") -> None:
             print(f"{prefix}{key}: {value}")
 
 
-def cmd_analyze_complex(args) -> int:
+def cmd_analyze_complex(args, threads: int) -> int:
     # Each command imports its own layers here, not at the top: every run
     # is a fresh process, which would pay at start-up for loading the
     # other command's modules.  The names are read from their modules at
@@ -123,7 +123,7 @@ def cmd_analyze_complex(args) -> int:
             model["anti_nilpotent"] = None
             model["skipped"] = "cap"
         else:
-            anti, _ = check_antinilpotent(trunc, codes)
+            anti = check_antinilpotent(trunc, codes)
             model["enumerated_count"] = enumerated
             model["anti_nilpotent"] = anti
             if enumerated != count:
@@ -153,7 +153,7 @@ def cmd_analyze_complex(args) -> int:
             "trunc_depth": args.trunc,
             "box": [box_lo, box_hi],
             "enumerate_cap": args.enumerate_cap,
-            "threads": _threads(),
+            "threads": threads,
         },
         "analysis": analysis,
         "f_pure": fedder_fpure_monomial(ring),
@@ -178,7 +178,7 @@ def cmd_analyze_complex(args) -> int:
     return 0
 
 
-def cmd_analyze_hypersurface(args) -> int:
+def cmd_analyze_hypersurface(args, threads: int) -> int:
     from .hypersurface import (
         f_injective_top,
         fedder_fpure_principal,
@@ -227,7 +227,7 @@ def cmd_analyze_hypersurface(args) -> int:
             "n_vars": h.n_vars,
         },
         "prime": h.p,
-        "caps": {"e_max": args.emax, "degree_cap": h.degree_cap(1), "threads": _threads()},
+        "caps": {"e_max": args.emax, "degree_cap": h.degree_cap(1), "threads": threads},
         "f_pure": f_pure,
         "f_injective": f_inj,
     }
@@ -298,7 +298,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        # a bad FROBLAB_THREADS fails before any work, not after it
+        return args.func(args, _threads())
     except OracleMismatchError as exc:
         print(f"internal cross-check failed: {exc}", file=sys.stderr)
         return 2

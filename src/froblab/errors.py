@@ -5,10 +5,6 @@ class FroblabError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DimensionMismatchError(FroblabError):
-    """Operands live in different ambient spaces."""
-
-
 class CapacityError(FroblabError):
     """A configured enumeration or degree cap would be exceeded."""
 

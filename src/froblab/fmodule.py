@@ -27,8 +27,9 @@ graded submodules held as codes: a code is a tuple with one index into
 subspace_lattice for each multidegree of lattice_points(t), in that
 order, index 0 being the zero subspace and the last index the full
 multiplicity space.  The enumeration searches graded submodules only,
-and reports flag that as a scope condition.  Containment and meets are
-lookups in lattice_tables.
+and reports flag that as a scope condition.  Containment of two lattice
+entries is decided pair by pair, when the search asks, by
+lattice_contains.
 
 M is anti-nilpotent when F acts injectively on M/N for every F-stable
 submodule N (Enescu-Hochster).  Since F is theta -> p*theta and the
@@ -46,15 +47,13 @@ import itertools
 import math
 from collections import Counter
 from functools import lru_cache
-from typing import NamedTuple
 
 from .errors import CapacityError
 from .gfp_linalg import (
     DEFAULT_ENUM_CAP,
-    Subspace,
     check_prime,
     num_subspaces,
-    subspace_intersection,
+    row_echelon,
     subspace_lattice,
 )
 from .local_cohomology import decomposition
@@ -95,52 +94,25 @@ class FModuleTruncation:
 
 
 def build_truncation(
-    c: SimplicialComplex,
-    p: int,
-    i: int,
-    depth: int,
-    nu_filter=None,
-    zero_frobenius: bool = False,
+    c: SimplicialComplex, p: int, i: int, depth: int, zero_frobenius: bool = False
 ) -> FModuleTruncation:
-    """Model of H^i over the window of exponent magnitudes [1, depth].
-
-    nu_filter optionally restricts to a subset of faces, giving the
-    sub-model spanned by those face blocks.
-    """
+    """Model of H^i over the window of exponent magnitudes [1, depth]."""
     table = decomposition(c, p)
     if i < 0 or i > c.dim + 1:
         raise ValueError(f"index {i} out of range [0, {c.dim + 1}]")
-    allowed = None if nu_filter is None else {tuple(sorted(nu)) for nu in nu_filter}
-    summands = tuple(
-        (nu, m)
-        for ei, nu, m in table.entries
-        if ei == i and (allowed is None or nu in allowed)
-    )
+    summands = tuple((nu, m) for ei, nu, m in table.entries if ei == i)
     return FModuleTruncation(p, c.n_vertices, i, depth, summands, zero_frobenius)
 
 
-class LatticeTables(NamedTuple):
-    """index maps each subspace of subspace_lattice(p, dim) to its
-    position (the zero subspace first, the full space last);
-    contains[a][b] says L[a] ⊇ L[b]; meet[a][b] is the position of
-    L[a] ∩ L[b]."""
-
-    index: dict[Subspace, int]
-    contains: list[list[bool]]
-    meet: list[list[int]]
-
-
 @lru_cache(maxsize=None)
-def lattice_tables(p: int, dim: int) -> LatticeTables:
+def lattice_contains(p: int, dim: int, a: int, b: int) -> bool:
+    """Whether L[a] ⊇ L[b] for L = subspace_lattice(p, dim): the basis of
+    L[b] adds no pivot to that of L[a]."""
+    if a == b:
+        return True
     lattice = subspace_lattice(p, dim)
-    index = {s: k for k, s in enumerate(lattice)}
-    meet = [[0] * len(lattice) for _ in lattice]
-    for a, sa in enumerate(lattice):
-        for b in range(a, len(lattice)):
-            meet[a][b] = meet[b][a] = index[subspace_intersection(sa, lattice[b])]
-    # L[a] contains L[b] exactly when their meet is L[b]
-    contains = [[m == b for b, m in enumerate(row)] for row in meet]
-    return LatticeTables(index, contains, meet)
+    big, small = lattice[a], lattice[b]
+    return len(row_echelon(big.basis + small.basis, p)[1]) == big.dim
 
 
 def lattice_points(t: FModuleTruncation) -> dict[MultiDegree, int]:
@@ -218,7 +190,7 @@ def enumerate_f_stable_submodules(
         else:
             below[position[tgt]].append(position[src])
     dims = list(points.values())
-    contains = {m: lattice_tables(t.p, m).contains for m in set(dims)}
+    sizes = [len(subspace_lattice(t.p, m)) for m in dims]
 
     codes: list[Code] = []
     ids = [0] * len(dims)
@@ -227,10 +199,11 @@ def enumerate_f_stable_submodules(
         if k == len(dims):
             codes.append(tuple(ids))
             return
-        table = contains[dims[k]]
-        for s in range(len(table)):
-            if all(table[ids[j]][s] for j in above[k]) and all(
-                table[s][ids[j]] for j in below[k]
+        # both ends of a constraint share one multiplicity space
+        m = dims[k]
+        for s in range(sizes[k]):
+            if all(lattice_contains(t.p, m, ids[j], s) for j in above[k]) and all(
+                lattice_contains(t.p, m, s, ids[j]) for j in below[k]
             ):
                 ids[k] = s
                 dfs(k + 1)
@@ -239,51 +212,27 @@ def enumerate_f_stable_submodules(
     return len(codes), codes
 
 
-class AntiNilpotenceWitness(NamedTuple):
-    smaller: Code
-    larger: Code
-    theta: MultiDegree
-
-
-def check_antinilpotent(
-    t: FModuleTruncation, codes: list[Code]
-) -> tuple[bool, AntiNilpotenceWitness | None]:
+def check_antinilpotent(t: FModuleTruncation, codes: list[Code]) -> bool:
     """Whether Frobenius acts injectively, over the box interior (the
     degrees whose image under F stays inside the box), on every quotient
     N/N' of two nested submodules whose codes
     enumerate_f_stable_submodules returned.  The list must hold the whole
-    module, the largest code, so one check of each N' against it decides;
-    only for the first N' that fails are the larger codes scanned, so the
-    witness is the first failing (smaller, larger, theta) with both codes
-    taken in list order and theta in the order of lattice_points."""
+    module, the largest code, so one check of each N' against it decides:
+    N'(p*theta) ⊆ N'(theta) at every interior theta, or, for the zero
+    map, N'(theta) the full space."""
     points = lattice_points(t)
-    thetas = list(points)
-    tables = [lattice_tables(t.p, m) for m in points.values()]
-    column = {theta: k for k, theta in enumerate(thetas)}
-    whole = tuple(len(table.index) - 1 for table in tables)
+    dims = list(points.values())
+    column = {theta: k for k, theta in enumerate(points)}
+    whole = tuple(len(subspace_lattice(t.p, m)) - 1 for m in dims)
     if codes and whole not in codes:
         raise ValueError("the codes do not include the whole module")
     interior = [
         (k, column[tuple(t.p * v for v in theta)])
-        for k, theta in enumerate(thetas)
+        for k, theta in enumerate(points)
         if all(t.p * v >= -t.extension_depth for v in theta)
     ]
-
-    def fails(small: Code, large: Code, k: int, pk: int) -> bool:
-        # the part of N(theta) that F sends into N'(p*theta) must lie in N'(theta)
-        table = tables[k]
-        held = large[k] if t.zero_frobenius else table.meet[large[k]][small[pk]]
-        return not table.contains[small[k]][held]
-
-    for code in codes:
-        if not any(fails(code, whole, k, pk) for k, pk in interior):
-            continue
-        for other in codes:
-            if other == code or not all(
-                table.contains[a][b] for table, a, b in zip(tables, other, code)
-            ):
-                continue
-            for k, pk in interior:
-                if fails(code, other, k, pk):
-                    return False, AntiNilpotenceWitness(code, other, thetas[k])
-    return True, None
+    if t.zero_frobenius:
+        return all(code[k] == whole[k] for code in codes for k, _ in interior)
+    return all(
+        lattice_contains(t.p, dims[k], code[k], code[pk]) for code in codes for k, pk in interior
+    )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .errors import CapacityError, DimensionMismatchError
+from .errors import CapacityError
 from .record import record
 
 MAX_PRIME = 2**15
@@ -98,58 +98,9 @@ class Subspace:
         return len(self.basis)
 
     @classmethod
-    def zero(cls, p: int, ambient_dim: int) -> "Subspace":
-        return cls(p, ambient_dim, ())
-
-    @classmethod
     def from_vectors(cls, p: int, ambient_dim: int, vectors) -> "Subspace":
         echelon, _ = row_echelon(vectors, p, reduced=True)
         return cls(p, ambient_dim, tuple(map(tuple, echelon)))
-
-
-def _combine(coeffs, columns, p: int) -> tuple[int, ...]:
-    """The combination sum_i coeffs[i] * row_i, given the rows' columns."""
-    return tuple(sum(c * x for c, x in zip(coeffs, col)) % p for col in columns)
-
-
-def _check_compatible(a: Subspace, b: Subspace) -> None:
-    if a.p != b.p:
-        raise DimensionMismatchError("subspaces over different primes")
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionMismatchError(
-            f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}"
-        )
-
-
-def kernel_basis(a, p: int, cols: int | None = None) -> Subspace:
-    """Basis of {v : a v = 0} over F_p for the matrix with rows a; its
-    dimension is cols - rank(a).  cols defaults to the length of the
-    first row and is needed when a has no rows."""
-    cols = len(a[0]) if cols is None else cols
-    echelon, pivots = row_echelon(a, p, reduced=True)
-    vecs = []
-    for f in sorted(set(range(cols)) - set(pivots)):
-        v = [0] * cols
-        v[f] = 1
-        for c, row in zip(pivots, echelon):
-            v[c] = -row[f] % p
-        vecs.append(v)
-    return Subspace.from_vectors(p, cols, vecs)
-
-
-def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    """A ∩ B from one kernel: x = cA = dB exactly when (c, d) kills the
-    stacked rows [A; -B], and c determines x since A has full rank."""
-    _check_compatible(a, b)
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(a.p, a.ambient_dim)
-    stacked = a.basis + tuple(tuple(-x for x in row) for row in b.basis)
-    relations = kernel_basis(list(zip(*stacked)), a.p)
-    columns = list(zip(*a.basis))
-    # a relation is (c, d); _combine reads its first a.dim entries, c
-    return Subspace.from_vectors(
-        a.p, a.ambient_dim, [_combine(coeffs, columns, a.p) for coeffs in relations.basis]
-    )
 
 
 def enumerate_subspaces(p: int, dim: int, cap: int = DEFAULT_ENUM_CAP):

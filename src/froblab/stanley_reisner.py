@@ -16,12 +16,15 @@ from .simplicial import SimplicialComplex
 
 
 def nonface_ideal(c: SimplicialComplex) -> MonomialIdeal:
-    """Square-free generators: the minimal vertex sets that are not faces."""
+    """Square-free generators: the minimal vertex sets that are not faces.
+
+    Dropping a vertex from a minimal nonface leaves a face, so none has
+    more than dim + 2 vertices."""
     if c.is_void:
         raise UnsupportedInputError("the void complex has no face ring")
     n = c.n_vertices
     minimal = []
-    for size in range(1, n + 1):
+    for size in range(1, min(n, c.dim + 2) + 1):
         for sub in itertools.combinations(range(n), size):
             if c.is_face(sub):
                 continue

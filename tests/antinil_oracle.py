@@ -3,26 +3,28 @@ kept as test oracles.
 
 froblab.fmodule holds each graded submodule as a code, one index into
 subspace_lattice per point of lattice_points, and decides
-anti-nilpotence by lookups in the lattice's containment and meet tables.
-These are the loops they replaced: a depth-first search that holds
-Subspace objects and tests each constraint with subspace_contains, and a
-check over every ordered pair of profiles that walks every vector of the
-larger subspace at every interior multidegree.  The search turns each
-leaf into a Profile on its own, grouping the Subspace objects into one
-set per face; decode turns a code into the same Profile.  Pure helpers
-are memoized; that changes no result.
+anti-nilpotence with one check of each code against the whole module,
+returning only the verdict.  These are the loops they replaced: a
+depth-first search that holds Subspace objects and tests each constraint
+with subspace_contains, and a check over every ordered pair of profiles
+that walks every vector of the larger subspace at every interior
+multidegree and names the first failing pair and multidegree, the
+witness.  The search turns each leaf into a Profile on its own, grouping
+the Subspace objects into one set per face; decode turns a code into the
+same Profile.  Pure helpers are memoized; that changes no result.
 """
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from box_oracle import neg_support as _neg_support
 from element_model import search_space_size
 from froblab.errors import CapacityError
-from froblab.fmodule import AntiNilpotenceWitness, _constraints, lattice_points
-from froblab.gfp_linalg import DEFAULT_ENUM_CAP, Subspace, subspace_lattice
+from froblab.fmodule import _constraints, lattice_points
+from froblab.gfp_linalg import DEFAULT_ENUM_CAP, subspace_lattice
 from perp_oracle import contains_vector as _contains_vector
-from perp_oracle import subspace_contains, subspace_vectors
+from perp_oracle import subspace_contains, subspace_vectors, zero_subspace
 
 
 # the searches meet the same few arguments over and over
@@ -34,6 +36,14 @@ contains_vector = functools.lru_cache(maxsize=None)(_contains_vector)
 @functools.lru_cache(maxsize=None)
 def vectors(subspace):
     return tuple(subspace_vectors(subspace))
+
+
+class AntiNilpotenceWitness(NamedTuple):
+    """Frobenius is not injective on larger/smaller at theta."""
+
+    smaller: "Profile"
+    larger: "Profile"
+    theta: tuple
 
 
 @dataclass(frozen=True)
@@ -58,7 +68,7 @@ def subspace_at(profile, theta, ambient, p):
     for th, s in profile.assignments:
         if th == theta:
             return s
-    return Subspace.zero(p, ambient)
+    return zero_subspace(p, ambient)
 
 
 def profile_contains(large, small, dims, p):
@@ -143,7 +153,7 @@ def antinilpotent_by_pairs(t, profiles):
         for theta in points
         if all(t.p * v >= -t.extension_depth for v in theta)
     ]
-    zero = {m: Subspace.zero(t.p, m) for m in set(points.values())}
+    zero = {m: zero_subspace(t.p, m) for m in set(points.values())}
     # each profile's assignments as a map, omitted multidegrees being zero
     at = [dict(prof.assignments) for prof in profiles]
     for small, small_at in zip(profiles, at):

@@ -6,10 +6,11 @@ magnitudes of the strictly negative exponents, supported exactly on nu,
 and an element is a map from basis elements to nonzero coefficients.
 x_j and F act on elements by the rules in the froblab.fmodule docstring,
 and f_stable_span closes a set of elements under them inside the box and
-returns the code of the span.  The same rules give two paper features
-that the froblab command does not run and the acceptance suite checks:
-the model of M<x^{-1}> (adjoin_inverse_variable) and the monomial
-annihilator of a submodule (annihilator_up_to_cap).
+returns the code of the span; face_submodel keeps only some face blocks
+of a model.  The same rules give two paper features that the froblab
+command does not run and the acceptance suite checks: the model of
+M<x^{-1}> (adjoin_inverse_variable) and the monomial annihilator of a
+submodule (annihilator_up_to_cap).
 """
 
 import itertools
@@ -17,11 +18,11 @@ from typing import NamedTuple
 
 from box_oracle import neg_support
 from froblab.errors import UnsupportedInputError
-from froblab.fmodule import FModuleTruncation, _profile_count, lattice_points, lattice_tables
-from froblab.gfp_linalg import Subspace
+from froblab.fmodule import FModuleTruncation, _profile_count, lattice_points
+from froblab.gfp_linalg import Subspace, subspace_lattice
 from froblab.polyfp import MonomialIdeal
 from froblab.simplicial import Face
-from perp_oracle import contains_vector, subspace_sum
+from perp_oracle import contains_vector, subspace_sum, zero_subspace
 
 
 class BasisElement(NamedTuple):
@@ -87,7 +88,7 @@ def f_stable_span(t, generators):
     closed under the variable action inside the box and under F into the
     box."""
     points = lattice_points(t)
-    spans = {theta: Subspace.zero(t.p, m) for theta, m in points.items()}
+    spans = {theta: zero_subspace(t.p, m) for theta, m in points.items()}
 
     def vector_of(el):
         degs = {degree_of(b) for b in el}
@@ -123,7 +124,14 @@ def f_stable_span(t, generators):
             ptheta = tuple(t.p * v for v in theta)
             if ptheta != theta and ptheta in points:
                 add(ptheta, vec)
-    return tuple(lattice_tables(t.p, m).index[spans[theta]] for theta, m in points.items())
+    return tuple(subspace_lattice(t.p, m).index(spans[theta]) for theta, m in points.items())
+
+
+def face_submodel(t, faces):
+    """The sub-model of t spanned by the face blocks of the given faces."""
+    kept = {tuple(sorted(nu)) for nu in faces}
+    summands = tuple((nu, m) for nu, m in t.summands if nu in kept)
+    return FModuleTruncation(t.p, t.n_vars, t.index, t.depth, summands, t.zero_frobenius)
 
 
 def adjoin_inverse_variable(t):

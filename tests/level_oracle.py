@@ -12,7 +12,7 @@ levels."""
 import itertools
 
 from froblab.errors import CapacityError
-from froblab.gfp_linalg import kernel_basis, row_echelon
+from froblab.gfp_linalg import row_echelon
 from froblab.hypersurface import (
     LocalCohomClass,
     _normal_form,
@@ -21,6 +21,7 @@ from froblab.hypersurface import (
     level_top_degree,
 )
 from froblab.polyfp import PolynomialFp
+from perp_oracle import kernel_basis
 
 
 def level_form(h, t, g):

@@ -1,19 +1,53 @@
-"""Subspace intersection through orthogonal complements, kept as a test
-oracle.
+"""Subspace operations that froblab itself never needs, kept as test
+oracles.
 
-froblab.gfp_linalg.subspace_intersection reads A ∩ B off one kernel of
-the stacked bases.  This is the route it replaced: (U + V)^perp =
-U^perp ∩ V^perp, and perp is an involution for the standard pairing, so
-A ∩ B = (A^perp + B^perp)^perp.  The sum U + V, membership of a vector,
-containment of subspaces and the list of all vectors of a subspace,
-which froblab itself never needs, live here too.
+froblab decides only whether one subspace contains another, by whether
+stacking their bases adds a pivot (froblab.fmodule.lattice_contains).
+Here live the error for operands of different ambient spaces, the
+kernel of a matrix, the zero subspace, the sum U + V, membership of a
+vector, containment of subspaces, the list of all vectors of a
+subspace, and the intersection through orthogonal complements:
+(U + V)^perp = U^perp ∩ V^perp, and perp is an involution for the
+standard pairing, so A ∩ B = (A^perp + B^perp)^perp.
 """
 
 import functools
 import itertools
 
-from froblab.errors import DimensionMismatchError
-from froblab.gfp_linalg import Subspace, _check_compatible, _combine, kernel_basis
+from froblab.gfp_linalg import Subspace, row_echelon
+
+
+class DimensionMismatchError(ValueError):
+    """Operands live in different ambient spaces."""
+
+
+def check_compatible(a: Subspace, b: Subspace) -> None:
+    if a.p != b.p:
+        raise DimensionMismatchError("subspaces over different primes")
+    if a.ambient_dim != b.ambient_dim:
+        raise DimensionMismatchError(
+            f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}"
+        )
+
+
+def zero_subspace(p: int, ambient_dim: int) -> Subspace:
+    return Subspace(p, ambient_dim, ())
+
+
+def kernel_basis(a, p: int, cols: int | None = None) -> Subspace:
+    """Basis of {v : a v = 0} over F_p for the matrix with rows a; its
+    dimension is cols - rank(a).  cols defaults to the length of the
+    first row and is needed when a has no rows."""
+    cols = len(a[0]) if cols is None else cols
+    echelon, pivots = row_echelon(a, p, reduced=True)
+    vecs = []
+    for f in sorted(set(range(cols)) - set(pivots)):
+        v = [0] * cols
+        v[f] = 1
+        for c, row in zip(pivots, echelon):
+            v[c] = -row[f] % p
+        vecs.append(v)
+    return Subspace.from_vectors(p, cols, vecs)
 
 
 def contains_vector(s: Subspace, v) -> bool:
@@ -28,7 +62,7 @@ def contains_vector(s: Subspace, v) -> bool:
 
 
 def subspace_contains(a: Subspace, b: Subspace) -> bool:
-    _check_compatible(a, b)
+    check_compatible(a, b)
     return all(contains_vector(a, row) for row in b.basis)
 
 
@@ -37,11 +71,11 @@ def subspace_vectors(s: Subspace):
     # zip of no rows gives no columns, but the zero vector has ambient_dim
     columns = list(zip(*s.basis)) if s.basis else [()] * s.ambient_dim
     for coeffs in itertools.product(range(s.p), repeat=s.dim):
-        yield _combine(coeffs, columns, s.p)
+        yield tuple(sum(c * x for c, x in zip(coeffs, col)) % s.p for col in columns)
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    _check_compatible(a, b)
+    check_compatible(a, b)
     return Subspace.from_vectors(a.p, a.ambient_dim, a.basis + b.basis)
 
 

@@ -19,7 +19,8 @@ from corpus import (
     TWO_POINTS,
     acceptance_corpus,
 )
-from element_model import adjoin_inverse_variable, annihilator_up_to_cap
+from antinil_oracle import antinilpotent_by_pairs, decode
+from element_model import adjoin_inverse_variable, annihilator_up_to_cap, face_submodel
 from helpers import (
     cone,
     irrelevant_ideal,
@@ -112,7 +113,7 @@ CORPUS_MODELS = [
     ("two points H^1 (p=3)", lambda: build_truncation(TWO_POINTS, 3, 1, 1)),
     (
         "triangle H^2 restricted",
-        lambda: build_truncation(TRIANGLE, 2, 2, 2, nu_filter=[(), (0,), (1,)]),
+        lambda: face_submodel(build_truncation(TRIANGLE, 2, 2, 2), [(), (0,), (1,)]),
     ),
 ]
 
@@ -121,10 +122,11 @@ def test_criterion_6_anti_nilpotence():
     with Budget("6 (anti-nilpotence)", 30):
         for name, make in CORPUS_MODELS:
             t = make()
-            ok, witness = check_antinilpotent(t, enumerate_f_stable_submodules(t)[1])
-            assert ok, name
+            assert check_antinilpotent(t, enumerate_f_stable_submodules(t)[1]), name
         fixture = build_truncation(POINT, 2, 1, 2, zero_frobenius=True)
-        ok, witness = check_antinilpotent(fixture, enumerate_f_stable_submodules(fixture)[1])
+        codes = enumerate_f_stable_submodules(fixture)[1]
+        assert not check_antinilpotent(fixture, codes)
+        ok, witness = antinilpotent_by_pairs(fixture, [decode(fixture, code) for code in codes])
         assert not ok and witness is not None
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from corpus import BOUNDARY_5
 from froblab.cli import main
+from test_acceptance import Budget
 
 
 def run_cli(args, capsys):
@@ -116,6 +117,34 @@ def test_threads_env_var(two_points_file, capsys, monkeypatch):
     monkeypatch.setenv("FROBLAB_THREADS", "zero")
     code, _, err = run_cli(["analyze-complex", two_points_file, "--prime", "2"], capsys)
     assert code == 1
+
+
+def test_bad_threads_fails_before_any_work(two_points_file, capsys, monkeypatch):
+    import froblab.hypersurface as hs
+    import froblab.local_cohomology as lc
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the analysis ran")
+
+    monkeypatch.setattr(lc, "oracle_box_check", unreachable)
+    monkeypatch.setattr(hs, "make_hypersurface", unreachable)
+    monkeypatch.setenv("FROBLAB_THREADS", "zero")
+    code, out, err = run_cli(["analyze-complex", two_points_file, "--prime", "2"], capsys)
+    assert (code, out, err) == (1, "", "error: FROBLAB_THREADS must be an integer, got 'zero'\n")
+    monkeypatch.setenv("FROBLAB_THREADS", "0")
+    code, out, err = run_cli(["analyze-hypersurface", "--poly", "x0^2", "--prime", "3"], capsys)
+    assert (code, out, err) == (1, "", "error: FROBLAB_THREADS must be positive\n")
+
+
+def test_seven_disjoint_edges_validate_their_first_model(tmp_path, capsys):
+    # the 6-dimensional multiplicity space at the origin has 2,825 subspaces
+    path = tmp_path / "seven_edges.facets"
+    path.write_text("".join(f"{2 * k} {2 * k + 1}\n" for k in range(7)))
+    with Budget("seven disjoint edges", 5):
+        code, out, err = run_cli(["analyze-complex", str(path), "--prime", "2", "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    (model,) = [m for m in json.loads(out)["models"] if m["i"] == 1]
+    assert (model["enumerated_count"], model["anti_nilpotent"]) == (2825, True)
 
 
 def test_analyze_complex_empty_file(tmp_path, capsys):

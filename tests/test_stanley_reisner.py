@@ -1,5 +1,7 @@
 from types import SimpleNamespace
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,6 +47,37 @@ def test_nonface_ideal_two_edges():
     gens = nonface_ideal(TWO_EDGES).generators
     # minimal nonfaces: the four cross pairs
     assert set(gens) == {(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)}
+
+
+def nonfaces_of_every_size(c):
+    """Minimal nonfaces searched over all 2^n vertex sets."""
+    n = c.n_vertices
+    minimal = [
+        tuple(1 if i in sub else 0 for i in range(n))
+        for size in range(1, n + 1)
+        for sub in itertools.combinations(range(n), size)
+        if not c.is_face(sub) and all(c.is_face(sub[:k] + sub[k + 1 :]) for k in range(size))
+    ]
+    return MonomialIdeal.from_generators(n, minimal)
+
+
+def test_nonface_ideal_matches_search_over_every_size_on_corpus():
+    for c in acceptance_corpus():
+        assert nonface_ideal(c) == nonfaces_of_every_size(c), c
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    st.integers(1, 7).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.sets(st.integers(0, n - 1)), min_size=1, max_size=5)
+        )
+    )
+)
+def test_nonface_ideal_matches_search_over_every_size(case):
+    n, facets = case
+    c = make_complex(n, [sorted(f) for f in facets])
+    assert nonface_ideal(c) == nonfaces_of_every_size(c)
 
 
 def minimal_primes(c):
