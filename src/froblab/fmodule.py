@@ -159,12 +159,6 @@ def _constraints(t: FModuleTruncation, points: dict[MultiDegree, int]):
     return cons
 
 
-def _profile_count(p: int, points: dict[MultiDegree, int]) -> int:
-    # one power per multiplicity: a running product of many factors is quadratic
-    dims = Counter(points.values())
-    return math.prod(num_subspaces(p, m) ** k for m, k in dims.items())
-
-
 def enumerate_f_stable_submodules(
     t: FModuleTruncation, cap: int = DEFAULT_ENUM_CAP
 ) -> tuple[int, list[Code]]:
@@ -173,11 +167,17 @@ def enumerate_f_stable_submodules(
     wherever its image stays inside the box; returns their number and the
     codes in search order.  Degrees outside the box are unconstrained, so
     no genuine submodule is ever rejected."""
-    points = lattice_points(t)
-    size = _profile_count(t.p, points)
+    # the summand of nu has (pT)^|nu| points, so the size is known before
+    # any point is listed; one power per multiplicity, as a running
+    # product of many factors is quadratic
+    exponents = Counter()
+    for nu, m in t.summands:
+        exponents[m] += t.extension_depth ** len(nu)
+    size = math.prod(num_subspaces(t.p, m) ** k for m, k in exponents.items())
     if size > cap:
         # str() of an integer past 4300 digits raises
         raise CapacityError(f"profile search space of {size.bit_length()} bits exceeds cap {cap}")
+    points = lattice_points(t)
     # every constraint is checked at whichever of its two points the
     # search assigns later: there the current index is the source
     # (bounded by the target above) or the target (bounding the source)

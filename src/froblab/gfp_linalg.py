@@ -39,8 +39,21 @@ def check_prime(p: int) -> int:
     return p
 
 
+def check_p_power(q: int, p: int) -> None:
+    """Raise ValueError unless q = p^e for some e >= 0."""
+    if q < 1:
+        raise ValueError(f"{q} is not a power of {p}")
+    while q % p == 0:
+        q //= p
+    if q != 1:
+        raise ValueError(f"{q} is not a power of {p}")
+
+
 def _lead(v: list[int], start: int = 0) -> int | None:
-    return next((j for j in range(start, len(v)) if v[j]), None)
+    for j in range(start, len(v)):
+        if v[j]:
+            return j
+    return None
 
 
 def row_echelon(rows, p: int, reduced: bool = False) -> tuple[list[list[int]], tuple[int, ...]]:

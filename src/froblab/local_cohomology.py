@@ -9,7 +9,9 @@ and checks it against an independent oracle that evaluates a
 multidegree piece directly from the monomial-localization complex.
 Both depend on a multidegree only through its sign pattern, and both
 vanish unless that pattern splits a face, so the oracle box is checked
-once per such pattern, not once per box point.
+once per such pattern, not once per box point.  The oracle holds faces
+and the two halves of a pattern as vertex bitmasks, with one table of
+face masks per complex.
 
 The table is not a module decomposition: x_j maps the block of nu into
 the block of nu minus {j}, often by a nonzero map, so H^i_m(R) is not a
@@ -25,13 +27,12 @@ import math
 from functools import lru_cache
 
 from .errors import OracleMismatchError
-from .gfp_linalg import check_prime, num_subspaces
+from .gfp_linalg import check_prime, num_subspaces, row_echelon
 from .record import record
 from .simplicial import (
     Face,
     SimplicialComplex,
     all_faces,
-    cochain_cohomology,
     link,
     reduced_cohomology,
 )
@@ -86,19 +87,53 @@ def decomposition(c: SimplicialComplex, p: int) -> LocalCohomologyTable:
 
 
 @lru_cache(maxsize=None)
+def _face_masks(c: SimplicialComplex) -> tuple[dict[int, tuple[int, ...]], frozenset[int]]:
+    """The faces of c as vertex bitmasks, grouped by size, and their set."""
+    by_size: dict[int, list[int]] = {}
+    for sigma in all_faces(c):
+        by_size.setdefault(len(sigma), []).append(sum(1 << v for v in sigma))
+    masks = frozenset(m for ms in by_size.values() for m in ms)
+    return {k: tuple(ms) for k, ms in by_size.items()}, masks
+
+
+@lru_cache(maxsize=None)
 def _cech_dims_by_signs(c: SimplicialComplex, p: int, nu: Face, pi: Face) -> tuple[tuple[int, int], ...]:
     """Cohomology of the single-multidegree piece of the localization
     complex.  The term in cohomological degree i has one F_p summand for
     each face sigma with |sigma| = i, nu contained in sigma, and
     sigma union pi a face; differentials carry the usual alternating
-    signs.  Depends on theta only through the sign pattern (nu, pi)."""
-    nu_set = set(nu)
-    pi_set = set(pi)
-    cochains: dict[int, list[Face]] = {}
-    for sigma in all_faces(c):
-        if nu_set <= set(sigma) and c.is_face(set(sigma) | pi_set):
-            cochains.setdefault(len(sigma), []).append(sigma)
-    return cochain_cohomology(cochains, p)
+    signs.  Depends on theta only through the sign pattern (nu, pi).
+
+    Faces are vertex bitmasks: the coboundary sends sigma to the faces
+    tau = sigma + {v}, with the sign (-1)^k of coboundary_matrix, k the
+    number of vertices of tau below v."""
+    by_size, masks = _face_masks(c)
+    nu_mask = sum(1 << v for v in nu)
+    pi_mask = sum(1 << v for v in pi)
+    cochains = {}
+    for size, ms in by_size.items():
+        kept = [m for m in ms if m & nu_mask == nu_mask and m | pi_mask in masks]
+        if kept:
+            cochains[size] = kept
+    ranks = {}
+    for size, src in cochains.items():
+        column = {m: k for k, m in enumerate(src)}
+        rows = []
+        for tau in cochains.get(size + 1, ()):
+            row = [0] * len(src)
+            sign = 1
+            rest = tau
+            while rest:
+                bit = rest & -rest
+                k = column.get(tau ^ bit)
+                if k is not None:
+                    row[k] = sign
+                sign = -sign
+                rest ^= bit
+            rows.append(row)
+        ranks[size] = len(row_echelon(rows, p)[1]) if rows else 0
+    dims = ((d, len(fs) - ranks[d] - ranks.get(d - 1, 0)) for d, fs in sorted(cochains.items()))
+    return tuple((d, h) for d, h in dims if h)
 
 
 def oracle_box_check(

@@ -1,8 +1,9 @@
-"""Multivariate polynomials and monomial ideals over F_p.
+"""Multivariate polynomials over F_p.
 
-Monomials are exponent tuples of fixed length.  Membership in monomial
-ideals is read off the generators; the hypersurface levels, the only
-other ideals decided, get their normal form in froblab.hypersurface.
+Monomials are exponent tuples of fixed length.  The hypersurface levels,
+the only ideals of polynomials decided, get their normal form in
+froblab.hypersurface; monomial ideals live with the face rings, in
+froblab.stanley_reisner, so analyze-complex never loads this module.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError
-from .gfp_linalg import check_prime
+from .gfp_linalg import check_p_power, check_prime
 from .record import record
 
 Monomial = tuple[int, ...]
@@ -22,10 +23,6 @@ def mono_deg(m: Monomial) -> int:
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
 
 
 def mono_to_text(m: Monomial) -> str:
@@ -131,7 +128,7 @@ class PolynomialFp:
 
     def frobenius(self, q: int) -> "PolynomialFp":
         """q-th power for q a power of p: exponents scale, coefficients fixed."""
-        _check_p_power(q, self.p)
+        check_p_power(q, self.p)
         return PolynomialFp.make(
             self.p, self.n_vars, {tuple(e * q for e in m): c for m, c in self.terms}
         )
@@ -239,61 +236,3 @@ def parse_polynomial(text: str, p: int, n_vars: int | None = None) -> Polynomial
         m = tuple(expo.get(j, 0) for j in range(n))
         coeffs[m] = (coeffs.get(m, 0) + c) % p
     return PolynomialFp.make(p, n, coeffs)
-
-
-def _check_p_power(q: int, p: int) -> None:
-    if q < 1:
-        raise ValueError(f"{q} is not a power of {p}")
-    while q % p == 0:
-        q //= p
-    if q != 1:
-        raise ValueError(f"{q} is not a power of {p}")
-
-
-@record
-class MonomialIdeal:
-    """Monomial ideal given by its unique antichain of minimal generators."""
-
-    n_vars: int
-    generators: tuple[Monomial, ...]
-
-    def __post_init__(self):
-        for g in self.generators:
-            if len(g) != self.n_vars or any(e < 0 for e in g):
-                raise ValueError("bad generator")
-        if self.generators != _antichain(self.n_vars, self.generators):
-            raise ValueError("generators not a canonical antichain")
-
-    @classmethod
-    def from_generators(cls, n_vars: int, gens) -> "MonomialIdeal":
-        return cls(n_vars, _antichain(n_vars, [tuple(g) for g in gens]))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.generators
-
-    def contains_monomial(self, m: Monomial) -> bool:
-        return any(mono_divides(g, m) for g in self.generators)
-
-    def to_text(self) -> str:
-        if self.is_zero:
-            return "(0)"
-        return "(" + ", ".join(mono_to_text(g) for g in sorted(self.generators, reverse=True)) + ")"
-
-
-def _antichain(n_vars: int, gens: list[Monomial]) -> tuple[Monomial, ...]:
-    gens = sorted(set(gens))
-    kept = [
-        g
-        for g in gens
-        if not any(h != g and mono_divides(h, g) for h in gens)
-    ]
-    return tuple(sorted(kept))
-
-
-def frobenius_power(ideal: MonomialIdeal, q: int, p: int) -> MonomialIdeal:
-    """Generator-wise q-th power for q = p^e (e >= 0)."""
-    _check_p_power(q, p)
-    return MonomialIdeal.from_generators(
-        ideal.n_vars, [tuple(e * q for e in g) for g in ideal.generators]
-    )

@@ -7,7 +7,9 @@ immutable value:
     the same name giving a default, and then runs the class's
     __post_init__, if any;
   * two instances of one class are equal when their tuples of fields
-    are, and the hash is that of the tuple;
+    are, and the hash is that of the tuple, computed on first use and
+    kept outside the fields (a complex is looked up in several caches,
+    and hashing it walks all its facets);
   * assigning or deleting an attribute raises AttributeError.
 
 __post_init__ may store derived attributes with object.__setattr__;
@@ -45,7 +47,11 @@ def record(cls):
         return values(self) == values(other)
 
     def __hash__(self):
-        return hash(values(self))
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash(values(self))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self):
         return f"{cls.__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in fields)})"

@@ -1,7 +1,10 @@
-"""Face rings K[Delta] = S/I_Delta over F_p.
+"""Face rings K[Delta] = S/I_Delta over F_p, and monomial ideals.
 
-The nonface ideal and Fedder's F-purity test read off the minimal
-nonfaces.
+Monomials are exponent tuples of fixed length, and a monomial ideal is
+held by its minimal generators; membership is read off them.  The
+nonface ideal and Fedder's F-purity test read off the minimal nonfaces.
+Nothing here needs the polynomial layer (froblab.polyfp), which
+analyze-complex therefore never loads.
 """
 
 from __future__ import annotations
@@ -9,10 +12,75 @@ from __future__ import annotations
 import itertools
 
 from .errors import UnsupportedInputError
-from .gfp_linalg import check_prime
-from .polyfp import MonomialIdeal, frobenius_power
+from .gfp_linalg import check_p_power, check_prime
 from .record import record
 from .simplicial import SimplicialComplex
+
+Monomial = tuple[int, ...]
+
+
+def mono_divides(a: Monomial, b: Monomial) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _mono_text(m: Monomial) -> str:
+    # the same notation as froblab.polyfp.mono_to_text
+    parts = []
+    for i, e in enumerate(m):
+        if e == 1:
+            parts.append(f"x{i}")
+        elif e > 1:
+            parts.append(f"x{i}^{e}")
+    return "*".join(parts) if parts else "1"
+
+
+@record
+class MonomialIdeal:
+    """Monomial ideal given by its unique antichain of minimal generators."""
+
+    n_vars: int
+    generators: tuple[Monomial, ...]
+
+    def __post_init__(self):
+        for g in self.generators:
+            if len(g) != self.n_vars or any(e < 0 for e in g):
+                raise ValueError("bad generator")
+        if self.generators != _antichain(self.n_vars, self.generators):
+            raise ValueError("generators not a canonical antichain")
+
+    @classmethod
+    def from_generators(cls, n_vars: int, gens) -> "MonomialIdeal":
+        return cls(n_vars, _antichain(n_vars, [tuple(g) for g in gens]))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.generators
+
+    def contains_monomial(self, m: Monomial) -> bool:
+        return any(mono_divides(g, m) for g in self.generators)
+
+    def to_text(self) -> str:
+        if self.is_zero:
+            return "(0)"
+        return "(" + ", ".join(_mono_text(g) for g in sorted(self.generators, reverse=True)) + ")"
+
+
+def _antichain(n_vars: int, gens: list[Monomial]) -> tuple[Monomial, ...]:
+    gens = sorted(set(gens))
+    kept = [
+        g
+        for g in gens
+        if not any(h != g and mono_divides(h, g) for h in gens)
+    ]
+    return tuple(sorted(kept))
+
+
+def frobenius_power(ideal: MonomialIdeal, q: int, p: int) -> MonomialIdeal:
+    """Generator-wise q-th power for q = p^e (e >= 0)."""
+    check_p_power(q, p)
+    return MonomialIdeal.from_generators(
+        ideal.n_vars, [tuple(e * q for e in g) for g in ideal.generators]
+    )
 
 
 def nonface_ideal(c: SimplicialComplex) -> MonomialIdeal:

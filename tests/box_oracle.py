@@ -1,4 +1,5 @@
-"""Per-multidegree and per-sign-pattern references for the graded oracle box.
+"""Per-multidegree, per-sign-pattern and per-face-tuple references for
+the graded oracle box.
 
 froblab.local_cohomology.oracle_box_check evaluates only the sign
 patterns of theta that split a face into its negative and positive
@@ -8,7 +9,9 @@ cech_graded_oracle evaluates it from the localization complex;
 oracle_box_check_per_theta compares them at every point of the box
 [lo, hi]^n, and oracle_box_check_by_signs once per sign pattern, 3^n of
 them.  graded_dim looks decomposition up on the module, so a
-monkeypatched table reaches every route.
+monkeypatched table reaches every route.  cech_dims_by_face_tuples
+builds one pattern's piece from face tuples, by a scan of all_faces and
+an is_face test per face, where froblab works on vertex bitmasks.
 """
 
 import itertools
@@ -16,6 +19,7 @@ import math
 
 from froblab import local_cohomology as lc
 from froblab.gfp_linalg import check_prime
+from froblab.simplicial import all_faces, cochain_cohomology
 
 
 def neg_support(theta):
@@ -48,6 +52,18 @@ def cech_graded_oracle(c, p, theta):
     check_prime(p)
     theta = tuple(int(t) for t in theta)
     return dict(lc._cech_dims_by_signs(c, p, neg_support(theta), pos_support(theta)))
+
+
+def cech_dims_by_face_tuples(c, p, nu, pi):
+    """Nonzero (degree, dim) of the piece of sign pattern (nu, pi): one
+    cochain per face sigma containing nu with sigma union pi a face, in
+    degree |sigma|, and the coboundary of simplicial.coboundary_matrix."""
+    nu_set, pi_set = set(nu), set(pi)
+    cochains = {}
+    for sigma in all_faces(c):
+        if nu_set <= set(sigma) and c.is_face(set(sigma) | pi_set):
+            cochains.setdefault(len(sigma), []).append(sigma)
+    return cochain_cohomology(cochains, p)
 
 
 def oracle_box_check_per_theta(c, p, lo=-3, hi=1):

@@ -8,7 +8,7 @@ monomial ideals and the containment of one in another, which froblab
 itself never needs, live here too.
 """
 
-from froblab.polyfp import MonomialIdeal, frobenius_power
+from froblab.stanley_reisner import MonomialIdeal, frobenius_power
 
 
 def contains_ideal(a: MonomialIdeal, b: MonomialIdeal) -> bool:

@@ -14,14 +14,16 @@ submodule (annihilator_up_to_cap).
 """
 
 import itertools
+import math
+from collections import Counter
 from typing import NamedTuple
 
 from box_oracle import neg_support
 from froblab.errors import UnsupportedInputError
-from froblab.fmodule import FModuleTruncation, _profile_count, lattice_points
-from froblab.gfp_linalg import Subspace, subspace_lattice
-from froblab.polyfp import MonomialIdeal
+from froblab.fmodule import FModuleTruncation, lattice_points
+from froblab.gfp_linalg import Subspace, num_subspaces, subspace_lattice
 from froblab.simplicial import Face
+from froblab.stanley_reisner import MonomialIdeal
 from perp_oracle import contains_vector, subspace_sum, zero_subspace
 
 
@@ -79,8 +81,11 @@ def apply_F(t, v):
 
 
 def search_space_size(t):
-    """Number of graded profiles of the box, F-stable or not."""
-    return _profile_count(t.p, lattice_points(t))
+    """Number of graded profiles of the box, F-stable or not, counted
+    over the listed points (froblab counts them from the summands)."""
+    # one power per multiplicity: a running product of many factors is quadratic
+    dims = Counter(lattice_points(t).values())
+    return math.prod(num_subspaces(t.p, m) ** k for m, k in dims.items())
 
 
 def f_stable_span(t, generators):

@@ -12,8 +12,9 @@ from colon_oracle import contains_ideal, monomial_ideal_sum
 from element_model import apply_x
 from froblab.errors import UnsupportedInputError
 from froblab.gfp_linalg import check_prime, row_echelon
-from froblab.polyfp import MonomialIdeal, PolynomialFp
+from froblab.polyfp import PolynomialFp
 from froblab.simplicial import SimplicialComplex, coboundary_matrix, faces, make_complex
+from froblab.stanley_reisner import MonomialIdeal
 
 
 def apply_monomial(t, exponents, v):

@@ -13,7 +13,7 @@ every nonzero square-free monomial ideal contains f.
 
 import itertools
 
-from froblab.polyfp import MonomialIdeal, frobenius_power, mono_divides
+from froblab.stanley_reisner import MonomialIdeal, frobenius_power, mono_divides
 
 
 def antichains(points):

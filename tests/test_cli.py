@@ -430,7 +430,7 @@ def test_each_command_loads_only_its_own_modules(triangle_file):
     ]
     assert loaded_after_run(["analyze-complex", triangle_file, "--prime", "2"]) == [
         "0", "froblab.simplicial", "froblab.local_cohomology", "froblab.stanley_reisner",
-        "froblab.fmodule", "froblab.polyfp",
+        "froblab.fmodule",
     ]
 
 

@@ -30,6 +30,7 @@ from element_model import (
 )
 from helpers import apply_monomial, is_squarefree, prime_to_ideal, squarefree_minimal_primes
 from test_acceptance import CORPUS_MODELS
+from froblab import fmodule
 from froblab.errors import CapacityError, UnsupportedInputError
 from froblab.fmodule import (
     build_truncation,
@@ -37,7 +38,7 @@ from froblab.fmodule import (
     enumerate_f_stable_submodules,
     lattice_points,
 )
-from froblab.gfp_linalg import DEFAULT_ENUM_CAP
+from froblab.gfp_linalg import DEFAULT_ENUM_CAP, subspace_lattice
 from froblab.local_cohomology import decomposition, fh_count
 from froblab.simplicial import from_facets, make_complex
 
@@ -205,6 +206,22 @@ def test_capacity_message_of_a_huge_search_space(c, i):
     assert str(info.value) == f"profile search space of {size.bit_length()} bits exceeds cap {DEFAULT_ENUM_CAP}"
 
 
+def test_cap_is_checked_before_any_point_is_listed(monkeypatch):
+    t = build_truncation(TRIANGLE, 2, 2, 1)
+    size = search_space_size(t)
+
+    def no_points(t):
+        raise AssertionError("points listed for a capped model")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fmodule, "lattice_points", no_points)
+        with pytest.raises(CapacityError) as info:
+            enumerate_f_stable_submodules(t, size - 1)
+    assert str(info.value) == f"profile search space of {size.bit_length()} bits exceeds cap {size - 1}"
+    count, codes = enumerate_f_stable_submodules(t, size)
+    assert count == len(codes) == fh_count(TRIANGLE, 2, 2)
+
+
 def test_antinilpotent_on_models():
     for t in (
         two_points_model(),
@@ -223,6 +240,24 @@ def test_antinilpotent_fails_for_zero_frobenius_fixture():
     ok, witness = antinilpotent_by_pairs(t, [decode(t, code) for code in codes])
     assert not ok
     assert profile_contains(witness.larger, witness.smaller, lattice_points(t), t.p)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: line_model(T=2), lambda: two_points_model(T=2, p=3)], ids=["line", "two-points"]
+)
+def test_antinilpotence_sends_p_theta_into_theta(make):
+    # bad is the whole module but for the zero subspace at an interior
+    # theta of magnitude one, which no other point maps to: N(p*theta) is
+    # the full space and not in N(theta), though N(theta) is in N(p*theta)
+    t = make()
+    points = lattice_points(t)
+    whole = tuple(len(subspace_lattice(t.p, m)) - 1 for m in points.values())
+    theta = next(th for th in points if min(th) == -1)
+    assert tuple(t.p * v for v in theta) in points
+    bad = tuple(0 if point == theta else s for point, s in zip(points, whole))
+    assert check_antinilpotent(t, [whole, bad]) is False
+    ok, witness = antinilpotent_by_pairs(t, [decode(t, whole), decode(t, bad)])
+    assert not ok and witness.theta == theta
 
 
 def is_whole_module(t, code):

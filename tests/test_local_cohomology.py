@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from box_oracle import (
+    cech_dims_by_face_tuples,
     cech_graded_oracle,
     graded_dim,
     oracle_box_check_by_signs,
@@ -121,6 +122,30 @@ def complexes(draw, max_vertices=5):
 def test_sign_patterns_match_per_theta_loop_on_random_complexes(c, p, box):
     lo, hi = box
     assert oracle_box_check(c, p, lo, hi) == oracle_box_check_per_theta(c, p, lo, hi)
+
+
+def assert_pieces_match_face_tuples(c, p):
+    """Every sign pattern (nu, pi) of the vertices, those that split no
+    face included: there both routes must give no cohomology."""
+    for signs in itertools.product((-1, 0, 1), repeat=c.n_vertices):
+        nu = tuple(v for v, s in enumerate(signs) if s < 0)
+        pi = tuple(v for v, s in enumerate(signs) if s > 0)
+        expected = cech_dims_by_face_tuples(c, p, nu, pi)
+        assert lc._cech_dims_by_signs(c, p, nu, pi) == expected, (c, p, nu, pi)
+        if not c.is_face(nu + pi):
+            assert expected == ()
+
+
+def test_bitmask_pieces_match_face_tuples_on_corpus():
+    for c in acceptance_corpus():
+        for p in (2, 3):
+            assert_pieces_match_face_tuples(c, p)
+
+
+@settings(derandomize=True, deadline=None)
+@given(complexes(), st.sampled_from([2, 3]))
+def test_bitmask_pieces_match_face_tuples_on_random_complexes(c, p):
+    assert_pieces_match_face_tuples(c, p)
 
 
 def test_face_walk_matches_sign_pattern_loop():

@@ -9,12 +9,8 @@ from level_oracle import level_contains, level_generators, monomials_of_degree
 
 from froblab.errors import ParseError, UnsupportedInputError
 from froblab.hypersurface import make_hypersurface
-from froblab.polyfp import (
-    MonomialIdeal,
-    PolynomialFp,
-    frobenius_power,
-    parse_polynomial,
-)
+from froblab.polyfp import PolynomialFp, parse_polynomial
+from froblab.stanley_reisner import MonomialIdeal, frobenius_power
 
 
 def poly(text, p, n=None):

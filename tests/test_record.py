@@ -12,9 +12,9 @@ from froblab.hypersurface import (
     TightClosureVerdict,
 )
 from froblab.local_cohomology import LocalCohomologyTable
-from froblab.polyfp import MonomialIdeal, PolynomialFp, parse_polynomial
+from froblab.polyfp import PolynomialFp, parse_polynomial
 from froblab.simplicial import CohomologyProfile, SimplicialComplex
-from froblab.stanley_reisner import FaceRing
+from froblab.stanley_reisner import FaceRing, MonomialIdeal
 
 PATH = SimplicialComplex(3, ((0, 1), (1, 2)))
 X0 = PolynomialFp(3, 2, (((1, 0), 1),))
@@ -76,7 +76,12 @@ def test_record_contract(make, make_bad, error):
     assert a is not b
     assert a == b and hash(a) == hash(b)
     assert a != object()
-    field = next(iter(type(a).__annotations__))
+    fields = tuple(type(a).__annotations__)
+    # the hash is computed once and kept outside the fields
+    assert hash(a) == hash(tuple(getattr(a, name) for name in fields)) == hash(a)
+    fresh = make()
+    assert repr(a) == repr(fresh) and a == fresh and fresh == a
+    field = fields[0]
     with pytest.raises(AttributeError):
         setattr(a, field, getattr(b, field))
     with pytest.raises(AttributeError):

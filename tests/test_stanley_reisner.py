@@ -15,9 +15,8 @@ from helpers import (
     splitting_containment_check,
     squarefree_minimal_primes,
 )
-from froblab.polyfp import MonomialIdeal
 from froblab.simplicial import from_facets, make_complex
-from froblab.stanley_reisner import FaceRing, fedder_fpure_monomial, nonface_ideal
+from froblab.stanley_reisner import FaceRing, MonomialIdeal, fedder_fpure_monomial, nonface_ideal
 
 TWO_POINTS = from_facets(2, [[0], [1]])
 TRIANGLE = from_facets(3, [[0, 1], [1, 2], [0, 2]])
