@@ -24,7 +24,8 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
 
 
 def _mono_text(m: Monomial) -> str:
-    # the same notation as froblab.polyfp.mono_to_text
+    # froblab.polyfp.mono_to_text, repeated so that analyze-complex
+    # never loads the polynomial layer
     parts = []
     for i, e in enumerate(m):
         if e == 1:
