@@ -95,7 +95,7 @@ def cmd_analyze_complex(args, threads: int) -> int:
     from .fmodule import build_truncation, check_antinilpotent, enumerate_f_stable_submodules
     from .local_cohomology import analysis_report, oracle_box_check
     from .simplicial import parse_facets_text
-    from .stanley_reisner import FaceRing, fedder_fpure_monomial
+    from .stanley_reisner import fedder_fpure_monomial, nonface_ideal
 
     try:
         with open(args.path, encoding="utf-8") as fh:
@@ -106,7 +106,7 @@ def cmd_analyze_complex(args, threads: int) -> int:
         return 1
     box_lo, box_hi = args.box
     analysis = analysis_report(complex_, p)
-    ring = FaceRing(complex_, p)
+    ideal = nonface_ideal(complex_)
     agree, mismatches = oracle_box_check(complex_, p, box_lo, box_hi)
 
     models = []
@@ -156,8 +156,8 @@ def cmd_analyze_complex(args, threads: int) -> int:
             "threads": threads,
         },
         "analysis": analysis,
-        "f_pure": fedder_fpure_monomial(ring),
-        "nonface_ideal": ring.nonface_ideal.to_text(),
+        "f_pure": fedder_fpure_monomial(ideal, p),
+        "nonface_ideal": ideal.to_text(),
         "models": models,
         "oracle_check": {
             "box": [box_lo, box_hi],

@@ -100,7 +100,7 @@ def build_truncation(
     table = decomposition(c, p)
     if i < 0 or i > c.dim + 1:
         raise ValueError(f"index {i} out of range [0, {c.dim + 1}]")
-    summands = tuple((nu, m) for ei, nu, m in table.entries if ei == i)
+    summands = tuple((nu, m) for ei, nu, m in table if ei == i)
     return FModuleTruncation(p, c.n_vertices, i, depth, summands, zero_frobenius)
 
 

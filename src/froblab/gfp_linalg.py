@@ -110,11 +110,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    @classmethod
-    def from_vectors(cls, p: int, ambient_dim: int, vectors) -> "Subspace":
-        echelon, _ = row_echelon(vectors, p, reduced=True)
-        return cls(p, ambient_dim, tuple(map(tuple, echelon)))
-
 
 def enumerate_subspaces(p: int, dim: int, cap: int = DEFAULT_ENUM_CAP):
     """Yield every subspace of F_p^dim exactly once, via rref normal forms."""

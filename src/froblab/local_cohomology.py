@@ -4,14 +4,16 @@ For a complex Delta with face ring R = K[Delta] and homogeneous maximal
 ideal m, the multidegree-theta piece of H^i_m(R) is nonzero only when
 theta has no positive entry and its negative support is a face nu; its
 dimension is then m(i, nu) = dim H~^{i-1-|nu|}(link(nu); F_p).  This
-module computes that table, which gives the graded dimensions exactly,
-and checks it against an independent oracle that evaluates a
-multidegree piece directly from the monomial-localization complex.
-Both depend on a multidegree only through its sign pattern, and both
-vanish unless that pattern splits a face, so the oracle box is checked
-once per such pattern, not once per box point.  The oracle holds faces
-and the two halves of a pattern as vertex bitmasks, with one table of
-face masks per complex.
+module computes that table, a tuple of entries (i, nu, m), which gives
+the graded dimensions exactly, and checks it against an independent
+oracle that evaluates a multidegree piece directly from the
+monomial-localization complex.  Both depend on a multidegree only
+through its sign pattern, and both vanish unless that pattern splits a
+face, so the oracle box is checked once per such pattern, not once per
+box point.  The two routes pick their faces independently, the table
+from each link built from facets and the oracle by filtering the whole
+complex's face masks by sign pattern, and both take the cohomology from
+the one cochain routine, simplicial.cochain_dims.
 
 The table is not a module decomposition: x_j maps the block of nu into
 the block of nu minus {j}, often by a nonzero map, so H^i_m(R) is not a
@@ -27,73 +29,33 @@ import math
 from functools import lru_cache
 
 from .errors import OracleMismatchError
-from .gfp_linalg import check_prime, num_subspaces, row_echelon
-from .record import record
+from .gfp_linalg import check_prime, num_subspaces
 from .simplicial import (
     Face,
     SimplicialComplex,
     all_faces,
-    link,
+    cochain_dims,
+    face_masks,
+    links,
     reduced_cohomology,
+    vertex_mask,
 )
 
 MultiDegree = tuple[int, ...]
 
 
-@record
-class LocalCohomologyTable:
-    """Multiplicities m(i, nu) of the face blocks of H^i_m(K[Delta]): the
-    dimension of each of its pieces with negative support nu.
-
-    Entries are stored only when nonzero; i ranges in [0, dim Delta + 1].
-    """
-
-    p: int
-    n_vertices: int
-    complex_dim: int
-    entries: tuple[tuple[int, Face, int], ...]
-
-    def multiplicity(self, i: int, nu) -> int:
-        return _entry_map(self).get((i, tuple(sorted(nu))), 0)
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(sorted({i for i, _, _ in self.entries}))
-
-    def to_report(self) -> list[dict]:
-        return [
-            {"i": i, "nu": list(nu), "mult": m}
-            for i, nu, m in self.entries
-        ]
-
-
 @lru_cache(maxsize=None)
-def _entry_map(table: "LocalCohomologyTable") -> dict[tuple[int, Face], int]:
-    return {(i, nu): m for i, nu, m in table.entries}
-
-
-@lru_cache(maxsize=None)
-def decomposition(c: SimplicialComplex, p: int) -> LocalCohomologyTable:
-    """Sum over faces nu (including the empty face) of the reduced
-    cohomology of link(nu), placed at cohomological index |nu| + 1 + j."""
+def decomposition(c: SimplicialComplex, p: int) -> tuple[tuple[int, Face, int], ...]:
+    """The nonzero multiplicities m(i, nu) of the face blocks of
+    H^i_m(K[Delta]), as entries (i, nu, m) sorted by (i, nu): the
+    reduced cohomology of link(nu) in degree j, for every face nu (the
+    empty face included), placed at index i = |nu| + 1 + j."""
     check_prime(p)
     entries = []
-    for nu in all_faces(c):
-        prof = reduced_cohomology(link(c, nu), p)
-        for j, m in prof.dims:
-            i = j + 1 + len(nu)
-            entries.append((i, nu, m))
-    entries.sort(key=lambda e: (e[0], e[1]))
-    return LocalCohomologyTable(p, c.n_vertices, c.dim, tuple(entries))
-
-
-@lru_cache(maxsize=None)
-def _face_masks(c: SimplicialComplex) -> tuple[dict[int, tuple[int, ...]], frozenset[int]]:
-    """The faces of c as vertex bitmasks, grouped by size, and their set."""
-    by_size: dict[int, list[int]] = {}
-    for sigma in all_faces(c):
-        by_size.setdefault(len(sigma), []).append(sum(1 << v for v in sigma))
-    masks = frozenset(m for ms in by_size.values() for m in ms)
-    return {k: tuple(ms) for k, ms in by_size.items()}, masks
+    for nu, lk in links(c).items():
+        for j, m in reduced_cohomology(lk, p):
+            entries.append((j + 1 + len(nu), nu, m))
+    return tuple(sorted(entries))
 
 
 @lru_cache(maxsize=None)
@@ -104,36 +66,17 @@ def _cech_dims_by_signs(c: SimplicialComplex, p: int, nu: Face, pi: Face) -> tup
     sigma union pi a face; differentials carry the usual alternating
     signs.  Depends on theta only through the sign pattern (nu, pi).
 
-    Faces are vertex bitmasks: the coboundary sends sigma to the faces
-    tau = sigma + {v}, with the sign (-1)^k of coboundary_matrix, k the
-    number of vertices of tau below v."""
-    by_size, masks = _face_masks(c)
-    nu_mask = sum(1 << v for v in nu)
-    pi_mask = sum(1 << v for v in pi)
+    The faces are read off the complex's table of face masks, filtered
+    by the pattern, and the cohomology is that of cochain_dims."""
+    by_size, masks = face_masks(c)
+    nu_mask = vertex_mask(nu)
+    pi_mask = vertex_mask(pi)
     cochains = {}
     for size, ms in by_size.items():
         kept = [m for m in ms if m & nu_mask == nu_mask and m | pi_mask in masks]
         if kept:
             cochains[size] = kept
-    ranks = {}
-    for size, src in cochains.items():
-        column = {m: k for k, m in enumerate(src)}
-        rows = []
-        for tau in cochains.get(size + 1, ()):
-            row = [0] * len(src)
-            sign = 1
-            rest = tau
-            while rest:
-                bit = rest & -rest
-                k = column.get(tau ^ bit)
-                if k is not None:
-                    row[k] = sign
-                sign = -sign
-                rest ^= bit
-            rows.append(row)
-        ranks[size] = len(row_echelon(rows, p)[1]) if rows else 0
-    dims = ((d, len(fs) - ranks[d] - ranks.get(d - 1, 0)) for d, fs in sorted(cochains.items()))
-    return tuple((d, h) for d, h in dims if h)
+    return cochain_dims(cochains, p)
 
 
 def oracle_box_check(
@@ -155,7 +98,7 @@ def oracle_box_check(
     zero = range(max(lo, 0), min(hi, 0) + 1)
     pos = range(max(lo, 1), hi + 1)
     top = c.dim + 1
-    table = decomposition(c, p)
+    table = {(i, nu): m for i, nu, m in decomposition(c, p)}
     disagree = 0
     mismatches = []
     for sigma in all_faces(c):
@@ -170,7 +113,7 @@ def oracle_box_check(
                     continue
                 oracle = dict(_cech_dims_by_signs(c, p, nu, pi))
                 for i in range(0, top + 1):
-                    lhs = 0 if pi else table.multiplicity(i, nu)
+                    lhs = 0 if pi else table.get((i, nu), 0)
                     rhs = oracle.get(i, 0)
                     if lhs != rhs:
                         disagree += weight
@@ -181,10 +124,8 @@ def oracle_box_check(
 
 def reisner_cm_condition(c: SimplicialComplex, p: int) -> bool:
     """Every link has reduced cohomology only in its own top dimension."""
-    for nu in all_faces(c):
-        lk = link(c, nu)
-        prof = reduced_cohomology(lk, p)
-        for j, m in prof.dims:
+    for lk in links(c).values():
+        for j, m in reduced_cohomology(lk, p):
             if m and j < lk.dim:
                 return False
     return True
@@ -196,9 +137,8 @@ def depth_and_cm(c: SimplicialComplex, p: int) -> tuple[int, int, bool]:
     The Cohen-Macaulay verdict is computed twice, from the table and
     from the link condition, and the two routes must agree.
     """
-    table = decomposition(c, p)
     dim = c.dim + 1
-    indices = table.indices()
+    indices = tuple(sorted({i for i, _, _ in decomposition(c, p)}))
     if not indices:
         raise OracleMismatchError("decomposition table unexpectedly empty")
     depth = indices[0]
@@ -226,14 +166,14 @@ def analysis_report(c: SimplicialComplex, p: int) -> dict:
         "dim": dim,
         "depth": depth,
         "is_cm": is_cm,
-        "table": table.to_report(),
+        "table": [{"i": i, "nu": list(nu), "mult": m} for i, nu, m in table],
         "fh_counts": [
             {
                 "i": i,
                 "count": fh_count(c, p, i),
                 "validated": False,
             }
-            for i in table.indices()
+            for i in sorted({i for i, _, _ in table})
         ],
     }
 
@@ -249,8 +189,8 @@ def fh_count(c: SimplicialComplex, p: int, i: int) -> int:
     that validates it models the same independent blocks.
     """
     check_prime(p)
-    table = decomposition(c, p)
     count = 1
-    for _, _, m in (e for e in table.entries if e[0] == i):
-        count *= num_subspaces(p, m)
+    for ei, _, m in decomposition(c, p):
+        if ei == i:
+            count *= num_subspaces(p, m)
     return count

@@ -5,6 +5,12 @@ every nonvoid complex and is the unique face of dimension -1.  Two
 degenerate objects are kept distinct: the empty complex {()} (whose
 degree -1 reduced cohomology is K) and the void complex with no faces
 at all, which only ever arises as a sentinel and has zero cohomology.
+
+Each complex also has one cached table of its faces as vertex bitmasks
+(bit v for vertex v), grouped by size.  cochain_dims computes the
+cohomology of a cochain complex on such masks; it serves both the
+reduced cohomology of a complex here and the graded oracle of
+froblab.local_cohomology, which filters the table by sign pattern.
 """
 
 from __future__ import annotations
@@ -70,12 +76,7 @@ class SimplicialComplex:
         return max(len(f) for f in self.facets) - 1
 
     def is_face(self, sigma) -> bool:
-        return tuple(sorted(set(sigma))) in _face_set(self)
-
-
-def make_complex(n_vertices: int, facets) -> SimplicialComplex:
-    """Normalize and build; uncovered vertices allowed (internal use)."""
-    return SimplicialComplex(n_vertices, _normalize_facets(facets))
+        return vertex_mask(sigma) in face_masks(self)[1]
 
 
 def from_facets(n_vertices: int, facets) -> SimplicialComplex:
@@ -130,11 +131,6 @@ def all_faces(c: SimplicialComplex) -> tuple[Face, ...]:
     return tuple(f for d in sorted(faces(c)) for f in faces(c)[d])
 
 
-@lru_cache(maxsize=None)
-def _face_set(c: SimplicialComplex) -> frozenset[Face]:
-    return frozenset(all_faces(c))
-
-
 def link(c: SimplicialComplex, sigma) -> SimplicialComplex:
     """link(sigma): faces disjoint from sigma whose union with it is a face.
 
@@ -145,55 +141,74 @@ def link(c: SimplicialComplex, sigma) -> SimplicialComplex:
         raise NotAFaceError(f"{s} is not a face")
     if not s:
         return c
-    lk_facets = []
-    for f in c.facets:
-        if set(s) <= set(f):
-            lk_facets.append(tuple(v for v in f if v not in s))
-    return make_complex(c.n_vertices, lk_facets)
-
-
-@record
-class CohomologyProfile:
-    """Reduced cohomology dimensions over F_p; only nonzero degrees stored."""
-
-    p: int
-    dims: tuple[tuple[int, int], ...]
-
-
-def coboundary_matrix(src: Sequence[Face], tgt: Sequence[Face], p: int) -> list[list[int]]:
-    """Matrix of the coboundary between the cochains on the face lists
-    src and tgt; rows indexed by tgt, columns by src, sign (-1)^k for
-    inserting the new vertex at position k of the sorted target face."""
-    idx = {f: i for i, f in enumerate(src)}
-    m = [[0] * len(src) for _ in tgt]
-    for row, tau in zip(m, tgt):
-        for k in range(len(tau)):
-            sigma = tau[:k] + tau[k + 1 :]
-            ci = idx.get(sigma)
-            if ci is not None:
-                row[ci] = (row[ci] + (-1) ** k) % p
-    return m
-
-
-def cochain_cohomology(cochains: dict[int, Sequence[Face]], p: int) -> tuple[tuple[int, int], ...]:
-    """Nonzero (degree, dim) of the cohomology over F_p of the cochain
-    complex with one summand per face of cochains[d] in degree d and
-    coboundary_matrix as differential; dim = faces - rank out - rank in."""
-    ranks = {
-        d: len(row_echelon(coboundary_matrix(fs, cochains.get(d + 1, ()), p), p)[1])
-        for d, fs in cochains.items()
-    }
-    dims = ((d, len(cochains[d]) - ranks[d] - ranks.get(d - 1, 0)) for d in sorted(cochains))
-    return tuple((d, h) for d, h in dims if h)
+    # F - s over the facets F containing s, in their order: distinct, an
+    # antichain and in canonical order because the facets are (removing a
+    # common subset keeps the order of equal-length sorted tuples), so the
+    # constructor's check is the only normalization
+    lk_facets = tuple(tuple(v for v in f if v not in s) for f in c.facets if set(s) <= set(f))
+    return SimplicialComplex(c.n_vertices, lk_facets)
 
 
 @lru_cache(maxsize=None)
-def reduced_cohomology(c: SimplicialComplex, p: int) -> CohomologyProfile:
-    """Reduced simplicial cohomology dimensions over F_p.
+def links(c: SimplicialComplex) -> dict[Face, SimplicialComplex]:
+    """link(c, sigma) for every face sigma of c, each built once."""
+    return {s: link(c, s) for s in all_faces(c)}
 
-    Computed by cochain_cohomology on the augmented cochain complex (the
-    empty face sits in degree -1).  The void complex has all dims zero;
-    {()} has exactly dims[-1] = 1.
+
+def vertex_mask(sigma) -> int:
+    """The vertex set sigma as a bitmask: bit v for vertex v."""
+    return sum(1 << v for v in set(sigma))
+
+
+@lru_cache(maxsize=None)
+def face_masks(c: SimplicialComplex) -> tuple[dict[int, tuple[int, ...]], frozenset[int]]:
+    """The faces of c as vertex bitmasks, grouped by size, and their set.
+
+    Built from the facets, not from faces(c), so that a link, which
+    needs only its masks, keeps no table of face tuples."""
+    masks = frozenset(
+        vertex_mask(s) for f in c.facets for k in range(len(f) + 1) for s in itertools.combinations(f, k)
+    )
+    by_size: dict[int, list[int]] = {}
+    for m in sorted(masks):
+        by_size.setdefault(m.bit_count(), []).append(m)
+    return {k: tuple(ms) for k, ms in by_size.items()}, masks
+
+
+def cochain_dims(cochains_by_size: dict[int, Sequence[int]], p: int) -> tuple[tuple[int, int], ...]:
+    """Nonzero (size, dim) of the cohomology over F_p of the cochain
+    complex with one summand per face mask of cochains_by_size[k] in
+    degree k.  The coboundary sends sigma to each tau = sigma + {v} with
+    the sign (-1)^k, k the number of vertices of tau below v; dim =
+    faces - rank out - rank in, the ranks by row_echelon."""
+    ranks = {}
+    for size, src in cochains_by_size.items():
+        column = {m: k for k, m in enumerate(src)}
+        rows = []
+        for tau in cochains_by_size.get(size + 1, ()):
+            row = [0] * len(src)
+            sign = 1
+            rest = tau
+            while rest:
+                bit = rest & -rest
+                k = column.get(tau ^ bit)
+                if k is not None:
+                    row[k] = sign
+                sign = -sign
+                rest ^= bit
+            rows.append(row)
+        ranks[size] = len(row_echelon(rows, p)[1]) if rows else 0
+    dims = ((k, len(fs) - ranks[k] - ranks.get(k - 1, 0)) for k, fs in sorted(cochains_by_size.items()))
+    return tuple((k, h) for k, h in dims if h)
+
+
+@lru_cache(maxsize=None)
+def reduced_cohomology(c: SimplicialComplex, p: int) -> tuple[tuple[int, int], ...]:
+    """Nonzero (degree, dim) of the reduced simplicial cohomology over F_p.
+
+    Computed by cochain_dims on the augmented cochain complex, a face of
+    size k in degree k - 1 (the empty face in degree -1).  The void
+    complex has none; {()} has exactly ((-1, 1),).
     """
     check_prime(p)
-    return CohomologyProfile(p, cochain_cohomology(faces(c), p))
+    return tuple((k - 1, h) for k, h in cochain_dims(face_masks(c)[0], p))

@@ -49,10 +49,6 @@ class MonomialIdeal:
         if self.generators != _antichain(self.n_vars, self.generators):
             raise ValueError("generators not a canonical antichain")
 
-    @classmethod
-    def from_generators(cls, n_vars: int, gens) -> "MonomialIdeal":
-        return cls(n_vars, _antichain(n_vars, [tuple(g) for g in gens]))
-
     @property
     def is_zero(self) -> bool:
         return not self.generators
@@ -79,16 +75,16 @@ def _antichain(n_vars: int, gens: list[Monomial]) -> tuple[Monomial, ...]:
 def frobenius_power(ideal: MonomialIdeal, q: int, p: int) -> MonomialIdeal:
     """Generator-wise q-th power for q = p^e (e >= 0)."""
     check_p_power(q, p)
-    return MonomialIdeal.from_generators(
-        ideal.n_vars, [tuple(e * q for e in g) for g in ideal.generators]
-    )
+    # scaling every exponent by q keeps the antichain and its order
+    return MonomialIdeal(ideal.n_vars, tuple(tuple(e * q for e in g) for g in ideal.generators))
 
 
 def nonface_ideal(c: SimplicialComplex) -> MonomialIdeal:
     """Square-free generators: the minimal vertex sets that are not faces.
 
     Dropping a vertex from a minimal nonface leaves a face, so none has
-    more than dim + 2 vertices."""
+    more than dim + 2 vertices, and the minimal nonfaces already form the
+    antichain of minimal generators."""
     if c.is_void:
         raise UnsupportedInputError("the void complex has no face ring")
     n = c.n_vertices
@@ -99,30 +95,18 @@ def nonface_ideal(c: SimplicialComplex) -> MonomialIdeal:
                 continue
             if all(c.is_face(sub[:k] + sub[k + 1 :]) for k in range(size)):
                 minimal.append(tuple(1 if i in sub else 0 for i in range(n)))
-    return MonomialIdeal.from_generators(n, minimal)
+    return MonomialIdeal(n, tuple(sorted(minimal)))
 
 
-@record
-class FaceRing:
-    """K[Delta] with its prime and nonface ideal (derived, so not compared)."""
-
-    complex: SimplicialComplex
-    p: int
-
-    def __post_init__(self):
-        check_prime(self.p)
-        object.__setattr__(self, "nonface_ideal", nonface_ideal(self.complex))
-
-
-def fedder_fpure_monomial(ring: FaceRing) -> bool:
-    """F-purity by Fedder's criterion: (I^[p] : I) not contained in
-    (x_0^p, ..., x_{n-1}^p).
+def fedder_fpure_monomial(i: MonomialIdeal, p: int) -> bool:
+    """F-purity of S/I over F_p for a monomial ideal I (the face ring
+    when I is the nonface ideal) by Fedder's criterion: (I^[p] : I) not
+    contained in (x_0^p, ..., x_{n-1}^p).
 
     The colon is a monomial ideal, so this holds exactly when it contains
     x^((p-1)*1), that is when g * x^((p-1)*1) lies in I^[p] for every
-    minimal nonface g; the colon itself is never formed.
+    minimal generator g; the colon itself is never formed.
     """
-    p = ring.p
-    i = ring.nonface_ideal
+    check_prime(p)
     frob = frobenius_power(i, p, p)
     return all(frob.contains_monomial(tuple(e + p - 1 for e in g)) for g in i.generators)

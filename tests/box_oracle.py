@@ -1,5 +1,5 @@
 """Per-multidegree, per-sign-pattern and per-face-tuple references for
-the graded oracle box.
+the graded oracle box, and the face-tuple cochain routine.
 
 froblab.local_cohomology.oracle_box_check evaluates only the sign
 patterns of theta that split a face into its negative and positive
@@ -11,15 +11,48 @@ oracle_box_check_per_theta compares them at every point of the box
 them.  graded_dim looks decomposition up on the module, so a
 monkeypatched table reaches every route.  cech_dims_by_face_tuples
 builds one pattern's piece from face tuples, by a scan of all_faces and
-an is_face test per face, where froblab works on vertex bitmasks.
+an is_face test per face, where froblab filters its table of face
+bitmasks.
+
+froblab computes every cochain cohomology on face bitmasks
+(froblab.simplicial.cochain_dims).  coboundary_matrix and
+cochain_cohomology are the same computation on face tuples, kept as
+the reference that cech_dims_by_face_tuples and the homology route of
+helpers.boundary_homology_dims build on.
 """
 
 import itertools
 import math
 
 from froblab import local_cohomology as lc
-from froblab.gfp_linalg import check_prime
-from froblab.simplicial import all_faces, cochain_cohomology
+from froblab.gfp_linalg import check_prime, row_echelon
+from froblab.simplicial import all_faces
+
+
+def coboundary_matrix(src, tgt, p):
+    """Matrix of the coboundary between the cochains on the face lists
+    src and tgt; rows indexed by tgt, columns by src, sign (-1)^k for
+    inserting the new vertex at position k of the sorted target face."""
+    idx = {f: i for i, f in enumerate(src)}
+    m = [[0] * len(src) for _ in tgt]
+    for row, tau in zip(m, tgt):
+        for k in range(len(tau)):
+            ci = idx.get(tau[:k] + tau[k + 1 :])
+            if ci is not None:
+                row[ci] = (row[ci] + (-1) ** k) % p
+    return m
+
+
+def cochain_cohomology(cochains, p):
+    """Nonzero (degree, dim) of the cohomology over F_p of the cochain
+    complex with one summand per face of cochains[d] in degree d and
+    coboundary_matrix as differential; dim = faces - rank out - rank in."""
+    ranks = {
+        d: len(row_echelon(coboundary_matrix(fs, cochains.get(d + 1, ()), p), p)[1])
+        for d, fs in cochains.items()
+    }
+    dims = ((d, len(cochains[d]) - ranks[d] - ranks.get(d - 1, 0)) for d in sorted(cochains))
+    return tuple((d, h) for d, h in dims if h)
 
 
 def neg_support(theta):
@@ -42,7 +75,7 @@ def graded_dim(c, p, i, theta):
     nu = neg_support(theta)
     if not c.is_face(nu):
         return 0
-    return lc.decomposition(c, p).multiplicity(i, nu)
+    return sum(m for ei, enu, m in lc.decomposition(c, p) if (ei, enu) == (i, nu))
 
 
 def cech_graded_oracle(c, p, theta):

@@ -1,9 +1,17 @@
 """Shared test corpus: named complexes plus every complex on at most
-four vertices (one representative per relabeling class)."""
+four vertices (one representative per relabeling class), and
+make_complex, which builds the complexes that the parser would reject."""
 
 import itertools
 
-from froblab.simplicial import from_facets, make_complex
+from froblab.simplicial import SimplicialComplex, _normalize_facets, from_facets
+
+
+def make_complex(n_vertices, facets):
+    """Normalize and build; unlike from_facets, vertices that no facet
+    covers are allowed, and so are the empty and the void complex."""
+    return SimplicialComplex(n_vertices, _normalize_facets(facets))
+
 
 TWO_POINTS = from_facets(2, [[0], [1]])
 TRIANGLE = from_facets(3, [[0, 1], [1, 2], [0, 2]])

@@ -19,12 +19,12 @@ from collections import Counter
 from typing import NamedTuple
 
 from box_oracle import neg_support
+from colon_oracle import ideal_from_generators
 from froblab.errors import UnsupportedInputError
 from froblab.fmodule import FModuleTruncation, lattice_points
-from froblab.gfp_linalg import Subspace, num_subspaces, subspace_lattice
+from froblab.gfp_linalg import num_subspaces, subspace_lattice
 from froblab.simplicial import Face
-from froblab.stanley_reisner import MonomialIdeal
-from perp_oracle import contains_vector, subspace_sum, zero_subspace
+from perp_oracle import contains_vector, subspace_from_vectors, subspace_sum, zero_subspace
 
 
 class BasisElement(NamedTuple):
@@ -112,7 +112,7 @@ def f_stable_span(t, generators):
     def add(theta, vec):
         if contains_vector(spans[theta], vec):
             return
-        spans[theta] = subspace_sum(spans[theta], Subspace.from_vectors(t.p, points[theta], [vec]))
+        spans[theta] = subspace_sum(spans[theta], subspace_from_vectors(t.p, points[theta], [vec]))
         queue.append((theta, vec))
 
     for g in generators:
@@ -170,7 +170,7 @@ def annihilator_up_to_cap(t, code, cap):
         )
     active = [nu for nu, ids in blocks.items() if ids != {0}]
     if not active:
-        return MonomialIdeal.from_generators(t.n_vars, [(0,) * t.n_vars])
+        return ideal_from_generators(t.n_vars, [(0,) * t.n_vars])
     complements = [
         frozenset(range(t.n_vars)) - frozenset(nu) for nu in active
     ]
@@ -185,6 +185,6 @@ def annihilator_up_to_cap(t, code, cap):
             if any(set(g) <= cs for g in gens):
                 continue
             gens.append(cand)
-    return MonomialIdeal.from_generators(
+    return ideal_from_generators(
         t.n_vars, [tuple(1 if i in g else 0 for i in range(t.n_vars)) for g in gens]
     )

@@ -2,19 +2,20 @@
 truncation model, the minimal primes of a square-free monomial ideal,
 prime and irrelevant ideals, the standard Frobenius splitting of a
 polynomial ring and the containment check built on it, lookups into
-decomposition tables, cohomology profiles and face rings, cones and
-relabelings of complexes, and the homology and Euler characteristic
-routes that cross-check reduced cohomology."""
+decomposition tables and reduced cohomology, the Krull dimension of a
+face ring, cones and relabelings of complexes, and the homology and
+Euler characteristic routes that cross-check reduced cohomology."""
 
 import itertools
 
-from colon_oracle import contains_ideal, monomial_ideal_sum
+from box_oracle import coboundary_matrix
+from colon_oracle import contains_ideal, ideal_from_generators, monomial_ideal_sum
+from corpus import make_complex
 from element_model import apply_x
 from froblab.errors import UnsupportedInputError
 from froblab.gfp_linalg import check_prime, row_echelon
 from froblab.polyfp import PolynomialFp
-from froblab.simplicial import SimplicialComplex, coboundary_matrix, faces, make_complex
-from froblab.stanley_reisner import MonomialIdeal
+from froblab.simplicial import SimplicialComplex, faces
 
 
 def apply_monomial(t, exponents, v):
@@ -65,19 +66,17 @@ def standard_monomial_splitting(r):
     return PolynomialFp.make(r.p, r.n_vars, out)
 
 
-def splitting_containment_check(ring, j):
+def splitting_containment_check(i, p, j):
     """Finite generating check that the standard splitting T maps the
-    p-th-root image of j back into j, modulo the nonface ideal.
+    p-th-root image of j back into j, modulo the nonface ideal i.
 
     Verifies T(g * x^a) in j + I_Delta for every generator g of j and
     every exponent vector a with all entries below p; by the
     T(s^p r) = s T(r) law this covers the whole module.
     Requires I_Delta to be contained in j.
     """
-    i = ring.nonface_ideal
     if not contains_ideal(j, i):
         raise ValueError("j must contain the nonface ideal")
-    p = ring.p
     target = monomial_ideal_sum(j, i)
     for g in j.generators:
         for a in itertools.product(range(p), repeat=i.n_vars):
@@ -90,21 +89,22 @@ def splitting_containment_check(ring, j):
 
 def by_index(table, i):
     """The summands {nu: multiplicity} of H^i in a decomposition table."""
-    return {nu: m for ei, nu, m in table.entries if ei == i}
+    return {nu: m for ei, nu, m in table if ei == i}
 
 
-def dim_at(profile, j):
-    """Dimension of reduced cohomology in degree j of a CohomologyProfile."""
-    return dict(profile.dims).get(j, 0)
+def dim_at(dims, j):
+    """Dimension in degree j of the reduced cohomology dims of a complex."""
+    return dict(dims).get(j, 0)
 
 
-def krull_dim(ring):
-    return ring.complex.dim + 1
+def krull_dim(c):
+    """Krull dimension of the face ring of c."""
+    return c.dim + 1
 
 
 def prime_to_ideal(n_vars, variables):
     gens = [tuple(1 if i == v else 0 for i in range(n_vars)) for v in variables]
-    return MonomialIdeal.from_generators(n_vars, gens)
+    return ideal_from_generators(n_vars, gens)
 
 
 def irrelevant_ideal(n_vars):

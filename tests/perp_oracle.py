@@ -4,7 +4,8 @@ oracles.
 froblab decides only whether one subspace contains another, by whether
 stacking their bases adds a pivot (froblab.fmodule.lattice_contains).
 Here live the error for operands of different ambient spaces, the
-kernel of a matrix, the zero subspace, the sum U + V, membership of a
+kernel of a matrix, the zero subspace, the span of a list of vectors,
+the sum U + V, membership of a
 vector, containment of subspaces, the list of all vectors of a
 subspace, and the intersection through orthogonal complements:
 (U + V)^perp = U^perp ∩ V^perp, and perp is an involution for the
@@ -34,6 +35,12 @@ def zero_subspace(p: int, ambient_dim: int) -> Subspace:
     return Subspace(p, ambient_dim, ())
 
 
+def subspace_from_vectors(p: int, ambient_dim: int, vectors) -> Subspace:
+    """The span of vectors, held by its canonical reduced echelon basis."""
+    echelon, _ = row_echelon(vectors, p, reduced=True)
+    return Subspace(p, ambient_dim, tuple(map(tuple, echelon)))
+
+
 def kernel_basis(a, p: int, cols: int | None = None) -> Subspace:
     """Basis of {v : a v = 0} over F_p for the matrix with rows a; its
     dimension is cols - rank(a).  cols defaults to the length of the
@@ -47,7 +54,7 @@ def kernel_basis(a, p: int, cols: int | None = None) -> Subspace:
         for c, row in zip(pivots, echelon):
             v[c] = -row[f] % p
         vecs.append(v)
-    return Subspace.from_vectors(p, cols, vecs)
+    return subspace_from_vectors(p, cols, vecs)
 
 
 def contains_vector(s: Subspace, v) -> bool:
@@ -76,7 +83,7 @@ def subspace_vectors(s: Subspace):
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     check_compatible(a, b)
-    return Subspace.from_vectors(a.p, a.ambient_dim, a.basis + b.basis)
+    return subspace_from_vectors(a.p, a.ambient_dim, a.basis + b.basis)
 
 
 @functools.lru_cache(maxsize=None)

@@ -33,7 +33,7 @@ from froblab.fmodule import build_truncation, check_antinilpotent, enumerate_f_s
 from froblab.hypersurface import f_injective_top, fedder_fpure_principal, make_hypersurface
 from froblab.local_cohomology import depth_and_cm, fh_count, oracle_box_check
 from froblab.polyfp import parse_polynomial
-from froblab.stanley_reisner import FaceRing, nonface_ideal
+from froblab.stanley_reisner import nonface_ideal
 
 
 class Budget:
@@ -174,11 +174,11 @@ def test_criterion_9_splitting_containment():
         for c in acceptance_corpus():
             if c.n_vertices == 0:
                 continue
-            ring = FaceRing(c, 2)
-            candidates = [ring.nonface_ideal, irrelevant_ideal(c.n_vertices)]
+            i = nonface_ideal(c)
+            candidates = [i, irrelevant_ideal(c.n_vertices)]
             candidates += [
                 prime_to_ideal(c.n_vertices, prime)
-                for prime in squarefree_minimal_primes(nonface_ideal(c))
+                for prime in squarefree_minimal_primes(i)
             ]
             for j in candidates:
-                assert splitting_containment_check(ring, j), (c, j)
+                assert splitting_containment_check(i, 2, j), (c, j)

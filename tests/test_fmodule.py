@@ -15,6 +15,7 @@ from corpus import (
     TWO_BOUNDARY_4,
     TWO_EDGES,
     TWO_POINTS,
+    make_complex,
 )
 from element_model import (
     BasisElement,
@@ -40,7 +41,7 @@ from froblab.fmodule import (
 )
 from froblab.gfp_linalg import DEFAULT_ENUM_CAP, subspace_lattice
 from froblab.local_cohomology import decomposition, fh_count
-from froblab.simplicial import from_facets, make_complex
+from froblab.simplicial import from_facets
 
 
 def two_points_model(T=2, p=2, **kw):
@@ -386,7 +387,7 @@ RUNGS = {
 def test_rung_models_agree_with_oracle(rung):
     c, p, depth = RUNGS[rung]
     verdicts = set()
-    for i in decomposition(c, p).indices():
+    for i in sorted({e[0] for e in decomposition(c, p)}):
         for zero in (False, True):
             t = build_truncation(c, p, i, depth, zero_frobenius=zero)
             verdicts.add(agrees_with_oracle(t, cap=2**21))
@@ -406,7 +407,7 @@ def small_models(draw):
     facets = draw(st.lists(st.sets(st.integers(0, n - 1)), min_size=1, max_size=4))
     c = make_complex(n, [sorted(f) for f in facets])
     p = draw(st.sampled_from([2, 3]))
-    indices = decomposition(c, p).indices()
+    indices = sorted({e[0] for e in decomposition(c, p)})
     assume(indices)
     i = draw(st.sampled_from(indices))
     t = build_truncation(c, p, i, draw(st.integers(1, 2)), zero_frobenius=draw(st.booleans()))

@@ -24,13 +24,13 @@ from corpus import (
     TWO_POINTS,
     acceptance_corpus,
     boundary_facets,
+    make_complex,
     small_complexes,
 )
 from helpers import by_index, cone, relabel
-from katzman_oracle import katzman_count
+from katzman_oracle import antichains, katzman_count
 from froblab import local_cohomology as lc
 from froblab.local_cohomology import (
-    LocalCohomologyTable,
     analysis_report,
     decomposition,
     depth_and_cm,
@@ -38,14 +38,14 @@ from froblab.local_cohomology import (
     oracle_box_check,
     reisner_cm_condition,
 )
-from froblab.simplicial import from_facets, make_complex
+from froblab.simplicial import from_facets
 
 
 def test_decomposition_two_points():
     t = decomposition(TWO_POINTS, 2)
     assert by_index(t, 1) == {(): 1, (0,): 1, (1,): 1}
     assert by_index(t, 0) == {}
-    assert t.indices() == (1,)
+    assert {e[0] for e in t} == {1}
 
 
 def test_decomposition_triangle():
@@ -61,7 +61,7 @@ def test_decomposition_triangle():
 def test_decomposition_full_simplex():
     for p in (2, 5):
         t = decomposition(FULL3, p)
-        assert t.entries == ((3, (0, 1, 2), 1),)
+        assert t == ((3, (0, 1, 2), 1),)
 
 
 def test_graded_dim_positive_entry_vanishes():
@@ -160,9 +160,9 @@ def test_forced_mismatch_is_reported_alike(monkeypatch):
     def with_phantom(c, p):
         # one face, (0,), at one index gains a phantom summand
         t = true_table(c, p)
-        entries = [e for e in t.entries if e[:2] != (2, (0,))]
-        entries.append((2, (0,), t.multiplicity(2, (0,)) + 1))
-        return LocalCohomologyTable(t.p, t.n_vertices, t.complex_dim, tuple(sorted(entries)))
+        entries = [e for e in t if e[:2] != (2, (0,))]
+        entries.append((2, (0,), sum(m for i, nu, m in t if (i, nu) == (2, (0,))) + 1))
+        return tuple(sorted(entries))
 
     monkeypatch.setattr(lc, "decomposition", with_phantom)
     for c in (TRIANGLE, TWO_EDGES, RP2):
@@ -182,9 +182,9 @@ def test_table_equivariant_under_relabeling():
             t = decomposition(c, 2)
             rt = decomposition(rc, 2)
             expected = sorted(
-                (i, tuple(sorted(perm[v] for v in nu)), m) for i, nu, m in t.entries
+                (i, tuple(sorted(perm[v] for v in nu)), m) for i, nu, m in t
             )
-            assert sorted(rt.entries) == expected
+            assert sorted(rt) == expected
 
 
 def test_depth_and_cm_examples():
@@ -216,16 +216,20 @@ def test_fh_count_examples():
 @pytest.mark.parametrize("p", [2, 3])
 def test_katzman_count_is_dedekind_minus_one(p):
     assert [katzman_count(n, p) for n in (2, 3)] == [5, 19]
+    # square-free J only: the 168 antichains of subsets of four
+    # variables, D(4) = 168
+    assert sum(1 for _ in antichains(list(itertools.product(range(2), repeat=4)))) == 168
+    assert [katzman_count(n, p, top=1) for n in (2, 3, 4)] == [5, 19, 167]
 
 
 @pytest.mark.xfail(strict=True, reason="fh_count treats H^i as a direct sum of face blocks")
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("p", [2, 3])
 def test_fh_count_matches_katzman_on_simplex_boundary(n, p):
     # K[boundary of the (n-1)-simplex] = F_p[x0..x_{n-1}]/(x0...x_{n-1});
-    # fh_count gives 8 and 128 there
+    # fh_count gives 8, 128 and 32,768 there
     c = from_facets(n, boundary_facets(n - 1))
-    assert fh_count(c, p, n - 1) == katzman_count(n, p)
+    assert fh_count(c, p, n - 1) == katzman_count(n, p, top=1)
 
 
 def test_fh_count_rejects_nonprime():
@@ -242,9 +246,9 @@ def test_cone_table_shift():
             t = decomposition(c, p)
             tk = decomposition(k, p)
             expected = sorted(
-                (i + 1, tuple(sorted(nu + (apex,))), m) for i, nu, m in t.entries
+                (i + 1, tuple(sorted(nu + (apex,))), m) for i, nu, m in t
             )
-            assert sorted(tk.entries) == expected
+            assert sorted(tk) == expected
 
 
 def test_analysis_report_document():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from colon_oracle import monomial_colon, monomial_ideal_intersection, monomial_ideal_sum
+from colon_oracle import ideal_from_generators, monomial_colon, monomial_ideal_intersection, monomial_ideal_sum
 from helpers import is_unit, squarefree_minimal_primes, standard_monomial_splitting
 from level_oracle import level_contains, level_generators, monomials_of_degree
 
@@ -53,10 +53,10 @@ def test_frobenius_of_polynomial_matches_pow():
 
 
 def test_frobenius_power_monomial_ideal():
-    xy = MonomialIdeal.from_generators(2, [(1, 1)])
+    xy = ideal_from_generators(2, [(1, 1)])
     assert frobenius_power(xy, 1, 2) == xy
     assert frobenius_power(xy, 2, 2).generators == ((2, 2),)
-    i2 = MonomialIdeal.from_generators(2, [(2, 0), (0, 1)])
+    i2 = ideal_from_generators(2, [(2, 0), (0, 1)])
     assert frobenius_power(i2, 3, 3).generators == ((0, 3), (6, 0))
     with pytest.raises(ValueError):
         frobenius_power(xy, 6, 2)
@@ -66,17 +66,26 @@ def test_frobenius_power_composition():
     rng = random.Random(9)
     for _ in range(10):
         gens = [tuple(rng.randrange(4) for _ in range(3)) for _ in range(3)]
-        ideal = MonomialIdeal.from_generators(3, gens)
+        ideal = ideal_from_generators(3, gens)
         assert frobenius_power(frobenius_power(ideal, 2, 2), 4, 2) == frobenius_power(ideal, 8, 2)
+    # the power of an antichain is built without reducing its generators
+    # again; it must equal the ideal of the powered generators
+    for _ in range(60):
+        n, p = rng.randint(1, 4), rng.choice((2, 3, 5))
+        gens = [tuple(rng.randrange(5) for _ in range(n)) for _ in range(rng.randrange(7))]
+        ideal = ideal_from_generators(n, gens)
+        for q in (1, p, p * p):
+            powered = [tuple(e * q for e in g) for g in ideal.generators]
+            assert frobenius_power(ideal, q, p) == ideal_from_generators(n, powered)
 
 
 def test_monomial_colon_basics():
-    i = MonomialIdeal.from_generators(2, [(2, 2)])
-    j = MonomialIdeal.from_generators(2, [(1, 1)])
+    i = ideal_from_generators(2, [(2, 2)])
+    j = ideal_from_generators(2, [(1, 1)])
     assert monomial_colon(i, j).generators == ((1, 1),)
     assert is_unit(monomial_colon(i, i))
-    i2 = MonomialIdeal.from_generators(2, [(3, 0), (0, 3)])
-    assert monomial_colon(i2, MonomialIdeal.from_generators(2, [(1, 0)])).generators == (
+    i2 = ideal_from_generators(2, [(3, 0), (0, 3)])
+    assert monomial_colon(i2, ideal_from_generators(2, [(1, 0)])).generators == (
         (0, 3),
         (2, 0),
     )
@@ -85,10 +94,10 @@ def test_monomial_colon_basics():
 def test_colon_containment_property():
     rng = random.Random(13)
     for _ in range(25):
-        i = MonomialIdeal.from_generators(
+        i = ideal_from_generators(
             3, [tuple(rng.randrange(4) for _ in range(3)) for _ in range(3)]
         )
-        j = MonomialIdeal.from_generators(
+        j = ideal_from_generators(
             3, [tuple(rng.randrange(3) for _ in range(3)) for _ in range(2)]
         )
         q = monomial_colon(i, j)
@@ -98,9 +107,9 @@ def test_colon_containment_property():
 
 
 def test_squarefree_minimal_primes():
-    i = MonomialIdeal.from_generators(2, [(1, 1)])
+    i = ideal_from_generators(2, [(1, 1)])
     assert squarefree_minimal_primes(i) == ((0,), (1,))
-    m = MonomialIdeal.from_generators(2, [(1, 0), (0, 1)])
+    m = ideal_from_generators(2, [(1, 0), (0, 1)])
     assert squarefree_minimal_primes(m) == ((0, 1),)
     assert squarefree_minimal_primes(MonomialIdeal(2, ())) == ((),)
     assert squarefree_minimal_primes(MonomialIdeal(2, ((0, 0),))) == ()
@@ -202,7 +211,7 @@ def test_membership_agrees_with_naive_span():
 
 
 def test_monomial_ideal_sum_intersection():
-    a = MonomialIdeal.from_generators(2, [(2, 0)])
-    b = MonomialIdeal.from_generators(2, [(0, 2)])
+    a = ideal_from_generators(2, [(2, 0)])
+    b = ideal_from_generators(2, [(0, 2)])
     assert monomial_ideal_sum(a, b).generators == ((0, 2), (2, 0))
     assert monomial_ideal_intersection(a, b).generators == ((2, 2),)

@@ -1,13 +1,11 @@
-from types import SimpleNamespace
-
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colon_oracle import colon_radical_contains_nonfaces, fedder_fpure_by_colon
-from corpus import acceptance_corpus
+from colon_oracle import colon_radical_contains_nonfaces, fedder_fpure_by_colon, ideal_from_generators
+from corpus import acceptance_corpus, make_complex
 from helpers import (
     irrelevant_ideal,
     krull_dim,
@@ -15,8 +13,8 @@ from helpers import (
     splitting_containment_check,
     squarefree_minimal_primes,
 )
-from froblab.simplicial import from_facets, make_complex
-from froblab.stanley_reisner import FaceRing, MonomialIdeal, fedder_fpure_monomial, nonface_ideal
+from froblab.simplicial import from_facets
+from froblab.stanley_reisner import fedder_fpure_monomial, nonface_ideal
 
 TWO_POINTS = from_facets(2, [[0], [1]])
 TRIANGLE = from_facets(3, [[0, 1], [1, 2], [0, 2]])
@@ -57,7 +55,7 @@ def nonfaces_of_every_size(c):
         for sub in itertools.combinations(range(n), size)
         if not c.is_face(sub) and all(c.is_face(sub[:k] + sub[k + 1 :]) for k in range(size))
     ]
-    return MonomialIdeal.from_generators(n, minimal)
+    return ideal_from_generators(n, minimal)
 
 
 def test_nonface_ideal_matches_search_over_every_size_on_corpus():
@@ -94,35 +92,36 @@ def test_minimal_primes():
 
 
 def test_krull_dim():
-    assert krull_dim(FaceRing(TWO_POINTS, 2)) == 1
-    assert krull_dim(FaceRing(TRIANGLE, 2)) == 2
-    assert krull_dim(FaceRing(TWO_EDGES, 3)) == 2
-    assert krull_dim(FaceRing(make_complex(0, [[]]), 2)) == 0
+    assert krull_dim(TWO_POINTS) == 1
+    assert krull_dim(TRIANGLE) == 2
+    assert krull_dim(TWO_EDGES) == 2
+    assert krull_dim(make_complex(0, [[]])) == 0
     for c in CORPUS:
-        assert krull_dim(FaceRing(c, 2)) == 1 + max(len(f) - 1 for f in c.facets)
+        assert krull_dim(c) == 1 + max(len(f) - 1 for f in c.facets)
 
 
 def test_fedder_two_points_p2():
-    ring = FaceRing(TWO_POINTS, 2)
-    assert fedder_fpure_monomial(ring)
+    assert fedder_fpure_monomial(nonface_ideal(TWO_POINTS), 2)
+    with pytest.raises(ValueError):
+        fedder_fpure_monomial(nonface_ideal(TWO_POINTS), 4)
 
 
 def test_fedder_full_simplex():
     for p in (2, 3, 5):
-        assert fedder_fpure_monomial(FaceRing(FULL, p))
+        assert fedder_fpure_monomial(nonface_ideal(FULL), p)
 
 
 def test_fedder_true_on_corpus():
     for c in CORPUS:
         for p in (2, 3, 5):
-            assert fedder_fpure_monomial(FaceRing(c, p))
+            assert fedder_fpure_monomial(nonface_ideal(c), p)
 
 
 def test_fedder_matches_colon_route_on_corpus():
     for c in acceptance_corpus():
         for p in (2, 3, 5):
-            ring = FaceRing(c, p)
-            assert fedder_fpure_monomial(ring) == fedder_fpure_by_colon(ring)
+            i = nonface_ideal(c)
+            assert fedder_fpure_monomial(i, p) == fedder_fpure_by_colon(i, p)
 
 
 @settings(derandomize=True, deadline=None)
@@ -133,42 +132,39 @@ def test_fedder_matches_colon_route_on_corpus():
 def test_fedder_matches_colon_route_beyond_square_free(p, gens):
     # the criterion holds for any monomial ideal; off the square-free ones
     # both verdicts occur
-    ring = SimpleNamespace(p=p, nonface_ideal=MonomialIdeal.from_generators(3, gens))
-    assert fedder_fpure_monomial(ring) == fedder_fpure_by_colon(ring)
+    i = ideal_from_generators(3, gens)
+    assert fedder_fpure_monomial(i, p) == fedder_fpure_by_colon(i, p)
 
 
 def test_fedder_rejects_a_non_square_free_ideal():
-    ring = SimpleNamespace(p=2, nonface_ideal=MonomialIdeal.from_generators(2, [(2, 0)]))
-    assert not fedder_fpure_monomial(ring) and not fedder_fpure_by_colon(ring)
+    i = ideal_from_generators(2, [(2, 0)])
+    assert not fedder_fpure_monomial(i, 2) and not fedder_fpure_by_colon(i, 2)
 
 
 def test_colon_radical_contains_nonfaces():
     for c in CORPUS:
         for p in (2, 3):
-            assert colon_radical_contains_nonfaces(FaceRing(c, p))
+            assert colon_radical_contains_nonfaces(nonface_ideal(c), p)
 
 
 def test_splitting_containment_irrelevant_ideal():
     for c in CORPUS:
-        ring = FaceRing(c, 2)
-        assert splitting_containment_check(ring, irrelevant_ideal(c.n_vertices))
+        assert splitting_containment_check(nonface_ideal(c), 2, irrelevant_ideal(c.n_vertices))
 
 
 def test_splitting_containment_nonface_ideal():
-    ring = FaceRing(TWO_POINTS, 2)
-    assert splitting_containment_check(ring, ring.nonface_ideal)
+    i = nonface_ideal(TWO_POINTS)
+    assert splitting_containment_check(i, 2, i)
 
 
 def test_splitting_containment_minimal_primes():
     for c in (TRIANGLE, TWO_POINTS, TWO_EDGES):
-        ring = FaceRing(c, 2)
         for prime in minimal_primes(c):
             j = prime_to_ideal(c.n_vertices, prime)
-            assert splitting_containment_check(ring, j)
+            assert splitting_containment_check(nonface_ideal(c), 2, j)
 
 
 def test_splitting_containment_requires_containment():
-    ring = FaceRing(TWO_POINTS, 2)
-    small = MonomialIdeal.from_generators(2, [(2, 2)])
+    small = ideal_from_generators(2, [(2, 2)])
     with pytest.raises(ValueError):
-        splitting_containment_check(ring, small)
+        splitting_containment_check(nonface_ideal(TWO_POINTS), 2, small)
