@@ -3,7 +3,8 @@
 The first four reports were written by the CLI before the F_p elimination
 kernel was consolidated, conic-p11 and quadric4-p5 before the hypersurface
 levels were decided by the lex normal form, torus-p3 before the graded
-oracle ran over sign patterns and Fedder's test lost the colon ideal; the
+oracle ran over sign patterns and Fedder's test lost the colon ideal,
+s2-s1-p2 before the nonface ideal was read off the table of face masks; the
 input file path is replaced by a placeholder.  To
 rewrite them after an intended report change, run
 
@@ -27,6 +28,11 @@ RP2_FACETS = [
     (1, 2, 4), (1, 2, 5), (1, 3, 4), (2, 3, 5), (3, 4, 5),
 ]
 TWO_EDGES_FACETS = [(0, 1), (2, 3)]
+# the 2-sphere and the circle, disjoint: its nonface ideal has generators
+# of 2, 3 and 4 vertices
+SPHERE_AND_CIRCLE_FACETS = [
+    (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (4, 5), (4, 6), (5, 6),
+]
 # the 7-vertex torus: the largest oracle box of the goldens, 5^7 points
 TORUS_FACETS = [
     tuple(sorted(((i + a) % 7, (i + b) % 7, (i + 3) % 7)))
@@ -38,6 +44,7 @@ TORUS_FACETS = [
 CASES = {
     "rp2-p2": (RP2_FACETS, ["--prime", "2"]),
     "torus-p3": (TORUS_FACETS, ["--prime", "3"]),
+    "s2-s1-p2": (SPHERE_AND_CIRCLE_FACETS, ["--prime", "2"]),
     "two-edges-p3": (
         TWO_EDGES_FACETS,
         ["--prime", "3", "--trunc", "1", "--enumerate-cap", "2097152"],
