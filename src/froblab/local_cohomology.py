@@ -25,7 +25,6 @@ ROADMAP.md, open item 1).
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache
 
 from .errors import OracleMismatchError
@@ -33,11 +32,11 @@ from .gfp_linalg import check_prime, num_subspaces
 from .simplicial import (
     Face,
     SimplicialComplex,
-    all_faces,
     cochain_dims,
     face_masks,
     links,
     reduced_cohomology,
+    submasks,
     vertex_mask,
 )
 
@@ -59,18 +58,17 @@ def decomposition(c: SimplicialComplex, p: int) -> tuple[tuple[int, Face, int], 
 
 
 @lru_cache(maxsize=None)
-def _cech_dims_by_signs(c: SimplicialComplex, p: int, nu: Face, pi: Face) -> tuple[tuple[int, int], ...]:
+def _cech_dims_by_signs(c: SimplicialComplex, p: int, nu_mask: int, pi_mask: int) -> tuple[tuple[int, int], ...]:
     """Cohomology of the single-multidegree piece of the localization
     complex.  The term in cohomological degree i has one F_p summand for
     each face sigma with |sigma| = i, nu contained in sigma, and
     sigma union pi a face; differentials carry the usual alternating
-    signs.  Depends on theta only through the sign pattern (nu, pi).
+    signs.  Depends on theta only through the sign pattern (nu, pi), here
+    as vertex bitmasks.
 
     The faces are read off the complex's table of face masks, filtered
     by the pattern, and the cohomology is that of cochain_dims."""
     by_size, masks = face_masks(c)
-    nu_mask = vertex_mask(nu)
-    pi_mask = vertex_mask(pi)
     cochains = {}
     for size, ms in by_size.items():
         kept = [m for m in ms if m & nu_mask == nu_mask and m | pi_mask in masks]
@@ -91,24 +89,24 @@ def oracle_box_check(
     theta < 0 and pi where theta > 0.  The table side is m(i, nu) when pi
     is empty and 0 otherwise; the oracle's piece has no cochains unless
     nu union pi is a face.  So both vanish unless the pattern splits a
-    face sigma into nu and pi, and only those patterns are evaluated,
-    each weighted by its box points.  A disagreeing pattern is expanded
-    back into its box points, listed in the order of the box."""
+    face mask sigma into a submask nu and pi = sigma - nu; only those are
+    evaluated, each weighted by its |neg|^|nu| |pos|^|pi| |zero|^(n - |sigma|)
+    box points.  A disagreeing pattern is expanded back into its box
+    points, listed in the order of the box."""
+    n = c.n_vertices
     neg = range(lo, min(hi, -1) + 1)
     zero = range(max(lo, 0), min(hi, 0) + 1)
     pos = range(max(lo, 1), hi + 1)
     top = c.dim + 1
-    table = {(i, nu): m for i, nu, m in decomposition(c, p)}
+    table = {(i, vertex_mask(nu)): m for i, nu, m in decomposition(c, p)}
     disagree = 0
     mismatches = []
-    for sigma in all_faces(c):
-        for k in range(len(sigma) + 1):
-            for nu in itertools.combinations(sigma, k):
-                pi = tuple(v for v in sigma if v not in nu)
-                ranges = [
-                    neg if v in nu else pos if v in pi else zero for v in range(c.n_vertices)
-                ]
-                weight = math.prod(map(len, ranges))
+    for size, sigmas in face_masks(c)[0].items():
+        rest = len(zero) ** (n - size)
+        for sigma in sigmas:
+            for nu in submasks(sigma):
+                pi = sigma ^ nu
+                weight = len(neg) ** nu.bit_count() * len(pos) ** pi.bit_count() * rest
                 if not weight:
                     continue
                 oracle = dict(_cech_dims_by_signs(c, p, nu, pi))
@@ -117,9 +115,10 @@ def oracle_box_check(
                     rhs = oracle.get(i, 0)
                     if lhs != rhs:
                         disagree += weight
+                        ranges = [neg if nu >> v & 1 else pos if pi >> v & 1 else zero for v in range(n)]
                         mismatches += [(t, i, lhs, rhs) for t in itertools.product(*ranges)]
     mismatches.sort()
-    return max(hi - lo + 1, 0) ** c.n_vertices * (top + 1) - disagree, mismatches
+    return max(hi - lo + 1, 0) ** n * (top + 1) - disagree, mismatches
 
 
 def reisner_cm_condition(c: SimplicialComplex, p: int) -> bool:

@@ -6,17 +6,19 @@ degenerate objects are kept distinct: the empty complex {()} (whose
 degree -1 reduced cohomology is K) and the void complex with no faces
 at all, which only ever arises as a sentinel and has zero cohomology.
 
-Each complex also has one cached table of its faces as vertex bitmasks
-(bit v for vertex v), grouped by size.  cochain_dims computes the
-cohomology of a cochain complex on such masks; it serves both the
-reduced cohomology of a complex here and the graded oracle of
-froblab.local_cohomology, which filters the table by sign pattern.
+Each complex has one cached table of its faces, face_masks: vertex
+bitmasks (bit v for vertex v), the submasks of its facet masks, grouped
+by size.  Face tests, all_faces, the nonface ideal and the graded
+oracle read it; vertex tuples are made only for links and reports.
+cochain_dims computes the cohomology of a cochain complex on such
+masks, both the reduced cohomology of a complex here and the graded
+oracle of froblab.local_cohomology, which filters the table by sign
+pattern.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 
 from .errors import NotAFaceError, ParseError
@@ -27,18 +29,13 @@ Face = tuple[int, ...]
 
 
 def _normalize_facets(facets) -> tuple[Face, ...]:
-    cleaned = []
-    for f in facets:
-        t = tuple(sorted(set(int(v) for v in f)))
-        cleaned.append(t)
-    cleaned = sorted(set(cleaned), key=lambda t: (len(t), t))
-    # drop facets contained in another (antichain reduction)
-    kept = [
-        f
-        for f in cleaned
-        if not any(set(f) < set(g) for g in cleaned)
-    ]
-    return tuple(kept)
+    cleaned = sorted({tuple(sorted(set(int(v) for v in f))) for f in facets}, key=lambda t: (len(t), t))
+    # drop facets contained in another (antichain reduction), tested on
+    # masks over the rank of each label, so that a large or negative
+    # label costs no more than a small one
+    rank = {v: k for k, v in enumerate(sorted({v for f in cleaned for v in f}))}
+    masks = [sum(1 << rank[v] for v in f) for f in cleaned]
+    return tuple(f for f, m in zip(cleaned, masks) if not any(m != g and m & g == m for g in masks))
 
 
 @record
@@ -80,7 +77,8 @@ class SimplicialComplex:
 
 
 def from_facets(n_vertices: int, facets) -> SimplicialComplex:
-    """Parse-time constructor: validates labels and rejects isolated ones."""
+    """Parse-time constructor: validates labels and rejects isolated ones,
+    naming the first ten."""
     norm = _normalize_facets(facets)
     covered = set()
     for f in norm:
@@ -88,9 +86,12 @@ def from_facets(n_vertices: int, facets) -> SimplicialComplex:
             if v < 0 or v >= n_vertices:
                 raise ParseError(f"vertex label {v} out of range [0, {n_vertices})")
             covered.add(v)
-    missing = sorted(set(range(n_vertices)) - covered)
-    if missing:
-        raise ParseError(f"vertices {missing} belong to no facet")
+    uncovered = n_vertices - len(covered)
+    if uncovered:
+        # the first ten uncovered labels lie below len(covered) + 10
+        missing = [v for v in range(min(n_vertices, len(covered) + 10)) if v not in covered]
+        named = missing if uncovered <= 10 else f"{missing[:10]} and {uncovered - 10} more"
+        raise ParseError(f"vertices {named} belong to no facet")
     return SimplicialComplex(n_vertices, norm)
 
 
@@ -112,23 +113,10 @@ def parse_facets_text(text: str) -> SimplicialComplex:
     return from_facets(n, facets)
 
 
-@lru_cache(maxsize=None)
-def faces(c: SimplicialComplex) -> dict[int, tuple[Face, ...]]:
-    """All faces grouped by dimension, including () at dimension -1."""
-    if c.is_void:
-        return {}
-    seen: set[Face] = set()
-    for f in c.facets:
-        for k in range(len(f) + 1):
-            seen.update(itertools.combinations(f, k))
-    out: dict[int, list[Face]] = {}
-    for s in seen:
-        out.setdefault(len(s) - 1, []).append(s)
-    return {d: tuple(sorted(fs)) for d, fs in sorted(out.items())}
-
-
 def all_faces(c: SimplicialComplex) -> tuple[Face, ...]:
-    return tuple(f for d in sorted(faces(c)) for f in faces(c)[d])
+    """Every face as a vertex tuple, by size and then in lexicographic
+    order, the empty face first."""
+    return tuple(f for ms in face_masks(c)[0].values() for f in sorted(map(mask_vertices, ms)))
 
 
 def link(c: SimplicialComplex, sigma) -> SimplicialComplex:
@@ -160,15 +148,26 @@ def vertex_mask(sigma) -> int:
     return sum(1 << v for v in set(sigma))
 
 
+def mask_vertices(mask: int) -> Face:
+    """The vertices of a bitmask as a sorted tuple; undoes vertex_mask."""
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def submasks(mask: int) -> Iterator[int]:
+    """Every submask of mask, in decreasing order: mask itself first, 0 last."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
 @lru_cache(maxsize=None)
 def face_masks(c: SimplicialComplex) -> tuple[dict[int, tuple[int, ...]], frozenset[int]]:
-    """The faces of c as vertex bitmasks, grouped by size, and their set.
-
-    Built from the facets, not from faces(c), so that a link, which
-    needs only its masks, keeps no table of face tuples."""
-    masks = frozenset(
-        vertex_mask(s) for f in c.facets for k in range(len(f) + 1) for s in itertools.combinations(f, k)
-    )
+    """The faces of c as vertex bitmasks, grouped by size, sizes and masks
+    each in increasing order, and their set: the submasks of the facets."""
+    masks = frozenset(m for f in c.facets for m in submasks(vertex_mask(f)))
     by_size: dict[int, list[int]] = {}
     for m in sorted(masks):
         by_size.setdefault(m.bit_count(), []).append(m)

@@ -2,19 +2,18 @@
 
 Monomials are exponent tuples of fixed length, and a monomial ideal is
 held by its minimal generators; membership is read off them.  The
-nonface ideal and Fedder's F-purity test read off the minimal nonfaces.
+nonface ideal takes its minimal nonfaces from the complex's table of
+face masks, and Fedder's F-purity test reads off them.
 Nothing here needs the polynomial layer (froblab.polyfp), which
 analyze-complex therefore never loads.
 """
 
 from __future__ import annotations
 
-import itertools
-
 from .errors import UnsupportedInputError
 from .gfp_linalg import check_p_power, check_prime
 from .record import record
-from .simplicial import SimplicialComplex
+from .simplicial import SimplicialComplex, face_masks
 
 Monomial = tuple[int, ...]
 
@@ -82,19 +81,20 @@ def frobenius_power(ideal: MonomialIdeal, q: int, p: int) -> MonomialIdeal:
 def nonface_ideal(c: SimplicialComplex) -> MonomialIdeal:
     """Square-free generators: the minimal vertex sets that are not faces.
 
-    Dropping a vertex from a minimal nonface leaves a face, so none has
-    more than dim + 2 vertices, and the minimal nonfaces already form the
-    antichain of minimal generators."""
+    Dropping its largest vertex v from a minimal nonface leaves a face
+    sigma, so they are the masks sigma + {v}, sigma in the face-mask table
+    and v above sigma, outside the table with every one-vertex drop in it;
+    they already form the antichain of minimal generators."""
     if c.is_void:
         raise UnsupportedInputError("the void complex has no face ring")
     n = c.n_vertices
+    masks = face_masks(c)[1]
     minimal = []
-    for size in range(1, min(n, c.dim + 2) + 1):
-        for sub in itertools.combinations(range(n), size):
-            if c.is_face(sub):
-                continue
-            if all(c.is_face(sub[:k] + sub[k + 1 :]) for k in range(size)):
-                minimal.append(tuple(1 if i in sub else 0 for i in range(n)))
+    for sigma in masks:
+        for v in range(sigma.bit_length(), n):
+            tau = sigma | 1 << v
+            if tau not in masks and all(tau ^ 1 << u in masks for u in range(v) if sigma >> u & 1):
+                minimal.append(tuple(tau >> u & 1 for u in range(n)))
     return MonomialIdeal(n, tuple(sorted(minimal)))
 
 

@@ -23,10 +23,14 @@ helpers.boundary_homology_dims build on.
 
 import itertools
 import math
+from functools import lru_cache
 
 from froblab import local_cohomology as lc
 from froblab.gfp_linalg import check_prime, row_echelon
 from froblab.simplicial import all_faces
+
+# froblab keeps no table of face tuples; this reference keeps one per complex
+face_tuples = lru_cache(maxsize=None)(all_faces)
 
 
 def coboundary_matrix(src, tgt, p):
@@ -59,10 +63,6 @@ def neg_support(theta):
     return tuple(i for i, t in enumerate(theta) if t < 0)
 
 
-def pos_support(theta):
-    return tuple(i for i, t in enumerate(theta) if t > 0)
-
-
 def graded_dim(c, p, i, theta):
     """dim of the theta-graded piece of H^i_m(K[Delta]), read off the table.
 
@@ -84,7 +84,9 @@ def cech_graded_oracle(c, p, theta):
     decomposition table."""
     check_prime(p)
     theta = tuple(int(t) for t in theta)
-    return dict(lc._cech_dims_by_signs(c, p, neg_support(theta), pos_support(theta)))
+    nu = sum(1 << v for v, t in enumerate(theta) if t < 0)
+    pi = sum(1 << v for v, t in enumerate(theta) if t > 0)
+    return dict(lc._cech_dims_by_signs(c, p, nu, pi))
 
 
 def cech_dims_by_face_tuples(c, p, nu, pi):
@@ -93,7 +95,7 @@ def cech_dims_by_face_tuples(c, p, nu, pi):
     degree |sigma|, and the coboundary of simplicial.coboundary_matrix."""
     nu_set, pi_set = set(nu), set(pi)
     cochains = {}
-    for sigma in all_faces(c):
+    for sigma in face_tuples(c):
         if nu_set <= set(sigma) and c.is_face(set(sigma) | pi_set):
             cochains.setdefault(len(sigma), []).append(sigma)
     return cochain_cohomology(cochains, p)

@@ -3,8 +3,10 @@ truncation model, the minimal primes of a square-free monomial ideal,
 prime and irrelevant ideals, the standard Frobenius splitting of a
 polynomial ring and the containment check built on it, lookups into
 decomposition tables and reduced cohomology, the Krull dimension of a
-face ring, cones and relabelings of complexes, and the homology and
-Euler characteristic routes that cross-check reduced cohomology."""
+face ring, cones and relabelings of complexes, the homology and
+Euler characteristic routes that cross-check reduced cohomology, and
+faces, the table of face tuples that froblab.simplicial.face_masks
+replaced."""
 
 import itertools
 
@@ -15,7 +17,7 @@ from element_model import apply_x
 from froblab.errors import UnsupportedInputError
 from froblab.gfp_linalg import check_prime, row_echelon
 from froblab.polyfp import PolynomialFp
-from froblab.simplicial import SimplicialComplex, faces
+from froblab.simplicial import SimplicialComplex
 
 
 def apply_monomial(t, exponents, v):
@@ -131,6 +133,21 @@ def is_cone_complex(c):
     for f in c.facets:
         common &= set(f)
     return bool(common)
+
+
+def faces(c):
+    """All faces as vertex tuples grouped by dimension, including () at
+    dimension -1, each dimension sorted: every subset of every facet."""
+    if c.is_void:
+        return {}
+    seen = set()
+    for f in c.facets:
+        for k in range(len(f) + 1):
+            seen.update(itertools.combinations(f, k))
+    out = {}
+    for s in seen:
+        out.setdefault(len(s) - 1, []).append(s)
+    return {d: tuple(sorted(fs)) for d, fs in sorted(out.items())}
 
 
 def boundary_homology_dims(c, p):

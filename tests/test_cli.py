@@ -155,6 +155,38 @@ def test_analyze_complex_empty_file(tmp_path, capsys):
     assert "error" in err
 
 
+def test_far_label_names_only_the_first_uncovered_vertices(tmp_path, capsys):
+    # two vertices in use, the largest label 10^6: the message once listed
+    # all 999,999 uncovered labels (7.9 MB)
+    path = tmp_path / "far.facets"
+    path.write_text("0\n1000000\n")
+    code, out, err = run_cli(["analyze-complex", str(path), "--prime", "2"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: vertices [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] and 999989 more belong to no facet\n"
+
+
+def limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20, 1536 * 2**20))
+
+
+def test_very_far_label_is_an_input_error_under_a_memory_limit(tmp_path):
+    # largest label 10^11: a set of every label in range ran out of
+    # memory, so this runs only in a child under a 1.5 GB address-space limit
+    path = tmp_path / "very-far.facets"
+    path.write_text("0\n100000000000\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "froblab.cli", "analyze-complex", str(path), "--prime", "2"],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit_address_space,
+        timeout=60,
+    )
+    assert_input_error(proc)
+    assert len(proc.stderr) < 200 and "99999999989 more" in proc.stderr
+
+
 def test_analyze_complex_bad_prime(two_points_file, capsys):
     code, _, err = run_cli(["analyze-complex", two_points_file, "--prime", "4"], capsys)
     assert code == 1

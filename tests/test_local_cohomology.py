@@ -38,7 +38,7 @@ from froblab.local_cohomology import (
     oracle_box_check,
     reisner_cm_condition,
 )
-from froblab.simplicial import from_facets
+from froblab.simplicial import from_facets, vertex_mask
 
 
 def test_decomposition_two_points():
@@ -131,7 +131,7 @@ def assert_pieces_match_face_tuples(c, p):
         nu = tuple(v for v, s in enumerate(signs) if s < 0)
         pi = tuple(v for v, s in enumerate(signs) if s > 0)
         expected = cech_dims_by_face_tuples(c, p, nu, pi)
-        assert lc._cech_dims_by_signs(c, p, nu, pi) == expected, (c, p, nu, pi)
+        assert lc._cech_dims_by_signs(c, p, vertex_mask(nu), vertex_mask(pi)) == expected, (c, p, nu, pi)
         if not c.is_face(nu + pi):
             assert expected == ()
 

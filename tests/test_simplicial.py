@@ -8,6 +8,7 @@ from helpers import (
     cone,
     dim_at,
     euler_characteristic_faces,
+    faces,
     is_cone_complex,
     relabel,
 )
@@ -15,7 +16,6 @@ from froblab.errors import NotAFaceError, ParseError
 from froblab.simplicial import (
     SimplicialComplex,
     all_faces,
-    faces,
     from_facets,
     link,
     links,
@@ -52,6 +52,16 @@ def test_from_facets_errors():
         from_facets(2, [[0, 3]])
     with pytest.raises(ParseError):
         from_facets(3, [[0, 1]])  # vertex 2 uncovered
+
+
+def test_uncovered_vertices_named_up_to_ten():
+    with pytest.raises(ParseError, match=r"^vertices \[1, 2, 3, 4, 5, 6, 7, 8, 9, 10\] belong"):
+        from_facets(11, [[0]])
+    # the vertex count may exceed the largest label by any amount here
+    with pytest.raises(ParseError, match=r"^vertices \[1, 2, 3, 4, 5, 6, 7, 8, 9, 10\] and 89 more belong"):
+        from_facets(100, [[0]])
+    with pytest.raises(ParseError, match=r"^vertices \[0, 1, 2, 3, 4, 5, 6, 7, 8, 9\] and 1 more belong"):
+        from_facets(13, [[11, 12]])
 
 
 def test_parse_facets_text():

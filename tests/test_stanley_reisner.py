@@ -1,19 +1,23 @@
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colon_oracle import colon_radical_contains_nonfaces, fedder_fpure_by_colon, ideal_from_generators
+from colon_oracle import (
+    colon_radical_contains_nonfaces,
+    fedder_fpure_by_colon,
+    ideal_from_generators,
+    nonface_ideal_by_scan,
+)
 from corpus import acceptance_corpus, make_complex
 from helpers import (
+    faces,
     irrelevant_ideal,
     krull_dim,
     prime_to_ideal,
     splitting_containment_check,
     squarefree_minimal_primes,
 )
-from froblab.simplicial import from_facets
+from froblab.simplicial import all_faces, from_facets
 from froblab.stanley_reisner import fedder_fpure_monomial, nonface_ideal
 
 TWO_POINTS = from_facets(2, [[0], [1]])
@@ -46,21 +50,9 @@ def test_nonface_ideal_two_edges():
     assert set(gens) == {(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)}
 
 
-def nonfaces_of_every_size(c):
-    """Minimal nonfaces searched over all 2^n vertex sets."""
-    n = c.n_vertices
-    minimal = [
-        tuple(1 if i in sub else 0 for i in range(n))
-        for size in range(1, n + 1)
-        for sub in itertools.combinations(range(n), size)
-        if not c.is_face(sub) and all(c.is_face(sub[:k] + sub[k + 1 :]) for k in range(size))
-    ]
-    return ideal_from_generators(n, minimal)
-
-
 def test_nonface_ideal_matches_search_over_every_size_on_corpus():
     for c in acceptance_corpus():
-        assert nonface_ideal(c) == nonfaces_of_every_size(c), c
+        assert nonface_ideal(c) == nonface_ideal_by_scan(c, c.n_vertices), c
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
@@ -74,7 +66,27 @@ def test_nonface_ideal_matches_search_over_every_size_on_corpus():
 def test_nonface_ideal_matches_search_over_every_size(case):
     n, facets = case
     c = make_complex(n, [sorted(f) for f in facets])
-    assert nonface_ideal(c) == nonfaces_of_every_size(c)
+    assert nonface_ideal(c) == nonface_ideal_by_scan(c, c.n_vertices)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.sets(st.integers(0, n - 1)), min_size=1, max_size=6)
+        )
+    )
+)
+def test_mask_table_matches_tuple_table_and_subset_scan(case):
+    # vertices that no facet covers are allowed, and so is {()}
+    n, facets = case
+    c = make_complex(n, [sorted(f) for f in facets])
+    table = faces(c)
+    gens = nonface_ideal(c).generators
+    scanned = nonface_ideal_by_scan(c).generators
+    for size in range(n + 1):
+        assert tuple(f for f in all_faces(c) if len(f) == size) == table.get(size - 1, ())
+        assert [g for g in gens if sum(g) == size] == [g for g in scanned if sum(g) == size]
 
 
 def minimal_primes(c):
