@@ -29,13 +29,10 @@ Face = tuple[int, ...]
 
 
 def _normalize_facets(facets) -> tuple[Face, ...]:
-    cleaned = sorted({tuple(sorted(set(int(v) for v in f))) for f in facets}, key=lambda t: (len(t), t))
-    # drop facets contained in another (antichain reduction), tested on
-    # masks over the rank of each label, so that a large or negative
-    # label costs no more than a small one
-    rank = {v: k for k, v in enumerate(sorted({v for f in cleaned for v in f}))}
-    masks = [sum(1 << rank[v] for v in f) for f in cleaned]
-    return tuple(f for f, m in zip(cleaned, masks) if not any(m != g and m & g == m for g in masks))
+    cleaned = {tuple(sorted(set(int(v) for v in f))) for f in facets}
+    # drop facets contained in another (antichain reduction)
+    kept = [f for f in cleaned if not any(set(f) < set(g) for g in cleaned)]
+    return tuple(sorted(kept, key=lambda t: (len(t), t)))
 
 
 @record

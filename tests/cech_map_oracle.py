@@ -20,6 +20,9 @@ point-level count, which equals the face-level one only if the
 submodules are constant on each block.  With zero_frobenius, F is the
 zero map, the fixture on which anti-nilpotence fails.
 
+The coboundary is box_oracle.coboundary_matrix read on face masks, and
+kernels, spans and containment are those of perp_oracle.
+
 froblab.fmodule still treats H^i as the direct sum of its face blocks
 (ROADMAP.md, open item 1); nothing in froblab uses this oracle yet.
 """
@@ -27,46 +30,21 @@ froblab.fmodule still treats H^i as the direct sum of its face blocks
 import itertools
 from functools import lru_cache
 
+from box_oracle import coboundary_matrix
+from perp_oracle import contains_vector, kernel_basis, subspace_contains, subspace_from_vectors
 from froblab.gfp_linalg import row_echelon, subspace_lattice
-from froblab.simplicial import face_masks
+from froblab.simplicial import face_masks, mask_vertices
 
 
 def coboundary(src, tgt, p):
-    """The coboundary from the cochains on the face masks src to those
-    on tgt: one vector over tgt per face of src.  sigma goes to
-    sigma + {v} with the sign (-1)^k, k the vertices of sigma below v."""
-    row = {m: k for k, m in enumerate(tgt)}
-    columns = []
-    for sigma in src:
-        col = [0] * len(tgt)
-        for tau, k in row.items():
-            v = tau & ~sigma
-            if tau & sigma == sigma and v & (v - 1) == 0:
-                col[k] = 1 if (sigma & (v - 1)).bit_count() % 2 == 0 else p - 1
-        columns.append(col)
-    return columns
+    """box_oracle.coboundary_matrix on the face masks src and tgt: rows
+    indexed by tgt, columns by src."""
+    return coboundary_matrix([mask_vertices(m) for m in src], [mask_vertices(m) for m in tgt], p)
 
 
-def kernel(columns, n_src, p):
-    """A basis of the vectors z with sum z_k columns[k] = 0."""
-    echelon, pivots = row_echelon(list(zip(*columns)), p, reduced=True)
-    out = []
-    for free in (j for j in range(n_src) if j not in pivots):
-        z = [0] * n_src
-        z[free] = 1
-        for r, c in zip(echelon, pivots):
-            z[c] = -r[free] % p
-        out.append(z)
-    return out
-
-
-def span_rank(rows, p):
-    return len(row_echelon(rows, p)[0])
-
-
-def contains(big, small, p):
-    """Whether the span of the rows big holds every row of small."""
-    return span_rank(list(big) + list(small), p) == span_rank(big, p)
+def holds(space, vectors):
+    """Whether the Subspace space holds every one of vectors."""
+    return all(contains_vector(space, v) for v in vectors)
 
 
 def image(rows, matrix, p):
@@ -86,12 +64,6 @@ def preimage(rows, matrix, target, p):
     return [[sum(a * u[x] for a, u in zip(co, rows)) % p for x in range(len(rows[0]))] for co in coeffs]
 
 
-@lru_cache(maxsize=None)
-def subspaces(p, dim):
-    """Every subspace of F_p^dim, as lists of basis rows."""
-    return [[list(r) for r in s.basis] for s in subspace_lattice(p, dim)]
-
-
 class Block:
     """H^i(C_nu) for the face mask nu: the faces of size i that contain
     nu, the coboundaries out of size i - 1, and cocycles whose classes
@@ -102,13 +74,12 @@ class Block:
         below, faces, above = ([m for m in by_size.get(k, ()) if m & nu == nu] for k in (i - 1, i, i + 1))
         self.p = p
         self.faces = {m: k for k, m in enumerate(faces)}
-        self.boundaries = row_echelon(coboundary(below, faces, p), p)[0]
+        # the coboundaries are the columns of the matrix out of size i - 1
+        self.boundaries = row_echelon(list(zip(*coboundary(below, faces, p))), p)[0]
         self.cocycles = []
-        spanned = list(self.boundaries)
-        for z in kernel(coboundary(faces, above, p), len(faces), p):
-            if not contains(spanned, [z], p):
-                spanned.append(z)
-                self.cocycles.append(z)
+        for z in kernel_basis(coboundary(faces, above, p), p, len(faces)).basis:
+            if not contains_vector(subspace_from_vectors(p, len(faces), self.boundaries + self.cocycles), z):
+                self.cocycles.append(list(z))
         # the boundaries and cocycles are independent: tag each with its index
         basis = self.boundaries + self.cocycles
         tagged = [v + [int(k == j) for k in range(len(basis))] for j, v in enumerate(basis)]
@@ -153,7 +124,7 @@ def phi(c, p, i, nu, j):
 
 def closed_families(c, p, i):
     """The families (U_nu) closed under every phi_{nu,j}, listed face by
-    face, largest face first, each as {face mask: basis rows}; a face
+    face, largest face first, each as {face mask: Subspace}; a face
     whose block is zero is left out."""
     by_size = face_masks(c)[0]
     faces = [nu for k in sorted(by_size, reverse=True) for nu in by_size[k] if block(c, p, i, nu).dim]
@@ -168,9 +139,9 @@ def closed_families(c, p, i):
             yield dict(chosen)
             return
         nu = faces[k]
-        need = [row for src, m in into[nu] for row in image(chosen[src], m, p)]
-        for u in subspaces(p, block(c, p, i, nu).dim):
-            if contains(u, need, p):
+        need = [row for src, m in into[nu] for row in image(chosen[src].basis, m, p)]
+        for u in subspace_lattice(p, block(c, p, i, nu).dim):
+            if holds(u, need):
                 chosen[nu] = u
                 yield from extend(k + 1, chosen)
                 del chosen[nu]
@@ -211,7 +182,7 @@ class PointModel:
 
     def families(self):
         """Every family (U_theta) with each map carrying U_a into U_b, as
-        {theta: basis rows}; each map is checked at its later point."""
+        {theta: Subspace}; each map is checked at its later point."""
         order = {t: k for k, t in enumerate(self.points)}
         checks = {t: [] for t in self.points}
         for a, b, m in self.x_maps + self.f_maps:
@@ -222,9 +193,9 @@ class PointModel:
                 yield dict(chosen)
                 return
             theta = self.points[k]
-            for u in subspaces(self.p, self.dims[theta]):
+            for u in subspace_lattice(self.p, self.dims[theta]):
                 chosen[theta] = u
-                if all(contains(chosen[b], image(chosen[a], m, self.p), self.p) for a, b, m in checks[theta]):
+                if all(holds(chosen[b], image(chosen[a].basis, m, self.p)) for a, b, m in checks[theta]):
                     yield from extend(k + 1, chosen)
             del chosen[theta]
 
@@ -236,8 +207,8 @@ class PointModel:
         N(theta) with F(u) in N'(p * theta) lie in N'(theta)."""
         p = self.p
         for big, small in itertools.permutations(families, 2):
-            if all(contains(big[t], small[t], p) for t in self.points):
+            if all(subspace_contains(big[t], small[t]) for t in self.points):
                 for a, b, m in self.f_maps:
-                    if big[a] and not contains(small[a], preimage(big[a], m, small[b], p), p):
+                    if big[a].dim and not holds(small[a], preimage(big[a].basis, m, small[b].basis, p)):
                         return False
         return True

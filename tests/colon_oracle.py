@@ -6,8 +6,9 @@ generator-wise exponent rule intersected over the generators of I, and
 read the verdict off its generators.  The ideal of an arbitrary list of
 generators, the sum and intersection of monomial ideals and the
 containment of one in another, which froblab itself never needs, live
-here too, and so does the scan of vertex subsets that found the minimal
-nonfaces before froblab read them off its table of face masks.
+here too, and so does a scan of every vertex subset for the minimal
+nonfaces, the reference for froblab's reading of them off its table of
+face masks.
 """
 
 import itertools
@@ -20,15 +21,13 @@ def ideal_from_generators(n_vars: int, gens) -> MonomialIdeal:
     return MonomialIdeal(n_vars, _antichain(n_vars, [tuple(g) for g in gens]))
 
 
-def nonface_ideal_by_scan(c, max_size=None) -> MonomialIdeal:
+def nonface_ideal_by_scan(c) -> MonomialIdeal:
     """The nonface ideal of a nonvoid complex from a scan of its vertex
-    subsets of at most max_size vertices, by default dim + 2: dropping a
-    vertex from a minimal nonface leaves a face, so none is larger."""
+    subsets of every size."""
     n = c.n_vertices
-    top = c.dim + 2 if max_size is None else max_size
     minimal = [
         tuple(1 if i in sub else 0 for i in range(n))
-        for size in range(1, min(n, top) + 1)
+        for size in range(1, n + 1)
         for sub in itertools.combinations(range(n), size)
         if not c.is_face(sub) and all(c.is_face(sub[:k] + sub[k + 1 :]) for k in range(size))
     ]

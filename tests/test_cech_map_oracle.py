@@ -32,9 +32,9 @@ def test_blocks_are_the_table_with_cocycle_bases(p):
                 b = block(c, p, i, nu)
                 assert b.dim == table.get((i, mask_vertices(nu)), 0), (c, i, nu)
                 above = [m for m in face_masks(c)[0].get(i + 1, ()) if m & nu == nu]
-                columns = coboundary(list(b.faces), above, p)
+                matrix = coboundary(list(b.faces), above, p)
                 for k, z in enumerate(b.cocycles):
-                    assert not any(sum(a * col[r] for a, col in zip(z, columns)) % p for r in range(len(above)))
+                    assert not any(sum(a * x for a, x in zip(z, row)) % p for row in matrix)
                     assert b.coordinates(b.cocycle(k)) == [int(j == k) for j in range(b.dim)]
 
 
