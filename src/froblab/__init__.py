@@ -8,12 +8,8 @@ brute-force oracles backing every nontrivial computation.  The package
 namespace exports only __version__; import everything else from its
 module (froblab.cli, froblab.local_cohomology, ...).  Each command
 loads only its own modules: analyze-hypersurface never loads the
-face-ring ones, among them the submodule models of froblab.fmodule,
-and analyze-complex never loads froblab.hypersurface.  M is
-anti-nilpotent when F acts injectively on M/N for every F-stable
-submodule N; that condition on a pair N' ⊂ N only gets harder as N
-grows, so fmodule checks each enumerated submodule once, against the
-whole module.
+face-ring ones, among them the submodule counts of froblab.fmodule,
+and analyze-complex never loads froblab.hypersurface.
 """
 
 __version__ = "0.1.0"

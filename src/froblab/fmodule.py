@@ -1,44 +1,23 @@
-"""Finite graded truncation models of the local cohomology modules of a
-face ring, with their variable action and Frobenius action.
+"""Counts of the graded F-stable submodules of the local cohomology of
+a face ring, from the maps between its face blocks.
 
-A model is determined by the prime p, the ambient variable count, a
-cohomological index, a depth bound T, and the face blocks
-(nu, multiplicity) from the decomposition table.  The summand of nu sits
-at the multidegrees whose negative support is exactly nu; the window
-holds exponent magnitudes in [1, T] and Frobenius maps it into the
-depth-p*T extension.
+In a multidegree theta <= 0 with negative support nu, the localization
+complex is the cochain complex C_nu of the faces containing nu; its H^i
+is the block of nu.  For j in nu, C_nu is a subcomplex of C_{nu - j},
+and x_j from theta_j = -1 is that inclusion, phi_{nu,j} on H^i.
+Elsewhere x_j steps inside a block, or kills it for j outside nu, and F
+sends theta to p*theta; both are the identity on the face basis.  So x
+gives U(theta) ⊆ U(theta + e_j), F gives U(theta) ⊆ U(p*theta), and
+walking back from p*theta with x, U(p*theta) ⊆ U(theta): a graded
+F-stable submodule is a family (U_nu) constant on each block, with
+phi_{nu,j}(U_nu) ⊆ U_{nu - j}.
 
-Action rules on the summand of nu at a multidegree:
-  * x_j with j outside nu kills it;
-  * x_j at magnitude 1 (exponent -1) kills it;
-  * otherwise x_j lowers the magnitude by one;
-  * F scales every magnitude by p (and is the identity on the
-    multiplicity coordinate, the coefficient field being F_p).
-
-The second rule is not the action on H^i_m(K[Delta]): there x_j at
-exponent -1 maps the block of nu into the block of nu minus {j}, often
-by a nonzero map.  So the models have the right graded dimensions, but
-their submodule counts are known to be wrong (two points: 8 against
-the true 5; ROADMAP.md, open item 1).
-
-Everything downstream of these rules (brute-force submodule
-enumeration and the anti-nilpotence check) is computed over
-graded submodules held as codes: a code is a tuple with one index into
-subspace_lattice for each multidegree of lattice_points(t), in that
-order, index 0 being the zero subspace and the last index the full
-multiplicity space.  The enumeration searches graded submodules only,
-and reports flag that as a scope condition.  Containment of two lattice
-entries is decided pair by pair, when the search asks, by
-lattice_contains.
-
-M is anti-nilpotent when F acts injectively on M/N for every F-stable
-submodule N (Enescu-Hochster).  Since F is theta -> p*theta and the
-identity on multiplicity coordinates, Frobenius is injective on N/N' at
-an interior theta exactly when N(theta) ∩ N'(p*theta) ⊆ N'(theta).  That
-only gets harder as N grows, and the whole module contains every
-submodule, so N' fails with some N exactly when it fails with the whole
-module: when N'(p*theta) ⊄ N'(theta) at some interior theta, or, for the
-zero map, when N'(theta) is not the full space.
+One search counts such families for two routes: face_count, one node
+per nonzero block, and window_count, its cross-check, one node per point
+of [-pT, -1]^nu of each block.  When they agree, every window family is
+constant on each block, where F is the identity and so injective on
+every quotient of two F-stable submodules: H^i is anti-nilpotent
+(Enescu-Hochster).  Both search graded submodules only.
 """
 
 from __future__ import annotations
@@ -46,62 +25,13 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from collections.abc import Sequence
 from functools import lru_cache
 
 from .errors import CapacityError
-from .gfp_linalg import (
-    DEFAULT_ENUM_CAP,
-    check_prime,
-    num_subspaces,
-    row_echelon,
-    subspace_lattice,
-)
+from .gfp_linalg import DEFAULT_ENUM_CAP, num_subspaces, row_echelon, subspace_lattice
 from .local_cohomology import decomposition
-from .record import record
-from .simplicial import Face, SimplicialComplex
-
-MultiDegree = tuple[int, ...]
-# one index into subspace_lattice per point of lattice_points(t), in order
-Code = tuple[int, ...]
-
-
-@record
-class FModuleTruncation:
-    """Finite window of one graded local cohomology module.
-
-    zero_frobenius replaces the Frobenius action by the zero map; it
-    exists purely as a diagnostic fixture for the anti-nilpotence check.
-    """
-
-    p: int
-    n_vars: int
-    index: int
-    depth: int
-    summands: tuple[tuple[Face, int], ...]
-    zero_frobenius: bool = False
-
-    def __post_init__(self):
-        check_prime(self.p)
-        if self.depth < 1:
-            raise ValueError("depth bound must be positive")
-        for nu, m in self.summands:
-            if m < 1 or any(v < 0 or v >= self.n_vars for v in nu):
-                raise ValueError("bad summand")
-
-    @property
-    def extension_depth(self) -> int:
-        return self.p * self.depth
-
-
-def build_truncation(
-    c: SimplicialComplex, p: int, i: int, depth: int, zero_frobenius: bool = False
-) -> FModuleTruncation:
-    """Model of H^i over the window of exponent magnitudes [1, depth]."""
-    table = decomposition(c, p)
-    if i < 0 or i > c.dim + 1:
-        raise ValueError(f"index {i} out of range [0, {c.dim + 1}]")
-    summands = tuple((nu, m) for ei, nu, m in table if ei == i)
-    return FModuleTruncation(p, c.n_vertices, i, depth, summands, zero_frobenius)
+from .simplicial import SimplicialComplex, coboundary_rows, face_masks, mask_vertices, vertex_mask
 
 
 @lru_cache(maxsize=None)
@@ -115,124 +45,151 @@ def lattice_contains(p: int, dim: int, a: int, b: int) -> bool:
     return len(row_echelon(big.basis + small.basis, p)[1]) == big.dim
 
 
-def lattice_points(t: FModuleTruncation) -> dict[MultiDegree, int]:
-    """Multidegrees of the working box [-pT, 0]^n whose negative support
-    carries a summand, with the multiplicity-space dimension at each.
-
-    They come face by face, magnitudes ascending within a face.  Every
-    constraint of the action rules joins two points of one face, so the
-    search settles each face before it enters the next and never repeats
-    a dead end of one face under every partial choice of another.
-    """
-    bound = t.extension_depth
-    points: dict[MultiDegree, int] = {}
-    for nu, m in t.summands:
-        for mags in itertools.product(range(1, bound + 1), repeat=len(nu)):
-            theta = [0] * t.n_vars
-            for v, mag in zip(nu, mags):
-                theta[v] = -mag
-            points[tuple(theta)] = m
-    return points
-
-
-def _constraints(t: FModuleTruncation, points: dict[MultiDegree, int]):
-    """Inclusion constraints U_src <= U_tgt induced by the action rules.
-
-    x_j gives one for every surviving step (exponent below -1); F gives
-    one whenever p*theta stays inside the box.  Both maps are the
-    identity on multiplicity coordinates.
-    """
-    cons: list[tuple[MultiDegree, MultiDegree]] = []
-    for theta in points:
-        for j in range(t.n_vars):
-            if theta[j] <= -2:
-                tgt = list(theta)
-                tgt[j] += 1
-                tgt = tuple(tgt)
-                if tgt in points:
-                    cons.append((theta, tgt))
-        if not t.zero_frobenius:
-            ptheta = tuple(t.p * v for v in theta)
-            if theta != ptheta and all(v >= -t.extension_depth for v in ptheta):
-                if ptheta in points:
-                    cons.append((theta, ptheta))
-    return cons
+@lru_cache(maxsize=None)
+def block(c: SimplicialComplex, p: int, i: int, nu: int):
+    """H^i(C_nu) for the face mask nu, as (faces, boundaries, classes):
+    the faces of size i containing nu, and (row, pivot) pairs of the
+    reduced echelon forms of the coboundaries and of the cocycles, the
+    latter at the pivots that are not coboundary pivots.  Their classes are
+    a basis: a cocycle that is zero at the coboundary pivots is the
+    combination of them read off at their pivots."""
+    by_size = face_masks(c)[0]
+    below, faces, above = ([m for m in by_size.get(k, ()) if m & nu == nu] for k in (i - 1, i, i + 1))
+    boundaries, fixed = row_echelon(zip(*coboundary_rows(below, faces)), p, reduced=True)
+    rows, pivots = row_echelon(coboundary_rows(faces, above), p, reduced=True)
+    kernel = []
+    for free in sorted(set(range(len(faces))) - set(pivots)):
+        z = [int(k == free) for k in range(len(faces))]
+        for row, col in zip(rows, pivots):
+            z[col] = -row[free] % p
+        kernel.append(z)
+    cocycles, z_pivots = row_echelon(boundaries + kernel, p, reduced=True)
+    classes = [(row, col) for row, col in zip(cocycles, z_pivots) if col not in fixed]
+    return faces, list(zip(boundaries, fixed)), classes
 
 
-def enumerate_f_stable_submodules(
-    t: FModuleTruncation, cap: int = DEFAULT_ENUM_CAP
-) -> tuple[int, list[Code]]:
-    """Brute-force search over the codes of all graded submodules
-    compatible with the variable action inside the box and with Frobenius
-    wherever its image stays inside the box; returns their number and the
-    codes in search order.  Degrees outside the box are unconstrained, so
-    no genuine submodule is ever rejected."""
-    # the summand of nu has (pT)^|nu| points, so the size is known before
-    # any point is listed; one power per multiplicity, as a running
-    # product of many factors is quadratic
-    exponents = Counter()
-    for nu, m in t.summands:
-        exponents[m] += t.extension_depth ** len(nu)
-    size = math.prod(num_subspaces(t.p, m) ** k for m, k in exponents.items())
+def phi(c: SimplicialComplex, p: int, i: int, nu: int, j: int) -> tuple[tuple[int, ...], ...]:
+    """Rows: the coordinates in H^i(C_{nu - j}) of the images of the basis
+    classes of H^i(C_nu) under the inclusion of C_nu: each cocycle is
+    cleared at the coboundary pivots of the target and read off at its
+    class pivots."""
+    faces, _, classes = block(c, p, i, nu)
+    target, boundaries, target_classes = block(c, p, i, nu & ~(1 << j))
+    column = {m: k for k, m in enumerate(target)}
+    out = []
+    for cocycle, _ in classes:
+        w = [0] * len(target)
+        for m, a in zip(faces, cocycle):
+            w[column[m]] = a
+        for row, col in boundaries:
+            f = w[col]
+            if f:
+                w = [(a - f * b) % p for a, b in zip(w, row)]
+        out.append(tuple(w[col] for _, col in target_classes))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _phi_images(c: SimplicialComplex, p: int, i: int, nu: int, j: int) -> list[int]:
+    """The lattice index of the image under phi_{nu,j} of every entry of
+    the subspace lattice of H^i(C_nu)."""
+    matrix = phi(c, p, i, nu, j)
+    target = subspace_lattice(p, len(block(c, p, i, nu & ~(1 << j))[2]))
+    index = {s.basis: k for k, s in enumerate(target)}
+    out = []
+    for s in subspace_lattice(p, len(matrix)):
+        rows = [[sum(a * b for a, b in zip(r, col)) for col in zip(*matrix)] for r in s.basis]
+        out.append(index[tuple(map(tuple, row_echelon(rows, p, reduced=True)[0]))])
+    return out
+
+
+def _blocks(c: SimplicialComplex, p: int, i: int) -> list[tuple[int, int]]:
+    """(face mask, multiplicity) of the nonzero blocks of H^i, the largest
+    face first."""
+    masks = [(vertex_mask(nu), m) for ei, nu, m in decomposition(c, p) if ei == i]
+    return sorted(masks, key=lambda nm: (-nm[0].bit_count(), nm[0]))
+
+
+def _check_cap(p: int, multiplicities: Counter, cap: int) -> None:
+    """Raise CapacityError when the search space, num_subspaces(p, m) to
+    the power k for each multiplicity m of k nodes, exceeds cap."""
+    # one power per multiplicity: a running product of many factors is quadratic
+    size = math.prod(num_subspaces(p, m) ** k for m, k in multiplicities.items())
     if size > cap:
         # str() of an integer past 4300 digits raises
         raise CapacityError(f"profile search space of {size.bit_length()} bits exceeds cap {cap}")
-    points = lattice_points(t)
-    # every constraint is checked at whichever of its two points the
-    # search assigns later: there the current index is the source
-    # (bounded by the target above) or the target (bounding the source)
-    position = {theta: k for k, theta in enumerate(points)}
-    above: list[list[int]] = [[] for _ in points]
-    below: list[list[int]] = [[] for _ in points]
-    for src, tgt in _constraints(t, points):
-        if position[src] >= position[tgt]:
-            above[position[src]].append(position[tgt])
-        else:
-            below[position[tgt]].append(position[src])
-    dims = list(points.values())
-    sizes = [len(subspace_lattice(t.p, m)) for m in dims]
 
-    codes: list[Code] = []
+
+def _count_families(p: int, dims: list[int], edges: list[tuple[int, int, Sequence[int]]]) -> int:
+    """Number of families (U_k), U_k an entry of subspace_lattice(p,
+    dims[k]), with every edge (a, b, image) carrying U_a into U_b, image[s]
+    being the lattice index of the image of entry s of node a.  Each edge
+    is checked at whichever end the search assigns later."""
+    checks: list[list] = [[] for _ in dims]
+    for a, b, image in edges:
+        checks[max(a, b)].append((a, b, image))
     ids = [0] * len(dims)
 
-    def dfs(k: int):
+    def dfs(k: int) -> int:
         if k == len(dims):
-            codes.append(tuple(ids))
-            return
-        # both ends of a constraint share one multiplicity space
-        m = dims[k]
-        for s in range(sizes[k]):
-            if all(lattice_contains(t.p, m, ids[j], s) for j in above[k]) and all(
-                lattice_contains(t.p, m, s, ids[j]) for j in below[k]
-            ):
-                ids[k] = s
-                dfs(k + 1)
+            return 1
+        count = 0
+        for ids[k] in range(len(subspace_lattice(p, dims[k]))):
+            if all(lattice_contains(p, dims[b], ids[b], image[ids[a]]) for a, b, image in checks[k]):
+                count += dfs(k + 1)
+        return count
 
-    dfs(0)
-    return len(codes), codes
+    return dfs(0)
 
 
-def check_antinilpotent(t: FModuleTruncation, codes: list[Code]) -> bool:
-    """Whether Frobenius acts injectively, over the box interior (the
-    degrees whose image under F stays inside the box), on every quotient
-    N/N' of two nested submodules whose codes
-    enumerate_f_stable_submodules returned.  The list must hold the whole
-    module, the largest code, so one check of each N' against it decides:
-    N'(p*theta) ⊆ N'(theta) at every interior theta, or, for the zero
-    map, N'(theta) the full space."""
-    points = lattice_points(t)
-    dims = list(points.values())
-    column = {theta: k for k, theta in enumerate(points)}
-    whole = tuple(len(subspace_lattice(t.p, m)) - 1 for m in dims)
-    if codes and whole not in codes:
-        raise ValueError("the codes do not include the whole module")
-    interior = [
-        (k, column[tuple(t.p * v for v in theta)])
-        for k, theta in enumerate(points)
-        if all(t.p * v >= -t.extension_depth for v in theta)
+def face_count(c: SimplicialComplex, p: int, i: int, cap: int = DEFAULT_ENUM_CAP) -> int:
+    """Number of graded F-stable submodules of H^i_m(K[Delta]): the
+    families over the nonzero blocks, one node each, with phi_{nu,j}(U_nu)
+    ⊆ U_{nu - j}.  The search space is checked against cap first."""
+    blocks = _blocks(c, p, i)
+    _check_cap(p, Counter(m for _, m in blocks), cap)
+    node = {nu: k for k, (nu, _) in enumerate(blocks)}
+    edges = [
+        (a, node[nu & ~(1 << j)], _phi_images(c, p, i, nu, j))
+        for a, (nu, _) in enumerate(blocks)
+        for j in range(nu.bit_length())
+        if nu >> j & 1 and nu & ~(1 << j) in node
     ]
-    if t.zero_frobenius:
-        return all(code[k] == whole[k] for code in codes for k, _ in interior)
-    return all(
-        lattice_contains(t.p, dims[k], code[k], code[pk]) for code in codes for k, pk in interior
-    )
+    return _count_families(p, [m for _, m in blocks], edges)
+
+
+def window_count(c: SimplicialComplex, p: int, i: int, depth: int, cap: int = DEFAULT_ENUM_CAP) -> int:
+    """Number of graded submodules of the window of H^i closed under x and
+    F inside it: one node per point of [-pT, -1]^nu of each nonzero block,
+    T the depth, block by block as in face_count and magnitudes ascending
+    within a block; x_j steps inside a block by the identity, phi_{nu,j}
+    at exponent -1, and F by the identity wherever p*theta stays in the
+    window.  The search space is checked against cap first."""
+    bound = p * depth
+    blocks = _blocks(c, p, i)
+    sizes = Counter()
+    for nu, m in blocks:
+        sizes[m] += bound ** nu.bit_count()
+    _check_cap(p, sizes, cap)
+    points: dict[tuple[int, ...], int] = {}
+    dims, support = [], []
+    for nu, m in blocks:
+        verts = mask_vertices(nu)
+        for mags in itertools.product(range(1, bound + 1), repeat=len(verts)):
+            theta = [0] * c.n_vertices
+            for v, mag in zip(verts, mags):
+                theta[v] = -mag
+            points[tuple(theta)] = len(dims)
+            dims.append(m)
+            support.append(nu)
+    edges = []
+    for theta, a in points.items():
+        nu, same = support[a], range(len(subspace_lattice(p, dims[a])))
+        for j, t in enumerate(theta):
+            b = points.get(theta[:j] + (t + 1,) + theta[j + 1 :]) if t < 0 else None
+            if b is not None:
+                edges.append((a, b, same if t < -1 else _phi_images(c, p, i, nu, j)))
+        b = points.get(tuple(p * t for t in theta))
+        if nu and b is not None:
+            edges.append((a, b, same))
+    return _count_families(p, dims, edges)

@@ -17,9 +17,8 @@ the one cochain routine, simplicial.cochain_dims.
 
 The table is not a module decomposition: x_j maps the block of nu into
 the block of nu minus {j}, often by a nonzero map, so H^i_m(R) is not a
-direct sum of its face blocks.  fh_count treats it as one, and its
-counts are known to be wrong (two points: 8 where the true count is 5;
-ROADMAP.md, open item 1).
+direct sum of its face blocks.  froblab.fmodule counts its F-stable
+submodules from those maps.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import itertools
 from functools import lru_cache
 
 from .errors import OracleMismatchError
-from .gfp_linalg import check_prime, num_subspaces
+from .gfp_linalg import check_prime
 from .simplicial import (
     Face,
     SimplicialComplex,
@@ -151,9 +150,10 @@ def depth_and_cm(c: SimplicialComplex, p: int) -> tuple[int, int, bool]:
 
 def analysis_report(c: SimplicialComplex, p: int) -> dict:
     """Serializable summary of the decomposition: {complex, p, dim, depth,
-    is_cm, table, fh_counts}.  Every submodule count starts with
-    validated False; the caller sets it once brute-force enumeration
-    confirms the count."""
+    is_cm, table, fh_counts}, with one fh_counts entry per index that
+    carries a block.  Every count starts as None with validated False;
+    the caller sets the count, from froblab.fmodule.face_count, and
+    validated once the window search confirms it."""
     table = decomposition(c, p)
     depth, dim, is_cm = depth_and_cm(c, p)
     return {
@@ -169,27 +169,10 @@ def analysis_report(c: SimplicialComplex, p: int) -> dict:
         "fh_counts": [
             {
                 "i": i,
-                "count": fh_count(c, p, i),
+                "count": None,
                 "validated": False,
             }
             for i in sorted({i for i, _, _ in table})
         ],
     }
 
-
-def fh_count(c: SimplicialComplex, p: int, i: int) -> int:
-    """Number of F-stable submodules of H^i_m(K[Delta]) if it were the
-    direct sum of its face blocks with scalar endomorphisms F_p: one
-    subspace per multiplicity space, chosen independently.
-
-    Known to be wrong: x_j maps the block of nu into the block of nu
-    minus {j}, so the choices are not independent (two points: 8 here,
-    5 in truth; ROADMAP.md, open item 1).  The brute-force enumeration
-    that validates it models the same independent blocks.
-    """
-    check_prime(p)
-    count = 1
-    for ei, _, m in decomposition(c, p):
-        if ei == i:
-            count *= num_subspaces(p, m)
-    return count

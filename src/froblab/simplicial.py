@@ -10,10 +10,11 @@ Each complex has one cached table of its faces, face_masks: vertex
 bitmasks (bit v for vertex v), the submasks of its facet masks, grouped
 by size.  Face tests, all_faces, the nonface ideal and the graded
 oracle read it; vertex tuples are made only for links and reports.
-cochain_dims computes the cohomology of a cochain complex on such
-masks, both the reduced cohomology of a complex here and the graded
-oracle of froblab.local_cohomology, which filters the table by sign
-pattern.
+coboundary_rows holds the one coboundary sign rule on such masks.
+cochain_dims computes the cohomology of a cochain complex on them, both
+the reduced cohomology of a complex here and the graded oracle of
+froblab.local_cohomology, which filters the table by sign pattern; the
+face blocks of froblab.fmodule take cocycle bases from the same rows.
 """
 
 from __future__ import annotations
@@ -171,29 +172,37 @@ def face_masks(c: SimplicialComplex) -> tuple[dict[int, tuple[int, ...]], frozen
     return {k: tuple(ms) for k, ms in by_size.items()}, masks
 
 
+def coboundary_rows(src: Sequence[int], tgt: Sequence[int]) -> list[list[int]]:
+    """The coboundary from the cochains on the face masks src to those on
+    tgt, one row per tau of tgt over the columns of src: it sends sigma to
+    each tau = sigma + {v} with the sign (-1)^k, k the number of vertices
+    of tau below v."""
+    column = {m: k for k, m in enumerate(src)}
+    rows = []
+    for tau in tgt:
+        row = [0] * len(src)
+        sign = 1
+        rest = tau
+        while rest:
+            bit = rest & -rest
+            k = column.get(tau ^ bit)
+            if k is not None:
+                row[k] = sign
+            sign = -sign
+            rest ^= bit
+        rows.append(row)
+    return rows
+
+
 def cochain_dims(cochains_by_size: dict[int, Sequence[int]], p: int) -> tuple[tuple[int, int], ...]:
     """Nonzero (size, dim) of the cohomology over F_p of the cochain
     complex with one summand per face mask of cochains_by_size[k] in
-    degree k.  The coboundary sends sigma to each tau = sigma + {v} with
-    the sign (-1)^k, k the number of vertices of tau below v; dim =
-    faces - rank out - rank in, the ranks by row_echelon."""
-    ranks = {}
-    for size, src in cochains_by_size.items():
-        column = {m: k for k, m in enumerate(src)}
-        rows = []
-        for tau in cochains_by_size.get(size + 1, ()):
-            row = [0] * len(src)
-            sign = 1
-            rest = tau
-            while rest:
-                bit = rest & -rest
-                k = column.get(tau ^ bit)
-                if k is not None:
-                    row[k] = sign
-                sign = -sign
-                rest ^= bit
-            rows.append(row)
-        ranks[size] = len(row_echelon(rows, p)[1]) if rows else 0
+    degree k and the coboundary of coboundary_rows; dim = faces - rank
+    out - rank in, the ranks by row_echelon."""
+    ranks = {
+        size: len(row_echelon(coboundary_rows(src, cochains_by_size.get(size + 1, ())), p)[1])
+        for size, src in cochains_by_size.items()
+    }
     dims = ((k, len(fs) - ranks[k] - ranks.get(k - 1, 0)) for k, fs in sorted(cochains_by_size.items()))
     return tuple((k, h) for k, h in dims if h)
 

@@ -23,8 +23,10 @@ zero map, the fixture on which anti-nilpotence fails.
 The coboundary is box_oracle.coboundary_matrix read on face masks, and
 kernels, spans and containment are those of perp_oracle.
 
-froblab.fmodule still treats H^i as the direct sum of its face blocks
-(ROADMAP.md, open item 1); nothing in froblab uses this oracle yet.
+froblab.fmodule builds the same blocks and maps from
+froblab.simplicial.coboundary_rows and counts the families with one
+search on subspace-lattice indices; this listing of Subspace objects is
+the reference its counts are checked against.
 """
 
 import itertools

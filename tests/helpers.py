@@ -1,32 +1,21 @@
-"""Small helpers that only the tests use: repeated variable action on a
-truncation model, the minimal primes of a square-free monomial ideal,
-prime and irrelevant ideals, the standard Frobenius splitting of a
-polynomial ring and the containment check built on it, lookups into
-decomposition tables and reduced cohomology, the Krull dimension of a
-face ring, cones and relabelings of complexes, the homology and
-Euler characteristic routes that cross-check reduced cohomology, and
-faces, the table of face tuples that froblab.simplicial.face_masks
-replaced."""
+"""Small helpers that only the tests use: the minimal primes of a
+square-free monomial ideal, prime and irrelevant ideals, the standard
+Frobenius splitting of a polynomial ring and the containment check
+built on it, lookups into decomposition tables and reduced cohomology,
+the Krull dimension of a face ring, cones and relabelings of complexes,
+the homology and Euler characteristic routes that cross-check reduced
+cohomology, and faces, the table of face tuples that
+froblab.simplicial.face_masks replaced."""
 
 import itertools
 
 from box_oracle import coboundary_matrix
 from colon_oracle import contains_ideal, ideal_from_generators, monomial_ideal_sum
 from corpus import make_complex
-from element_model import apply_x
 from froblab.errors import UnsupportedInputError
 from froblab.gfp_linalg import check_prime, row_echelon
 from froblab.polyfp import PolynomialFp
 from froblab.simplicial import SimplicialComplex
-
-
-def apply_monomial(t, exponents, v):
-    """Multiplication by x^exponents, one variable step at a time."""
-    out = v
-    for j, e in enumerate(exponents):
-        for _ in range(e):
-            out = apply_x(t, j, out)
-    return out
 
 
 def is_squarefree(ideal):

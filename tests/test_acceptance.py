@@ -19,8 +19,8 @@ from corpus import (
     TWO_POINTS,
     acceptance_corpus,
 )
-from antinil_oracle import antinilpotent_by_pairs, decode
-from element_model import adjoin_inverse_variable, annihilator_up_to_cap, face_submodel
+from cech_map_oracle import PointModel, closed_families
+from element_model import annihilator_up_to_cap, build_truncation, on_points
 from helpers import (
     cone,
     irrelevant_ideal,
@@ -29,9 +29,10 @@ from helpers import (
     splitting_containment_check,
     squarefree_minimal_primes,
 )
-from froblab.fmodule import build_truncation, check_antinilpotent, enumerate_f_stable_submodules
+from froblab.errors import CapacityError
+from froblab.fmodule import face_count, window_count
 from froblab.hypersurface import f_injective_top, fedder_fpure_principal, make_hypersurface
-from froblab.local_cohomology import depth_and_cm, fh_count, oracle_box_check
+from froblab.local_cohomology import decomposition, depth_and_cm, oracle_box_check
 from froblab.polyfp import parse_polynomial
 from froblab.stanley_reisner import nonface_ideal
 
@@ -97,44 +98,46 @@ def test_criterion_4_reisner_criterion():
 
 def test_criterion_5_fh_count_brute_force():
     with Budget("5 (FH-count brute force)", 30):
-        t = build_truncation(TWO_POINTS, 2, 1, 2)
-        count, _ = enumerate_f_stable_submodules(t)
-        assert count == 8 == fh_count(TWO_POINTS, 2, 1)
-        line = build_truncation(POINT, 2, 1, 3)
-        count2, _ = enumerate_f_stable_submodules(line)
-        assert count2 == 2 == fh_count(POINT, 2, 1)
+        # the face count and the window search of two points and of a line
+        assert face_count(TWO_POINTS, 2, 1) == window_count(TWO_POINTS, 2, 1, 2) == 5
+        assert face_count(POINT, 2, 1) == window_count(POINT, 2, 1, 3) == 2
 
 
+# name, complex, prime, index, window depth
 CORPUS_MODELS = [
-    ("two points H^1", lambda: build_truncation(TWO_POINTS, 2, 1, 2)),
-    ("one-variable H^1", lambda: build_truncation(POINT, 2, 1, 3)),
-    ("segment H^2", lambda: build_truncation(cone(POINT), 2, 2, 2)),
-    ("two edges H^1", lambda: build_truncation(TWO_EDGES, 2, 1, 2)),
-    ("two points H^1 (p=3)", lambda: build_truncation(TWO_POINTS, 3, 1, 1)),
-    (
-        "triangle H^2 restricted",
-        lambda: face_submodel(build_truncation(TRIANGLE, 2, 2, 2), [(), (0,), (1,)]),
-    ),
+    ("two points H^1", TWO_POINTS, 2, 1, 2),
+    ("one-variable H^1", POINT, 2, 1, 3),
+    ("segment H^2", cone(POINT), 2, 2, 2),
+    ("two edges H^1", TWO_EDGES, 2, 1, 2),
+    ("two points H^1 (p=3)", TWO_POINTS, 3, 1, 1),
+    ("triangle H^2", TRIANGLE, 2, 2, 1),
 ]
 
 
 def test_criterion_6_anti_nilpotence():
     with Budget("6 (anti-nilpotence)", 30):
-        for name, make in CORPUS_MODELS:
-            t = make()
-            assert check_antinilpotent(t, enumerate_f_stable_submodules(t)[1]), name
-        fixture = build_truncation(POINT, 2, 1, 2, zero_frobenius=True)
-        codes = enumerate_f_stable_submodules(fixture)[1]
-        assert not check_antinilpotent(fixture, codes)
-        ok, witness = antinilpotent_by_pairs(fixture, [decode(fixture, code) for code in codes])
-        assert not ok and witness is not None
+        for name, c, p, i, _ in CORPUS_MODELS:
+            model = PointModel(c, p, i)
+            assert model.antinilpotent(model.families()), name
+        fixture = PointModel(POINT, 2, 1, zero_frobenius=True)
+        assert not fixture.antinilpotent(fixture.families())
 
 
 def test_criterion_7_inverse_variable_adjunction():
     with Budget("7 (inverse-variable adjunction)", 60):
-        adj = adjoin_inverse_variable(build_truncation(POINT, 2, 1, 2))
-        count, _ = enumerate_f_stable_submodules(adj)
-        assert count == 2
+        # H^{i+1} of the cone is M<y^{-1}> for M = H^i: the same number of
+        # F-stable submodules, wherever the count fits under the cap
+        for c in acceptance_corpus():
+            if c.n_vertices > 4:
+                continue
+            k = cone(c)
+            for p in (2, 3):
+                for i in sorted({e[0] for e in decomposition(c, p)}):
+                    try:
+                        count = face_count(c, p, i)
+                    except CapacityError:
+                        continue
+                    assert face_count(k, p, i + 1) == count, (c, p, i)
         # cone law on the graded Hilbert functions over the box
         for c in acceptance_corpus():
             if c.n_vertices > 4:
@@ -152,20 +155,18 @@ def test_criterion_7_inverse_variable_adjunction():
 
 def test_criterion_8_radical_annihilators():
     with Budget("8 (radical annihilators)", 30):
-        for complex_, model in ((TWO_POINTS, build_truncation(TWO_POINTS, 2, 1, 2)),
-                                (POINT, build_truncation(POINT, 2, 1, 3))):
-            cap = model.p * model.depth
-            _, profiles = enumerate_f_stable_submodules(model)
+        for c, i in ((TWO_POINTS, 1), (POINT, 1), (TRIANGLE, 2)):
+            model = build_truncation(c, 2, i, 2)
             anns = []
-            for prof in profiles:
-                ann = annihilator_up_to_cap(model, prof, cap)
+            for family in closed_families(c, 2, i):
+                ann = annihilator_up_to_cap(model, on_points(model, family), model.extension_depth - 1)
                 assert is_squarefree(ann)
                 anns.append(ann)
             for a in anns:
                 for b in anns:
                     assert monomial_ideal_intersection(a, b) in anns
                 for prime in squarefree_minimal_primes(a):
-                    pid = prime_to_ideal(model.n_vars, prime)
+                    pid = prime_to_ideal(c.n_vertices, prime)
                     assert pid.is_zero or pid in anns
 
 

@@ -48,7 +48,7 @@ def test_analyze_complex_two_points(two_points_file, capsys):
     assert analysis["fh_counts"] == [
         {
             "i": 1,
-            "count": 8,
+            "count": 5,
             "validated": True,
             "note": "count (validated by brute force at desk scale)",
         }
@@ -80,6 +80,16 @@ def test_analyze_complex_oracle_mismatch_exit_code(two_points_file, capsys, monk
     code, _, err = run_cli(["analyze-complex", two_points_file, "--prime", "2"], capsys)
     assert code == 2
     assert "cross-check" in err
+
+
+def test_analyze_complex_window_mismatch_exit_code(two_points_file, capsys, monkeypatch):
+    import froblab.fmodule as fm
+
+    count = fm.window_count
+    monkeypatch.setattr(fm, "window_count", lambda *a: count(*a) + 1)
+    code, out, err = run_cli(["analyze-complex", two_points_file, "--prime", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "internal cross-check failed: window search 6 != face count 5 at i=1\n"
 
 
 def test_internal_error_exit_code(two_points_file, capsys, monkeypatch):
@@ -367,7 +377,7 @@ def test_huge_degree_finishes():
 
 
 def test_boundary_of_5_simplex_skips_its_model(tmp_path, capsys):
-    # the enumeration's search-space size has 70,994 bits at p = 3
+    # the window search space has 70,994 bits at p = 3
     path = tmp_path / "boundary5.facets"
     path.write_text("".join(" ".join(map(str, f)) + "\n" for f in BOUNDARY_5.facets))
     code, out, err = run_cli(["analyze-complex", str(path), "--prime", "3", "--format", "json"], capsys)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from antinil_oracle import antinilpotent_by_pairs, decode, enumerate_by_subspaces, profile_contains
+from cech_map_oracle import PointModel, closed_families
 from colon_oracle import monomial_ideal_intersection
 from corpus import (
     BOUNDARY_5,
@@ -16,32 +16,33 @@ from corpus import (
     TWO_EDGES,
     TWO_POINTS,
     make_complex,
+    small_complexes,
 )
 from element_model import (
     BasisElement,
     adjoin_inverse_variable,
     annihilator_up_to_cap,
     apply_F,
+    apply_monomial,
     apply_x,
     basis,
+    build_truncation,
     degree_of,
     f_stable_span,
-    face_submodel,
+    is_block_constant,
+    on_points,
     search_space_size,
+    window_points,
 )
-from helpers import apply_monomial, is_squarefree, prime_to_ideal, squarefree_minimal_primes
+from helpers import is_squarefree, prime_to_ideal, squarefree_minimal_primes
+from perp_oracle import zero_subspace
 from test_acceptance import CORPUS_MODELS
 from froblab import fmodule
 from froblab.errors import CapacityError, UnsupportedInputError
-from froblab.fmodule import (
-    build_truncation,
-    check_antinilpotent,
-    enumerate_f_stable_submodules,
-    lattice_points,
-)
-from froblab.gfp_linalg import DEFAULT_ENUM_CAP, subspace_lattice
-from froblab.local_cohomology import decomposition, fh_count
-from froblab.simplicial import from_facets
+from froblab.fmodule import face_count, window_count
+from froblab.gfp_linalg import DEFAULT_ENUM_CAP
+from froblab.local_cohomology import decomposition
+from froblab.simplicial import from_facets, vertex_mask
 
 
 def two_points_model(T=2, p=2, **kw):
@@ -51,6 +52,15 @@ def two_points_model(T=2, p=2, **kw):
 def line_model(T=3, p=2, **kw):
     # H^1 of a one-variable polynomial ring
     return build_truncation(POINT, p, 1, T, **kw)
+
+
+def spans_are_closed_families(t):
+    """The span of each basis element is constant on each block and, read
+    on the blocks, one of the oracle's closed families."""
+    families = [on_points(t, fam) for fam in closed_families(t.c, t.p, t.index)]
+    for b in basis(t):
+        span = f_stable_span(t, [{b: 1}])
+        assert is_block_constant(span) and span in families, b
 
 
 def test_build_truncation_sizes():
@@ -66,15 +76,31 @@ def test_build_truncation_summands():
         build_truncation(TWO_POINTS, 2, 5, 2)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_blocks_are_the_table(p):
+    # the cocycle classes of each block are as many as the table says,
+    # and phi has one row per class and one column per target class
+    for c in small_complexes() + [TRIANGLE, TWO_EDGES]:
+        for i, nu, m in decomposition(c, p):
+            mask = vertex_mask(nu)
+            assert len(fmodule.block(c, p, i, mask)[2]) == m
+            for j in nu:
+                target = len(fmodule.block(c, p, i, mask & ~(1 << j))[2])
+                assert [len(row) for row in fmodule.phi(c, p, i, mask, j)] == [target] * m
+
+
 def test_apply_x_rules():
     t = line_model(T=3)
     gamma1 = {BasisElement((0,), 0, (1,)): 1}
     gamma2 = {BasisElement((0,), 0, (2,)): 1}
-    assert apply_x(t, 0, gamma1) == {}  # exponent -1 is killed
+    assert apply_x(t, 0, gamma1) == {}  # the block of the empty face is zero
     assert apply_x(t, 0, gamma2) == gamma1  # otherwise shift by one
     t2 = two_points_model()
     v = {BasisElement((0,), 0, (2, 0)): 1}
     assert apply_x(t2, 1, v) == {}  # variable outside the support kills
+    # x0 [(1/x0, 0)] = [(1, 0)], the nonzero socle class of H^1
+    (socle,) = apply_x(t2, 0, {BasisElement((0,), 0, (1, 0)): 1})
+    assert (socle.nu, socle.w) == ((), (0, 0))
 
 
 def test_socle_component_killed_by_every_variable():
@@ -130,67 +156,59 @@ def test_return_identity():
 def test_f_stable_span_socle():
     t = two_points_model()
     socle = {BasisElement((), 0, (0, 0)): 1}
-    prof = decode(t, f_stable_span(t, [socle]))
-    assert [theta for theta, _ in prof.assignments] == [(0, 0)]
-    assert prof.stabilized
+    span = f_stable_span(t, [socle])
+    assert [theta for theta, s in span.items() if s.dim] == [(0, 0)]
+    assert is_block_constant(span)
 
 
 def test_f_stable_span_fills_line_model():
     t = line_model(T=2, p=2)
     gen = {BasisElement((0,), 0, (1,)): 1}
-    prof = decode(t, f_stable_span(t, [gen]))
-    assert len(prof.assignments) == len(lattice_points(t))  # the whole module
+    span = f_stable_span(t, [gen])
+    assert {theta: s.dim for theta, s in span.items()} == window_points(t)  # the whole module
 
 
 def test_f_stable_span_empty():
     t = two_points_model()
-    assert decode(t, f_stable_span(t, [])).is_zero
+    assert not any(s.dim for s in f_stable_span(t, []).values())
 
 
 def test_enumeration_counts():
-    count, codes = enumerate_f_stable_submodules(two_points_model())
-    assert count == 8 == len(set(codes))
-    count2, _ = enumerate_f_stable_submodules(line_model())
-    assert count2 == 2
-    zero = build_truncation(TWO_POINTS, 2, 0, 2)
-    assert not zero.summands
-    assert enumerate_f_stable_submodules(zero) == (1, [()])
+    assert window_count(TWO_POINTS, 2, 1, 2) == face_count(TWO_POINTS, 2, 1) == 5
+    assert window_count(POINT, 2, 1, 3) == 2
+    # the zero module has one submodule
+    assert not build_truncation(TWO_POINTS, 2, 0, 2).summands
+    assert window_count(TWO_POINTS, 2, 0, 2) == face_count(TWO_POINTS, 2, 0) == 1
 
 
 def test_enumeration_profiles_are_stabilized():
-    t = two_points_model()
-    _, codes = enumerate_f_stable_submodules(t)
-    assert all(decode(t, code).stabilized for code in codes)
+    for p in (2, 3):
+        spans_are_closed_families(two_points_model(T=1, p=p))
+    spans_are_closed_families(build_truncation(TRIANGLE, 2, 2, 1))
 
 
-def test_enumeration_matches_formula_count():
-    assert enumerate_f_stable_submodules(two_points_model())[0] == fh_count(TWO_POINTS, 2, 1)
-    assert enumerate_f_stable_submodules(line_model())[0] == fh_count(POINT, 2, 1)
-    # triangle sub-model spanned by three of the seven blocks
-    sub = face_submodel(build_truncation(TRIANGLE, 2, 2, 2), [(), (0,), (1,)])
-    count, _ = enumerate_f_stable_submodules(sub)
-    assert count == 8
+def test_enumeration_matches_face_count():
+    for c, i in ((TWO_POINTS, 1), (POINT, 1), (TRIANGLE, 2)):
+        assert window_count(c, 2, i, 1, cap=2**21) == face_count(c, 2, i) == len(closed_families(c, 2, i))
+    assert face_count(TRIANGLE, 2, 2) == 19
 
 
 def test_enumeration_with_multiplicity_two_block():
-    # three disjoint points: the origin block is 2-dimensional, so the
-    # count picks up the 5 subspaces of F_2^2 as an independent factor
-    from froblab.simplicial import from_facets
-
+    # three disjoint points: the block of the empty face is 2-dimensional,
+    # and each vertex block maps onto a line of it
     three = from_facets(3, [[0], [1], [2]])
     t = build_truncation(three, 2, 1, 1)
     assert dict(t.summands)[()] == 2
-    count, codes = enumerate_f_stable_submodules(t)
-    assert count == 5 * 2 * 2 * 2 == fh_count(three, 2, 1)
-    assert all(decode(t, code).stabilized for code in codes)
-    assert check_antinilpotent(t, enumerate_f_stable_submodules(t)[1])
+    assert window_count(three, 2, 1, 1) == face_count(three, 2, 1) == 15 == len(closed_families(three, 2, 1))
+    assert face_count(three, 3, 1) == 16
+    spans_are_closed_families(t)
 
 
 def test_enumeration_cap():
     big = build_truncation(TRIANGLE, 2, 2, 1)
     assert search_space_size(big) > 2**16
     with pytest.raises(CapacityError):
-        enumerate_f_stable_submodules(big)
+        window_count(TRIANGLE, 2, 2, 1)
 
 
 @pytest.mark.parametrize(
@@ -199,93 +217,60 @@ def test_enumeration_cap():
     ids=["boundary-5-simplex", "cross-polytope-8", "two-boundary-4-simplices"],
 )
 def test_capacity_message_of_a_huge_search_space(c, i):
-    t = build_truncation(c, 3, i, 2)
-    size = search_space_size(t)
+    size = search_space_size(build_truncation(c, 3, i, 2))
     assert size > 10**4300  # past the digits that str() of an int allows
     with pytest.raises(CapacityError) as info:
-        enumerate_f_stable_submodules(t)
+        window_count(c, 3, i, 2)
     assert str(info.value) == f"profile search space of {size.bit_length()} bits exceeds cap {DEFAULT_ENUM_CAP}"
+    with pytest.raises(CapacityError):
+        face_count(c, 3, i)
 
 
 def test_cap_is_checked_before_any_point_is_listed(monkeypatch):
-    t = build_truncation(TRIANGLE, 2, 2, 1)
-    size = search_space_size(t)
+    size = search_space_size(build_truncation(TRIANGLE, 2, 2, 1))
 
-    def no_points(t):
-        raise AssertionError("points listed for a capped model")
+    def no_search(*args):
+        raise AssertionError("search built for a capped model")
 
     with monkeypatch.context() as patch:
-        patch.setattr(fmodule, "lattice_points", no_points)
+        patch.setattr(fmodule, "_phi_images", no_search)
+        patch.setattr(fmodule, "_count_families", no_search)
         with pytest.raises(CapacityError) as info:
-            enumerate_f_stable_submodules(t, size - 1)
+            window_count(TRIANGLE, 2, 2, 1, size - 1)
+        with pytest.raises(CapacityError):
+            face_count(TRIANGLE, 2, 2, 2**7 - 1)
     assert str(info.value) == f"profile search space of {size.bit_length()} bits exceeds cap {size - 1}"
-    count, codes = enumerate_f_stable_submodules(t, size)
-    assert count == len(codes) == fh_count(TRIANGLE, 2, 2)
+    assert window_count(TRIANGLE, 2, 2, 1, size) == face_count(TRIANGLE, 2, 2, 2**7) == 19
 
 
 def test_antinilpotent_on_models():
-    for t in (
-        two_points_model(),
-        line_model(),
-        build_truncation(SEGMENT, 2, 2, 2),
-        build_truncation(TWO_EDGES, 2, 1, 2),
-        face_submodel(build_truncation(TRIANGLE, 2, 2, 2), [(), (0,), (1,)]),
-    ):
-        assert check_antinilpotent(t, enumerate_f_stable_submodules(t)[1]) is True
+    for c, p, i in ((TWO_POINTS, 2, 1), (POINT, 2, 1), (SEGMENT, 2, 2), (TWO_EDGES, 2, 1), (TRIANGLE, 2, 2)):
+        model = PointModel(c, p, i)
+        assert model.antinilpotent(model.families()) is True
 
 
 def test_antinilpotent_fails_for_zero_frobenius_fixture():
+    model = PointModel(POINT, 2, 1, zero_frobenius=True)
+    assert model.antinilpotent(model.families()) is False
+    # without Frobenius the span of the class at exponent -1 stays there
     t = line_model(T=2, zero_frobenius=True)
-    codes = enumerate_f_stable_submodules(t)[1]
-    assert check_antinilpotent(t, codes) is False
-    ok, witness = antinilpotent_by_pairs(t, [decode(t, code) for code in codes])
-    assert not ok
-    assert profile_contains(witness.larger, witness.smaller, lattice_points(t), t.p)
+    span = f_stable_span(t, [{BasisElement((0,), 0, (1,)): 1}])
+    assert [theta for theta, s in span.items() if s.dim] == [(-1,)]
 
 
-@pytest.mark.parametrize(
-    "make", [lambda: line_model(T=2), lambda: two_points_model(T=2, p=3)], ids=["line", "two-points"]
-)
-def test_antinilpotence_sends_p_theta_into_theta(make):
-    # bad is the whole module but for the zero subspace at an interior
-    # theta of magnitude one, which no other point maps to: N(p*theta) is
-    # the full space and not in N(theta), though N(theta) is in N(p*theta)
-    t = make()
-    points = lattice_points(t)
-    whole = tuple(len(subspace_lattice(t.p, m)) - 1 for m in points.values())
-    theta = next(th for th in points if min(th) == -1)
-    assert tuple(t.p * v for v in theta) in points
-    bad = tuple(0 if point == theta else s for point, s in zip(points, whole))
-    assert check_antinilpotent(t, [whole, bad]) is False
-    ok, witness = antinilpotent_by_pairs(t, [decode(t, whole), decode(t, bad)])
-    assert not ok and witness.theta == theta
-
-
-def is_whole_module(t, code):
-    """Every point of the box at its full multiplicity space."""
-    return {theta: s.dim for theta, s in decode(t, code).assignments} == lattice_points(t)
-
-
-def test_antinilpotence_check_needs_the_whole_module():
-    t = two_points_model()
-    _, codes = enumerate_f_stable_submodules(t)
-    assert sum(is_whole_module(t, code) for code in codes) == 1
-    with pytest.raises(ValueError):
-        check_antinilpotent(t, [code for code in codes if not is_whole_module(t, code)])
-    assert check_antinilpotent(t, []) is True
-
-
-def test_witness_names_the_first_failing_theta():
-    # in an enumerated list the first failing pair differs at one interior
-    # point; the zero profile and the whole module differ at all of them
-    for t in (line_model(T=2, zero_frobenius=True), two_points_model(T=1, p=3, zero_frobenius=True)):
-        _, codes = enumerate_f_stable_submodules(t)
-        zero = next(code for code in codes if decode(t, code).is_zero)
-        whole = next(code for code in codes if is_whole_module(t, code))
-        assert check_antinilpotent(t, [zero, whole]) is False
-        ok, witness = antinilpotent_by_pairs(t, [decode(t, zero), decode(t, whole)])
-        assert not ok and (witness.smaller, witness.larger) == (decode(t, zero), decode(t, whole))
-        assert witness.theta == next(iter(lattice_points(t)))
+@pytest.mark.parametrize("c, p", [(POINT, 2), (TWO_POINTS, 3)], ids=["line", "two-points"])
+def test_antinilpotence_sends_p_theta_into_theta(c, p):
+    # bad is the whole module but for the zero subspace at a theta of
+    # magnitude one: N(p*theta) is the full space and not in N(theta),
+    # though N(theta) is in N(p*theta)
+    model = PointModel(c, p, 1)
+    families = model.families()
+    whole = max(families, key=lambda fam: sum(s.dim for s in fam.values()))
+    theta = next(th for th in model.points if min(th) == -1 and tuple(p * v for v in th) in whole)
+    bad = dict(whole)
+    bad[theta] = zero_subspace(p, model.dims[theta])
+    assert model.antinilpotent([whole, bad]) is False
+    assert model.antinilpotent([whole]) is True
 
 
 def test_adjoin_line_model_gives_plane_model():
@@ -296,9 +281,9 @@ def test_adjoin_line_model_gives_plane_model():
     # matches the model built from the segment complex directly
     direct = build_truncation(SEGMENT, 2, 2, 2)
     assert adj.summands == direct.summands
-    count, _ = enumerate_f_stable_submodules(adj)
-    assert count == 2
-    assert check_antinilpotent(adj, enumerate_f_stable_submodules(adj)[1])
+    assert window_count(adj.c, 2, 2, 2) == face_count(adj.c, 2, 2) == 2
+    model = PointModel(adj.c, 2, 2)
+    assert model.antinilpotent(model.families())
 
 
 def test_adjoin_zero_module():
@@ -310,16 +295,13 @@ def test_adjoin_zero_module():
 def test_adjoin_two_points_keeps_count():
     t = two_points_model(T=2, p=2)
     adj = adjoin_inverse_variable(t)
-    count, codes = enumerate_f_stable_submodules(adj, cap=2**40)
-    assert count == 8
-    assert all(decode(adj, code).stabilized for code in codes)
-    assert check_antinilpotent(adj, enumerate_f_stable_submodules(adj, 2**40)[1])
+    assert window_count(adj.c, 2, 2, 2, cap=2**40) == face_count(adj.c, 2, 2) == face_count(TWO_POINTS, 2, 1) == 5
+    spans_are_closed_families(adjoin_inverse_variable(two_points_model(T=1)))
 
 
 def test_annihilators_two_points():
     t = two_points_model()
-    _, codes = enumerate_f_stable_submodules(t)
-    anns = {annihilator_up_to_cap(t, code, cap=4) for code in codes}
+    anns = {annihilator_up_to_cap(t, on_points(t, fam), cap=3) for fam in closed_families(TWO_POINTS, 2, 1)}
     texts = {a.to_text() for a in anns}
     assert texts == {"(1)", "(x0, x1)", "(x0)", "(x1)", "(x0*x1)"}
     for a in anns:
@@ -338,11 +320,10 @@ def test_annihilators_two_points():
 def test_annihilator_requires_stabilized():
     # without Frobenius, U(-1) may be the whole line while U(-2) is zero
     t = line_model(T=2, zero_frobenius=True)
-    _, codes = enumerate_f_stable_submodules(t)
-    bad = (1, 0, 0, 0)
-    assert bad in codes and not decode(t, bad).stabilized
+    bad = f_stable_span(t, [{BasisElement((0,), 0, (1,)): 1}])
+    assert not is_block_constant(bad)
     with pytest.raises(UnsupportedInputError):
-        annihilator_up_to_cap(t, bad, cap=4)
+        annihilator_up_to_cap(t, bad, cap=3)
 
 
 def test_semilinearity_over_prime_field():
@@ -358,76 +339,72 @@ def test_semilinearity_over_prime_field():
             assert lhs == rhs
 
 
-def agrees_with_oracle(t, cap=DEFAULT_ENUM_CAP):
-    """The index search lists the codes of the oracle's profiles in the
-    oracle's order, and the check against the whole module gives the pair
-    loop's verdict; returns the verdict."""
-    count, codes = enumerate_f_stable_submodules(t, cap)
-    profiles = [decode(t, code) for code in codes]
-    assert (count, profiles) == enumerate_by_subspaces(t, cap)
-    verdict = check_antinilpotent(t, codes)
-    assert verdict is antinilpotent_by_pairs(t, profiles)[0]
-    return verdict
+def agrees_with_oracle(c, p, i, depth, cap=DEFAULT_ENUM_CAP):
+    """The window search, the face count and the oracle's listing give one
+    count; returns it."""
+    count = face_count(c, p, i, cap)
+    assert window_count(c, p, i, depth, cap) == count == len(closed_families(c, p, i))
+    return count
 
 
 THREE_POINTS = from_facets(3, [[0], [1], [2]])
 STAR3 = from_facets(4, [[0, 1], [0, 2], [0, 3]])
 
-# the complex-enumerate rungs of the benchmark: complex, prime, depth
+# the complex-enumerate rungs of the benchmark: complex, prime, depth,
+# and the counts of their modules
 RUNGS = {
-    "triangle-p2": (TRIANGLE, 2, 1),
-    "three-points-p2": (THREE_POINTS, 2, 3),
-    "three-points-p3": (THREE_POINTS, 3, 2),
-    "star3-p2": (STAR3, 2, 1),
-    "two-edges-p3": (TWO_EDGES, 3, 1),
+    "triangle-p2": (TRIANGLE, 2, 1, [19]),
+    "three-points-p2": (THREE_POINTS, 2, 3, [15]),
+    "three-points-p3": (THREE_POINTS, 3, 2, [16]),
+    "star3-p2": (STAR3, 2, 1, [15]),
+    "two-edges-p3": (TWO_EDGES, 3, 1, [2, 4]),
 }
 
 
 @pytest.mark.parametrize("rung", sorted(RUNGS))
 def test_rung_models_agree_with_oracle(rung):
-    c, p, depth = RUNGS[rung]
-    verdicts = set()
-    for i in sorted({e[0] for e in decomposition(c, p)}):
-        for zero in (False, True):
-            t = build_truncation(c, p, i, depth, zero_frobenius=zero)
-            verdicts.add(agrees_with_oracle(t, cap=2**21))
-    assert verdicts == {True, False}
+    c, p, depth, counts = RUNGS[rung]
+    indices = sorted({e[0] for e in decomposition(c, p)})
+    assert [agrees_with_oracle(c, p, i, depth, cap=2**21) for i in indices] == counts
 
 
 def test_corpus_and_adjoined_models_agree_with_oracle():
-    models = [make() for _, make in CORPUS_MODELS]
-    models += [adjoin_inverse_variable(t) for t in (line_model(T=2), two_points_model(T=1))]
-    models += [line_model(T=2, zero_frobenius=True), adjoin_inverse_variable(line_model(T=1, zero_frobenius=True))]
-    assert [agrees_with_oracle(t, cap=2**40) for t in models] == [True] * 8 + [False] * 2
+    models = [(c, p, i, depth) for _, c, p, i, depth in CORPUS_MODELS]
+    models += [(adjoin_inverse_variable(build_truncation(c, p, i, 1)).c, p, i + 1, 1) for c, p, i, _ in models]
+    assert [agrees_with_oracle(*m, cap=2**40) for m in models] == [5, 2, 2, 2, 5, 19] * 2
 
 
 @st.composite
-def small_models(draw):
+def small_modules(draw):
     n = draw(st.integers(1, 4))
     facets = draw(st.lists(st.sets(st.integers(0, n - 1)), min_size=1, max_size=4))
     c = make_complex(n, [sorted(f) for f in facets])
     p = draw(st.sampled_from([2, 3]))
     indices = sorted({e[0] for e in decomposition(c, p)})
     assume(indices)
-    i = draw(st.sampled_from(indices))
-    t = build_truncation(c, p, i, draw(st.integers(1, 2)), zero_frobenius=draw(st.booleans()))
+    return c, p, draw(st.sampled_from(indices))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(small_modules())
+def test_random_models_agree_with_oracle(module):
+    c, p, i = module
+    count = face_count(c, p, i, cap=2**40)
+    assert count == len(closed_families(c, p, i))
+    for depth in (1, 2):
+        if search_space_size(build_truncation(c, p, i, depth)) <= DEFAULT_ENUM_CAP:
+            assert window_count(c, p, i, depth) == count
+    if c.n_vertices <= 3 and p == 2:
+        assert len(PointModel(c, p, i).families()) == count
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(small_modules(), st.integers(1, 2))
+def test_random_enumerations_contain_the_whole_module(module, depth):
+    t = build_truncation(*module, depth)
     assume(search_space_size(t) <= DEFAULT_ENUM_CAP)
-    return t
-
-
-@settings(derandomize=True, deadline=None, max_examples=60)
-@given(small_models())
-def test_random_models_agree_with_oracle(t):
-    agrees_with_oracle(t)
-
-
-@settings(derandomize=True, deadline=None, max_examples=60)
-@given(small_models())
-def test_random_enumerations_contain_the_whole_module(t):
-    _, codes = enumerate_f_stable_submodules(t)
-    assert any(is_whole_module(t, code) for code in codes)
-    if not t.zero_frobenius:
-        # with Frobenius every submodule is constant on each face block
-        for code in codes:
-            assert decode(t, code).stabilized
-            annihilator_up_to_cap(t, code, cap=t.n_vars)
+    # the span of the basis is the whole window, and the span of each
+    # basis element one of the oracle's families
+    whole = f_stable_span(t, [{b: 1} for b in basis(t)])
+    assert {theta: s.dim for theta, s in whole.items()} == window_points(t)
+    spans_are_closed_families(t)

@@ -4,8 +4,10 @@ The first four reports were written by the CLI before the F_p elimination
 kernel was consolidated, conic-p11 and quadric4-p5 before the hypersurface
 levels were decided by the lex normal form, torus-p3 before the graded
 oracle ran over sign patterns and Fedder's test lost the colon ideal,
-s2-s1-p2 before the nonface ideal was read off the table of face masks; the
-input file path is replaced by a placeholder.  To
+s2-s1-p2 before the nonface ideal was read off the table of face masks;
+the face-ring reports were rewritten, and triangle-p2 added, when the
+submodule counts moved to the maps between face blocks.  The input file
+path is replaced by a placeholder.  To
 rewrite them after an intended report change, run
 
     PYTHONPATH=src python tests/test_golden.py
@@ -28,6 +30,7 @@ RP2_FACETS = [
     (1, 2, 4), (1, 2, 5), (1, 3, 4), (2, 3, 5), (3, 4, 5),
 ]
 TWO_EDGES_FACETS = [(0, 1), (2, 3)]
+TRIANGLE_FACETS = [(0, 1), (1, 2), (0, 2)]
 # the 2-sphere and the circle, disjoint: its nonface ideal has generators
 # of 2, 3 and 4 vertices
 SPHERE_AND_CIRCLE_FACETS = [
@@ -45,6 +48,11 @@ CASES = {
     "rp2-p2": (RP2_FACETS, ["--prime", "2"]),
     "torus-p3": (TORUS_FACETS, ["--prime", "3"]),
     "s2-s1-p2": (SPHERE_AND_CIRCLE_FACETS, ["--prime", "2"]),
+    # validated at 19 = D(3) - 1, where the direct-sum formula gave 128
+    "triangle-p2": (
+        TRIANGLE_FACETS,
+        ["--prime", "2", "--trunc", "1", "--enumerate-cap", "2097152"],
+    ),
     "two-edges-p3": (
         TWO_EDGES_FACETS,
         ["--prime", "3", "--trunc", "1", "--enumerate-cap", "2097152"],

@@ -3,7 +3,6 @@
 import pytest
 
 from froblab.errors import InvalidParametersError
-from froblab.fmodule import FModuleTruncation
 from froblab.gfp_linalg import Subspace
 from froblab.hypersurface import (
     GradedHypersurface,
@@ -45,11 +44,6 @@ CASES = {
         lambda: Subspace(3, 2, ((1,),)),  # wrong row length
         ValueError,
     ),
-    "FModuleTruncation": (
-        lambda: FModuleTruncation(2, 2, 1, 2, (((0,), 1),)),
-        lambda: FModuleTruncation(2, 2, 1, 0, (((0,), 1),)),  # depth 0
-        ValueError,
-    ),
     "GradedHypersurface": (
         lambda: hypersurface("x1", "x2"),
         lambda: hypersurface("x1", "2*x1"),  # dependent parameters
@@ -88,15 +82,14 @@ def test_record_contract(make, make_bad, error):
 
 
 def test_defaults_and_argument_count():
-    t = FModuleTruncation(2, 2, 1, 2, ())
-    assert t.zero_frobenius is False
-    assert t == FModuleTruncation(2, 2, 1, 2, (), False)
-    assert t != FModuleTruncation(2, 2, 1, 2, (), True)
-    assert TightClosureVerdict(True, 2, None).note.startswith("one-sided bounded check")
+    v = TightClosureVerdict(True, 2, None)
+    assert v.note.startswith("one-sided bounded check")
+    assert v == TightClosureVerdict(True, 2, None, v.note)
+    assert v != TightClosureVerdict(True, 2, None, "another note")
     with pytest.raises(TypeError):
-        FModuleTruncation(2, 2, 1)
+        TightClosureVerdict(True, 2)
     with pytest.raises(TypeError):
-        FModuleTruncation(2, 2, 1, 2, (), False, 3)
+        TightClosureVerdict(True, 2, None, v.note, 3)
 
 
 def test_derived_attributes_stay_out_of_equality():
