@@ -5,7 +5,10 @@ file, analyze-hypersurface runs the hypersurface diagnostics.  Output is
 deterministic text or JSON.  Exit codes: 0 success, 1 bad input (usage
 errors included) or a capacity limit (running out of memory included),
 2 an internal cross-check (oracle) disagreed, 3 any other internal error;
-2 and 3 indicate a bug.
+2 and 3 indicate a bug.  The commands choose no exit code: a
+disagreement raises OracleMismatchError and bad input or a capacity
+limit another FroblabError where it arises, and main alone maps each
+outcome to its code and its one stderr line.
 """
 
 from __future__ import annotations
@@ -16,14 +19,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import (
-    CapacityError,
-    FroblabError,
-    InvalidParametersError,
-    OracleMismatchError,
-    ParseError,
-    UnsupportedInputError,
-)
+from .errors import CapacityError, FroblabError, OracleMismatchError, ParseError
 from .gfp_linalg import DEFAULT_ENUM_CAP, check_prime
 
 DEFAULT_TRUNC = 2
@@ -87,7 +83,7 @@ def _emit_text(report: dict, prefix: str = "") -> None:
             print(f"{prefix}{key}: {value}")
 
 
-def cmd_analyze_complex(args, threads: int) -> int:
+def cmd_analyze_complex(args, threads: int) -> None:
     # Each command imports its own layers here, not at the top: every run
     # is a fresh process, which would pay at start-up for loading the
     # other command's modules.  The names are read from their modules at
@@ -99,52 +95,47 @@ def cmd_analyze_complex(args, threads: int) -> int:
 
     try:
         with open(args.path, encoding="utf-8") as fh:
-            complex_ = parse_facets_text(fh.read())
-        p = check_prime(args.prime)
-    except (OSError, ValueError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    box_lo, box_hi = args.box
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(str(exc)) from None
+    complex_ = parse_facets_text(text)
+    p = check_prime(args.prime)
+    # first, so that a complex past the oracle's cap is refused before any elimination
+    agree, mismatches = oracle_box_check(complex_, p, *args.box)
     analysis = analysis_report(complex_, p)
     ideal = nonface_ideal(complex_)
-    agree, mismatches = oracle_box_check(complex_, p, box_lo, box_hi)
 
-    models = []
-    for entry in analysis["fh_counts"]:
-        i = entry["i"]
-        # the window holds T^|nu| magnitude vectors for each of the m classes of a block
-        basis_size = sum(m * args.trunc ** len(nu) for ei, nu, m in decomposition(complex_, p) if ei == i)
-        model = {"i": i, "basis_size": basis_size, "skipped": None}
+    table = decomposition(complex_, p)
+    counts, models = [], []
+    for i in sorted({i for i, _, _ in table}):
         try:
             count = face_count(complex_, p, i, args.enumerate_cap)
         except CapacityError:
             count = None
-        entry["count"] = count
         try:
             enumerated = window_count(complex_, p, i, args.trunc, args.enumerate_cap)
         except CapacityError:
-            model["enumerated_count"] = None
-            model["anti_nilpotent"] = None
-            model["skipped"] = "cap"
-        else:
+            enumerated = None
+        if enumerated not in (None, count):
+            raise OracleMismatchError(f"window search {enumerated} != face count {count} at i={i}")
+        validated = enumerated is not None
+        note = (
+            "count (validated by brute force at desk scale)" if validated
+            else "none (face count and window search skipped: cap)" if count is None
+            else "face count only (window search skipped: cap)"
+        )
+        counts.append({"i": i, "count": count, "validated": validated, "note": note})
+        models.append({
+            "i": i,
+            # the window holds T^|nu| magnitude vectors for each of the m classes of a block
+            "basis_size": sum(m * args.trunc ** len(nu) for ei, nu, m in table if ei == i),
+            "enumerated_count": enumerated,
             # agreement makes every window family constant on each block,
             # where F is the identity and so injective on every quotient
-            model["enumerated_count"] = enumerated
-            model["anti_nilpotent"] = True
-            if enumerated != count:
-                print(
-                    f"internal cross-check failed: window search {enumerated} != face count {count} at i={i}",
-                    file=sys.stderr,
-                )
-                return 2
-            entry["validated"] = True
-        if entry["validated"]:
-            entry["note"] = "count (validated by brute force at desk scale)"
-        elif count is None:
-            entry["note"] = "none (face count and window search skipped: cap)"
-        else:
-            entry["note"] = "face count only (window search skipped: cap)"
-        models.append(model)
+            "anti_nilpotent": True if validated else None,
+            "skipped": None if validated else "cap",
+        })
+    analysis["fh_counts"] = counts
 
     report = {
         "tool": "froblab",
@@ -157,7 +148,7 @@ def cmd_analyze_complex(args, threads: int) -> int:
         "prime": p,
         "caps": {
             "trunc_depth": args.trunc,
-            "box": [box_lo, box_hi],
+            "box": list(args.box),
             "enumerate_cap": args.enumerate_cap,
             "threads": threads,
         },
@@ -166,7 +157,7 @@ def cmd_analyze_complex(args, threads: int) -> int:
         "nonface_ideal": ideal.to_text(),
         "models": models,
         "oracle_check": {
-            "box": [box_lo, box_hi],
+            "box": list(args.box),
             "agreements": agree,
             "mismatches": len(mismatches),
         },
@@ -176,15 +167,13 @@ def cmd_analyze_complex(args, threads: int) -> int:
             "submodule enumeration searches graded profiles only",
         ],
     }
-    if mismatches:
-        _emit(report, args.format)
-        print("internal cross-check failed: graded oracle disagreement", file=sys.stderr)
-        return 2
+    # the report is written even then, so the disagreeing box can be read
     _emit(report, args.format)
-    return 0
+    if mismatches:
+        raise OracleMismatchError("graded oracle disagreement")
 
 
-def cmd_analyze_hypersurface(args, threads: int) -> int:
+def cmd_analyze_hypersurface(args, threads: int) -> None:
     from .hypersurface import (
         f_injective_top,
         fedder_fpure_principal,
@@ -195,34 +184,22 @@ def cmd_analyze_hypersurface(args, threads: int) -> int:
     )
     from .polyfp import parse_polynomial
 
-    try:
-        f = parse_polynomial(args.poly, args.prime)
-        if not f.is_homogeneous() or f.is_zero:
-            raise ParseError("the polynomial must be homogeneous and nonzero")
-        n = f.n_vars if args.params is None else max(
-            [f.n_vars] + [parse_polynomial(s, args.prime).n_vars for s in args.params]
-        )
+    f = parse_polynomial(args.poly, args.prime)
+    if not f.is_homogeneous() or f.is_zero:
+        raise ParseError("the polynomial must be homogeneous and nonzero")
+    params = None
+    if args.params is not None:
+        n = max([f.n_vars] + [parse_polynomial(s, args.prime).n_vars for s in args.params])
         f = parse_polynomial(args.poly, args.prime, n)
-        params = (
-            None
-            if args.params is None
-            else tuple(parse_polynomial(s, args.prime, n) for s in args.params)
-        )
-        h = make_hypersurface(f, params)
-    except (ValueError, ParseError, UnsupportedInputError, InvalidParametersError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        params = tuple(parse_polynomial(s, args.prime, n) for s in args.params)
+    h = make_hypersurface(f, params)
 
     f_pure = fedder_fpure_principal(h)
-    f_inj = {}
-    for t in (1, 2):
-        f_inj[f"t={t}"] = f_injective_top(h, t)
+    f_inj = {f"t={t}": f_injective_top(h, t) for t in (1, 2)}
     if f_pure and not all(f_inj.values()):
-        print("internal cross-check failed: F-pure but not F-injective", file=sys.stderr)
-        return 2
+        raise OracleMismatchError("F-pure but not F-injective")
     if f_inj["t=1"] != f_inj["t=2"]:
-        print("internal cross-check failed: level instability in F-injectivity", file=sys.stderr)
-        return 2
+        raise OracleMismatchError("level instability in F-injectivity")
 
     report = {
         "tool": "froblab",
@@ -244,22 +221,17 @@ def cmd_analyze_hypersurface(args, threads: int) -> int:
         "witness": probe.witness.r.to_text() if probe.witness else None,
     }
     if args.c is not None:
-        try:
-            c = parse_polynomial(args.c, h.p, h.n_vars)
-            u = socle_class(h, 1)
-            v = tight_closure_zero_bounded(h, u, c, args.emax)
-            verdict = {
-                "class": u.r.to_text(),
-                "consistent_up_to": v.e_checked if v.consistent else None,
-                "fails_at": v.fails_at,
-                "note": v.note,
-            }
-            report["tight_closure"] = {"c": c.to_text(), "socle_classes": [verdict]}
-        except (ValueError, ParseError, CapacityError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        c = parse_polynomial(args.c, h.p, h.n_vars)
+        u = socle_class(h, 1)
+        v = tight_closure_zero_bounded(h, u, c, args.emax)
+        verdict = {
+            "class": u.r.to_text(),
+            "consistent_up_to": v.e_checked if v.consistent else None,
+            "fails_at": v.fails_at,
+            "note": v.note,
+        }
+        report["tight_closure"] = {"c": c.to_text(), "socle_classes": [verdict]}
     _emit(report, args.format)
-    return 0
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -297,15 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command and map its outcome to the exit code: the one place
+    that writes an error line to stderr."""
     try:
-        args = parser.parse_args(argv)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         # a bad FROBLAB_THREADS fails before any work, not after it
-        return args.func(args, _threads())
+        args.func(args, _threads())
     except OracleMismatchError as exc:
         print(f"internal cross-check failed: {exc}", file=sys.stderr)
         return 2
@@ -320,6 +289,7 @@ def main(argv=None) -> int:
         message = " ".join(str(exc).split())
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

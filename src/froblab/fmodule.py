@@ -17,7 +17,9 @@ per nonzero block, and window_count, its cross-check, one node per point
 of [-pT, -1]^nu of each block.  When they agree, every window family is
 constant on each block, where F is the identity and so injective on
 every quotient of two F-stable submodules: H^i is anti-nilpotent
-(Enescu-Hochster).  Both search graded submodules only.
+(Enescu-Hochster).  Both search graded submodules only.  The window
+search takes phi from the same _phi_images as the face count, so their
+agreement checks only the step from window points to blocks, not phi.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .errors import CapacityError
+from .errors import CapacityError, UnsupportedInputError
 from .record import record
 
 MAX_PRIME = 2**15
@@ -33,9 +33,9 @@ def is_prime(p: int) -> bool:
 @lru_cache(maxsize=None)
 def check_prime(p: int) -> int:
     if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
+        raise UnsupportedInputError(f"modulus {p} is not prime")
     if p >= MAX_PRIME:
-        raise ValueError(f"modulus {p} exceeds the supported bound {MAX_PRIME}")
+        raise UnsupportedInputError(f"modulus {p} exceeds the supported bound {MAX_PRIME}")
     return p
 
 

@@ -275,13 +275,13 @@ def tight_closure_zero_bounded(
     """Test c * u^(p^e) = 0 at levels p^e * t for e = 1..e_max."""
     _check_e_max(e_max)
     if c.is_zero or _in_principal(h, c):
-        raise ValueError("the multiplier must be nonzero modulo f")
+        raise UnsupportedInputError("the multiplier must be nonzero modulo f")
     if len(c.terms) == 1:
         shared = [j for j in _variable_factors(h) if c.terms[0][0][j]]
         if shared:
-            raise ValueError(f"the multiplier is a zero divisor: x{shared[0]} divides f")
+            raise UnsupportedInputError(f"the multiplier is a zero divisor: x{shared[0]} divides f")
     elif c.degree() == 1 and _linear_divides(c, h.f):
-        raise ValueError(f"the multiplier is a zero divisor: {c.to_text()} divides f")
+        raise UnsupportedInputError(f"the multiplier is a zero divisor: {c.to_text()} divides f")
     c_y = _substitute(c, h._to_y)
     powers = _frobenius_powers(h, u.t, _substitute(u.r, h._to_y), e_max)
     for e, power in enumerate(powers, start=1):

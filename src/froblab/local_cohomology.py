@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .errors import OracleMismatchError
+from .errors import CapacityError, OracleMismatchError
 from .gfp_linalg import check_prime
 from .simplicial import (
     Face,
@@ -40,6 +40,10 @@ from .simplicial import (
 )
 
 MultiDegree = tuple[int, ...]
+
+# faces times the patterns that split a face (the sum of 2^|sigma| over the
+# faces): each pattern is one elimination over the filtered face table
+MAX_ORACLE_SIZE = 2**20
 
 
 @lru_cache(maxsize=None)
@@ -91,7 +95,12 @@ def oracle_box_check(
     face mask sigma into a submask nu and pi = sigma - nu; only those are
     evaluated, each weighted by its |neg|^|nu| |pos|^|pi| |zero|^(n - |sigma|)
     box points.  A disagreeing pattern is expanded back into its box
-    points, listed in the order of the box."""
+    points, listed in the order of the box.  Past MAX_ORACLE_SIZE it
+    raises CapacityError before any elimination."""
+    by_size = face_masks(c)[0]
+    work = sum(map(len, by_size.values())) * sum(len(sigmas) << k for k, sigmas in by_size.items())
+    if work > MAX_ORACLE_SIZE:
+        raise CapacityError(f"graded oracle size {work} exceeds cap {MAX_ORACLE_SIZE}")
     n = c.n_vertices
     neg = range(lo, min(hi, -1) + 1)
     zero = range(max(lo, 0), min(hi, 0) + 1)
@@ -100,7 +109,7 @@ def oracle_box_check(
     table = {(i, vertex_mask(nu)): m for i, nu, m in decomposition(c, p)}
     disagree = 0
     mismatches = []
-    for size, sigmas in face_masks(c)[0].items():
+    for size, sigmas in by_size.items():
         rest = len(zero) ** (n - size)
         for sigma in sigmas:
             for nu in submasks(sigma):
@@ -150,10 +159,7 @@ def depth_and_cm(c: SimplicialComplex, p: int) -> tuple[int, int, bool]:
 
 def analysis_report(c: SimplicialComplex, p: int) -> dict:
     """Serializable summary of the decomposition: {complex, p, dim, depth,
-    is_cm, table, fh_counts}, with one fh_counts entry per index that
-    carries a block.  Every count starts as None with validated False;
-    the caller sets the count, from froblab.fmodule.face_count, and
-    validated once the window search confirms it."""
+    is_cm, table}."""
     table = decomposition(c, p)
     depth, dim, is_cm = depth_and_cm(c, p)
     return {
@@ -166,13 +172,5 @@ def analysis_report(c: SimplicialComplex, p: int) -> dict:
         "depth": depth,
         "is_cm": is_cm,
         "table": [{"i": i, "nu": list(nu), "mult": m} for i, nu, m in table],
-        "fh_counts": [
-            {
-                "i": i,
-                "count": None,
-                "validated": False,
-            }
-            for i in sorted({i for i, _, _ in table})
-        ],
     }
 

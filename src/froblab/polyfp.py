@@ -219,7 +219,10 @@ def parse_polynomial(text: str, p: int, n_vars: int | None = None) -> Polynomial
             at_start = False
             i += 1
             continue
-        i, coeff, expo = parse_term(i, sign)
+        try:
+            i, coeff, expo = parse_term(i, sign)
+        except ValueError as exc:  # int() refuses a literal past the interpreter's digit limit
+            raise ParseError(str(exc)) from None
         sign = 1
         expect_term = False
         at_start = False

@@ -74,12 +74,56 @@ def test_analyze_complex_triangle_p3(triangle_file, capsys):
 def test_analyze_complex_oracle_mismatch_exit_code(two_points_file, capsys, monkeypatch):
     import froblab.local_cohomology as lc
 
+    args = ["analyze-complex", two_points_file, "--prime", "2", "--format", "json"]
+    _, out, _ = run_cli(args, capsys)
+    report = json.loads(out)
     monkeypatch.setattr(
         lc, "oracle_box_check", lambda *a, **k: (0, [((0, 0), 1, 1, 0)])
     )
-    code, _, err = run_cli(["analyze-complex", two_points_file, "--prime", "2"], capsys)
-    assert code == 2
-    assert "cross-check" in err
+    code, out, err = run_cli(args, capsys)
+    # the full report is still written, with the disagreement in it
+    report["oracle_check"] = {"box": [-3, 1], "agreements": 0, "mismatches": 1}
+    assert (code, json.loads(out)) == (2, report)
+    assert err == "internal cross-check failed: graded oracle disagreement\n"
+
+
+def test_cm_verdict_mismatch_exit_code(triangle_file, capsys, monkeypatch):
+    import froblab.local_cohomology as lc
+
+    monkeypatch.setattr(lc, "reisner_cm_condition", lambda *a: False)
+    code, out, err = run_cli(["analyze-complex", triangle_file, "--prime", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "internal cross-check failed: link condition disagrees with the table route\n"
+
+
+def test_f_pure_but_not_f_injective_exit_code(capsys, monkeypatch):
+    import froblab.hypersurface as hs
+
+    monkeypatch.setattr(hs, "f_injective_top", lambda h, t: False)
+    code, out, err = run_cli(["analyze-hypersurface", "--poly", "x0^3 + x1^3 + x2^3", "--prime", "7"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "internal cross-check failed: F-pure but not F-injective\n"
+
+
+def test_level_instability_exit_code(capsys, monkeypatch):
+    import froblab.hypersurface as hs
+
+    # the Fermat cubic is not F-pure at p = 11, so only the levels can disagree
+    monkeypatch.setattr(hs, "f_injective_top", lambda h, t: t == 1)
+    code, out, err = run_cli(["analyze-hypersurface", "--poly", "x0^3 + x1^3 + x2^3", "--prime", "11"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "internal cross-check failed: level instability in F-injectivity\n"
+
+
+def test_oracle_past_its_cap_is_a_capacity_error(tmp_path, capsys):
+    # one 8-vertex facet: 2^8 faces times 3^8 sign patterns; the oracle
+    # would run for several seconds
+    path = tmp_path / "simplex8.facets"
+    path.write_text("0 1 2 3 4 5 6 7\n")
+    with Budget("graded oracle cap", 1):
+        code, out, err = run_cli(["analyze-complex", str(path), "--prime", "2"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: graded oracle size 1679616 exceeds cap 1048576\n"
 
 
 def test_analyze_complex_window_mismatch_exit_code(two_points_file, capsys, monkeypatch):
@@ -195,6 +239,21 @@ def test_very_far_label_is_an_input_error_under_a_memory_limit(tmp_path):
     )
     assert_input_error(proc)
     assert len(proc.stderr) < 200 and "99999999989 more" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "contents", [None, b"0 1\n\xff\xfe 2\n"], ids=["directory", "not-utf-8"]
+)
+def test_unreadable_facet_file_is_an_input_error(tmp_path, contents, capsys):
+    path = tmp_path / "complex.facets"
+    if contents is None:
+        path.mkdir()
+    else:
+        path.write_bytes(contents)
+    code, out, err = run_cli(["analyze-complex", str(path), "--prime", "2"], capsys)
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_analyze_complex_bad_prime(two_points_file, capsys):

@@ -15,7 +15,7 @@ from perp_oracle import (
     subspace_vectors,
     zero_subspace,
 )
-from froblab.errors import CapacityError
+from froblab.errors import CapacityError, UnsupportedInputError
 from froblab.gfp_linalg import (
     enumerate_subspaces,
     gaussian_binomial,
@@ -47,7 +47,7 @@ def combine(coeffs, a, cols, p):
 
 
 def test_matrix_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedInputError):
         kernel_basis([[1]], 4)  # 4 not prime
     # entries are reduced on the way in: 5 is zero over F_5
     assert kernel_basis([[5]], 5).dim == 1

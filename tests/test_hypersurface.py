@@ -20,7 +20,7 @@ from level_oracle import (
 )
 
 from froblab.cli import main
-from froblab.errors import CapacityError, InvalidParametersError
+from froblab.errors import CapacityError, InvalidParametersError, UnsupportedInputError
 from froblab.hypersurface import (
     GradedHypersurface,
     _frobenius_powers,
@@ -176,7 +176,7 @@ def test_tight_closure_unit_fails():
 def test_tight_closure_rejects_zero_multiplier():
     h = fermat(7)
     socle = make_class(h, poly("x0^2", 7, 3), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedInputError):
         tight_closure_zero_bounded(h, socle, poly("x0^3 + x1^3 + x2^3", 7), 2)
 
 
@@ -215,7 +215,7 @@ def test_probe_skips_variables_dividing_f():
     assert not verdict.found
     socle = socle_class(h, 1)
     for c in ("x0", "x1^2", "x0*x2"):
-        with pytest.raises(ValueError, match="zero divisor"):
+        with pytest.raises(UnsupportedInputError, match="zero divisor"):
             tight_closure_zero_bounded(h, socle, poly(c, 3, 3))
     assert tight_closure_zero_bounded(h, socle, poly("x0 + x1", 3, 3)).e_checked >= 1
 

@@ -30,6 +30,7 @@ from corpus import (
 from helpers import by_index, cone, relabel
 from katzman_oracle import antichains, katzman_count
 from froblab import local_cohomology as lc
+from froblab.errors import CapacityError, UnsupportedInputError
 from froblab.local_cohomology import (
     analysis_report,
     decomposition,
@@ -239,8 +240,19 @@ def test_fh_count_of_the_boundary_of_the_4_simplex_is_dedekind_minus_one(p):
     assert face_count(c, p, 4, cap=2**31) == 7580
 
 
+def test_oracle_refuses_work_past_its_cap_before_any_elimination(monkeypatch):
+    # one 8-vertex facet: 2^8 faces times the 3^8 sign patterns that split one
+    def unreachable(*args):
+        raise AssertionError("an elimination ran")
+
+    monkeypatch.setattr(lc, "cochain_dims", unreachable)
+    monkeypatch.setattr(lc, "reduced_cohomology", unreachable)
+    with pytest.raises(CapacityError, match="graded oracle size 1679616 exceeds cap 1048576"):
+        oracle_box_check(from_facets(8, [list(range(8))]), 2)
+
+
 def test_fh_count_rejects_nonprime():
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedInputError):
         face_count(TWO_POINTS, 4, 1)
 
 
@@ -260,7 +272,7 @@ def test_cone_table_shift():
 
 def test_analysis_report_document():
     doc = analysis_report(TWO_POINTS, 2)
-    assert set(doc) == {"complex", "p", "dim", "depth", "is_cm", "table", "fh_counts"}
+    assert set(doc) == {"complex", "p", "dim", "depth", "is_cm", "table"}
     assert doc["complex"] == {"n_vertices": 2, "facets": [[0], [1]]}
     assert doc["p"] == 2 and doc["dim"] == 1 and doc["depth"] == 1 and doc["is_cm"]
     assert doc["table"] == [
@@ -268,7 +280,6 @@ def test_analysis_report_document():
         {"i": 1, "nu": [0], "mult": 1},
         {"i": 1, "nu": [1], "mult": 1},
     ]
-    assert doc["fh_counts"] == [{"i": 1, "count": None, "validated": False}]
     import json
 
     assert json.loads(json.dumps(doc)) == doc

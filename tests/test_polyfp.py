@@ -29,6 +29,15 @@ def test_parse_and_print_roundtrip():
         poly("y0", 3)
 
 
+@pytest.mark.parametrize(
+    "text", ["1" * 5000 + "*x0", "x" + "1" * 5000, "x0^" + "1" * 5000], ids=["coefficient", "variable", "exponent"]
+)
+def test_literal_past_the_digit_limit_is_malformed(text):
+    # int() refuses a literal of more than 4,300 digits with a ValueError
+    with pytest.raises(ParseError, match="4300 digits"):
+        poly(text, 3)
+
+
 def test_arithmetic():
     p = 5
     f = poly("x0 + x1", p)

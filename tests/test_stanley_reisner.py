@@ -17,6 +17,7 @@ from helpers import (
     splitting_containment_check,
     squarefree_minimal_primes,
 )
+from froblab.errors import UnsupportedInputError
 from froblab.simplicial import all_faces, from_facets
 from froblab.stanley_reisner import fedder_fpure_monomial, nonface_ideal
 
@@ -99,7 +100,7 @@ def test_krull_dim():
 
 def test_fedder_two_points_p2():
     assert fedder_fpure_monomial(nonface_ideal(TWO_POINTS), 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedInputError):
         fedder_fpure_monomial(nonface_ideal(TWO_POINTS), 4)
 
 
