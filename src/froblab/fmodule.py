@@ -20,6 +20,8 @@ every quotient of two F-stable submodules: H^i is anti-nilpotent
 (Enescu-Hochster).  Both search graded submodules only.  The window
 search takes phi from the same _phi_images as the face count, so their
 agreement checks only the step from window points to blocks, not phi.
+Each node picks an entry of subspace_lattice, a reduced echelon basis;
+the cap, checked before any lattice is listed, bounds both searches.
 """
 
 from __future__ import annotations
@@ -31,20 +33,41 @@ from collections.abc import Sequence
 from functools import lru_cache
 
 from .errors import CapacityError
-from .gfp_linalg import DEFAULT_ENUM_CAP, num_subspaces, row_echelon, subspace_lattice
+from .gfp_linalg import DEFAULT_ENUM_CAP, row_echelon
 from .local_cohomology import decomposition
 from .simplicial import SimplicialComplex, coboundary_rows, face_masks, mask_vertices, vertex_mask
+
+
+def num_subspaces(p: int, n: int) -> int:
+    """Number of subspaces of F_p^n, by the Goldman-Rota recurrence
+    G(n) = 2 G(n - 1) + (p^(n - 1) - 1) G(n - 2), G(0) = 1, G(1) = 2."""
+    g, h = 0, 1  # G(-1), whose coefficient p^0 - 1 is zero, and G(0)
+    for k in range(n):
+        g, h = h, 2 * h + (p**k - 1) * g
+    return h
+
+
+@lru_cache(maxsize=None)
+def subspace_lattice(p: int, dim: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Every subspace of F_p^dim once, as its reduced row-echelon basis
+    (rows of 1 at the pivot, free right of it off the other pivots), by
+    dimension and then pivots: the zero subspace () first."""
+    lattice = []
+    for k in range(dim + 1):
+        for pivots in itertools.combinations(range(dim), k):
+            cells = [range(p) if j > c and j not in pivots else (int(j == c),) for c in pivots for j in range(dim)]
+            for values in itertools.product(*cells):
+                lattice.append(tuple(values[i * dim : (i + 1) * dim] for i in range(k)))
+    return tuple(lattice)
 
 
 @lru_cache(maxsize=None)
 def lattice_contains(p: int, dim: int, a: int, b: int) -> bool:
     """Whether L[a] ⊇ L[b] for L = subspace_lattice(p, dim): the basis of
     L[b] adds no pivot to that of L[a]."""
-    if a == b:
-        return True
     lattice = subspace_lattice(p, dim)
     big, small = lattice[a], lattice[b]
-    return len(row_echelon(big.basis + small.basis, p)[1]) == big.dim
+    return len(row_echelon(big + small, p)[1]) == len(big)
 
 
 @lru_cache(maxsize=None)
@@ -97,10 +120,10 @@ def _phi_images(c: SimplicialComplex, p: int, i: int, nu: int, j: int) -> list[i
     the subspace lattice of H^i(C_nu)."""
     matrix = phi(c, p, i, nu, j)
     target = subspace_lattice(p, len(block(c, p, i, nu & ~(1 << j))[2]))
-    index = {s.basis: k for k, s in enumerate(target)}
+    index = {basis: k for k, basis in enumerate(target)}
     out = []
-    for s in subspace_lattice(p, len(matrix)):
-        rows = [[sum(a * b for a, b in zip(r, col)) for col in zip(*matrix)] for r in s.basis]
+    for basis in subspace_lattice(p, len(matrix)):
+        rows = [[sum(a * b for a, b in zip(r, col)) for col in zip(*matrix)] for r in basis]
         out.append(index[tuple(map(tuple, row_echelon(rows, p, reduced=True)[0]))])
     return out
 

@@ -1,41 +1,29 @@
 """Exact dense linear algebra over the prime field F_p, in pure Python.
 
 Vectors and matrices are lists (or tuples) of Python integers kept
-reduced to [0, p); p is checked prime by trial division, once per
-prime, and bounded below 2^15 (desk scale).  Subspaces are immutable
-and all operations are pure.
+reduced to [0, p); p is bounded below 2^15 (desk scale) and checked
+prime, once per prime.  row_echelon is the one elimination kernel.  The
+command line reads DEFAULT_ENUM_CAP, fmodule's cap, without fmodule.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
+from math import isqrt
 
-from .errors import CapacityError, UnsupportedInputError
-from .record import record
+from .errors import UnsupportedInputError
 
 MAX_PRIME = 2**15
 DEFAULT_ENUM_CAP = 2**16
 
 
 @lru_cache(maxsize=None)
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
-@lru_cache(maxsize=None)
 def check_prime(p: int) -> int:
-    if not is_prime(p):
-        raise UnsupportedInputError(f"modulus {p} is not prime")
+    # the bound first: trial division up to the root of a huge modulus would not end
     if p >= MAX_PRIME:
         raise UnsupportedInputError(f"modulus {p} exceeds the supported bound {MAX_PRIME}")
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise UnsupportedInputError(f"modulus {p} is not prime")
     return p
 
 
@@ -88,71 +76,3 @@ def row_echelon(rows, p: int, reduced: bool = False) -> tuple[list[list[int]], t
                 if f:
                     row[c:] = [(a - f * b) % p for a, b in zip(row[c:], below[c:])]
     return echelon, pivots
-
-
-@record
-class Subspace:
-    """Subspace of F_p^ambient_dim, stored as a canonical rref basis (no zero rows)."""
-
-    p: int
-    ambient_dim: int
-    basis: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        check_prime(self.p)
-        if len(self.basis) > self.ambient_dim:
-            raise ValueError("more basis rows than ambient dimension")
-        for row in self.basis:
-            if len(row) != self.ambient_dim:
-                raise ValueError("basis row length mismatch")
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
-def enumerate_subspaces(p: int, dim: int, cap: int = DEFAULT_ENUM_CAP):
-    """Yield every subspace of F_p^dim exactly once, via rref normal forms."""
-    check_prime(p)
-    if p**dim > cap:
-        raise CapacityError(f"p^dim = {p**dim} exceeds enumeration cap {cap}")
-    for k in range(dim + 1):
-        for pivots in itertools.combinations(range(dim), k):
-            free_pos = [
-                (i, j)
-                for i in range(k)
-                for j in range(pivots[i] + 1, dim)
-                if j not in pivots
-            ]
-            for values in itertools.product(range(p), repeat=len(free_pos)):
-                rows = [[0] * dim for _ in range(k)]
-                for i in range(k):
-                    rows[i][pivots[i]] = 1
-                for (i, j), v in zip(free_pos, values):
-                    rows[i][j] = v
-                yield Subspace(p, dim, tuple(tuple(r) for r in rows))
-
-
-def gaussian_binomial(n: int, k: int, p: int) -> int:
-    """Number of k-dimensional subspaces of F_p^n."""
-    if k < 0 or k > n:
-        return 0
-    num = 1
-    den = 1
-    for i in range(k):
-        num *= p ** (n - i) - 1
-        den *= p ** (k - i) - 1
-    assert num % den == 0
-    return num // den
-
-
-@lru_cache(maxsize=None)
-def num_subspaces(p: int, n: int) -> int:
-    """Total number of subspaces of F_p^n (sum of Gaussian binomials)."""
-    return sum(gaussian_binomial(n, k, p) for k in range(n + 1))
-
-
-@lru_cache(maxsize=None)
-def subspace_lattice(p: int, dim: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[Subspace, ...]:
-    """All subspaces of F_p^dim as a cached tuple, zero subspace first."""
-    return tuple(enumerate_subspaces(p, dim, cap))

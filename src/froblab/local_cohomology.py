@@ -96,7 +96,11 @@ def oracle_box_check(
     evaluated, each weighted by its |neg|^|nu| |pos|^|pi| |zero|^(n - |sigma|)
     box points.  A disagreeing pattern is expanded back into its box
     points, listed in the order of the box.  Past MAX_ORACLE_SIZE it
-    raises CapacityError before any elimination."""
+    raises CapacityError before any elimination, and before listing the
+    faces if one facet of k vertices, 2^k faces and 3^k patterns, does."""
+    least = 6 ** max(map(len, c.facets), default=0)
+    if least > MAX_ORACLE_SIZE:
+        raise CapacityError(f"graded oracle size at least {least} exceeds cap {MAX_ORACLE_SIZE}")
     by_size = face_masks(c)[0]
     work = sum(map(len, by_size.values())) * sum(len(sigmas) << k for k, sigmas in by_size.items())
     if work > MAX_ORACLE_SIZE:

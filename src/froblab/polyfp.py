@@ -74,8 +74,8 @@ class PolynomialFp:
         return cls.make(p, n_vars, {m: 1})
 
     @classmethod
-    def monomial(cls, p: int, m: Monomial, c: int = 1) -> "PolynomialFp":
-        return cls.make(p, len(m), {tuple(m): c})
+    def monomial(cls, p: int, m: Monomial) -> "PolynomialFp":
+        return cls.make(p, len(m), {tuple(m): 1})
 
     def as_dict(self) -> dict[Monomial, int]:
         return dict(self.terms)

@@ -29,11 +29,25 @@ from .record import record
 Face = tuple[int, ...]
 
 
+class _Canonical(tuple):
+    """Facets as _normalize_facets returns them: canonical, not checked again."""
+    __slots__ = ()
+
+
 def _normalize_facets(facets) -> tuple[Face, ...]:
-    cleaned = {tuple(sorted(set(int(v) for v in f))) for f in facets}
-    # drop facets contained in another (antichain reduction)
-    kept = [f for f in cleaned if not any(set(f) < set(g) for g in cleaned)]
-    return tuple(sorted(kept, key=lambda t: (len(t), t)))
+    """The canonical antichain: sorted facets by size, then labels, less any
+    in a larger facet, which must pass through its least shared vertex."""
+    cleaned = sorted({tuple(sorted(set(int(v) for v in f))) for f in facets}, key=lambda t: (len(t), t))
+    through: dict[int, list[frozenset[int]]] = {}
+    for f in cleaned:
+        for v in f:
+            through.setdefault(v, []).append(frozenset(f))
+
+    def held(f: Face) -> bool:  # the empty facet lies in every other
+        others = through[min(f, key=lambda v: len(through[v]))] if f else cleaned[1:]
+        return any(len(g) > len(f) and all(v in g for v in f) for g in others)
+
+    return _Canonical(f for f in cleaned if not held(f))
 
 
 @record
@@ -52,7 +66,7 @@ class SimplicialComplex:
     def __post_init__(self):
         if self.n_vertices < 0:
             raise ValueError("negative vertex count")
-        if self.facets != _normalize_facets(self.facets):
+        if type(self.facets) is not _Canonical and self.facets != _normalize_facets(self.facets):
             raise ValueError("facets are not in canonical antichain form")
         for f in self.facets:
             for v in f:

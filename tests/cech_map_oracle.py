@@ -25,16 +25,16 @@ kernels, spans and containment are those of perp_oracle.
 
 froblab.fmodule builds the same blocks and maps from
 froblab.simplicial.coboundary_rows and counts the families with one
-search on subspace-lattice indices; this listing of Subspace objects is
-the reference its counts are checked against.
+search on subspace-lattice indices; this listing of Subspace records
+(perp_oracle.lattice) is the reference its counts are checked against.
 """
 
 import itertools
 from functools import lru_cache
 
 from box_oracle import coboundary_matrix
-from perp_oracle import contains_vector, kernel_basis, subspace_contains, subspace_from_vectors
-from froblab.gfp_linalg import row_echelon, subspace_lattice
+from perp_oracle import contains_vector, kernel_basis, lattice, subspace_contains, subspace_from_vectors
+from froblab.gfp_linalg import row_echelon
 from froblab.simplicial import face_masks, mask_vertices
 
 
@@ -142,7 +142,7 @@ def closed_families(c, p, i):
             return
         nu = faces[k]
         need = [row for src, m in into[nu] for row in image(chosen[src].basis, m, p)]
-        for u in subspace_lattice(p, block(c, p, i, nu).dim):
+        for u in lattice(p, block(c, p, i, nu).dim):
             if holds(u, need):
                 chosen[nu] = u
                 yield from extend(k + 1, chosen)
@@ -195,7 +195,7 @@ class PointModel:
                 yield dict(chosen)
                 return
             theta = self.points[k]
-            for u in subspace_lattice(self.p, self.dims[theta]):
+            for u in lattice(self.p, self.dims[theta]):
                 chosen[theta] = u
                 if all(holds(chosen[b], image(chosen[a].basis, m, self.p)) for a, b, m in checks[theta]):
                     yield from extend(k + 1, chosen)

@@ -30,7 +30,7 @@ from cech_map_oracle import phi
 from colon_oracle import ideal_from_generators
 from helpers import cone
 from froblab.errors import UnsupportedInputError
-from froblab.gfp_linalg import num_subspaces
+from froblab.fmodule import num_subspaces
 from froblab.local_cohomology import decomposition
 from froblab.simplicial import Face, SimplicialComplex, vertex_mask
 from perp_oracle import contains_vector, subspace_from_vectors, subspace_sum, zero_subspace

@@ -1,21 +1,54 @@
 """Subspace operations that froblab itself never needs, kept as test
 oracles.
 
-froblab decides only whether one subspace contains another, by whether
-stacking their bases adds a pivot (froblab.fmodule.lattice_contains).
-Here live the error for operands of different ambient spaces, the
-kernel of a matrix, the zero subspace, the span of a list of vectors,
-the sum U + V, membership of a
-vector, containment of subspaces, the list of all vectors of a
-subspace, and the intersection through orthogonal complements:
-(U + V)^perp = U^perp ∩ V^perp, and perp is an involution for the
-standard pairing, so A ∩ B = (A^perp + B^perp)^perp.
+froblab holds a subspace as a bare reduced row-echelon basis, an entry
+of froblab.fmodule.subspace_lattice, and decides only whether one
+contains another, by whether stacking their bases adds a pivot
+(froblab.fmodule.lattice_contains).  Here a Subspace record also
+carries its prime and ambient dimension, and lattice wraps the entries
+of the lattice in it.  Here also live the error for operands of
+different ambient spaces, the kernel of a matrix, the zero subspace,
+the span of a list of vectors, the sum U + V, membership of a vector,
+containment of subspaces, the list of all vectors of a subspace, and
+the intersection through orthogonal complements: (U + V)^perp =
+U^perp ∩ V^perp, and perp is an involution for the standard pairing,
+so A ∩ B = (A^perp + B^perp)^perp.
 """
 
 import functools
 import itertools
 
-from froblab.gfp_linalg import Subspace, row_echelon
+from froblab.fmodule import subspace_lattice
+from froblab.gfp_linalg import check_prime, row_echelon
+from froblab.record import record
+
+
+@record
+class Subspace:
+    """Subspace of F_p^ambient_dim, stored as a canonical rref basis (no zero rows)."""
+
+    p: int
+    ambient_dim: int
+    basis: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        check_prime(self.p)
+        if len(self.basis) > self.ambient_dim:
+            raise ValueError("more basis rows than ambient dimension")
+        for row in self.basis:
+            if len(row) != self.ambient_dim:
+                raise ValueError("basis row length mismatch")
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+
+@functools.lru_cache(maxsize=None)
+def lattice(p: int, dim: int) -> tuple[Subspace, ...]:
+    """Every subspace of F_p^dim, the entries of subspace_lattice(p, dim)
+    in its order, each as a Subspace."""
+    return tuple(Subspace(p, dim, basis) for basis in subspace_lattice(p, dim))
 
 
 class DimensionMismatchError(ValueError):

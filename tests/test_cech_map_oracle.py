@@ -11,7 +11,7 @@ import pytest
 from cech_map_oracle import PointModel, block, closed_families, coboundary, phi
 from corpus import POINT, TRIANGLE, TWO_EDGES, TWO_POINTS, boundary_facets, make_complex
 from katzman_oracle import katzman_count
-from froblab.gfp_linalg import num_subspaces
+from froblab.fmodule import num_subspaces
 from froblab.local_cohomology import decomposition
 from froblab.simplicial import face_masks, mask_vertices
 

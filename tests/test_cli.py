@@ -3,13 +3,17 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cech_map_oracle import closed_families
 from corpus import BOUNDARY_5
 from froblab.cli import main
+from froblab.fmodule import face_count
+from froblab.simplicial import from_facets
 from test_acceptance import Budget
 
 
@@ -123,7 +127,23 @@ def test_oracle_past_its_cap_is_a_capacity_error(tmp_path, capsys):
     with Budget("graded oracle cap", 1):
         code, out, err = run_cli(["analyze-complex", str(path), "--prime", "2"], capsys)
     assert (code, out) == (1, "")
-    assert err == "error: graded oracle size 1679616 exceeds cap 1048576\n"
+    assert err == "error: graded oracle size at least 1679616 exceeds cap 1048576\n"
+
+
+def test_three_points_at_p_257_count_their_submodules(tmp_path, capsys):
+    # 260 subspaces of F_257^2 at the empty face and two at each vertex:
+    # 2,080 families, within the default cap; p + 13 are F-stable
+    path = tmp_path / "three-points.facets"
+    path.write_text("0\n1\n2\n")
+    code, out, err = run_cli(["analyze-complex", str(path), "--prime", "257", "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["analysis"]["fh_counts"] == [
+        {"i": 1, "count": 270, "validated": False, "note": "face count only (window search skipped: cap)"}
+    ]
+    assert [m["skipped"] for m in report["models"]] == ["cap"]
+    three_points = from_facets(3, [[0], [1], [2]])
+    assert face_count(three_points, 257, 1) == len(closed_families(three_points, 257, 1)) == 270
 
 
 def test_analyze_complex_window_mismatch_exit_code(two_points_file, capsys, monkeypatch):
@@ -356,6 +376,54 @@ def assert_input_error(proc):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def refused_in_a_child(args, seconds):
+    """Run the command in a child under the address-space limit, so that
+    a regression fails within the timeout instead of filling memory; it
+    must exit 1 with one error line and no output within seconds."""
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "froblab.cli", *args],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit_address_space,
+        timeout=20,
+    )
+    elapsed = time.monotonic() - start
+    assert_input_error(proc)
+    assert proc.stdout == ""
+    assert elapsed < seconds, f"refused after {elapsed:.2f}s, budget {seconds}s"
+    return proc.stderr
+
+
+def test_oracle_refuses_a_large_facet_before_listing_its_faces(tmp_path):
+    # 2^40 faces would take terabytes; the facet alone bounds the size by 6^40
+    path = tmp_path / "simplex40.facets"
+    path.write_text(" ".join(map(str, range(40))) + "\n")
+    err = refused_in_a_child(["analyze-complex", str(path), "--prime", "2"], 1)
+    assert err == f"error: graded oracle size at least {6**40} exceeds cap 1048576\n"
+
+
+def test_long_cycle_is_parsed_and_refused_quickly(tmp_path):
+    # 20,000 edges: the parser's antichain reduction compares each edge
+    # only with the facets through one of its vertices
+    m = 20000
+    path = tmp_path / "cycle.facets"
+    path.write_text("".join(f"{v} {(v + 1) % m}\n" for v in range(m)))
+    err = refused_in_a_child(["analyze-complex", str(path), "--prime", "2"], 3)
+    # (1 + 2m faces) times (1 + 2m + 4m patterns)
+    assert err == f"error: graded oracle size {(1 + 2 * m) * (1 + 6 * m)} exceeds cap 1048576\n"
+
+
+def test_huge_modulus_is_refused_before_trial_division(capsys):
+    # a composite past the bound is refused for its size, one below it as before
+    for modulus, reason in [(40000, "exceeds the supported bound 32768"), (32767, "is not prime")]:
+        code, out, err = run_cli(["analyze-hypersurface", "--poly", "x0^2", "--prime", str(modulus)], capsys)
+        assert (code, out, err) == (1, "", f"error: modulus {modulus} {reason}\n")
+    # about 10^9 trial divisions would show 10^18 + 3 prime
+    err = refused_in_a_child(["analyze-hypersurface", "--poly", "x0^2", "--prime", "1000000000000000003"], 1)
+    assert err == "error: modulus 1000000000000000003 exceeds the supported bound 32768\n"
 
 
 def test_trunc_zero_is_an_input_error(two_points_file):

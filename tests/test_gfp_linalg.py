@@ -10,20 +10,15 @@ from perp_oracle import (
     contains_vector,
     intersection_by_perps,
     kernel_basis,
+    lattice,
     subspace_from_vectors,
     subspace_sum,
     subspace_vectors,
     zero_subspace,
 )
-from froblab.errors import CapacityError, UnsupportedInputError
-from froblab.gfp_linalg import (
-    enumerate_subspaces,
-    gaussian_binomial,
-    num_subspaces,
-    row_echelon,
-    subspace_lattice,
-)
-from froblab.fmodule import lattice_contains
+from froblab.errors import UnsupportedInputError
+from froblab.fmodule import lattice_contains, num_subspaces, subspace_lattice
+from froblab.gfp_linalg import row_echelon
 
 
 def rank(a, p):
@@ -186,29 +181,51 @@ def test_subspace_mismatch_raises():
         subspace_sum(a, b)
 
 
+def gaussian_binomial(n, k, p):
+    """Number of k-dimensional subspaces of F_p^n, the product formula:
+    the reference for the recurrence of num_subspaces."""
+    if k < 0 or k > n:
+        return 0
+    num = den = 1
+    for i in range(k):
+        num *= p ** (n - i) - 1
+        den *= p ** (k - i) - 1
+    assert num % den == 0
+    return num // den
+
+
 def test_enumerate_counts():
-    assert len(list(enumerate_subspaces(2, 1))) == 2
-    assert len(list(enumerate_subspaces(2, 2))) == 5
-    assert len(list(enumerate_subspaces(3, 2))) == 6
+    assert len(subspace_lattice(2, 1)) == 2
+    assert len(subspace_lattice(2, 2)) == 5
+    assert len(subspace_lattice(3, 2)) == 6
 
 
 def test_enumerate_matches_gaussian_binomials():
     for p in (2, 3):
         for n in range(5):
-            subs = list(enumerate_subspaces(p, n))
+            subs = subspace_lattice(p, n)
             assert len(subs) == len(set(subs)) == num_subspaces(p, n)
+            assert subs[0] == ()
             for k in range(n + 1):
-                assert sum(1 for s in subs if s.dim == k) == gaussian_binomial(n, k, p)
+                assert sum(1 for s in subs if len(s) == k) == gaussian_binomial(n, k, p)
+            # every entry is the reduced echelon basis of its own span
+            assert all(rref(s, p)[0] == [list(row) for row in s] for s in subs)
 
 
-def test_enumerate_cap():
-    with pytest.raises(CapacityError):
-        list(enumerate_subspaces(2, 20, cap=2**16))
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 257])
+def test_subspace_count_recurrence(p):
+    # the Goldman-Rota recurrence against the sum of Gaussian binomials,
+    # and against the listed lattice where it is small
+    for n in range(10):
+        expected = sum(gaussian_binomial(n, k, p) for k in range(n + 1))
+        assert num_subspaces(p, n) == expected
+        if expected <= 5000:
+            assert len(subspace_lattice(p, n)) == expected
 
 
 def test_modular_law():
     # a ∩ (b + (a ∩ c)) == (a ∩ b) + (a ∩ c) for all subspace triples of F_2^3
-    subs = list(enumerate_subspaces(2, 3))
+    subs = lattice(2, 3)
     for a in subs:
         for b in subs:
             for c in subs:
@@ -220,7 +237,7 @@ def test_modular_law():
 @pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (2, 4), (5, 2)])
 def test_intersection_matches_perp_route(p, n):
     # the common vectors of two subspaces span what the perp route gives
-    subs = list(enumerate_subspaces(p, n))
+    subs = lattice(p, n)
     vectors = [set(subspace_vectors(s)) for s in subs]
     for k, a in enumerate(subs):
         for b, vb in zip(subs[k:], vectors[k:]):
@@ -231,10 +248,10 @@ def test_intersection_matches_perp_route(p, n):
 
 @pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
 def test_lattice_contains(p, n):
-    lattice = subspace_lattice(p, n)
-    assert lattice[0].dim == 0 and lattice[-1].dim == n
-    vectors = [set(subspace_vectors(s)) for s in lattice]
-    for a, b in itertools.product(range(len(lattice)), repeat=2):
+    subs = lattice(p, n)
+    assert subs[0].dim == 0 and subs[-1].dim == n
+    vectors = [set(subspace_vectors(s)) for s in subs]
+    for a, b in itertools.product(range(len(subs)), repeat=2):
         assert lattice_contains(p, n, a, b) == (vectors[b] <= vectors[a])
 
 

@@ -241,13 +241,15 @@ def test_fh_count_of_the_boundary_of_the_4_simplex_is_dedekind_minus_one(p):
 
 
 def test_oracle_refuses_work_past_its_cap_before_any_elimination(monkeypatch):
-    # one 8-vertex facet: 2^8 faces times the 3^8 sign patterns that split one
+    # one 8-vertex facet: 2^8 faces times the 3^8 sign patterns that split
+    # one, a bound that the facet alone gives, before the face table is built
     def unreachable(*args):
-        raise AssertionError("an elimination ran")
+        raise AssertionError("an elimination ran or the face table was built")
 
     monkeypatch.setattr(lc, "cochain_dims", unreachable)
     monkeypatch.setattr(lc, "reduced_cohomology", unreachable)
-    with pytest.raises(CapacityError, match="graded oracle size 1679616 exceeds cap 1048576"):
+    monkeypatch.setattr(lc, "face_masks", unreachable)
+    with pytest.raises(CapacityError, match="graded oracle size at least 1679616 exceeds cap 1048576"):
         oracle_box_check(from_facets(8, [list(range(8))]), 2)
 
 

@@ -3,7 +3,6 @@
 import pytest
 
 from froblab.errors import InvalidParametersError
-from froblab.gfp_linalg import Subspace
 from froblab.hypersurface import (
     GradedHypersurface,
     LocalCohomClass,
@@ -13,6 +12,7 @@ from froblab.hypersurface import (
 from froblab.polyfp import PolynomialFp, parse_polynomial
 from froblab.simplicial import SimplicialComplex
 from froblab.stanley_reisner import MonomialIdeal
+from perp_oracle import Subspace
 
 X0 = PolynomialFp(3, 2, (((1, 0), 1),))
 

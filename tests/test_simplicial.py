@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import acceptance_corpus, make_complex
 from helpers import (
@@ -12,6 +14,7 @@ from helpers import (
     is_cone_complex,
     relabel,
 )
+from froblab import simplicial
 from froblab.errors import NotAFaceError, ParseError
 from froblab.simplicial import (
     SimplicialComplex,
@@ -52,6 +55,39 @@ def test_from_facets_errors():
         from_facets(2, [[0, 3]])
     with pytest.raises(ParseError):
         from_facets(3, [[0, 1]])  # vertex 2 uncovered
+
+
+def normalize_facets_pairwise(facets):
+    """The canonical antichain by comparing every pair of facets: the
+    reference for the vertex-indexed reduction of the parser."""
+    cleaned = {tuple(sorted(set(int(v) for v in f))) for f in facets}
+    kept = [f for f in cleaned if not any(set(f) < set(g) for g in cleaned)]
+    return tuple(sorted(kept, key=lambda t: (len(t), t)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(st.lists(st.integers(0, 6), max_size=5), max_size=9))
+def test_normalization_matches_pairwise_reduction(facets):
+    norm = simplicial._normalize_facets(facets)
+    assert norm == normalize_facets_pairwise(facets)
+    assert SimplicialComplex(7, norm) == SimplicialComplex(7, tuple(norm))
+
+
+def test_one_parse_normalizes_once(monkeypatch):
+    calls = []
+    normalize = simplicial._normalize_facets
+
+    def counted(facets):
+        calls.append(facets)
+        return normalize(facets)
+
+    monkeypatch.setattr(simplicial, "_normalize_facets", counted)
+    c = parse_facets_text("0 1\n1 2\n0 2\n0\n")
+    assert c == TRIANGLE and len(calls) == 1
+    # a complex built from plain tuples is still checked
+    with pytest.raises(ValueError):
+        SimplicialComplex(3, ((0,), (0, 1)))
+    assert len(calls) == 2
 
 
 def test_uncovered_vertices_named_up_to_ten():
