@@ -91,7 +91,7 @@ def cmd_analyze_complex(args, threads: int) -> None:
     from .fmodule import face_count, window_count
     from .local_cohomology import analysis_report, decomposition, oracle_box_check
     from .simplicial import parse_facets_text
-    from .stanley_reisner import fedder_fpure_monomial, nonface_ideal
+    from .stanley_reisner import fedder_fpure_monomial, ideal_text, nonface_ideal
 
     try:
         with open(args.path, encoding="utf-8") as fh:
@@ -154,7 +154,7 @@ def cmd_analyze_complex(args, threads: int) -> None:
         },
         "analysis": analysis,
         "f_pure": fedder_fpure_monomial(ideal, p),
-        "nonface_ideal": ideal.to_text(),
+        "nonface_ideal": ideal_text(ideal),
         "models": models,
         "oracle_check": {
             "box": list(args.box),

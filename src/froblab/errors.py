@@ -9,10 +9,6 @@ class CapacityError(FroblabError):
     """A configured enumeration or degree cap would be exceeded."""
 
 
-class NotAFaceError(FroblabError):
-    """The given vertex set is not a face of the complex."""
-
-
 class UnsupportedInputError(FroblabError):
     """The input is outside the class this operation decides exactly."""
 

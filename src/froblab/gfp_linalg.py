@@ -27,16 +27,6 @@ def check_prime(p: int) -> int:
     return p
 
 
-def check_p_power(q: int, p: int) -> None:
-    """Raise ValueError unless q = p^e for some e >= 0."""
-    if q < 1:
-        raise ValueError(f"{q} is not a power of {p}")
-    while q % p == 0:
-        q //= p
-    if q != 1:
-        raise ValueError(f"{q} is not a power of {p}")
-
-
 def _lead(v: list[int], start: int = 0) -> int | None:
     for j in range(start, len(v)):
         if v[j]:

@@ -11,7 +11,8 @@ monomial-localization complex.  Both depend on a multidegree only
 through its sign pattern, and both vanish unless that pattern splits a
 face, so the oracle box is checked once per such pattern, not once per
 box point.  The two routes pick their faces independently, the table
-from each link built from facets and the oracle by filtering the whole
+from each link's faces, read off the facets that contain nu
+(simplicial.link_cohomology), and the oracle by filtering the whole
 complex's face masks by sign pattern, and both take the cohomology from
 the one cochain routine, simplicial.cochain_dims.
 
@@ -33,8 +34,8 @@ from .simplicial import (
     SimplicialComplex,
     cochain_dims,
     face_masks,
-    links,
-    reduced_cohomology,
+    link_cohomology,
+    mask_vertices,
     submasks,
     vertex_mask,
 )
@@ -54,9 +55,10 @@ def decomposition(c: SimplicialComplex, p: int) -> tuple[tuple[int, Face, int], 
     empty face included), placed at index i = |nu| + 1 + j."""
     check_prime(p)
     entries = []
-    for nu, lk in links(c).items():
-        for j, m in reduced_cohomology(lk, p):
-            entries.append((j + 1 + len(nu), nu, m))
+    for size, nus in face_masks(c)[0].items():
+        for nu in nus:
+            for j, m in link_cohomology(c, p, nu):
+                entries.append((j + 1 + size, mask_vertices(nu), m))
     return tuple(sorted(entries))
 
 
@@ -134,10 +136,14 @@ def oracle_box_check(
 
 
 def reisner_cm_condition(c: SimplicialComplex, p: int) -> bool:
-    """Every link has reduced cohomology only in its own top dimension."""
-    for lk in links(c).values():
-        for j, m in reduced_cohomology(lk, p):
-            if m and j < lk.dim:
+    """Every link has reduced cohomology only in its own top dimension:
+    the link of nu has dimension max |F - nu| - 1 over the facets F
+    containing nu."""
+    facets = [vertex_mask(f) for f in c.facets]
+    for nus in face_masks(c)[0].values():
+        for nu in nus:
+            top = max((f ^ nu).bit_count() for f in facets if f & nu == nu) - 1
+            if any(j < top for j, _ in link_cohomology(c, p, nu)):
                 return False
     return True
 

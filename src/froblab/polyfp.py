@@ -2,8 +2,9 @@
 
 Monomials are exponent tuples of fixed length.  The hypersurface levels,
 the only ideals of polynomials decided, get their normal form in
-froblab.hypersurface; monomial ideals live with the face rings, in
-froblab.stanley_reisner, so analyze-complex never loads this module.
+froblab.hypersurface.  The face rings need no polynomials: their
+nonface ideal is a tuple of exponent tuples in froblab.stanley_reisner,
+so analyze-complex never loads this module.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError
-from .gfp_linalg import check_p_power, check_prime
+from .gfp_linalg import check_prime
 from .record import record
 
 Monomial = tuple[int, ...]
@@ -23,6 +24,15 @@ def mono_deg(m: Monomial) -> int:
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
+
+
+def check_p_power(q: int, p: int) -> None:
+    """Raise ValueError unless q = p^e for some e >= 0."""
+    r = q
+    while r > 0 and r % p == 0:
+        r //= p
+    if r != 1:
+        raise ValueError(f"{q} is not a power of {p}")
 
 
 def mono_to_text(m: Monomial) -> str:

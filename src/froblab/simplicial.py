@@ -8,13 +8,15 @@ at all, which only ever arises as a sentinel and has zero cohomology.
 
 Each complex has one cached table of its faces, face_masks: vertex
 bitmasks (bit v for vertex v), the submasks of its facet masks, grouped
-by size.  Face tests, all_faces, the nonface ideal and the graded
-oracle read it; vertex tuples are made only for links and reports.
-coboundary_rows holds the one coboundary sign rule on such masks.
-cochain_dims computes the cohomology of a cochain complex on them, both
-the reduced cohomology of a complex here and the graded oracle of
-froblab.local_cohomology, which filters the table by sign pattern; the
-face blocks of froblab.fmodule take cocycle bases from the same rows.
+by size.  The nonface ideal, the face walks of froblab.local_cohomology
+and the graded oracle read it.  link_cohomology builds the same kind of
+table for the link of a face straight from the facets that contain it,
+so no complex is built per link.  coboundary_rows holds the one
+coboundary sign rule on such masks.  cochain_dims computes the
+cohomology of a cochain complex on them, both the reduced cohomology of
+a link here and the graded oracle of froblab.local_cohomology, which
+filters the table by sign pattern; the face blocks of froblab.fmodule
+take cocycle bases from the same rows.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
 
-from .errors import NotAFaceError, ParseError
+from .errors import ParseError
 from .gfp_linalg import check_prime, row_echelon
 from .record import record
 
@@ -56,8 +58,7 @@ class SimplicialComplex:
 
     facets == () encodes the void complex; facets == ((),) encodes the
     empty complex {()}.  Vertices not covered by any facet are permitted
-    on internally built complexes (links keep ambient labels) but are
-    rejected by from_facets.
+    here but rejected by from_facets, the parse-time constructor.
     """
 
     n_vertices: int
@@ -83,9 +84,6 @@ class SimplicialComplex:
         if self.is_void:
             return -2
         return max(len(f) for f in self.facets) - 1
-
-    def is_face(self, sigma) -> bool:
-        return vertex_mask(sigma) in face_masks(self)[1]
 
 
 def from_facets(n_vertices: int, facets) -> SimplicialComplex:
@@ -125,36 +123,6 @@ def parse_facets_text(text: str) -> SimplicialComplex:
     return from_facets(n, facets)
 
 
-def all_faces(c: SimplicialComplex) -> tuple[Face, ...]:
-    """Every face as a vertex tuple, by size and then in lexicographic
-    order, the empty face first."""
-    return tuple(f for ms in face_masks(c)[0].values() for f in sorted(map(mask_vertices, ms)))
-
-
-def link(c: SimplicialComplex, sigma) -> SimplicialComplex:
-    """link(sigma): faces disjoint from sigma whose union with it is a face.
-
-    link(()) is the complex itself; the link of a facet is {()}.
-    """
-    s = tuple(sorted(set(sigma)))
-    if not c.is_face(s):
-        raise NotAFaceError(f"{s} is not a face")
-    if not s:
-        return c
-    # F - s over the facets F containing s, in their order: distinct, an
-    # antichain and in canonical order because the facets are (removing a
-    # common subset keeps the order of equal-length sorted tuples), so the
-    # constructor's check is the only normalization
-    lk_facets = tuple(tuple(v for v in f if v not in s) for f in c.facets if set(s) <= set(f))
-    return SimplicialComplex(c.n_vertices, lk_facets)
-
-
-@lru_cache(maxsize=None)
-def links(c: SimplicialComplex) -> dict[Face, SimplicialComplex]:
-    """link(c, sigma) for every face sigma of c, each built once."""
-    return {s: link(c, s) for s in all_faces(c)}
-
-
 def vertex_mask(sigma) -> int:
     """The vertex set sigma as a bitmask: bit v for vertex v."""
     return sum(1 << v for v in set(sigma))
@@ -175,15 +143,21 @@ def submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-@lru_cache(maxsize=None)
-def face_masks(c: SimplicialComplex) -> tuple[dict[int, tuple[int, ...]], frozenset[int]]:
-    """The faces of c as vertex bitmasks, grouped by size, sizes and masks
-    each in increasing order, and their set: the submasks of the facets."""
-    masks = frozenset(m for f in c.facets for m in submasks(vertex_mask(f)))
+def _submask_table(tops) -> tuple[dict[int, tuple[int, ...]], frozenset[int]]:
+    """Every submask of the masks tops, grouped by size, sizes and masks
+    each in increasing order, and their set."""
+    masks = frozenset(m for top in tops for m in submasks(top))
     by_size: dict[int, list[int]] = {}
     for m in sorted(masks):
         by_size.setdefault(m.bit_count(), []).append(m)
     return {k: tuple(ms) for k, ms in by_size.items()}, masks
+
+
+@lru_cache(maxsize=None)
+def face_masks(c: SimplicialComplex) -> tuple[dict[int, tuple[int, ...]], frozenset[int]]:
+    """The faces of c as vertex bitmasks, grouped by size, sizes and masks
+    each in increasing order, and their set: the submasks of the facets."""
+    return _submask_table(vertex_mask(f) for f in c.facets)
 
 
 def coboundary_rows(src: Sequence[int], tgt: Sequence[int]) -> list[list[int]]:
@@ -222,12 +196,17 @@ def cochain_dims(cochains_by_size: dict[int, Sequence[int]], p: int) -> tuple[tu
 
 
 @lru_cache(maxsize=None)
-def reduced_cohomology(c: SimplicialComplex, p: int) -> tuple[tuple[int, int], ...]:
-    """Nonzero (degree, dim) of the reduced simplicial cohomology over F_p.
+def link_cohomology(c: SimplicialComplex, p: int, nu: int) -> tuple[tuple[int, int], ...]:
+    """Nonzero (degree, dim) of the reduced cohomology over F_p of the link
+    of the face with vertex bitmask nu: the faces disjoint from nu whose
+    union with it is a face, that is the submasks of F - nu over the
+    facets F containing nu.
 
     Computed by cochain_dims on the augmented cochain complex, a face of
-    size k in degree k - 1 (the empty face in degree -1).  The void
-    complex has none; {()} has exactly ((-1, 1),).
+    size k in degree k - 1 (the empty face in degree -1).  nu = 0 gives
+    the complex itself.  The void complex has none, and so has a nu that
+    is not a face; the link of a facet, {()}, has exactly ((-1, 1),).
     """
     check_prime(p)
-    return tuple((k - 1, h) for k, h in cochain_dims(face_masks(c)[0], p))
+    tops = (f ^ nu for f in map(vertex_mask, c.facets) if f & nu == nu)
+    return tuple((k - 1, h) for k, h in cochain_dims(_submask_table(tops)[0], p))

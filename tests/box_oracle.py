@@ -10,9 +10,10 @@ oracle_box_check_per_theta compares them at every point of the box
 [lo, hi]^n, and oracle_box_check_by_signs once per sign pattern, 3^n of
 them.  graded_dim looks decomposition up on the module, so a
 monkeypatched table reaches every route.  cech_dims_by_face_tuples
-builds one pattern's piece from face tuples, by a scan of all_faces and
-an is_face test per face, where froblab filters its table of face
-bitmasks.
+builds one pattern's piece from face tuples, by a scan of face_tuples
+and an is_face test per face, where froblab filters its table of face
+bitmasks.  froblab keeps no table of face tuples and no face test; both
+live here.
 
 froblab computes every cochain cohomology on face bitmasks
 (froblab.simplicial.cochain_dims).  coboundary_matrix and
@@ -27,10 +28,18 @@ from functools import lru_cache
 
 from froblab import local_cohomology as lc
 from froblab.gfp_linalg import check_prime, row_echelon
-from froblab.simplicial import all_faces
+from froblab.simplicial import face_masks, mask_vertices, vertex_mask
 
-# froblab keeps no table of face tuples; this reference keeps one per complex
-face_tuples = lru_cache(maxsize=None)(all_faces)
+
+@lru_cache(maxsize=None)
+def face_tuples(c):
+    """Every face as a vertex tuple, by size and then in lexicographic
+    order, the empty face first."""
+    return tuple(f for ms in face_masks(c)[0].values() for f in sorted(map(mask_vertices, ms)))
+
+
+def is_face(c, sigma):
+    return vertex_mask(sigma) in face_masks(c)[1]
 
 
 def coboundary_matrix(src, tgt, p):
@@ -73,7 +82,7 @@ def graded_dim(c, p, i, theta):
     if any(t > 0 for t in theta):
         return 0
     nu = neg_support(theta)
-    if not c.is_face(nu):
+    if not is_face(c, nu):
         return 0
     return sum(m for ei, enu, m in lc.decomposition(c, p) if (ei, enu) == (i, nu))
 
@@ -96,7 +105,7 @@ def cech_dims_by_face_tuples(c, p, nu, pi):
     nu_set, pi_set = set(nu), set(pi)
     cochains = {}
     for sigma in face_tuples(c):
-        if nu_set <= set(sigma) and c.is_face(set(sigma) | pi_set):
+        if nu_set <= set(sigma) and is_face(c, set(sigma) | pi_set):
             cochains.setdefault(len(sigma), []).append(sigma)
     return cochain_cohomology(cochains, p)
 

@@ -2,10 +2,10 @@
 square-free monomial ideal, prime and irrelevant ideals, the standard
 Frobenius splitting of a polynomial ring and the containment check
 built on it, lookups into decomposition tables and reduced cohomology,
-the Krull dimension of a face ring, cones and relabelings of complexes,
-the homology and Euler characteristic routes that cross-check reduced
-cohomology, and faces, the table of face tuples that
-froblab.simplicial.face_masks replaced."""
+the Krull dimension of a face ring, links, cones and relabelings of
+complexes, the homology and Euler characteristic routes that
+cross-check reduced cohomology, and faces, the table of face tuples
+that froblab.simplicial.face_masks replaced."""
 
 import itertools
 
@@ -108,6 +108,13 @@ def cone(c):
     if c.is_void:
         return SimplicialComplex(apex + 1, ((apex,),))
     return make_complex(apex + 1, [f + (apex,) for f in c.facets])
+
+
+def link(c, sigma):
+    """link(sigma) as a complex of its own: the sets F - sigma over the
+    facets F containing sigma, normalized; void when sigma is no face."""
+    s = set(sigma)
+    return make_complex(c.n_vertices, [set(f) - s for f in c.facets if s <= set(f)])
 
 
 def relabel(c, perm):

@@ -16,8 +16,7 @@ and reaches n = 4, where exponents up to 2 give far too many antichains.
 
 import itertools
 
-from colon_oracle import ideal_from_generators
-from froblab.stanley_reisner import frobenius_power, mono_divides
+from colon_oracle import frobenius_power, ideal_from_generators, mono_divides
 
 
 def antichains(points):

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from box_oracle import graded_dim
-from colon_oracle import monomial_ideal_intersection
+from colon_oracle import monomial_ideal_intersection, nonface_monomial_ideal
 from corpus import (
     CROSS_POLYTOPE_8,
     POINT,
@@ -34,7 +34,6 @@ from froblab.fmodule import face_count, window_count
 from froblab.hypersurface import f_injective_top, fedder_fpure_principal, make_hypersurface
 from froblab.local_cohomology import decomposition, depth_and_cm, oracle_box_check
 from froblab.polyfp import parse_polynomial
-from froblab.stanley_reisner import nonface_ideal
 
 
 class Budget:
@@ -175,7 +174,7 @@ def test_criterion_9_splitting_containment():
         for c in acceptance_corpus():
             if c.n_vertices == 0:
                 continue
-            i = nonface_ideal(c)
+            i = nonface_monomial_ideal(c)
             candidates = [i, irrelevant_ideal(c.n_vertices)]
             candidates += [
                 prime_to_ideal(c.n_vertices, prime)

@@ -9,6 +9,7 @@ from box_oracle import (
     cech_dims_by_face_tuples,
     cech_graded_oracle,
     graded_dim,
+    is_face,
     oracle_box_check_by_signs,
     oracle_box_check_per_theta,
 )
@@ -133,7 +134,7 @@ def assert_pieces_match_face_tuples(c, p):
         pi = tuple(v for v, s in enumerate(signs) if s > 0)
         expected = cech_dims_by_face_tuples(c, p, nu, pi)
         assert lc._cech_dims_by_signs(c, p, vertex_mask(nu), vertex_mask(pi)) == expected, (c, p, nu, pi)
-        if not c.is_face(nu + pi):
+        if not is_face(c, nu + pi):
             assert expected == ()
 
 
@@ -247,7 +248,7 @@ def test_oracle_refuses_work_past_its_cap_before_any_elimination(monkeypatch):
         raise AssertionError("an elimination ran or the face table was built")
 
     monkeypatch.setattr(lc, "cochain_dims", unreachable)
-    monkeypatch.setattr(lc, "reduced_cohomology", unreachable)
+    monkeypatch.setattr(lc, "link_cohomology", unreachable)
     monkeypatch.setattr(lc, "face_masks", unreachable)
     with pytest.raises(CapacityError, match="graded oracle size at least 1679616 exceeds cap 1048576"):
         oracle_box_check(from_facets(8, [list(range(8))]), 2)

@@ -3,14 +3,20 @@ import random
 
 import pytest
 
-from colon_oracle import ideal_from_generators, monomial_colon, monomial_ideal_intersection, monomial_ideal_sum
+from colon_oracle import (
+    MonomialIdeal,
+    frobenius_power,
+    ideal_from_generators,
+    monomial_colon,
+    monomial_ideal_intersection,
+    monomial_ideal_sum,
+)
 from helpers import is_unit, squarefree_minimal_primes, standard_monomial_splitting
 from level_oracle import level_contains, level_generators, monomials_of_degree
 
 from froblab.errors import ParseError, UnsupportedInputError
 from froblab.hypersurface import make_hypersurface
-from froblab.polyfp import PolynomialFp, parse_polynomial
-from froblab.stanley_reisner import MonomialIdeal, frobenius_power
+from froblab.polyfp import PolynomialFp, check_p_power, parse_polynomial
 
 
 def poly(text, p, n=None):
@@ -59,6 +65,16 @@ def test_frobenius_of_polynomial_matches_pow():
             f = PolynomialFp.make(p, 2, coeffs)
             assert f.frobenius(p) == f.pow(p)
             assert f.frobenius(p * p) == f.pow(p * p)
+
+
+def test_check_p_power_names_its_argument():
+    for q, p in ((1, 2), (8, 2), (81, 3), (25, 5)):
+        check_p_power(q, p)
+    for q, p in ((12, 2), (6, 2), (3, 2), (0, 2), (-4, 2), (18, 3)):
+        with pytest.raises(ValueError, match=rf"^{q} is not a power of {p}$"):
+            check_p_power(q, p)
+    with pytest.raises(ValueError, match="^12 is not a power of 2$"):
+        poly("x0", 2).frobenius(12)
 
 
 def test_frobenius_power_monomial_ideal():

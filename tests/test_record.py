@@ -11,7 +11,7 @@ from froblab.hypersurface import (
 )
 from froblab.polyfp import PolynomialFp, parse_polynomial
 from froblab.simplicial import SimplicialComplex
-from froblab.stanley_reisner import MonomialIdeal
+from colon_oracle import MonomialIdeal
 from perp_oracle import Subspace
 
 X0 = PolynomialFp(3, 2, (((1, 0), 1),))

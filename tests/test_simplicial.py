@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from box_oracle import face_tuples
 from corpus import acceptance_corpus, make_complex
 from helpers import (
     boundary_homology_dims,
@@ -12,18 +13,18 @@ from helpers import (
     euler_characteristic_faces,
     faces,
     is_cone_complex,
+    link,
     relabel,
 )
 from froblab import simplicial
-from froblab.errors import NotAFaceError, ParseError
+from froblab.cli import main
+from froblab.errors import ParseError
 from froblab.simplicial import (
     SimplicialComplex,
-    all_faces,
     from_facets,
-    link,
-    links,
+    link_cohomology,
     parse_facets_text,
-    reduced_cohomology,
+    vertex_mask,
 )
 
 TRIANGLE = from_facets(3, [[0, 1], [1, 2], [0, 2]])
@@ -38,6 +39,8 @@ RP2_FACETS = [
     (1, 2, 4), (1, 2, 5), (1, 3, 4), (2, 3, 5), (3, 4, 5),
 ]
 RP2 = from_facets(6, RP2_FACETS)
+# the 7-vertex torus: 14 triangles, 43 faces with the empty one
+TORUS_FACETS = [sorted(((i + a) % 7, (i + b) % 7, (i + 3) % 7)) for a, b in ((0, 1), (0, 2)) for i in range(7)]
 
 
 def test_from_facets_triangle():
@@ -90,6 +93,20 @@ def test_one_parse_normalizes_once(monkeypatch):
     assert len(calls) == 2
 
 
+def test_one_torus_run_builds_one_complex(tmp_path, monkeypatch, capsys):
+    # the links are read off the facets, not built as complexes: the run
+    # builds and normalizes only the parsed complex, once (not once per face)
+    built, normalized = [], []
+    init, normalize = SimplicialComplex.__init__, simplicial._normalize_facets
+    monkeypatch.setattr(SimplicialComplex, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    monkeypatch.setattr(simplicial, "_normalize_facets", lambda facets: normalized.append(facets) or normalize(facets))
+    path = tmp_path / "torus.facets"
+    path.write_text("".join(" ".join(map(str, f)) + "\n" for f in TORUS_FACETS))
+    assert main(["analyze-complex", str(path), "--prime", "3"]) == 0
+    assert "mismatches: 0" in capsys.readouterr().out
+    assert (len(built), len(normalized)) == (1, 1)
+
+
 def test_uncovered_vertices_named_up_to_ten():
     with pytest.raises(ParseError, match=r"^vertices \[1, 2, 3, 4, 5, 6, 7, 8, 9, 10\] belong"):
         from_facets(11, [[0]])
@@ -121,93 +138,96 @@ def test_faces_small():
 
 
 def test_link_empty_face_is_whole_complex():
-    for c in (TRIANGLE, TWO_POINTS, RP2):
+    expected = {TRIANGLE: ((1, 1),), TWO_POINTS: ((0, 1),), RP2: ((1, 1), (2, 1))}
+    for c, dims in expected.items():
         assert link(c, ()) == c
+        assert link_cohomology(c, 2, vertex_mask(())) == dims
 
 
 def test_link_vertex_of_triangle():
-    lk = link(TRIANGLE, (0,))
-    assert lk.facets == ((1,), (2,))
+    assert link(TRIANGLE, (0,)).facets == ((1,), (2,))
+    # two points
+    assert link_cohomology(TRIANGLE, 2, vertex_mask((0,))) == ((0, 1),)
 
 
 def test_link_of_facet_is_empty_complex():
     lk = link(TRIANGLE, (0, 1))
     assert lk.facets == ((),)
     assert lk.dim == -1
+    assert link_cohomology(TRIANGLE, 2, vertex_mask((0, 1))) == ((-1, 1),)
+    # a vertex set that is not a face has the void link, with no cohomology
+    assert link(TRIANGLE, (0, 1, 2)).is_void
+    assert link_cohomology(TRIANGLE, 2, vertex_mask((0, 1, 2))) == ()
 
 
-def test_links_are_built_canonical_from_facets():
-    # link hands its facets to the validating constructor without
-    # normalizing them first; they must already be the canonical antichain
+def test_link_cohomology_matches_links_built_from_facets():
+    # each link as a complex of its own, built from {F - sigma : F ⊇ sigma}
+    # and normalized, its cohomology also by the homology route
     for c in acceptance_corpus() + [cone(RP2)]:
-        assert tuple(links(c)) == all_faces(c)
-        for sigma, lk in links(c).items():
-            rest = [set(f) - set(sigma) for f in c.facets if set(sigma) <= set(f)]
-            assert lk == link(c, sigma) == make_complex(c.n_vertices, rest), (c, sigma)
-
-
-def test_link_not_a_face():
-    with pytest.raises(NotAFaceError):
-        link(TRIANGLE, (0, 1, 2))
+        for sigma in face_tuples(c):
+            lk = link(c, sigma)
+            for p in (2, 3):
+                dims = link_cohomology(c, p, vertex_mask(sigma))
+                assert dims == link_cohomology(lk, p, 0), (c, sigma, p)
+                assert dict(dims) == boundary_homology_dims(lk, p), (c, sigma, p)
 
 
 def test_cohomology_full_simplex_vanishes():
     simplex = from_facets(3, [[0, 1, 2]])
     for p in (2, 3, 5):
-        assert reduced_cohomology(simplex, p) == ()
+        assert link_cohomology(simplex, p, 0) == ()
 
 
 def test_cohomology_empty_complex():
-    assert reduced_cohomology(EMPTY, 2) == ((-1, 1),)
-    assert reduced_cohomology(VOID, 2) == ()
+    assert link_cohomology(EMPTY, 2, 0) == ((-1, 1),)
+    assert link_cohomology(VOID, 2, 0) == ()
 
 
 def test_cohomology_two_points():
-    assert reduced_cohomology(TWO_POINTS, 2) == ((0, 1),)
+    assert link_cohomology(TWO_POINTS, 2, 0) == ((0, 1),)
 
 
 def test_cohomology_circle():
-    assert reduced_cohomology(TRIANGLE, 2) == ((1, 1),)
-    assert reduced_cohomology(TRIANGLE, 3) == ((1, 1),)
+    assert link_cohomology(TRIANGLE, 2, 0) == ((1, 1),)
+    assert link_cohomology(TRIANGLE, 3, 0) == ((1, 1),)
 
 
 def test_cohomology_projective_plane():
-    assert dim_at(reduced_cohomology(RP2, 2), 1) == 1
-    assert dim_at(reduced_cohomology(RP2, 2), 2) == 1
-    assert reduced_cohomology(RP2, 3) == ()
-    assert reduced_cohomology(RP2, 5) == ()
+    assert dim_at(link_cohomology(RP2, 2, 0), 1) == 1
+    assert dim_at(link_cohomology(RP2, 2, 0), 2) == 1
+    assert link_cohomology(RP2, 3, 0) == ()
+    assert link_cohomology(RP2, 5, 0) == ()
 
 
 def test_cohomology_matches_homology_ranks():
     for c in (TRIANGLE, TWO_POINTS, TWO_EDGES, RP2, EMPTY):
         for p in (2, 3):
-            dims = reduced_cohomology(c, p)
+            dims = link_cohomology(c, p, 0)
             assert dict(dims) == boundary_homology_dims(c, p)
 
 
 def test_euler_characteristic():
     for c in (TRIANGLE, TWO_POINTS, TWO_EDGES, RP2, EMPTY, from_facets(3, [[0, 1, 2]])):
         for p in (2, 3):
-            dims = reduced_cohomology(c, p)
+            dims = link_cohomology(c, p, 0)
             chi_cohom = sum((-1) ** j * d for j, d in dims)
             assert chi_cohom == euler_characteristic_faces(c)
-            for sigma in all_faces(c):
-                lk = link(c, sigma)
-                dims_lk = reduced_cohomology(lk, p)
+            for sigma in face_tuples(c):
+                dims_lk = link_cohomology(c, p, vertex_mask(sigma))
                 chi_lk = sum((-1) ** j * d for j, d in dims_lk)
-                assert chi_lk == euler_characteristic_faces(lk)
+                assert chi_lk == euler_characteristic_faces(link(c, sigma))
 
 
 def test_relabeling_invariance():
     rng = random.Random(3)
     for c in (TRIANGLE, TWO_EDGES, RP2):
-        base = {p: reduced_cohomology(c, p) for p in (2, 3)}
+        base = {p: link_cohomology(c, p, 0) for p in (2, 3)}
         for _ in range(4):
             perm = list(range(c.n_vertices))
             rng.shuffle(perm)
             rc = relabel(c, perm)
             for p in (2, 3):
-                assert reduced_cohomology(rc, p) == base[p]
+                assert link_cohomology(rc, p, 0) == base[p]
 
 
 def test_cones_are_acyclic():
@@ -215,4 +235,4 @@ def test_cones_are_acyclic():
         k = cone(c)
         assert is_cone_complex(k)
         for p in (2, 3):
-            assert reduced_cohomology(k, p) == ()
+            assert link_cohomology(k, p, 0) == ()

@@ -2,11 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from box_oracle import face_tuples
 from colon_oracle import (
     colon_radical_contains_nonfaces,
     fedder_fpure_by_colon,
     ideal_from_generators,
     nonface_ideal_by_scan,
+    nonface_monomial_ideal,
 )
 from corpus import acceptance_corpus, make_complex
 from helpers import (
@@ -18,8 +20,8 @@ from helpers import (
     squarefree_minimal_primes,
 )
 from froblab.errors import UnsupportedInputError
-from froblab.simplicial import all_faces, from_facets
-from froblab.stanley_reisner import fedder_fpure_monomial, nonface_ideal
+from froblab.simplicial import from_facets
+from froblab.stanley_reisner import fedder_fpure_monomial, ideal_text, nonface_ideal
 
 TWO_POINTS = from_facets(2, [[0], [1]])
 TRIANGLE = from_facets(3, [[0, 1], [1, 2], [0, 2]])
@@ -34,26 +36,30 @@ CORPUS = [TWO_POINTS, TRIANGLE, TWO_EDGES, FULL, RP2]
 
 
 def test_nonface_ideal_two_points():
-    assert nonface_ideal(TWO_POINTS).generators == ((1, 1),)
+    assert nonface_ideal(TWO_POINTS) == ((1, 1),)
 
 
 def test_nonface_ideal_triangle():
-    assert nonface_ideal(TRIANGLE).generators == ((1, 1, 1),)
+    assert nonface_ideal(TRIANGLE) == ((1, 1, 1),)
 
 
 def test_nonface_ideal_full_simplex():
-    assert nonface_ideal(FULL).is_zero
+    assert nonface_ideal(FULL) == ()
+    assert ideal_text(nonface_ideal(FULL)) == "(0)"
 
 
 def test_nonface_ideal_two_edges():
-    gens = nonface_ideal(TWO_EDGES).generators
-    # minimal nonfaces: the four cross pairs
-    assert set(gens) == {(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)}
+    gens = nonface_ideal(TWO_EDGES)
+    # minimal nonfaces: the four cross pairs, sorted
+    assert gens == ((0, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 0))
+    assert ideal_text(gens) == "(x0*x2, x0*x3, x1*x2, x1*x3)"
 
 
 def test_nonface_ideal_matches_search_over_every_size_on_corpus():
     for c in acceptance_corpus():
-        assert nonface_ideal(c) == nonface_ideal_by_scan(c), c
+        scan = nonface_ideal_by_scan(c)
+        assert nonface_ideal(c) == scan.generators, c
+        assert ideal_text(nonface_ideal(c)) == scan.to_text(), c
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -66,17 +72,17 @@ def test_nonface_ideal_matches_search_over_every_size_on_corpus():
 )
 def test_nonface_ideal_matches_search_over_every_size(case):
     # vertices that no facet covers are allowed, and so is {()}; the
-    # mask table behind all_faces is checked against the tuple table too
+    # mask table behind face_tuples is checked against the tuple table too
     n, facets = case
     c = make_complex(n, [sorted(f) for f in facets])
-    assert nonface_ideal(c) == nonface_ideal_by_scan(c)
+    assert nonface_monomial_ideal(c) == nonface_ideal_by_scan(c)
     table = faces(c)
     for size in range(n + 1):
-        assert tuple(f for f in all_faces(c) if len(f) == size) == table.get(size - 1, ())
+        assert tuple(f for f in face_tuples(c) if len(f) == size) == table.get(size - 1, ())
 
 
 def minimal_primes(c):
-    return squarefree_minimal_primes(nonface_ideal(c))
+    return squarefree_minimal_primes(nonface_monomial_ideal(c))
 
 
 def test_minimal_primes():
@@ -118,8 +124,8 @@ def test_fedder_true_on_corpus():
 def test_fedder_matches_colon_route_on_corpus():
     for c in acceptance_corpus():
         for p in (2, 3, 5):
-            i = nonface_ideal(c)
-            assert fedder_fpure_monomial(i, p) == fedder_fpure_by_colon(i, p)
+            i = nonface_monomial_ideal(c)
+            assert fedder_fpure_monomial(i.generators, p) == fedder_fpure_by_colon(i, p)
 
 
 @settings(derandomize=True, deadline=None)
@@ -129,29 +135,30 @@ def test_fedder_matches_colon_route_on_corpus():
 )
 def test_fedder_matches_colon_route_beyond_square_free(p, gens):
     # the criterion holds for any monomial ideal; off the square-free ones
-    # both verdicts occur
+    # both verdicts occur; the test reads any generating set, minimal or not
     i = ideal_from_generators(3, gens)
-    assert fedder_fpure_monomial(i, p) == fedder_fpure_by_colon(i, p)
+    assert fedder_fpure_monomial(i.generators, p) == fedder_fpure_by_colon(i, p)
+    assert fedder_fpure_monomial(tuple(gens), p) == fedder_fpure_by_colon(i, p)
 
 
 def test_fedder_rejects_a_non_square_free_ideal():
     i = ideal_from_generators(2, [(2, 0)])
-    assert not fedder_fpure_monomial(i, 2) and not fedder_fpure_by_colon(i, 2)
+    assert not fedder_fpure_monomial(i.generators, 2) and not fedder_fpure_by_colon(i, 2)
 
 
 def test_colon_radical_contains_nonfaces():
     for c in CORPUS:
         for p in (2, 3):
-            assert colon_radical_contains_nonfaces(nonface_ideal(c), p)
+            assert colon_radical_contains_nonfaces(nonface_monomial_ideal(c), p)
 
 
 def test_splitting_containment_irrelevant_ideal():
     for c in CORPUS:
-        assert splitting_containment_check(nonface_ideal(c), 2, irrelevant_ideal(c.n_vertices))
+        assert splitting_containment_check(nonface_monomial_ideal(c), 2, irrelevant_ideal(c.n_vertices))
 
 
 def test_splitting_containment_nonface_ideal():
-    i = nonface_ideal(TWO_POINTS)
+    i = nonface_monomial_ideal(TWO_POINTS)
     assert splitting_containment_check(i, 2, i)
 
 
@@ -159,10 +166,10 @@ def test_splitting_containment_minimal_primes():
     for c in (TRIANGLE, TWO_POINTS, TWO_EDGES):
         for prime in minimal_primes(c):
             j = prime_to_ideal(c.n_vertices, prime)
-            assert splitting_containment_check(nonface_ideal(c), 2, j)
+            assert splitting_containment_check(nonface_monomial_ideal(c), 2, j)
 
 
 def test_splitting_containment_requires_containment():
     small = ideal_from_generators(2, [(2, 2)])
     with pytest.raises(ValueError):
-        splitting_containment_check(nonface_ideal(TWO_POINTS), 2, small)
+        splitting_containment_check(nonface_monomial_ideal(TWO_POINTS), 2, small)
