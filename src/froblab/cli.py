@@ -25,6 +25,8 @@ from .gfp_linalg import DEFAULT_ENUM_CAP, check_prime
 DEFAULT_TRUNC = 2
 DEFAULT_BOX = "-3:1"
 DEFAULT_EMAX = 2
+NO_WITNESS = "no-proper-nonzero-F-stable-found-at-this-resolution"
+TIGHT_CLOSURE_NOTE = "one-sided bounded check: consistency is evidence, not a proof, of tight-closure membership"
 
 
 def _threads() -> int:
@@ -214,21 +216,22 @@ def cmd_analyze_hypersurface(args, threads: int) -> None:
         "f_pure": f_pure,
         "f_injective": f_inj,
     }
-    probe = rf_simplicity_probe(h, 1, args.emax)
+    # both checks test the level-1 socle class
+    socle = socle_class(h, 1).to_text()
+    reason = rf_simplicity_probe(h, 1, args.emax)
     report["simplicity_probe"] = {
-        "found": probe.found,
-        "reason": probe.reason,
-        "witness": probe.witness.r.to_text() if probe.witness else None,
+        "found": reason is not None,
+        "reason": reason or NO_WITNESS,
+        "witness": socle if reason else None,
     }
     if args.c is not None:
         c = parse_polynomial(args.c, h.p, h.n_vars)
-        u = socle_class(h, 1)
-        v = tight_closure_zero_bounded(h, u, c, args.emax)
+        fails_at = tight_closure_zero_bounded(h, 1, c, args.emax)
         verdict = {
-            "class": u.r.to_text(),
-            "consistent_up_to": v.e_checked if v.consistent else None,
-            "fails_at": v.fails_at,
-            "note": v.note,
+            "class": socle,
+            "consistent_up_to": args.emax if fails_at is None else None,
+            "fails_at": fails_at,
+            "note": TIGHT_CLOSURE_NOTE,
         }
         report["tight_closure"] = {"c": c.to_text(), "socle_classes": [verdict]}
     _emit(report, args.format)

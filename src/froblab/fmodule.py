@@ -37,6 +37,8 @@ from .gfp_linalg import DEFAULT_ENUM_CAP, row_echelon
 from .local_cohomology import decomposition
 from .simplicial import SimplicialComplex, coboundary_rows, face_masks, mask_vertices, vertex_mask
 
+EXACT_SIZE_BITS = 2**17  # the largest search space multiplied out, in bits
+
 
 def num_subspaces(p: int, n: int) -> int:
     """Number of subspaces of F_p^n, by the Goldman-Rota recurrence
@@ -137,9 +139,15 @@ def _blocks(c: SimplicialComplex, p: int, i: int) -> list[tuple[int, int]]:
 
 def _check_cap(p: int, multiplicities: Counter, cap: int) -> None:
     """Raise CapacityError when the search space, num_subspaces(p, m) to
-    the power k for each multiplicity m of k nodes, exceeds cap."""
+    the power k for each multiplicity m of k nodes, exceeds cap.  The
+    leading bit of each factor bounds the size's bits from below; a bound
+    past the cap and past EXACT_SIZE_BITS refuses without multiplying."""
+    factors = [(num_subspaces(p, m), k) for m, k in multiplicities.items()]
+    low = sum(k * (g.bit_length() - 1) for g, k in factors) + 1
+    if low > max(cap.bit_length(), EXACT_SIZE_BITS):
+        raise CapacityError(f"profile search space of at least {low} bits exceeds cap {cap}")
     # one power per multiplicity: a running product of many factors is quadratic
-    size = math.prod(num_subspaces(p, m) ** k for m, k in multiplicities.items())
+    size = math.prod(g**k for g, k in factors)
     if size > cap:
         # str() of an integer past 4300 digits raises
         raise CapacityError(f"profile search space of {size.bit_length()} bits exceeds cap {cap}")

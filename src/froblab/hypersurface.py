@@ -16,10 +16,10 @@ p^e * t is therefore taken in e steps, each one reduction of the p-th
 power of the previous normal form (`_frobenius_powers`), never as one
 reduction of u^(p^e), which touches about p^(2e) terms.
 
-The bounded tight-closure test is one-sided by design: "consistent up to
-e_max" means every tested Frobenius power vanished against the supplied
-multiplier, which is evidence, not a proof, of membership in the tight
-closure of zero.
+The bounded tight-closure test of the socle class u of A_t returns the
+first e with c * u^(p^e) nonzero, or None: one-sided by design, as None
+means only that every tested power vanished, which is evidence, not a
+proof, of membership in the tight closure of zero.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .gfp_linalg import check_prime, row_echelon
 from .polyfp import Monomial, PolynomialFp, mono_deg, mono_mul
 from .record import record
 
-DEFAULT_E_MAX = 2
 DEGREE_CAP_FACTOR = 3
 MAX_SUBSTITUTED_TERMS = 10**6
 
@@ -64,10 +63,6 @@ class GradedHypersurface:
             if l.p != self.p or l.n_vars != self.n_vars:
                 raise ValueError("parameter lives in the wrong ring")
         _set_coordinates(self)
-
-    @property
-    def dim(self) -> int:
-        return self.n_vars - 1
 
     def degree_cap(self, t: int) -> int:
         return DEGREE_CAP_FACTOR * self.p**2 * t * self.f.degree()
@@ -194,7 +189,7 @@ def _frobenius_powers(h: GradedHypersurface, t: int, g: PolynomialFp, e_max: int
 
 def _socle(h: GradedHypersurface, t: int) -> PolynomialFp:
     """y_0^(e-1) (y_1...y_d)^(t-1), spanning the socle of the Gorenstein A_t."""
-    return PolynomialFp.monomial(h.p, (h.f.degree() - 1,) + (t - 1,) * h.dim)
+    return PolynomialFp.monomial(h.p, (h.f.degree() - 1,) + (t - 1,) * len(h.params))
 
 
 def level_top_degree(h: GradedHypersurface, t: int) -> int:
@@ -235,44 +230,16 @@ def f_injective_top(h: GradedHypersurface, t: int) -> bool:
     return not next(_frobenius_powers(h, t, _socle(h, t), 1)).is_zero
 
 
-@record
-class LocalCohomClass:
-    """<r; l_1^t, ..., l_d^t>: a class in the direct-limit model, with r
-    the level-t normal form, written back in the x coordinates."""
-
-    r: PolynomialFp
-    t: int
-
-    @property
-    def is_zero(self) -> bool:
-        return self.r.is_zero
+def socle_class(h: GradedHypersurface, t: int) -> PolynomialFp:
+    """The standard monomial spanning the socle of A_t, written in x for
+    the report: A_t is a graded Artinian complete intersection, hence
+    Gorenstein, so the socle is its top-degree piece."""
+    return _substitute(_socle(h, t), h._to_x)
 
 
-def socle_class(h: GradedHypersurface, t: int) -> LocalCohomClass:
-    """The class spanning the socle of A_t: A_t is a graded Artinian
-    complete intersection, hence Gorenstein, so the socle is its
-    top-degree piece, spanned by one standard monomial."""
-    return LocalCohomClass(_substitute(_socle(h, t), h._to_x), t)
-
-
-@record
-class TightClosureVerdict:
-    consistent: bool
-    e_checked: int
-    fails_at: int | None
-    note: str = (
-        "one-sided bounded check: consistency is evidence, not a proof,"
-        " of tight-closure membership"
-    )
-
-
-def tight_closure_zero_bounded(
-    h: GradedHypersurface,
-    u: LocalCohomClass,
-    c: PolynomialFp,
-    e_max: int = DEFAULT_E_MAX,
-) -> TightClosureVerdict:
-    """Test c * u^(p^e) = 0 at levels p^e * t for e = 1..e_max."""
+def tight_closure_zero_bounded(h: GradedHypersurface, t: int, c: PolynomialFp, e_max: int) -> int | None:
+    """The first e in 1..e_max with c * u^(p^e) nonzero at level p^e * t,
+    u the socle class of A_t, or None when every tested power vanishes."""
     _check_e_max(e_max)
     if c.is_zero or _in_principal(h, c):
         raise UnsupportedInputError("the multiplier must be nonzero modulo f")
@@ -283,11 +250,10 @@ def tight_closure_zero_bounded(
     elif c.degree() == 1 and _linear_divides(c, h.f):
         raise UnsupportedInputError(f"the multiplier is a zero divisor: {c.to_text()} divides f")
     c_y = _substitute(c, h._to_y)
-    powers = _frobenius_powers(h, u.t, _substitute(u.r, h._to_y), e_max)
-    for e, power in enumerate(powers, start=1):
-        if not _normal_form(h, h.p**e * u.t, c_y * power).is_zero:
-            return TightClosureVerdict(False, e, e)
-    return TightClosureVerdict(True, e_max, None)
+    for e, power in enumerate(_frobenius_powers(h, t, _socle(h, t), e_max), start=1):
+        if not _normal_form(h, h.p**e * t, c_y * power).is_zero:
+            return e
+    return None
 
 
 def _check_e_max(e_max: int) -> None:
@@ -320,40 +286,26 @@ def _in_principal(h: GradedHypersurface, c: PolynomialFp) -> bool:
     return _normal_form(h, None, _substitute(c, h._to_y)).is_zero
 
 
-@record
-class SimplicityProbeVerdict:
-    witness: LocalCohomClass | None
-    reason: str
-
-    @property
-    def found(self) -> bool:
-        return self.witness is not None
-
-
-def rf_simplicity_probe(
-    h: GradedHypersurface, t: int, e_max: int = DEFAULT_E_MAX
-) -> SimplicityProbeVerdict:
-    """Search the level-t socle class for a proper nonzero stable span.
+def rf_simplicity_probe(h: GradedHypersurface, t: int, e_max: int) -> str | None:
+    """Search the level-t socle class for a proper nonzero stable span,
+    and return the reason it is a witness, or None.
 
     A witness is reported when Frobenius kills the socle class within
     e_max steps, or when some variable multiplier that does not divide f
     keeps all its tested Frobenius powers at zero (the bounded
-    tight-closure signal).  Finding none does not certify simplicity;
-    the verdict says so.
+    tight-closure signal).  Finding none does not certify simplicity.
     """
     _check_e_max(e_max)
-    none_found = SimplicityProbeVerdict(None, "no-proper-nonzero-F-stable-found-at-this-resolution")
     if level_top_degree(h, t) == 0:
-        return none_found  # the socle class is the unit, which spans everything
-    u = socle_class(h, t)
+        return None  # the socle class is the unit, which spans everything
     for e, power in enumerate(_frobenius_powers(h, t, _socle(h, t), e_max), start=1):
         if power.is_zero:
-            return SimplicityProbeVerdict(u, f"frobenius-kills-socle-at-e={e}")
+            return f"frobenius-kills-socle-at-e={e}"
     zero_divisors = _variable_factors(h)
     for j in range(h.n_vars):
         c = PolynomialFp.variable(h.p, h.n_vars, j)
         if j in zero_divisors or _in_principal(h, c):
             continue
-        if tight_closure_zero_bounded(h, u, c, e_max).consistent:
-            return SimplicityProbeVerdict(u, f"bounded-tight-closure-consistent-with-c=x{j}")
-    return none_found
+        if tight_closure_zero_bounded(h, t, c, e_max) is None:
+            return f"bounded-tight-closure-consistent-with-c=x{j}"
+    return None

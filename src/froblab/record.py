@@ -3,9 +3,8 @@
 `@record` turns a class whose fields are annotated, in order, into an
 immutable value:
 
-  * the constructor takes the fields by position, a class attribute of
-    the same name giving a default, and then runs the class's
-    __post_init__, if any;
+  * the constructor takes every field, by position, and then runs the
+    class's __post_init__, if any;
   * two instances of one class are equal when their tuples of fields
     are, and the hash is that of the tuple, computed on first use and
     kept outside the fields (a complex is looked up in several caches,
@@ -26,16 +25,12 @@ from operator import attrgetter
 
 def record(cls):
     fields = tuple(cls.__annotations__)
-    defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
     post_init = getattr(cls, "__post_init__", None)
     values = attrgetter(*fields)
 
     def __init__(self, *args):
         if len(args) != len(fields):
-            missing = fields[len(args):]
-            if len(args) > len(fields) or any(name not in defaults for name in missing):
-                raise TypeError(f"{cls.__name__}() takes ({', '.join(fields)}), got {len(args)} arguments")
-            args += tuple(defaults[name] for name in missing)
+            raise TypeError(f"{cls.__name__}() takes ({', '.join(fields)}), got {len(args)} arguments")
         for name, value in zip(fields, args):
             object.__setattr__(self, name, value)
         if post_init is not None:

@@ -5,16 +5,17 @@ The per-degree route backs the normal-form route: each graded piece of
 the level ideal is spanned explicitly by the multiples m * g of its
 generators and decided by rank with gfp_linalg.row_echelon.  The direct
 Frobenius route backs the Frobenius-step helper: it reduces the whole
-power g^(p^e) in one normal form.  The class helpers build classes of
-the direct-limit model from x coordinates and compare them across
-levels."""
+power g^(p^e) in one normal form, and on it the bounded tight-closure
+test of any class.  The class helpers build classes of the direct-limit
+model from x coordinates and compare them across levels."""
 
 import itertools
+from functools import lru_cache
+from typing import NamedTuple
 
 from froblab.errors import CapacityError
 from froblab.gfp_linalg import row_echelon
 from froblab.hypersurface import (
-    LocalCohomClass,
     _normal_form,
     _substitute,
     _up_to_degree,
@@ -41,17 +42,42 @@ def level_contains(h, t, g):
     return level_form(h, t, g).is_zero
 
 
+class LevelClass(NamedTuple):
+    """<r; l_1^t, ..., l_d^t>: a class in the direct-limit model, with r
+    the level-t normal form written back in x."""
+
+    r: PolynomialFp
+    t: int
+
+    @property
+    def is_zero(self):
+        return self.r.is_zero
+
+
 def make_class(h, r, t):
     """The class <r; t>, its level-t normal form written back in x."""
     if t < 1:
         raise ValueError("level must be positive")
-    return LocalCohomClass(_substitute(level_form(h, t, r), h._to_x), t)
+    return LevelClass(_substitute(level_form(h, t, r), h._to_x), t)
 
 
+@lru_cache(maxsize=None)
 def frobenius_powers_direct(h, t, g, e_max):
     """Level-(p^e * t) normal forms of g^(p^e), e = 1..e_max, for g in y
-    coordinates, each from one normal form of the whole power."""
-    return [_normal_form(h, h.p**e * t, g.frobenius(h.p**e)) for e in range(1, e_max + 1)]
+    coordinates, each from one normal form of the whole power; cached, as
+    several multipliers are tested against one class."""
+    return tuple(_normal_form(h, h.p**e * t, g.frobenius(h.p**e)) for e in range(1, e_max + 1))
+
+
+def tight_closure_direct(h, u, c, e_max):
+    """The first e in 1..e_max with c * u^(p^e) nonzero at level
+    p^e * u.t, or None, for any class u and a multiplier c in x."""
+    c_y = _substitute(c, h._to_y)
+    powers = frobenius_powers_direct(h, u.t, _substitute(u.r, h._to_y), e_max)
+    for e, power in enumerate(powers, start=1):
+        if not _normal_form(h, h.p**e * u.t, c_y * power).is_zero:
+            return e
+    return None
 
 
 def lift_class(h, u, t):

@@ -1,4 +1,8 @@
+import math
 import random
+import re
+import time
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -241,6 +245,28 @@ def test_cap_is_checked_before_any_point_is_listed(monkeypatch):
             face_count(TRIANGLE, 2, 2, 2**7 - 1)
     assert str(info.value) == f"profile search space of {size.bit_length()} bits exceeds cap {size - 1}"
     assert window_count(TRIANGLE, 2, 2, 1, size) == face_count(TRIANGLE, 2, 2, 2**7) == 19
+
+
+@pytest.mark.parametrize("p", [4099, 32749])
+def test_cap_refuses_a_search_space_too_large_to_multiply_out(p):
+    # the exact size has 134 million bits at p = 4099 and 8.6 billion at
+    # p = 32749; multiplied out it took 1.1 s and 80 s with about 1 GB
+    start = time.monotonic()
+    with pytest.raises(CapacityError) as info:
+        window_count(TWO_EDGES, p, 2, 2)
+    elapsed = time.monotonic() - start
+    assert str(info.value).startswith("profile search space of at least ")
+    assert elapsed < 0.5, f"refused after {elapsed:.2f}s, budget 0.5s"
+
+
+def test_bits_bound_of_the_cap_check_is_a_lower_bound():
+    # 2^(2^17) has exactly the bound's 2^17 + 1 bits
+    for p, sizes in ((2, {1: 2**17}), (3, {2: 60000, 1: 20000}), (5, {3: 30000})):
+        exact = math.prod(fmodule.num_subspaces(p, m) ** k for m, k in sizes.items()).bit_length()
+        with pytest.raises(CapacityError) as info:
+            fmodule._check_cap(p, Counter(sizes), 1)
+        low = int(re.fullmatch(r"profile search space of at least (\d+) bits exceeds cap 1", str(info.value))[1])
+        assert low <= exact and (p != 2 or low == exact)
 
 
 def test_antinilpotent_on_models():

@@ -6,8 +6,9 @@ levels were decided by the lex normal form, torus-p3 before the graded
 oracle ran over sign patterns and Fedder's test lost the colon ideal,
 s2-s1-p2 before the nonface ideal was read off the table of face masks;
 the face-ring reports were rewritten, and triangle-p2 added, when the
-submodule counts moved to the maps between face blocks.  The input file
-path is replaced by a placeholder.  To
+submodule counts moved to the maps between face blocks;
+coordinate-triangle-p3 was added when the hypersurface checks came to
+return plain values.  The input file path is replaced by a placeholder.  To
 rewrite them after an intended report change, run
 
     PYTHONPATH=src python tests/test_golden.py
@@ -73,6 +74,12 @@ CASES = {
     "quadric4-p5": (
         None,
         ["--poly", "x0^2 + x1^2 + x2^2 + x3^2", "--prime", "5", "--c", "x0"],
+    ),
+    # supplied parameters; every variable divides f, so the probe finds
+    # nothing, and a non-monomial multiplier keeps the socle class consistent
+    "coordinate-triangle-p3": (
+        None,
+        ["--poly", "x0*x1*x2", "--prime", "3", "--params", "x0 - x1", "x1 - x2", "--c", "x0 + x1"],
     ),
 }
 

@@ -16,6 +16,7 @@ from level_oracle import (
     monomials_of_degree,
     socle_by_kernel_search,
     span_contains,
+    tight_closure_direct,
     unit_class,
 )
 
@@ -73,8 +74,7 @@ def test_quotient_dims_fermat():
 
 def test_socle_fermat_level_one():
     h = fermat(7)
-    socle = socle_class(h, 1)
-    assert (socle.r, socle.t) == (poly("x0^2", 7, 3), 1)
+    assert socle_class(h, 1) == poly("x0^2", 7, 3)
 
 
 def test_fedder_fermat():
@@ -155,69 +155,106 @@ def test_socle_class_nonzero_at_deeper_level():
 def test_tight_closure_zero_class():
     h = fermat(7)
     zero = make_class(h, PolynomialFp(7, 3, ()), 1)
-    v = tight_closure_zero_bounded(h, zero, poly("x0", 7, 3), 2)
-    assert v.consistent
+    assert tight_closure_direct(h, zero, poly("x0", 7, 3), 2) is None
 
 
 def test_tight_closure_socle_consistent():
     h = fermat(7)
+    assert tight_closure_zero_bounded(h, 1, poly("x0", 7, 3), 2) is None
     socle = make_class(h, poly("x0^2", 7, 3), 1)
-    v = tight_closure_zero_bounded(h, socle, poly("x0", 7, 3), 2)
-    assert v.consistent and v.fails_at is None and v.e_checked == 2
+    assert tight_closure_direct(h, socle, poly("x0", 7, 3), 2) is None
 
 
 def test_tight_closure_unit_fails():
     h = fermat(7)
-    one = unit_class(h, 1)
-    v = tight_closure_zero_bounded(h, one, poly("x0", 7, 3), 2)
-    assert not v.consistent and v.fails_at == 1
+    assert tight_closure_direct(h, unit_class(h, 1), poly("x0", 7, 3), 2) == 1
+    # the level-1 socle of a regular ring is the unit class
+    regular = make_hypersurface(poly("x0", 7, 3))
+    assert socle_class(regular, 1) == poly("1", 7, 3)
+    assert tight_closure_zero_bounded(regular, 1, poly("x1", 7, 3), 2) == 1
 
 
 def test_tight_closure_rejects_zero_multiplier():
     h = fermat(7)
-    socle = make_class(h, poly("x0^2", 7, 3), 1)
     with pytest.raises(UnsupportedInputError):
-        tight_closure_zero_bounded(h, socle, poly("x0^3 + x1^3 + x2^3", 7), 2)
+        tight_closure_zero_bounded(h, 1, poly("x0^3 + x1^3 + x2^3", 7), 2)
 
 
 def test_bounded_checks_reject_e_max_below_one():
     h = fermat(7)
-    socle = make_class(h, poly("x0^2", 7, 3), 1)
     with pytest.raises(ValueError):
-        tight_closure_zero_bounded(h, socle, poly("x0", 7, 3), 0)
+        tight_closure_zero_bounded(h, 1, poly("x0", 7, 3), 0)
     with pytest.raises(ValueError):
-        rf_simplicity_probe(h, 1, e_max=0)
+        rf_simplicity_probe(h, 1, 0)
+
+
+# a quadric cone with non-coordinate parameters, where the socle class
+# fails at e = 1 against x0 and at e = 2 against x1^2
+QUADRIC_CONE = make_hypersurface(poly("x0*x1 + x2^2", 3), (poly("x0 + x1", 3, 3), poly("x2", 3, 3)))
+
+
+@pytest.mark.parametrize(
+    "h",
+    [fermat(5), fermat(7), fermat(11), fermat(13), QUADRIC_CONE],
+    ids=["fermat-p5", "fermat-p7", "fermat-p11", "fermat-p13", "quadric-cone-p3"],
+)
+def test_socle_verdict_matches_direct_powers(h):
+    u = make_class(h, socle_class(h, 1), 1)
+    for text in ("x0", "x0 + x1", "x1^2"):
+        c = poly(text, h.p, 3)
+        first = tight_closure_direct(h, u, c, 3)
+        for e_max in (1, 2, 3):
+            expected = first if first is not None and first <= e_max else None
+            assert tight_closure_zero_bounded(h, 1, c, e_max) == expected
+
+
+@pytest.mark.parametrize("h", [fermat(7), QUADRIC_CONE], ids=["fermat-p7", "quadric-cone-p3"])
+def test_tight_closure_verdict_is_the_same_on_lifted_classes(h):
+    # <r; t> = <(l1 l2)^s r; t + s>, and the maps of the limit are injective;
+    # the socle of the limit is a line, so the level-t socle class is the
+    # lifted level-1 one, up to a unit
+    socle = make_class(h, socle_class(h, 1), 1)
+    for u in (socle, unit_class(h, 1)):
+        for text in ("x0", "x1^2"):
+            c = poly(text, h.p, 3)
+            first = tight_closure_direct(h, u, c, 3)
+            for t in (2, 3):
+                assert tight_closure_direct(h, lift_class(h, u, t), c, 3) == first
+                if u is socle:
+                    assert tight_closure_zero_bounded(h, t, c, 3) == first
 
 
 def test_probe_fermat_p5_frobenius_kills():
-    verdict = rf_simplicity_probe(fermat(5), 1)
-    assert verdict.found
-    assert verdict.reason.startswith("frobenius-kills-socle")
+    assert rf_simplicity_probe(fermat(5), 1, 2) == "frobenius-kills-socle-at-e=1"
 
 
 def test_probe_fermat_p7_tight_closure_witness():
-    verdict = rf_simplicity_probe(fermat(7), 1)
-    assert verdict.found
-    assert "tight-closure" in verdict.reason
-    assert verdict.witness.r == poly("x0^2", 7, 3)
+    assert rf_simplicity_probe(fermat(7), 1, 2) == "bounded-tight-closure-consistent-with-c=x0"
+    code, report = run_json(["--poly", "x0^3 + x1^3 + x2^3", "--prime", "7"])
+    assert code == 0
+    assert report["simplicity_probe"] == {
+        "found": True,
+        "reason": "bounded-tight-closure-consistent-with-c=x0",
+        "witness": "x0^2",
+    }
 
 
 def test_probe_regular_ring_finds_nothing():
     h = make_hypersurface(poly("x0", 3, 3))
-    verdict = rf_simplicity_probe(h, 1)
-    assert not verdict.found
+    assert rf_simplicity_probe(h, 1, 2) is None
 
 
 def test_probe_skips_variables_dividing_f():
     # every x_j divides f = x0*x1*x2, so no variable lies in R°
     h = make_hypersurface(poly("x0*x1*x2", 3), (poly("x0 - x1", 3, 3), poly("x1 - x2", 3, 3)))
-    verdict = rf_simplicity_probe(h, 1)
-    assert not verdict.found
-    socle = socle_class(h, 1)
+    assert rf_simplicity_probe(h, 1, 2) is None
     for c in ("x0", "x1^2", "x0*x2"):
         with pytest.raises(UnsupportedInputError, match="zero divisor"):
-            tight_closure_zero_bounded(h, socle, poly(c, 3, 3))
-    assert tight_closure_zero_bounded(h, socle, poly("x0 + x1", 3, 3)).e_checked >= 1
+            tight_closure_zero_bounded(h, 1, poly(c, 3, 3), 2)
+    c = poly("x0 + x1", 3, 3)
+    socle = make_class(h, socle_class(h, 1), 1)
+    assert tight_closure_zero_bounded(h, 1, c, 2) is None
+    assert tight_closure_direct(h, socle, c, 2) is None
 
 
 def test_level_membership_cap():
@@ -285,7 +322,7 @@ def test_noncoordinate_params_keep_their_verdicts():
      (make_hypersurface(poly("x0^2 + x0*x1 + x1^2 + x2^2 + x3^2", 2)), 2)],
 )
 def test_socle_formula_matches_kernel_search(h, t):
-    assert socle_by_kernel_search(h, t) == [socle_class(h, t).r]
+    assert socle_by_kernel_search(h, t) == [socle_class(h, t)]
 
 
 PRIMES = st.sampled_from([2, 3, 5, 7])
@@ -434,7 +471,7 @@ def test_frobenius_steps_match_one_step_normal_form(data):
     ]
     support = data.draw(st.lists(st.sampled_from(monos), min_size=1, max_size=5, unique=True))
     g = PolynomialFp.make(h.p, 3, {m: data.draw(st.integers(1, h.p - 1)) for m in support})
-    assert list(_frobenius_powers(h, t, g, e_max)) == frobenius_powers_direct(h, t, g, e_max)
+    assert tuple(_frobenius_powers(h, t, g, e_max)) == frobenius_powers_direct(h, t, g, e_max)
 
 
 def fedder_by_full_power(f):

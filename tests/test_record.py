@@ -3,18 +3,12 @@
 import pytest
 
 from froblab.errors import InvalidParametersError
-from froblab.hypersurface import (
-    GradedHypersurface,
-    LocalCohomClass,
-    SimplicityProbeVerdict,
-    TightClosureVerdict,
-)
+from froblab.hypersurface import GradedHypersurface
 from froblab.polyfp import PolynomialFp, parse_polynomial
+from froblab.record import record
 from froblab.simplicial import SimplicialComplex
 from colon_oracle import MonomialIdeal
 from perp_oracle import Subspace
-
-X0 = PolynomialFp(3, 2, (((1, 0), 1),))
 
 
 def hypersurface(*params):
@@ -22,7 +16,7 @@ def hypersurface(*params):
     return GradedHypersurface(5, 3, f, tuple(parse_polynomial(l, 5, 3) for l in params))
 
 
-# name -> (build an instance, build a rejected one or None, its error)
+# name -> (build an instance, build a rejected one, its error)
 CASES = {
     "SimplicialComplex": (
         lambda: SimplicialComplex(3, ((0, 1), (1, 2))),
@@ -49,11 +43,6 @@ CASES = {
         lambda: hypersurface("x1", "2*x1"),  # dependent parameters
         InvalidParametersError,
     ),
-    "LocalCohomClass": (lambda: LocalCohomClass(X0, 1), None, None),
-    "TightClosureVerdict": (lambda: TightClosureVerdict(True, 2, None), None, None),
-    "SimplicityProbeVerdict": (
-        lambda: SimplicityProbeVerdict(LocalCohomClass(X0, 1), "found"), None, None
-    ),
 }
 
 
@@ -76,20 +65,25 @@ def test_record_contract(make, make_bad, error):
     with pytest.raises(AttributeError):
         delattr(a, field)
     assert a == b
-    if make_bad is not None:
-        with pytest.raises(error):
-            make_bad()
+    with pytest.raises(error):
+        make_bad()
 
 
 def test_defaults_and_argument_count():
-    v = TightClosureVerdict(True, 2, None)
-    assert v.note.startswith("one-sided bounded check")
-    assert v == TightClosureVerdict(True, 2, None, v.note)
-    assert v != TightClosureVerdict(True, 2, None, "another note")
+    # a class attribute named like a field is no default: every field is passed
+    @record
+    class Pair:
+        first: int
+        second: str = "fallback"
+
+    assert Pair(1, "x").second == "x"
+    for args in ((1,), (1, "x", 2)):
+        with pytest.raises(TypeError, match=r"Pair\(\) takes \(first, second\), got"):
+            Pair(*args)
     with pytest.raises(TypeError):
-        TightClosureVerdict(True, 2)
+        PolynomialFp(3, 2)
     with pytest.raises(TypeError):
-        TightClosureVerdict(True, 2, None, v.note, 3)
+        PolynomialFp(3, 2, (), 4)
 
 
 def test_derived_attributes_stay_out_of_equality():
