@@ -103,7 +103,7 @@ def cmd_analyze_complex(args, threads: int) -> None:
     complex_ = parse_facets_text(text)
     p = check_prime(args.prime)
     # first, so that a complex past the oracle's cap is refused before any elimination
-    agree, mismatches = oracle_box_check(complex_, p, *args.box)
+    agree, disagree = oracle_box_check(complex_, p, *args.box)
     analysis = analysis_report(complex_, p)
     ideal = nonface_ideal(complex_)
 
@@ -161,7 +161,7 @@ def cmd_analyze_complex(args, threads: int) -> None:
         "oracle_check": {
             "box": list(args.box),
             "agreements": agree,
-            "mismatches": len(mismatches),
+            "mismatches": disagree,
         },
         "notes": [
             "fh counts list the families of subspaces of the face blocks closed under"
@@ -171,7 +171,7 @@ def cmd_analyze_complex(args, threads: int) -> None:
     }
     # the report is written even then, so the disagreeing box can be read
     _emit(report, args.format)
-    if mismatches:
+    if disagree:
         raise OracleMismatchError("graded oracle disagreement")
 
 

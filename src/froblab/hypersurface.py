@@ -13,8 +13,11 @@ Frobenius commutes with the F_p-linear change to y, and
 (f, y_1^s, ..., y_d^s)^[p] lies in (f, y_1^(ps), ..., y_d^(ps)), so
 NF_ps(g^p) = NF_ps(NF_s(g)^p).  Every Frobenius power u^(p^e) at level
 p^e * t is therefore taken in e steps, each one reduction of the p-th
-power of the previous normal form (`_frobenius_powers`), never as one
-reduction of u^(p^e), which touches about p^(2e) terms.
+power of the previous normal form, never as one reduction of u^(p^e),
+which touches about p^(2e) terms.  The powers are cached
+(`_frobenius_power`), so F-injectivity, the simplicity probe and the
+tight-closure test share one chain of powers of the socle class, each
+reduced once per run.
 
 The bounded tight-closure test of the socle class u of A_t returns the
 first e with c * u^(p^e) nonzero, or None: one-sided by design, as None
@@ -25,6 +28,7 @@ proof, of membership in the tight closure of zero.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from .errors import CapacityError, InvalidParametersError, UnsupportedInputError
 from .gfp_linalg import check_prime, row_echelon
@@ -176,15 +180,12 @@ def _normal_form(h: GradedHypersurface, t: int | None, g: PolynomialFp) -> Polyn
     )
 
 
-def _frobenius_powers(h: GradedHypersurface, t: int, g: PolynomialFp, e_max: int):
-    """Yield the level-(p^e * t) normal forms of g^(p^e) for e = 1..e_max,
-    g in y coordinates; each step reduces the p-th power of the previous
-    form, as NF_ps(g^p) = NF_ps(NF_s(g)^p)."""
-    s = t
-    for _ in range(e_max):
-        s *= h.p
-        g = _normal_form(h, s, g.frobenius(h.p))
-        yield g
+@lru_cache(maxsize=None)
+def _frobenius_power(h: GradedHypersurface, t: int, g: PolynomialFp, e: int) -> PolynomialFp:
+    """The level-(p^e * t) normal form of g^(p^e), g in y coordinates,
+    reduced from the e - 1 form as NF_ps(g^p) = NF_ps(NF_s(g)^p)."""
+    prev = g if e == 1 else _frobenius_power(h, t, g, e - 1)
+    return _normal_form(h, h.p**e * t, prev.frobenius(h.p))
 
 
 def _socle(h: GradedHypersurface, t: int) -> PolynomialFp:
@@ -227,7 +228,7 @@ def f_injective_top(h: GradedHypersurface, t: int) -> bool:
     Hence F is injective exactly when the p-th power of the socle
     generator is nonzero modulo the level-pt ideal.
     """
-    return not next(_frobenius_powers(h, t, _socle(h, t), 1)).is_zero
+    return not _frobenius_power(h, t, _socle(h, t), 1).is_zero
 
 
 def socle_class(h: GradedHypersurface, t: int) -> PolynomialFp:
@@ -241,7 +242,10 @@ def tight_closure_zero_bounded(h: GradedHypersurface, t: int, c: PolynomialFp, e
     """The first e in 1..e_max with c * u^(p^e) nonzero at level p^e * t,
     u the socle class of A_t, or None when every tested power vanishes."""
     _check_e_max(e_max)
-    if c.is_zero or _in_principal(h, c):
+    if c.degree() > h.degree_cap(1):
+        raise CapacityError(f"degree {c.degree()} exceeds cap {h.degree_cap(1)}")
+    c_y = _substitute(c, h._to_y)
+    if _normal_form(h, None, c_y).is_zero:
         raise UnsupportedInputError("the multiplier must be nonzero modulo f")
     if len(c.terms) == 1:
         shared = [j for j in _variable_factors(h) if c.terms[0][0][j]]
@@ -249,9 +253,9 @@ def tight_closure_zero_bounded(h: GradedHypersurface, t: int, c: PolynomialFp, e
             raise UnsupportedInputError(f"the multiplier is a zero divisor: x{shared[0]} divides f")
     elif c.degree() == 1 and _linear_divides(c, h.f):
         raise UnsupportedInputError(f"the multiplier is a zero divisor: {c.to_text()} divides f")
-    c_y = _substitute(c, h._to_y)
-    for e, power in enumerate(_frobenius_powers(h, t, _socle(h, t), e_max), start=1):
-        if not _normal_form(h, h.p**e * t, c_y * power).is_zero:
+    u = _socle(h, t)
+    for e in range(1, e_max + 1):
+        if not _normal_form(h, h.p**e * t, c_y * _frobenius_power(h, t, u, e)).is_zero:
             return e
     return None
 
@@ -280,12 +284,6 @@ def _linear_divides(l: PolynomialFp, g: PolynomialFp) -> bool:
     return _substitute(g, tuple(forms)).is_zero
 
 
-def _in_principal(h: GradedHypersurface, c: PolynomialFp) -> bool:
-    if c.degree() > h.degree_cap(1):
-        raise CapacityError(f"degree {c.degree()} exceeds cap {h.degree_cap(1)}")
-    return _normal_form(h, None, _substitute(c, h._to_y)).is_zero
-
-
 def rf_simplicity_probe(h: GradedHypersurface, t: int, e_max: int) -> str | None:
     """Search the level-t socle class for a proper nonzero stable span,
     and return the reason it is a witness, or None.
@@ -298,14 +296,14 @@ def rf_simplicity_probe(h: GradedHypersurface, t: int, e_max: int) -> str | None
     _check_e_max(e_max)
     if level_top_degree(h, t) == 0:
         return None  # the socle class is the unit, which spans everything
-    for e, power in enumerate(_frobenius_powers(h, t, _socle(h, t), e_max), start=1):
-        if power.is_zero:
+    for e in range(1, e_max + 1):
+        if _frobenius_power(h, t, _socle(h, t), e).is_zero:
             return f"frobenius-kills-socle-at-e={e}"
+    # x_j in (f) forces f = a*x_j, so skipping the x_j that divide f
+    # skips every variable the multiplier check would refuse
     zero_divisors = _variable_factors(h)
     for j in range(h.n_vars):
         c = PolynomialFp.variable(h.p, h.n_vars, j)
-        if j in zero_divisors or _in_principal(h, c):
-            continue
-        if tight_closure_zero_bounded(h, t, c, e_max) is None:
+        if j not in zero_divisors and tight_closure_zero_bounded(h, t, c, e_max) is None:
             return f"bounded-tight-closure-consistent-with-c=x{j}"
     return None

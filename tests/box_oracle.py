@@ -8,7 +8,8 @@ routes it replaced: graded_dim reads one multidegree off the table and
 cech_graded_oracle evaluates it from the localization complex;
 oracle_box_check_per_theta compares them at every point of the box
 [lo, hi]^n, and oracle_box_check_by_signs once per sign pattern, 3^n of
-them.  graded_dim looks decomposition up on the module, so a
+them.  Both list every disagreeing (theta, i) with its two values, where
+froblab returns only how many there are.  graded_dim looks decomposition up on the module, so a
 monkeypatched table reaches every route.  cech_dims_by_face_tuples
 builds one pattern's piece from face tuples, by a scan of face_tuples
 and an is_face test per face, where froblab filters its table of face

@@ -6,19 +6,24 @@ the level ideal is spanned explicitly by the multiples m * g of its
 generators and decided by rank with gfp_linalg.row_echelon.  The direct
 Frobenius route backs the Frobenius-step helper: it reduces the whole
 power g^(p^e) in one normal form, and on it the bounded tight-closure
-test of any class.  The class helpers build classes of the direct-limit
+test of any class.  The chain route backs the probe's shared chain: a
+copy of the probe that validates each variable as a --c multiplier and
+reduces its own chain of Frobenius powers for it.  The class helpers build classes of the direct-limit
 model from x coordinates and compare them across levels."""
 
 import itertools
 from functools import lru_cache
 from typing import NamedTuple
 
-from froblab.errors import CapacityError
+from froblab.errors import CapacityError, UnsupportedInputError
 from froblab.gfp_linalg import row_echelon
 from froblab.hypersurface import (
+    _linear_divides,
     _normal_form,
+    _socle,
     _substitute,
     _up_to_degree,
+    _variable_factors,
     level_top_degree,
 )
 from froblab.polyfp import PolynomialFp
@@ -77,6 +82,55 @@ def tight_closure_direct(h, u, c, e_max):
     for e, power in enumerate(powers, start=1):
         if not _normal_form(h, h.p**e * u.t, c_y * power).is_zero:
             return e
+    return None
+
+
+def frobenius_powers_by_steps(h, t, g, e_max):
+    """Level-(p^e * t) normal forms of g^(p^e), e = 1..e_max, for g in y
+    coordinates, each reduced from the previous one; uncached."""
+    powers = []
+    for e in range(1, e_max + 1):
+        g = _normal_form(h, h.p**e * t, g.frobenius(h.p))
+        powers.append(g)
+    return powers
+
+
+def in_principal(h, c):
+    return _normal_form(h, None, _substitute(c, h._to_y)).is_zero
+
+
+def tight_closure_by_chain(h, t, c, e_max):
+    """The bounded tight-closure test of the level-t socle class with
+    every check on the multiplier c, on its own chain of powers."""
+    if c.is_zero or in_principal(h, c):
+        raise UnsupportedInputError("the multiplier must be nonzero modulo f")
+    if len(c.terms) == 1:
+        if any(c.terms[0][0][j] for j in _variable_factors(h)):
+            raise UnsupportedInputError("the multiplier is a zero divisor")
+    elif c.degree() == 1 and _linear_divides(c, h.f):
+        raise UnsupportedInputError("the multiplier is a zero divisor")
+    c_y = _substitute(c, h._to_y)
+    for e, power in enumerate(frobenius_powers_by_steps(h, t, _socle(h, t), e_max), start=1):
+        if not _normal_form(h, h.p**e * t, c_y * power).is_zero:
+            return e
+    return None
+
+
+def simplicity_probe_by_chain(h, t, e_max):
+    """The simplicity probe with a chain of powers per check: variables
+    in (f) or dividing f are skipped, and every other one is tested by
+    tight_closure_by_chain."""
+    if level_top_degree(h, t) == 0:
+        return None
+    for e, power in enumerate(frobenius_powers_by_steps(h, t, _socle(h, t), e_max), start=1):
+        if power.is_zero:
+            return f"frobenius-kills-socle-at-e={e}"
+    for j in range(h.n_vars):
+        c = PolynomialFp.variable(h.p, h.n_vars, j)
+        if j in _variable_factors(h) or in_principal(h, c):
+            continue
+        if tight_closure_by_chain(h, t, c, e_max) is None:
+            return f"bounded-tight-closure-consistent-with-c=x{j}"
     return None
 
 

@@ -81,9 +81,7 @@ def test_analyze_complex_oracle_mismatch_exit_code(two_points_file, capsys, monk
     args = ["analyze-complex", two_points_file, "--prime", "2", "--format", "json"]
     _, out, _ = run_cli(args, capsys)
     report = json.loads(out)
-    monkeypatch.setattr(
-        lc, "oracle_box_check", lambda *a, **k: (0, [((0, 0), 1, 1, 0)])
-    )
+    monkeypatch.setattr(lc, "oracle_box_check", lambda *a, **k: (0, 1))
     code, out, err = run_cli(args, capsys)
     # the full report is still written, with the disagreement in it
     report["oracle_check"] = {"box": [-3, 1], "agreements": 0, "mismatches": 1}

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import json
@@ -14,17 +15,19 @@ from level_oracle import (
     lift_class,
     make_class,
     monomials_of_degree,
+    simplicity_probe_by_chain,
     socle_by_kernel_search,
     span_contains,
     tight_closure_direct,
     unit_class,
 )
 
+from froblab import hypersurface
 from froblab.cli import main
 from froblab.errors import CapacityError, InvalidParametersError, UnsupportedInputError
 from froblab.hypersurface import (
     GradedHypersurface,
-    _frobenius_powers,
+    _frobenius_power,
     _linear_divides,
     f_injective_top,
     fedder_fpure_principal,
@@ -257,6 +260,45 @@ def test_probe_skips_variables_dividing_f():
     assert tight_closure_direct(h, socle, c, 2) is None
 
 
+@pytest.mark.parametrize(
+    "h",
+    [
+        fermat(5),
+        fermat(7),
+        fermat(11),
+        fermat(13),
+        QUADRIC_CONE,
+        make_hypersurface(poly("x0*x1*x2", 3), (poly("x0 - x1", 3, 3), poly("x1 - x2", 3, 3))),
+        # at t = 2 the variable x0 lies in (f), the one such case
+        make_hypersurface(poly("x0", 5, 2), (poly("x1", 5, 2),)),
+    ],
+    ids=["fermat-p5", "fermat-p7", "fermat-p11", "fermat-p13", "quadric-cone-p3", "coordinate-triangle-p3", "linear-p5"],
+)
+def test_probe_matches_a_chain_per_check(h):
+    for t in (1, 2):
+        for e_max in (1, 2, 3):
+            assert rf_simplicity_probe(h, t, e_max) == simplicity_probe_by_chain(h, t, e_max)
+
+
+def test_one_chain_of_socle_powers_serves_every_check(monkeypatch):
+    # F-injectivity, the probe and --c x0 read the powers of the level-1
+    # socle class at levels 7, 49 and 343 from one chain; each multiplier
+    # then costs one normal form per power it tests
+    calls = collections.Counter()
+    normal_form = hypersurface._normal_form
+
+    def counted(h, t, g):
+        calls[t] += 1
+        return normal_form(h, t, g)
+
+    monkeypatch.setattr(hypersurface, "_normal_form", counted)
+    hypersurface._frobenius_power.cache_clear()
+    code, _ = run_json(["--poly", "x0^3 + x1^3 + x2^3 + x3^3", "--prime", "7", "--emax", "3", "--c", "x0"])
+    assert code == 0
+    assert sum(calls.values()) <= 14
+    assert calls[7] <= 6
+
+
 def test_level_membership_cap():
     h = fermat(2)
     big = poly("x0", 2, 3).pow(200)
@@ -471,7 +513,8 @@ def test_frobenius_steps_match_one_step_normal_form(data):
     ]
     support = data.draw(st.lists(st.sampled_from(monos), min_size=1, max_size=5, unique=True))
     g = PolynomialFp.make(h.p, 3, {m: data.draw(st.integers(1, h.p - 1)) for m in support})
-    assert tuple(_frobenius_powers(h, t, g, e_max)) == frobenius_powers_direct(h, t, g, e_max)
+    steps = tuple(_frobenius_power(h, t, g, e) for e in range(1, e_max + 1))
+    assert steps == frobenius_powers_direct(h, t, g, e_max)
 
 
 def fedder_by_full_power(f):

@@ -88,15 +88,15 @@ def test_oracle_two_points_origin():
 def test_oracle_agrees_on_named_complexes():
     for c in (TWO_POINTS, TRIANGLE, TWO_EDGES, FULL3, POINT, SEGMENT, EMPTY):
         for p in (2, 3):
-            agree, mismatches = oracle_box_check(c, p)
-            assert mismatches == []
+            agree, disagree = oracle_box_check(c, p)
+            assert disagree == 0
             assert agree > 0
 
 
 def test_oracle_agrees_on_projective_plane():
     for p in (2, 3):
-        _, mismatches = oracle_box_check(RP2, p)
-        assert mismatches == []
+        _, disagree = oracle_box_check(RP2, p)
+        assert disagree == 0
 
 
 BOXES = [(-3, 1), (0, 0), (1, 3), (-2, -1)]
@@ -106,8 +106,8 @@ def test_sign_patterns_match_per_theta_loop_on_corpus():
     for c in acceptance_corpus():
         for p in (2, 3):
             for lo, hi in BOXES:
-                expected = oracle_box_check_per_theta(c, p, lo, hi)
-                assert oracle_box_check(c, p, lo, hi) == expected
+                agree, points = oracle_box_check_per_theta(c, p, lo, hi)
+                assert oracle_box_check(c, p, lo, hi) == (agree, len(points))
 
 
 @st.composite
@@ -123,7 +123,8 @@ def complexes(draw, max_vertices=5):
 @given(complexes(), st.sampled_from([2, 3]), st.sampled_from(BOXES))
 def test_sign_patterns_match_per_theta_loop_on_random_complexes(c, p, box):
     lo, hi = box
-    assert oracle_box_check(c, p, lo, hi) == oracle_box_check_per_theta(c, p, lo, hi)
+    agree, points = oracle_box_check_per_theta(c, p, lo, hi)
+    assert oracle_box_check(c, p, lo, hi) == (agree, len(points))
 
 
 def assert_pieces_match_face_tuples(c, p):
@@ -153,7 +154,8 @@ def test_bitmask_pieces_match_face_tuples_on_random_complexes(c, p):
 def test_face_walk_matches_sign_pattern_loop():
     for c in (RP2, BOUNDARY_5):
         for lo, hi in BOXES:
-            assert oracle_box_check(c, 3, lo, hi) == oracle_box_check_by_signs(c, 3, lo, hi)
+            agree, points = oracle_box_check_by_signs(c, 3, lo, hi)
+            assert oracle_box_check(c, 3, lo, hi) == (agree, len(points))
 
 
 def test_forced_mismatch_is_reported_alike(monkeypatch):
@@ -169,9 +171,10 @@ def test_forced_mismatch_is_reported_alike(monkeypatch):
     monkeypatch.setattr(lc, "decomposition", with_phantom)
     for c in (TRIANGLE, TWO_EDGES, RP2):
         for lo, hi in BOXES:
-            agree, mismatches = oracle_box_check(c, 2, lo, hi)
-            assert (agree, mismatches) == oracle_box_check_per_theta(c, 2, lo, hi)
-            assert bool(mismatches) == (lo < 0 <= hi)
+            agree, points = oracle_box_check_per_theta(c, 2, lo, hi)
+            assert oracle_box_check_by_signs(c, 2, lo, hi) == (agree, points)
+            assert oracle_box_check(c, 2, lo, hi) == (agree, len(points))
+            assert bool(points) == (lo < 0 <= hi)
 
 
 def test_table_equivariant_under_relabeling():
