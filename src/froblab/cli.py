@@ -22,7 +22,6 @@ from . import __version__
 from .errors import CapacityError, FroblabError, OracleMismatchError, ParseError
 from .gfp_linalg import DEFAULT_ENUM_CAP, check_prime
 
-DEFAULT_TRUNC = 2
 DEFAULT_BOX = "-3:1"
 DEFAULT_EMAX = 2
 NO_WITNESS = "no-proper-nonzero-F-stable-found-at-this-resolution"
@@ -90,7 +89,7 @@ def cmd_analyze_complex(args, threads: int) -> None:
     # is a fresh process, which would pay at start-up for loading the
     # other command's modules.  The names are read from their modules at
     # call time, so a patched module attribute is the one called.
-    from .fmodule import face_count, window_count
+    from .fmodule import check_maps, face_count
     from .local_cohomology import analysis_report, decomposition, oracle_box_check
     from .simplicial import parse_facets_text
     from .stanley_reisner import fedder_fpure_monomial, ideal_text, nonface_ideal
@@ -104,6 +103,7 @@ def cmd_analyze_complex(args, threads: int) -> None:
     p = check_prime(args.prime)
     # first, so that a complex past the oracle's cap is refused before any elimination
     agree, disagree = oracle_box_check(complex_, p, *args.box)
+    maps_checked = check_maps(complex_, p)
     analysis = analysis_report(complex_, p)
     ideal = nonface_ideal(complex_)
 
@@ -114,29 +114,17 @@ def cmd_analyze_complex(args, threads: int) -> None:
             count = face_count(complex_, p, i, args.enumerate_cap)
         except CapacityError:
             count = None
-        try:
-            enumerated = window_count(complex_, p, i, args.trunc, args.enumerate_cap)
-        except CapacityError:
-            enumerated = None
-        if enumerated not in (None, count):
-            raise OracleMismatchError(f"window search {enumerated} != face count {count} at i={i}")
-        validated = enumerated is not None
+        ran = count is not None
+        # with multiplicity 1 everywhere the count reads only which maps are nonzero
+        validated = ran and all(m == 1 for ei, _, m in table if ei == i)
         note = (
-            "count (validated by brute force at desk scale)" if validated
-            else "none (face count and window search skipped: cap)" if count is None
-            else "face count only (window search skipped: cap)"
+            "count (every map checked against the exact sequence of its pair)" if validated
+            else "count (map ranks checked; images into blocks of multiplicity > 1 not checked)" if ran
+            else "none (count skipped: cap)"
         )
         counts.append({"i": i, "count": count, "validated": validated, "note": note})
-        models.append({
-            "i": i,
-            # the window holds T^|nu| magnitude vectors for each of the m classes of a block
-            "basis_size": sum(m * args.trunc ** len(nu) for ei, nu, m in table if ei == i),
-            "enumerated_count": enumerated,
-            # agreement makes every window family constant on each block,
-            # where F is the identity and so injective on every quotient
-            "anti_nilpotent": True if validated else None,
-            "skipped": None if validated else "cap",
-        })
+        # F is the identity on each block, so injective on every quotient of two counted submodules
+        models.append({"i": i, "anti_nilpotent": True if ran else None, "skipped": None if ran else "cap"})
     analysis["fh_counts"] = counts
 
     report = {
@@ -149,7 +137,6 @@ def cmd_analyze_complex(args, threads: int) -> None:
         },
         "prime": p,
         "caps": {
-            "trunc_depth": args.trunc,
             "box": list(args.box),
             "enumerate_cap": args.enumerate_cap,
             "threads": threads,
@@ -162,10 +149,12 @@ def cmd_analyze_complex(args, threads: int) -> None:
             "box": list(args.box),
             "agreements": agree,
             "mismatches": disagree,
+            "maps_checked": maps_checked,
         },
         "notes": [
             "fh counts list the families of subspaces of the face blocks closed under"
-            " the maps between them; the validated flag records agreement with the window search",
+            " the maps between them; the rank of every map is checked against the exact"
+            " sequence of its pair, and a count is validated when it reads only those ranks",
             "submodule enumeration searches graded profiles only",
         ],
     }
@@ -253,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("analyze-complex", help="face-ring pipeline on a facet file")
     pc.add_argument("path")
     pc.add_argument("--prime", type=int, required=True)
-    pc.add_argument("--trunc", type=_positive_int, default=DEFAULT_TRUNC)
+    # accepted for older command lines; it selects nothing
+    pc.add_argument("--trunc", type=_positive_int, help="ignored")
     pc.add_argument("--box", type=_parse_box, default=_parse_box(DEFAULT_BOX),
                     help="multidegree box LO:HI (use --box=-3:1 for negative bounds)")
     pc.add_argument("--enumerate-cap", type=_positive_int, default=DEFAULT_ENUM_CAP)

@@ -12,16 +12,16 @@ walking back from p*theta with x, U(p*theta) ⊆ U(theta): a graded
 F-stable submodule is a family (U_nu) constant on each block, with
 phi_{nu,j}(U_nu) ⊆ U_{nu - j}.
 
-One search counts such families for two routes: face_count, one node
-per nonzero block, and window_count, its cross-check, one node per point
-of [-pT, -1]^nu of each block.  When they agree, every window family is
-constant on each block, where F is the identity and so injective on
-every quotient of two F-stable submodules: H^i is anti-nilpotent
-(Enescu-Hochster).  Both search graded submodules only.  The window
-search takes phi from the same _phi_images as the face count, so their
-agreement checks only the step from window points to blocks, not phi.
-Each node picks an entry of subspace_lattice, a reduced echelon basis;
-the cap, checked before any lattice is listed, bounds both searches.
+face_count counts such families, one node per nonzero block.  F is the
+identity on each block, so it is injective on every quotient of two
+graded F-stable submodules: H^i is anti-nilpotent (Enescu-Hochster).
+The count searches graded submodules only.  Each node picks an entry of
+subspace_lattice, a reduced echelon basis; the cap, checked before any
+lattice is listed, bounds the search.  check_maps compares the rank of
+every phi with the one local_cohomology.map_ranks reads off the exact
+sequence of its pair, which builds no block.  Where every block has
+multiplicity 1 the count depends only on which maps are nonzero, so the
+check covers all it reads.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from collections import Counter
 from collections.abc import Sequence
 from functools import lru_cache
 
-from .errors import CapacityError
+from .errors import CapacityError, OracleMismatchError
 from .gfp_linalg import DEFAULT_ENUM_CAP, row_echelon
-from .local_cohomology import decomposition
+from .local_cohomology import decomposition, map_ranks
 from .simplicial import SimplicialComplex, coboundary_rows, face_masks, mask_vertices, vertex_mask
 
 EXACT_SIZE_BITS = 2**17  # the largest search space multiplied out, in bits
@@ -130,13 +130,6 @@ def _phi_images(c: SimplicialComplex, p: int, i: int, nu: int, j: int) -> list[i
     return out
 
 
-def _blocks(c: SimplicialComplex, p: int, i: int) -> list[tuple[int, int]]:
-    """(face mask, multiplicity) of the nonzero blocks of H^i, the largest
-    face first."""
-    masks = [(vertex_mask(nu), m) for ei, nu, m in decomposition(c, p) if ei == i]
-    return sorted(masks, key=lambda nm: (-nm[0].bit_count(), nm[0]))
-
-
 def _check_cap(p: int, multiplicities: Counter, cap: int) -> None:
     """Raise CapacityError when the search space, num_subspaces(p, m) to
     the power k for each multiplicity m of k nodes, exceeds cap.  The
@@ -178,8 +171,10 @@ def _count_families(p: int, dims: list[int], edges: list[tuple[int, int, Sequenc
 def face_count(c: SimplicialComplex, p: int, i: int, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Number of graded F-stable submodules of H^i_m(K[Delta]): the
     families over the nonzero blocks, one node each, with phi_{nu,j}(U_nu)
-    ⊆ U_{nu - j}.  The search space is checked against cap first."""
-    blocks = _blocks(c, p, i)
+    ⊆ U_{nu - j}, the largest face first.  The search space is checked
+    against cap first."""
+    blocks = [(vertex_mask(nu), m) for ei, nu, m in decomposition(c, p) if ei == i]
+    blocks.sort(key=lambda b: (-b[0].bit_count(), b[0]))
     _check_cap(p, Counter(m for _, m in blocks), cap)
     node = {nu: k for k, (nu, _) in enumerate(blocks)}
     edges = [
@@ -191,38 +186,14 @@ def face_count(c: SimplicialComplex, p: int, i: int, cap: int = DEFAULT_ENUM_CAP
     return _count_families(p, [m for _, m in blocks], edges)
 
 
-def window_count(c: SimplicialComplex, p: int, i: int, depth: int, cap: int = DEFAULT_ENUM_CAP) -> int:
-    """Number of graded submodules of the window of H^i closed under x and
-    F inside it: one node per point of [-pT, -1]^nu of each nonzero block,
-    T the depth, block by block as in face_count and magnitudes ascending
-    within a block; x_j steps inside a block by the identity, phi_{nu,j}
-    at exponent -1, and F by the identity wherever p*theta stays in the
-    window.  The search space is checked against cap first."""
-    bound = p * depth
-    blocks = _blocks(c, p, i)
-    sizes = Counter()
-    for nu, m in blocks:
-        sizes[m] += bound ** nu.bit_count()
-    _check_cap(p, sizes, cap)
-    points: dict[tuple[int, ...], int] = {}
-    dims, support = [], []
-    for nu, m in blocks:
-        verts = mask_vertices(nu)
-        for mags in itertools.product(range(1, bound + 1), repeat=len(verts)):
-            theta = [0] * c.n_vertices
-            for v, mag in zip(verts, mags):
-                theta[v] = -mag
-            points[tuple(theta)] = len(dims)
-            dims.append(m)
-            support.append(nu)
-    edges = []
-    for theta, a in points.items():
-        nu, same = support[a], range(len(subspace_lattice(p, dims[a])))
-        for j, t in enumerate(theta):
-            b = points.get(theta[:j] + (t + 1,) + theta[j + 1 :]) if t < 0 else None
-            if b is not None:
-                edges.append((a, b, same if t < -1 else _phi_images(c, p, i, nu, j)))
-        b = points.get(tuple(p * t for t in theta))
-        if nu and b is not None:
-            edges.append((a, b, same))
-    return _count_families(p, dims, edges)
+def check_maps(c: SimplicialComplex, p: int) -> int:
+    """Compare the rank of every phi_{nu,j} between two nonzero blocks
+    with map_ranks, raising OracleMismatchError at the first difference;
+    returns the number of maps checked."""
+    ranks = map_ranks(c, p)
+    for (i, nu, j), rank in ranks.items():
+        found = len(row_echelon(phi(c, p, i, nu, j), p)[1])
+        if found != rank:
+            where = f"i={i}, nu={mask_vertices(nu)}, j={j}"
+            raise OracleMismatchError(f"phi at {where} has rank {found}, the exact sequence {rank}")
+    return len(ranks)

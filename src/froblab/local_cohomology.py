@@ -19,7 +19,9 @@ the one cochain routine, simplicial.cochain_dims.
 The table is not a module decomposition: x_j maps the block of nu into
 the block of nu minus {j}, often by a nonzero map, so H^i_m(R) is not a
 direct sum of its face blocks.  froblab.fmodule counts its F-stable
-submodules from those maps.
+submodules from those maps, and map_ranks gives the rank of each from
+the table and the long exact sequence of its pair, which fmodule
+checks its matrices against.
 """
 
 from __future__ import annotations
@@ -121,6 +123,32 @@ def oracle_box_check(c: SimplicialComplex, p: int, lo: int = -3, hi: int = 1) ->
                     if (0 if pi else table.get((i, nu), 0)) != oracle.get(i, 0):
                         disagree += weight
     return max(hi - lo + 1, 0) ** n * (top + 1) - disagree, disagree
+
+
+def map_ranks(c: SimplicialComplex, p: int) -> dict[tuple[int, int, int], int]:
+    """The rank of phi_{nu,j} on H^i, keyed (i, nu, j), nu a face mask
+    and j in nu, for every map between two nonzero blocks of H^i.
+
+    C_nu, the faces containing nu, is a subcomplex of C_{nu - j} with
+    quotient Q, the faces containing nu - j and not j.  The long exact
+    sequence of the pair gives dim H^i(Q) = (m(i, nu - j) - rk phi_i) +
+    (m(i + 1, nu) - rk phi_{i + 1}), solved from the top degree down with
+    rank 0 above it: m from the table, H(Q) from cochain_dims on the
+    filtered face masks, and no cocycle basis built."""
+    table = {(i, vertex_mask(nu)): m for i, nu, m in decomposition(c, p)}
+    by_size = face_masks(c)[0]
+    pairs = sorted({(nu, j) for i, nu in table for j in mask_vertices(nu) if (i, nu ^ 1 << j) in table})
+    ranks = {}
+    for nu, j in pairs:
+        rest = nu ^ 1 << j
+        quotient = {size: kept for size, ms in by_size.items() if (kept := [m for m in ms if m & nu == rest])}
+        h = dict(cochain_dims(quotient, p))
+        rank = 0
+        for i in range(c.dim + 1, -1, -1):
+            rank = table.get((i, rest), 0) + table.get((i + 1, nu), 0) - rank - h.get(i, 0)
+            if (i, nu) in table and (i, rest) in table:
+                ranks[i, nu, j] = rank
+    return ranks
 
 
 def reisner_cm_condition(c: SimplicialComplex, p: int) -> bool:

@@ -13,10 +13,10 @@ and the graded oracle read it.  link_cohomology builds the same kind of
 table for the link of a face straight from the facets that contain it,
 so no complex is built per link.  coboundary_rows holds the one
 coboundary sign rule on such masks.  cochain_dims computes the
-cohomology of a cochain complex on them, both the reduced cohomology of
-a link here and the graded oracle of froblab.local_cohomology, which
-filters the table by sign pattern; the face blocks of froblab.fmodule
-take cocycle bases from the same rows.
+cohomology of a cochain complex on them: the reduced cohomology of a
+link here, and in froblab.local_cohomology the graded oracle and the
+quotient of each pair of map_ranks, each a filter of the table; the
+face blocks of froblab.fmodule take cocycle bases from the same rows.
 """
 
 from __future__ import annotations

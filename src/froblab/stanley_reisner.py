@@ -54,8 +54,16 @@ def fedder_fpure_monomial(generators: tuple[Monomial, ...], p: int) -> bool:
 
     The colon is a monomial ideal, so this holds exactly when it contains
     x^((p-1)*1), that is when g * x^((p-1)*1) lies in I^[p] for every
-    generator g: when some generator h has p*h <= g + (p-1)*1 entrywise.
-    The colon itself is never formed.
+    generator g: when some generator h has p*h <= g + (p-1)*1 entrywise,
+    that is when h divides x^ceil(g/p).  That bound is g itself for a
+    square-free g, so it is looked up among the generators before the
+    generators are scanned.  The colon itself is never formed.
     """
     check_prime(p)
-    return all(any(all(p * a <= b + p - 1 for a, b in zip(h, g)) for h in generators) for g in generators)
+    present = set(generators)
+
+    def witnessed(g: Monomial) -> bool:
+        bound = tuple(-(-b // p) for b in g)
+        return bound in present or any(all(a <= b for a, b in zip(h, bound)) for h in generators)
+
+    return all(map(witnessed, generators))

@@ -27,15 +27,22 @@ froblab.fmodule builds the same blocks and maps from
 froblab.simplicial.coboundary_rows and counts the families with one
 search on subspace-lattice indices; this listing of Subspace records
 (perp_oracle.lattice) is the reference its counts are checked against.
+window_count runs fmodule's search on one node per point of a window
+of multidegrees instead of one per block, with fmodule's maps phi: its
+agreement with the face count checks the step from points to blocks,
+not phi.
 """
 
 import itertools
+from collections import Counter
 from functools import lru_cache
 
 from box_oracle import coboundary_matrix
 from perp_oracle import contains_vector, kernel_basis, lattice, subspace_contains, subspace_from_vectors
-from froblab.gfp_linalg import row_echelon
-from froblab.simplicial import face_masks, mask_vertices
+from froblab import fmodule
+from froblab.gfp_linalg import DEFAULT_ENUM_CAP, row_echelon
+from froblab.local_cohomology import decomposition
+from froblab.simplicial import face_masks, mask_vertices, vertex_mask
 
 
 def coboundary(src, tgt, p):
@@ -214,3 +221,42 @@ class PointModel:
                     if big[a].dim and not holds(small[a], preimage(big[a].basis, m, small[b].basis, p)):
                         return False
         return True
+
+
+def window_count(c, p, i, depth, cap=DEFAULT_ENUM_CAP):
+    """Number of graded submodules of the window of H^i closed under x and
+    F inside it: one node per point of [-pT, -1]^nu of each nonzero block,
+    T the depth, block by block as in fmodule.face_count and magnitudes
+    ascending within a block; x_j steps inside a block by the identity,
+    phi_{nu,j} at exponent -1, and F by the identity wherever p*theta
+    stays in the window.  The search space is checked against cap first;
+    the fmodule helpers are read at call time, so a patched one is called."""
+    bound = p * depth
+    blocks = [(vertex_mask(nu), m) for ei, nu, m in decomposition(c, p) if ei == i]
+    blocks.sort(key=lambda b: (-b[0].bit_count(), b[0]))
+    sizes = Counter()
+    for nu, m in blocks:
+        sizes[m] += bound ** nu.bit_count()
+    fmodule._check_cap(p, sizes, cap)
+    points = {}
+    dims, support = [], []
+    for nu, m in blocks:
+        verts = mask_vertices(nu)
+        for mags in itertools.product(range(1, bound + 1), repeat=len(verts)):
+            theta = [0] * c.n_vertices
+            for v, mag in zip(verts, mags):
+                theta[v] = -mag
+            points[tuple(theta)] = len(dims)
+            dims.append(m)
+            support.append(nu)
+    edges = []
+    for theta, a in points.items():
+        nu, same = support[a], range(len(fmodule.subspace_lattice(p, dims[a])))
+        for j, t in enumerate(theta):
+            b = points.get(theta[:j] + (t + 1,) + theta[j + 1 :]) if t < 0 else None
+            if b is not None:
+                edges.append((a, b, same if t < -1 else fmodule._phi_images(c, p, i, nu, j)))
+        b = points.get(tuple(p * t for t in theta))
+        if nu and b is not None:
+            edges.append((a, b, same))
+    return fmodule._count_families(p, dims, edges)

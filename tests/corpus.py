@@ -32,6 +32,13 @@ def boundary_facets(k, first=0):
     return list(itertools.combinations(range(first, first + k + 1), k))
 
 
+TORUS = from_facets(7, [
+    tuple(sorted(((i + a) % 7, (i + b) % 7, (i + 3) % 7))) for a, b in ((0, 1), (0, 2)) for i in range(7)
+])
+# two triangle boundaries joined at vertex 0: blocks of multiplicity 2
+# (at the empty face) and 3 (at the shared vertex)
+WEDGE = make_complex(5, boundary_facets(2) + [(0, 3), (0, 4), (3, 4)])
+BOUNDARY_4 = from_facets(5, boundary_facets(4))
 # search spaces of tens of thousands of bits at p = 3
 BOUNDARY_5 = from_facets(6, boundary_facets(5))
 CROSS_POLYTOPE_8 = from_facets(8, list(itertools.product(*((2 * i, 2 * i + 1) for i in range(4)))))

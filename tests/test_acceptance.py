@@ -19,7 +19,7 @@ from corpus import (
     TWO_POINTS,
     acceptance_corpus,
 )
-from cech_map_oracle import PointModel, closed_families
+from cech_map_oracle import PointModel, closed_families, window_count
 from element_model import annihilator_up_to_cap, build_truncation, on_points
 from helpers import (
     cone,
@@ -30,7 +30,7 @@ from helpers import (
     squarefree_minimal_primes,
 )
 from froblab.errors import CapacityError
-from froblab.fmodule import face_count, window_count
+from froblab.fmodule import face_count
 from froblab.hypersurface import f_injective_top, fedder_fpure_principal, make_hypersurface
 from froblab.local_cohomology import decomposition, depth_and_cm, oracle_box_check
 from froblab.polyfp import parse_polynomial

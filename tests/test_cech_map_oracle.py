@@ -9,7 +9,7 @@ import math
 import pytest
 
 from cech_map_oracle import PointModel, block, closed_families, coboundary, phi
-from corpus import POINT, TRIANGLE, TWO_EDGES, TWO_POINTS, boundary_facets, make_complex
+from corpus import POINT, TRIANGLE, TWO_EDGES, TWO_POINTS, WEDGE, boundary_facets, make_complex
 from katzman_oracle import katzman_count
 from froblab.fmodule import num_subspaces
 from froblab.local_cohomology import decomposition
@@ -17,9 +17,6 @@ from froblab.simplicial import face_masks, mask_vertices
 
 PATH = make_complex(3, [(0, 1), (1, 2)])
 SQUARE = make_complex(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-# two triangle boundaries joined at vertex 0: blocks of multiplicity 2
-# (at the empty face) and 3 (at the shared vertex)
-WEDGE = make_complex(5, boundary_facets(2) + [(0, 3), (0, 4), (3, 4)])
 
 
 def faces_of(c):

@@ -54,10 +54,13 @@ def test_analyze_complex_two_points(two_points_file, capsys):
             "i": 1,
             "count": 5,
             "validated": True,
-            "note": "count (validated by brute force at desk scale)",
+            "note": "count (every map checked against the exact sequence of its pair)",
         }
     ]
+    assert report["models"] == [{"i": 1, "anti_nilpotent": True, "skipped": None}]
     assert report["oracle_check"]["mismatches"] == 0
+    # the maps of the two vertex blocks into the block of the empty face
+    assert report["oracle_check"]["maps_checked"] == 2
 
 
 def test_analyze_complex_triangle_p3(triangle_file, capsys):
@@ -69,10 +72,10 @@ def test_analyze_complex_triangle_p3(triangle_file, capsys):
     analysis = report["analysis"]
     assert analysis["is_cm"] is True
     assert len(analysis["table"]) == 7
+    # seven blocks of multiplicity 1: 2^7 families, within the default cap
     (entry,) = analysis["fh_counts"]
-    assert entry["i"] == 2 and entry["validated"] is False
-    (model,) = report["models"]
-    assert model["skipped"] == "cap"
+    assert (entry["i"], entry["count"], entry["validated"]) == (2, 19, True)
+    assert report["models"] == [{"i": 2, "anti_nilpotent": True, "skipped": None}]
 
 
 def test_analyze_complex_oracle_mismatch_exit_code(two_points_file, capsys, monkeypatch):
@@ -84,7 +87,7 @@ def test_analyze_complex_oracle_mismatch_exit_code(two_points_file, capsys, monk
     monkeypatch.setattr(lc, "oracle_box_check", lambda *a, **k: (0, 1))
     code, out, err = run_cli(args, capsys)
     # the full report is still written, with the disagreement in it
-    report["oracle_check"] = {"box": [-3, 1], "agreements": 0, "mismatches": 1}
+    report["oracle_check"].update(agreements=0, mismatches=1)
     assert (code, json.loads(out)) == (2, report)
     assert err == "internal cross-check failed: graded oracle disagreement\n"
 
@@ -137,21 +140,28 @@ def test_three_points_at_p_257_count_their_submodules(tmp_path, capsys):
     assert (code, err) == (0, "")
     report = json.loads(out)
     assert report["analysis"]["fh_counts"] == [
-        {"i": 1, "count": 270, "validated": False, "note": "face count only (window search skipped: cap)"}
+        {
+            "i": 1,
+            "count": 270,
+            "validated": False,
+            "note": "count (map ranks checked; images into blocks of multiplicity > 1 not checked)",
+        }
     ]
-    assert [m["skipped"] for m in report["models"]] == ["cap"]
+    assert [m["skipped"] for m in report["models"]] == [None]
     three_points = from_facets(3, [[0], [1], [2]])
     assert face_count(three_points, 257, 1) == len(closed_families(three_points, 257, 1)) == 270
 
 
-def test_analyze_complex_window_mismatch_exit_code(two_points_file, capsys, monkeypatch):
+def test_analyze_complex_zero_map_exit_code(triangle_file, capsys, monkeypatch):
     import froblab.fmodule as fm
 
-    count = fm.window_count
-    monkeypatch.setattr(fm, "window_count", lambda *a: count(*a) + 1)
-    code, out, err = run_cli(["analyze-complex", two_points_file, "--prime", "2"], capsys)
+    # every phi the zero matrix of its shape: the count alone would read
+    # 128, the families of seven unlinked blocks, for the true 19
+    phi = fm.phi
+    monkeypatch.setattr(fm, "phi", lambda *a: tuple((0,) * len(row) for row in phi(*a)))
+    code, out, err = run_cli(["analyze-complex", triangle_file, "--prime", "2", "--enumerate-cap", "2097152"], capsys)
     assert (code, out) == (2, "")
-    assert err == "internal cross-check failed: window search 6 != face count 5 at i=1\n"
+    assert err == "internal cross-check failed: phi at i=2, nu=(0,), j=0 has rank 0, the exact sequence 1\n"
 
 
 def test_internal_error_exit_code(two_points_file, capsys, monkeypatch):
@@ -215,8 +225,21 @@ def test_seven_disjoint_edges_validate_their_first_model(tmp_path, capsys):
     with Budget("seven disjoint edges", 5):
         code, out, err = run_cli(["analyze-complex", str(path), "--prime", "2", "--format", "json"], capsys)
     assert (code, err) == (0, "")
-    (model,) = [m for m in json.loads(out)["models"] if m["i"] == 1]
-    assert (model["enumerated_count"], model["anti_nilpotent"]) == (2825, True)
+    report = json.loads(out)
+    (entry,) = [e for e in report["analysis"]["fh_counts"] if e["i"] == 1]
+    (model,) = [m for m in report["models"] if m["i"] == 1]
+    assert (entry["count"], model["anti_nilpotent"]) == (2825, True)
+
+
+def test_many_disjoint_points_pass_fedder_quickly(tmp_path, capsys):
+    # 780 minimal nonfaces: scanning every generator for the witness of
+    # every other took 1.3 s on a 2-CPU container, the lookup 0.05 s
+    path = tmp_path / "points40.facets"
+    path.write_text("".join(f"{v}\n" for v in range(40)))
+    with Budget("40 disjoint points", 0.5):
+        code, out, err = run_cli(["analyze-complex", str(path), "--prime", "2", "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["f_pure"] is True
 
 
 def test_analyze_complex_empty_file(tmp_path, capsys):
@@ -502,7 +525,7 @@ def test_huge_degree_finishes():
 
 
 def test_boundary_of_5_simplex_skips_its_model(tmp_path, capsys):
-    # the window search space has 70,994 bits at p = 3
+    # 63 blocks of multiplicity 1 in the top module: 2^63 families, past the default cap
     path = tmp_path / "boundary5.facets"
     path.write_text("".join(" ".join(map(str, f)) + "\n" for f in BOUNDARY_5.facets))
     code, out, err = run_cli(["analyze-complex", str(path), "--prime", "3", "--format", "json"], capsys)

@@ -8,17 +8,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cech_map_oracle import PointModel, closed_families
+from cech_map_oracle import PointModel, closed_families, window_count
+from cech_map_oracle import phi as oracle_phi
 from colon_oracle import monomial_ideal_intersection
 from corpus import (
+    BOUNDARY_4,
     BOUNDARY_5,
     CROSS_POLYTOPE_8,
     POINT,
     SEGMENT,
+    TORUS,
     TRIANGLE,
     TWO_BOUNDARY_4,
     TWO_EDGES,
     TWO_POINTS,
+    WEDGE,
+    acceptance_corpus,
     make_complex,
     small_complexes,
 )
@@ -43,9 +48,9 @@ from perp_oracle import zero_subspace
 from test_acceptance import CORPUS_MODELS
 from froblab import fmodule
 from froblab.errors import CapacityError, UnsupportedInputError
-from froblab.fmodule import face_count, window_count
-from froblab.gfp_linalg import DEFAULT_ENUM_CAP
-from froblab.local_cohomology import decomposition
+from froblab.fmodule import check_maps, face_count
+from froblab.gfp_linalg import DEFAULT_ENUM_CAP, row_echelon
+from froblab.local_cohomology import decomposition, map_ranks
 from froblab.simplicial import from_facets, vertex_mask
 
 
@@ -434,3 +439,46 @@ def test_random_enumerations_contain_the_whole_module(module, depth):
     whole = f_stable_span(t, [{b: 1} for b in basis(t)])
     assert {theta: s.dim for theta, s in whole.items()} == window_points(t)
     spans_are_closed_families(t)
+
+
+def edges(c, p):
+    """(i, nu, j) for every map phi_{nu,j} between two nonzero blocks of
+    H^i, read off the decomposition table."""
+    table = {(i, vertex_mask(nu)) for i, nu, _ in decomposition(c, p)}
+    return {(i, nu, j) for i, nu in table for j in range(nu.bit_length()) if nu >> j & 1 and (i, nu ^ 1 << j) in table}
+
+
+def rank(matrix, p):
+    return len(row_echelon(matrix, p)[1])
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_map_ranks_are_the_ranks_of_phi(p):
+    # the acceptance corpus holds RP^2
+    for c in acceptance_corpus() + [TORUS, WEDGE, BOUNDARY_4]:
+        ranks = map_ranks(c, p)
+        assert set(ranks) == edges(c, p), c
+        assert ranks == {e: rank(fmodule.phi(c, p, *e), p) for e in ranks}, c
+        assert check_maps(c, p) == len(ranks)
+    checked = 0
+    for c in (BOUNDARY_5, CROSS_POLYTOPE_8, TWO_BOUNDARY_4):
+        ranks = map_ranks(c, p)
+        assert ranks == {e: rank(fmodule.phi(c, p, *e), p) for e in edges(c, p)}, c
+        checked += len(ranks)
+    assert checked == 552
+
+
+@st.composite
+def small_complexes_up_to_5(draw):
+    n = draw(st.integers(1, 5))
+    facets = draw(st.lists(st.sets(st.integers(0, n - 1)), min_size=1, max_size=5))
+    return make_complex(n, [sorted(f) for f in facets])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(small_complexes_up_to_5(), st.sampled_from([2, 3]))
+def test_random_map_ranks_are_the_ranks_of_the_oracle_maps(c, p):
+    ranks = map_ranks(c, p)
+    assert set(ranks) == edges(c, p)
+    assert ranks == {e: rank(oracle_phi(c, p, *e), p) for e in ranks}
+

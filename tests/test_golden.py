@@ -8,7 +8,11 @@ s2-s1-p2 before the nonface ideal was read off the table of face masks;
 the face-ring reports were rewritten, and triangle-p2 added, when the
 submodule counts moved to the maps between face blocks;
 coordinate-triangle-p3 was added when the hypersurface checks came to
-return plain values.  The input file path is replaced by a placeholder.  To
+return plain values; the face-ring reports were rewritten again, and
+three-points-p3 added, when the window search gave way to checking each
+map's rank against the exact sequence of its pair (three-points-p3 is the
+one whose count is not validated: its empty-face block has multiplicity
+2).  The input file path is replaced by a placeholder.  To
 rewrite them after an intended report change, run
 
     PYTHONPATH=src python tests/test_golden.py
@@ -54,6 +58,8 @@ CASES = {
         TRIANGLE_FACETS,
         ["--prime", "2", "--trunc", "1", "--enumerate-cap", "2097152"],
     ),
+    # p + 13 = 16 submodules; the empty face has a block of multiplicity 2
+    "three-points-p3": ([(0,), (1,), (2,)], ["--prime", "3", "--enumerate-cap", "2097152"]),
     "two-edges-p3": (
         TWO_EDGES_FACETS,
         ["--prime", "3", "--trunc", "1", "--enumerate-cap", "2097152"],
