@@ -246,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--trunc", type=_positive_int, help="ignored")
     pc.add_argument("--box", type=_parse_box, default=_parse_box(DEFAULT_BOX),
                     help="multidegree box LO:HI (use --box=-3:1 for negative bounds)")
-    pc.add_argument("--enumerate-cap", type=_positive_int, default=DEFAULT_ENUM_CAP)
+    pc.add_argument("--enumerate-cap", type=_positive_int, default=DEFAULT_ENUM_CAP,
+                    help="bound on the branches and memo states of each submodule count")
     pc.add_argument("--format", choices=("text", "json"), default="text")
     pc.set_defaults(func=cmd_analyze_complex)
 

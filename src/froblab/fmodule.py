@@ -15,29 +15,24 @@ phi_{nu,j}(U_nu) ⊆ U_{nu - j}.
 face_count counts such families, one node per nonzero block.  F is the
 identity on each block, so it is injective on every quotient of two
 graded F-stable submodules: H^i is anti-nilpotent (Enescu-Hochster).
-The count searches graded submodules only.  Each node picks an entry of
-subspace_lattice, a reduced echelon basis; the cap, checked before any
-lattice is listed, bounds the search.  check_maps compares the rank of
-every phi with the one local_cohomology.map_ranks reads off the exact
-sequence of its pair, which builds no block.  Where every block has
-multiplicity 1 the count depends only on which maps are nonzero, so the
-check covers all it reads.
+The count searches graded submodules only.  Over the blocks of
+multiplicity 1 the families are the down-sets of the order of the
+nonzero maps (Birkhoff), whose ranks local_cohomology.map_ranks reads
+off the exact sequence of each pair without building a block; a block
+of multiplicity above 1 branches over its subspace_lattice.  check_maps
+compares those ranks with the matrices phi, so where every block has
+multiplicity 1 the check covers all the count reads.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from collections import Counter
-from collections.abc import Sequence
 from functools import lru_cache
 
 from .errors import CapacityError, OracleMismatchError
 from .gfp_linalg import DEFAULT_ENUM_CAP, row_echelon
 from .local_cohomology import decomposition, map_ranks
 from .simplicial import SimplicialComplex, coboundary_rows, face_masks, mask_vertices, vertex_mask
-
-EXACT_SIZE_BITS = 2**17  # the largest search space multiplied out, in bits
 
 
 def num_subspaces(p: int, n: int) -> int:
@@ -61,15 +56,6 @@ def subspace_lattice(p: int, dim: int) -> tuple[tuple[tuple[int, ...], ...], ...
             for values in itertools.product(*cells):
                 lattice.append(tuple(values[i * dim : (i + 1) * dim] for i in range(k)))
     return tuple(lattice)
-
-
-@lru_cache(maxsize=None)
-def lattice_contains(p: int, dim: int, a: int, b: int) -> bool:
-    """Whether L[a] ⊇ L[b] for L = subspace_lattice(p, dim): the basis of
-    L[b] adds no pivot to that of L[a]."""
-    lattice = subspace_lattice(p, dim)
-    big, small = lattice[a], lattice[b]
-    return len(row_echelon(big + small, p)[1]) == len(big)
 
 
 @lru_cache(maxsize=None)
@@ -116,74 +102,86 @@ def phi(c: SimplicialComplex, p: int, i: int, nu: int, j: int) -> tuple[tuple[in
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _phi_images(c: SimplicialComplex, p: int, i: int, nu: int, j: int) -> list[int]:
-    """The lattice index of the image under phi_{nu,j} of every entry of
-    the subspace lattice of H^i(C_nu)."""
-    matrix = phi(c, p, i, nu, j)
-    target = subspace_lattice(p, len(block(c, p, i, nu & ~(1 << j))[2]))
-    index = {basis: k for k, basis in enumerate(target)}
-    out = []
-    for basis in subspace_lattice(p, len(matrix)):
-        rows = [[sum(a * b for a, b in zip(r, col)) for col in zip(*matrix)] for r in basis]
-        out.append(index[tuple(map(tuple, row_echelon(rows, p, reduced=True)[0]))])
-    return out
-
-
-def _check_cap(p: int, multiplicities: Counter, cap: int) -> None:
-    """Raise CapacityError when the search space, num_subspaces(p, m) to
-    the power k for each multiplicity m of k nodes, exceeds cap.  The
-    leading bit of each factor bounds the size's bits from below; a bound
-    past the cap and past EXACT_SIZE_BITS refuses without multiplying."""
-    factors = [(num_subspaces(p, m), k) for m, k in multiplicities.items()]
-    low = sum(k * (g.bit_length() - 1) for g, k in factors) + 1
-    if low > max(cap.bit_length(), EXACT_SIZE_BITS):
-        raise CapacityError(f"profile search space of at least {low} bits exceeds cap {cap}")
-    # one power per multiplicity: a running product of many factors is quadratic
-    size = math.prod(g**k for g, k in factors)
-    if size > cap:
-        # str() of an integer past 4300 digits raises
-        raise CapacityError(f"profile search space of {size.bit_length()} bits exceeds cap {cap}")
-
-
-def _count_families(p: int, dims: list[int], edges: list[tuple[int, int, Sequence[int]]]) -> int:
-    """Number of families (U_k), U_k an entry of subspace_lattice(p,
-    dims[k]), with every edge (a, b, image) carrying U_a into U_b, image[s]
-    being the lattice index of the image of entry s of node a.  Each edge
-    is checked at whichever end the search assigns later."""
-    checks: list[list] = [[] for _ in dims]
-    for a, b, image in edges:
-        checks[max(a, b)].append((a, b, image))
-    ids = [0] * len(dims)
-
-    def dfs(k: int) -> int:
-        if k == len(dims):
-            return 1
-        count = 0
-        for ids[k] in range(len(subspace_lattice(p, dims[k]))):
-            if all(lattice_contains(p, dims[b], ids[b], image[ids[a]]) for a, b, image in checks[k]):
-                count += dfs(k + 1)
-        return count
-
-    return dfs(0)
-
-
 def face_count(c: SimplicialComplex, p: int, i: int, cap: int = DEFAULT_ENUM_CAP) -> int:
-    """Number of graded F-stable submodules of H^i_m(K[Delta]): the
-    families over the nonzero blocks, one node each, with phi_{nu,j}(U_nu)
-    ⊆ U_{nu - j}, the largest face first.  The search space is checked
-    against cap first."""
+    """Number of graded F-stable submodules of H^i_m(K[Delta]), the families
+    (U_nu) with phi_{nu,j}(U_nu) ⊆ U_{nu - j}.  Each block of multiplicity
+    above 1 branches over its lattice; a leaf forces in the small targets of
+    nonzero images, with all below them, and out the small sources of images
+    outside the chosen subspace, with all above them, and counts the rest.
+    Branches and memo states together may not pass cap."""
     blocks = [(vertex_mask(nu), m) for ei, nu, m in decomposition(c, p) if ei == i]
-    blocks.sort(key=lambda b: (-b[0].bit_count(), b[0]))
-    _check_cap(p, Counter(m for _, m in blocks), cap)
+    blocks.sort(key=lambda b: (b[0].bit_count(), b[0]))
     node = {nu: k for k, (nu, _) in enumerate(blocks)}
-    edges = [
-        (a, node[nu & ~(1 << j)], _phi_images(c, p, i, nu, j))
-        for a, (nu, _) in enumerate(blocks)
-        for j in range(nu.bit_length())
-        if nu >> j & 1 and nu & ~(1 << j) in node
-    ]
-    return _count_families(p, [m for _, m in blocks], edges)
+    small = sum(1 << k for k, (_, m) in enumerate(blocks) if m == 1)
+    large = [k for k, (_, m) in enumerate(blocks) if m > 1]
+    targets: list[list[tuple[int, int]]] = [[] for _ in blocks]
+    for (ei, nu, j), rank in map_ranks(c, p).items():
+        if ei == i and rank:
+            targets[node[nu]].append((node[nu ^ 1 << j], j))
+    # a target is a smaller face, so sorted earlier: one pass closes the order down, one in reverse up
+    edges = [(a, b) for a, ts in enumerate(targets) for b, _ in ts if small >> a & small >> b & 1]
+    below, above = [0] * len(blocks), [0] * len(blocks)
+    for a, b in edges:
+        below[a] |= 1 << b | below[b]
+    for a, b in reversed(edges):
+        above[b] |= 1 << a | above[a]
+    memo, spent, chosen = {0: 1}, [0], {}
+
+    def charge(work: int) -> None:
+        spent[0] += work
+        if spent[0] > cap:
+            raise CapacityError(f"count past {cap} branches and memo states")
+
+    def count(nodes: int) -> int:
+        # the product over the comparability components; a connected one splits on its
+        # most comparable node x: the down-sets without x, and those with x and all below it
+        if nodes not in memo:
+            charge(1)
+            total, rest = 1, nodes
+            while rest:
+                grow, left, most = rest & -rest, rest & (rest - 1), -1  # from the lowest node; left unreached
+                while grow:
+                    k = grow.bit_length() - 1
+                    grow ^= 1 << k
+                    reach = (below[k] | above[k]) & rest
+                    if reach.bit_count() > most:
+                        x, most = k, reach.bit_count()
+                    grow, left = grow | reach & left, left & ~reach
+                part, rest = rest ^ left, left
+                if part == nodes:
+                    total = count(part & ~below[x] & ~(1 << x)) + count(part & ~above[x] & ~(1 << x))
+                else:
+                    total *= count(part)
+            memo[nodes] = total
+        return memo[nodes]
+
+    def fits(basis, rows) -> bool:
+        return len(row_echelon(list(basis) + list(rows), p)[1]) == len(basis)
+
+    @lru_cache(maxsize=None)
+    def image(basis, a: int, j: int) -> tuple[tuple[int, ...], ...]:
+        matrix = tuple(zip(*phi(c, p, i, blocks[a][0], j)))
+        return tuple(tuple(sum(x * y for x, y in zip(r, col)) % p for col in matrix) for r in basis)
+
+    def branch(k: int) -> int:
+        # the large blocks from the smallest face up: the targets of each are chosen before it
+        if k == len(large):
+            inside = outside = 0
+            for a, ts in enumerate(targets):
+                for b, j in ts:
+                    if a in chosen and small >> b & 1 and any(map(any, image(chosen[a], a, j))):
+                        inside |= 1 << b | below[b]
+                    elif b in chosen and small >> a & 1 and not fits(chosen[b], phi(c, p, i, blocks[a][0], j)):
+                        outside |= 1 << a | above[a]
+            return 0 if inside & outside else count(small & ~inside & ~outside)
+        a, total = large[k], 0
+        charge(num_subspaces(p, blocks[a][1]))
+        for chosen[a] in subspace_lattice(p, blocks[a][1]):
+            if all(fits(chosen[b], image(chosen[a], a, j)) for b, j in targets[a] if b in chosen):
+                total += branch(k + 1)
+        return total
+
+    return branch(0)
 
 
 def check_maps(c: SimplicialComplex, p: int) -> int:

@@ -125,6 +125,7 @@ def oracle_box_check(c: SimplicialComplex, p: int, lo: int = -3, hi: int = 1) ->
     return max(hi - lo + 1, 0) ** n * (top + 1) - disagree, disagree
 
 
+@lru_cache(maxsize=None)
 def map_ranks(c: SimplicialComplex, p: int) -> dict[tuple[int, int, int], int]:
     """The rank of phi_{nu,j} on H^i, keyed (i, nu, j), nu a face mask
     and j in nu, for every map between two nonzero blocks of H^i.
@@ -134,7 +135,7 @@ def map_ranks(c: SimplicialComplex, p: int) -> dict[tuple[int, int, int], int]:
     sequence of the pair gives dim H^i(Q) = (m(i, nu - j) - rk phi_i) +
     (m(i + 1, nu) - rk phi_{i + 1}), solved from the top degree down with
     rank 0 above it: m from the table, H(Q) from cochain_dims on the
-    filtered face masks, and no cocycle basis built."""
+    filtered face masks, and no cocycle basis built.  Cached: read only."""
     table = {(i, vertex_mask(nu)): m for i, nu, m in decomposition(c, p)}
     by_size = face_masks(c)[0]
     pairs = sorted({(nu, j) for i, nu in table for j in mask_vertices(nu) if (i, nu ^ 1 << j) in table})

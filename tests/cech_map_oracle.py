@@ -24,25 +24,37 @@ The coboundary is box_oracle.coboundary_matrix read on face masks, and
 kernels, spans and containment are those of perp_oracle.
 
 froblab.fmodule builds the same blocks and maps from
-froblab.simplicial.coboundary_rows and counts the families with one
-search on subspace-lattice indices; this listing of Subspace records
-(perp_oracle.lattice) is the reference its counts are checked against.
-window_count runs fmodule's search on one node per point of a window
-of multidegrees instead of one per block, with fmodule's maps phi: its
-agreement with the face count checks the step from points to blocks,
-not phi.
+froblab.simplicial.coboundary_rows and counts the families as the
+down-sets of the order of its nonzero maps, branching over the subspace
+lattice of each block of multiplicity above 1; this listing of Subspace
+records (perp_oracle.lattice) is the reference its counts are checked
+against.  window_count runs a search on subspace-lattice indices,
+_count_families, on one node per point of a window of multidegrees
+instead of one per block, with fmodule's maps phi: its agreement with
+the face count checks the step from points to blocks, not phi.
 """
 
 import itertools
+import math
 from collections import Counter
 from functools import lru_cache
 
 from box_oracle import coboundary_matrix
-from perp_oracle import contains_vector, kernel_basis, lattice, subspace_contains, subspace_from_vectors
+from perp_oracle import (
+    contains_vector,
+    kernel_basis,
+    lattice,
+    lattice_contains,
+    subspace_contains,
+    subspace_from_vectors,
+)
 from froblab import fmodule
+from froblab.errors import CapacityError
 from froblab.gfp_linalg import DEFAULT_ENUM_CAP, row_echelon
 from froblab.local_cohomology import decomposition
 from froblab.simplicial import face_masks, mask_vertices, vertex_mask
+
+EXACT_SIZE_BITS = 2**17  # the largest search space multiplied out, in bits
 
 
 def coboundary(src, tgt, p):
@@ -223,21 +235,73 @@ class PointModel:
         return True
 
 
+@lru_cache(maxsize=None)
+def _phi_images(c, p, i, nu, j):
+    """The lattice index of the image under phi_{nu,j} of every entry of
+    the subspace lattice of H^i(C_nu)."""
+    matrix = fmodule.phi(c, p, i, nu, j)
+    target = fmodule.subspace_lattice(p, len(fmodule.block(c, p, i, nu & ~(1 << j))[2]))
+    index = {basis: k for k, basis in enumerate(target)}
+    out = []
+    for basis in fmodule.subspace_lattice(p, len(matrix)):
+        rows = [[sum(a * b for a, b in zip(r, col)) for col in zip(*matrix)] for r in basis]
+        out.append(index[tuple(map(tuple, row_echelon(rows, p, reduced=True)[0]))])
+    return out
+
+
+def _check_cap(p, multiplicities, cap):
+    """Raise CapacityError when the search space, num_subspaces(p, m) to
+    the power k for each multiplicity m of k nodes, exceeds cap.  The
+    leading bit of each factor bounds the size's bits from below; a bound
+    past the cap and past EXACT_SIZE_BITS refuses without multiplying."""
+    factors = [(fmodule.num_subspaces(p, m), k) for m, k in multiplicities.items()]
+    low = sum(k * (g.bit_length() - 1) for g, k in factors) + 1
+    if low > max(cap.bit_length(), EXACT_SIZE_BITS):
+        raise CapacityError(f"profile search space of at least {low} bits exceeds cap {cap}")
+    # one power per multiplicity: a running product of many factors is quadratic
+    size = math.prod(g**k for g, k in factors)
+    if size > cap:
+        # str() of an integer past 4300 digits raises
+        raise CapacityError(f"profile search space of {size.bit_length()} bits exceeds cap {cap}")
+
+
+def _count_families(p, dims, edges):
+    """Number of families (U_k), U_k an entry of subspace_lattice(p,
+    dims[k]), with every edge (a, b, image) carrying U_a into U_b, image[s]
+    being the lattice index of the image of entry s of node a.  Each edge
+    is checked at whichever end the search assigns later."""
+    checks = [[] for _ in dims]
+    for a, b, image in edges:
+        checks[max(a, b)].append((a, b, image))
+    ids = [0] * len(dims)
+
+    def dfs(k):
+        if k == len(dims):
+            return 1
+        count = 0
+        for ids[k] in range(len(fmodule.subspace_lattice(p, dims[k]))):
+            if all(lattice_contains(p, dims[b], ids[b], image[ids[a]]) for a, b, image in checks[k]):
+                count += dfs(k + 1)
+        return count
+
+    return dfs(0)
+
+
 def window_count(c, p, i, depth, cap=DEFAULT_ENUM_CAP):
     """Number of graded submodules of the window of H^i closed under x and
     F inside it: one node per point of [-pT, -1]^nu of each nonzero block,
-    T the depth, block by block as in fmodule.face_count and magnitudes
+    T the depth, block by block from the largest face and magnitudes
     ascending within a block; x_j steps inside a block by the identity,
     phi_{nu,j} at exponent -1, and F by the identity wherever p*theta
     stays in the window.  The search space is checked against cap first;
-    the fmodule helpers are read at call time, so a patched one is called."""
+    the search helpers are read at call time, so a patched one is called."""
     bound = p * depth
     blocks = [(vertex_mask(nu), m) for ei, nu, m in decomposition(c, p) if ei == i]
     blocks.sort(key=lambda b: (-b[0].bit_count(), b[0]))
     sizes = Counter()
     for nu, m in blocks:
         sizes[m] += bound ** nu.bit_count()
-    fmodule._check_cap(p, sizes, cap)
+    _check_cap(p, sizes, cap)
     points = {}
     dims, support = [], []
     for nu, m in blocks:
@@ -255,8 +319,8 @@ def window_count(c, p, i, depth, cap=DEFAULT_ENUM_CAP):
         for j, t in enumerate(theta):
             b = points.get(theta[:j] + (t + 1,) + theta[j + 1 :]) if t < 0 else None
             if b is not None:
-                edges.append((a, b, same if t < -1 else fmodule._phi_images(c, p, i, nu, j)))
+                edges.append((a, b, same if t < -1 else _phi_images(c, p, i, nu, j)))
         b = points.get(tuple(p * t for t in theta))
         if nu and b is not None:
             edges.append((a, b, same))
-    return fmodule._count_families(p, dims, edges)
+    return _count_families(p, dims, edges)

@@ -2,11 +2,11 @@
 oracles.
 
 froblab holds a subspace as a bare reduced row-echelon basis, an entry
-of froblab.fmodule.subspace_lattice, and decides only whether one
-contains another, by whether stacking their bases adds a pivot
-(froblab.fmodule.lattice_contains).  Here a Subspace record also
-carries its prime and ambient dimension, and lattice wraps the entries
-of the lattice in it.  Here also live the error for operands of
+of froblab.fmodule.subspace_lattice.  lattice_contains decides, on
+lattice indices, whether one contains another, by whether stacking
+their bases adds a pivot; the window search of cech_map_oracle reads it.
+Here a Subspace record also carries its prime and ambient dimension,
+and lattice wraps the entries of the lattice in it.  Here also live the error for operands of
 different ambient spaces, the kernel of a matrix, the zero subspace,
 the span of a list of vectors, the sum U + V, membership of a vector,
 containment of subspaces, the list of all vectors of a subspace, and
@@ -49,6 +49,15 @@ def lattice(p: int, dim: int) -> tuple[Subspace, ...]:
     """Every subspace of F_p^dim, the entries of subspace_lattice(p, dim)
     in its order, each as a Subspace."""
     return tuple(Subspace(p, dim, basis) for basis in subspace_lattice(p, dim))
+
+
+@functools.lru_cache(maxsize=None)
+def lattice_contains(p: int, dim: int, a: int, b: int) -> bool:
+    """Whether L[a] ⊇ L[b] for L = subspace_lattice(p, dim): the basis of
+    L[b] adds no pivot to that of L[a]."""
+    entries = subspace_lattice(p, dim)
+    big, small = entries[a], entries[b]
+    return len(row_echelon(big + small, p)[1]) == len(big)
 
 
 class DimensionMismatchError(ValueError):

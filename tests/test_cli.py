@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cech_map_oracle import closed_families
-from corpus import BOUNDARY_5
+from corpus import BOUNDARY_5, CROSS_POLYTOPE_8
 from froblab.cli import main
 from froblab.fmodule import face_count
 from froblab.simplicial import from_facets
@@ -132,8 +132,8 @@ def test_oracle_past_its_cap_is_a_capacity_error(tmp_path, capsys):
 
 
 def test_three_points_at_p_257_count_their_submodules(tmp_path, capsys):
-    # 260 subspaces of F_257^2 at the empty face and two at each vertex:
-    # 2,080 families, within the default cap; p + 13 are F-stable
+    # the empty face branches over the 260 subspaces of F_257^2, within the
+    # default cap, and each vertex is in or out: p + 13 are F-stable
     path = tmp_path / "three-points.facets"
     path.write_text("0\n1\n2\n")
     code, out, err = run_cli(["analyze-complex", str(path), "--prime", "257", "--format", "json"], capsys)
@@ -524,13 +524,21 @@ def test_huge_degree_finishes():
     assert report["f_injective"] == {"t=1": False, "t=2": False}
 
 
-def test_boundary_of_5_simplex_skips_its_model(tmp_path, capsys):
-    # 63 blocks of multiplicity 1 in the top module: 2^63 families, past the default cap
-    path = tmp_path / "boundary5.facets"
-    path.write_text("".join(" ".join(map(str, f)) + "\n" for f in BOUNDARY_5.facets))
-    code, out, err = run_cli(["analyze-complex", str(path), "--prime", "3", "--format", "json"], capsys)
-    assert (code, err) == (0, "")
-    assert [m["skipped"] for m in json.loads(out)["models"]] == ["cap"]
+def test_cross_polytope_skips_its_model(tmp_path, capsys):
+    # the top module of the 8-vertex cross-polytope counts 59,757,702,070
+    # down-sets, which take more memo states than the default cap allows;
+    # the 63 blocks of the boundary of the 5-simplex count within it
+    reports = {}
+    for name, c in (("cross-polytope", CROSS_POLYTOPE_8), ("boundary5", BOUNDARY_5)):
+        path = tmp_path / f"{name}.facets"
+        path.write_text("".join(" ".join(map(str, f)) + "\n" for f in c.facets))
+        code, out, err = run_cli(["analyze-complex", str(path), "--prime", "3", "--format", "json"], capsys)
+        assert (code, err) == (0, "")
+        reports[name] = json.loads(out)
+    assert [m["skipped"] for m in reports["cross-polytope"]["models"]] == ["cap"]
+    assert [c["count"] for c in reports["cross-polytope"]["analysis"]["fh_counts"]] == [None]
+    assert [m["skipped"] for m in reports["boundary5"]["models"]] == [None]
+    assert [c["count"] for c in reports["boundary5"]["analysis"]["fh_counts"]] == [7828353]
 
 
 MALFORMED = ["", "x", "x0^", "^2", "2*", "x0**2", "x0^-1", "x0 x1", "y0", "(x0)", "x0 +", "+", "1/2*x0", "x0^x1"]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import cech_map_oracle
 from cech_map_oracle import PointModel, closed_families, window_count
 from cech_map_oracle import phi as oracle_phi
 from colon_oracle import monomial_ideal_intersection
@@ -16,6 +17,7 @@ from corpus import (
     BOUNDARY_5,
     CROSS_POLYTOPE_8,
     POINT,
+    RP2,
     SEGMENT,
     TORUS,
     TRIANGLE,
@@ -24,6 +26,7 @@ from corpus import (
     TWO_POINTS,
     WEDGE,
     acceptance_corpus,
+    boundary_facets,
     make_complex,
     small_complexes,
 )
@@ -46,6 +49,7 @@ from element_model import (
 from helpers import is_squarefree, prime_to_ideal, squarefree_minimal_primes
 from perp_oracle import zero_subspace
 from test_acceptance import CORPUS_MODELS
+from test_gfp_linalg import gaussian_binomial
 from froblab import fmodule
 from froblab.errors import CapacityError, UnsupportedInputError
 from froblab.fmodule import check_maps, face_count
@@ -221,18 +225,23 @@ def test_enumeration_cap():
 
 
 @pytest.mark.parametrize(
-    "c,i",
-    [(BOUNDARY_5, 5), (CROSS_POLYTOPE_8, 4), (TWO_BOUNDARY_4, 4)],
+    "c,i,count",
+    [(BOUNDARY_5, 5, 7828353), (CROSS_POLYTOPE_8, 4, None), (TWO_BOUNDARY_4, 4, 57456402)],
     ids=["boundary-5-simplex", "cross-polytope-8", "two-boundary-4-simplices"],
 )
-def test_capacity_message_of_a_huge_search_space(c, i):
+def test_capacity_message_of_a_huge_search_space(c, i, count):
     size = search_space_size(build_truncation(c, 3, i, 2))
     assert size > 10**4300  # past the digits that str() of an int allows
     with pytest.raises(CapacityError) as info:
         window_count(c, 3, i, 2)
     assert str(info.value) == f"profile search space of {size.bit_length()} bits exceeds cap {DEFAULT_ENUM_CAP}"
-    with pytest.raises(CapacityError):
-        face_count(c, 3, i)
+    # the face count walks the order of the nonzero maps, not the space:
+    # only the cross-polytope needs more memo states than the default cap
+    if count is None:
+        with pytest.raises(CapacityError, match=f"count past {DEFAULT_ENUM_CAP} branches and memo states"):
+            face_count(c, 3, i)
+    else:
+        assert face_count(c, 3, i) == count
 
 
 def test_cap_is_checked_before_any_point_is_listed(monkeypatch):
@@ -242,12 +251,15 @@ def test_cap_is_checked_before_any_point_is_listed(monkeypatch):
         raise AssertionError("search built for a capped model")
 
     with monkeypatch.context() as patch:
-        patch.setattr(fmodule, "_phi_images", no_search)
-        patch.setattr(fmodule, "_count_families", no_search)
+        patch.setattr(cech_map_oracle, "_phi_images", no_search)
+        patch.setattr(cech_map_oracle, "_count_families", no_search)
         with pytest.raises(CapacityError) as info:
             window_count(TRIANGLE, 2, 2, 1, size - 1)
+        # the empty face of three disjoint triangles has multiplicity 3:
+        # G(257, 3) = 132,616 subspaces, past the default cap of 65,536
+        patch.setattr(fmodule, "subspace_lattice", no_search)
         with pytest.raises(CapacityError):
-            face_count(TRIANGLE, 2, 2, 2**7 - 1)
+            face_count(disjoint_triangles(3), 257, 2)
     assert str(info.value) == f"profile search space of {size.bit_length()} bits exceeds cap {size - 1}"
     assert window_count(TRIANGLE, 2, 2, 1, size) == face_count(TRIANGLE, 2, 2, 2**7) == 19
 
@@ -269,9 +281,82 @@ def test_bits_bound_of_the_cap_check_is_a_lower_bound():
     for p, sizes in ((2, {1: 2**17}), (3, {2: 60000, 1: 20000}), (5, {3: 30000})):
         exact = math.prod(fmodule.num_subspaces(p, m) ** k for m, k in sizes.items()).bit_length()
         with pytest.raises(CapacityError) as info:
-            fmodule._check_cap(p, Counter(sizes), 1)
+            cech_map_oracle._check_cap(p, Counter(sizes), 1)
         low = int(re.fullmatch(r"profile search space of at least (\d+) bits exceeds cap 1", str(info.value))[1])
         assert low <= exact and (p != 2 or low == exact)
+
+
+def disjoint_triangles(k):
+    """k disjoint boundaries of a triangle, on vertices 3t, 3t + 1, 3t + 2."""
+    return from_facets(3 * k, [f for t in range(k) for f in boundary_facets(2, 3 * t)])
+
+
+def galois(p, n):
+    """Number of subspaces of F_p^n, summed from the Gaussian binomials."""
+    return sum(gaussian_binomial(n, k, p) for k in range(n + 1))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_face_count_of_simplex_boundaries_is_dedekind_minus_one(p):
+    # D(3), ..., D(6) = 20, 168, 7,581, 7,828,354: the empty family of
+    # blocks is the zero submodule, and the empty face is below every face
+    for k, count in ((2, 19), (3, 167), (4, 7580), (5, 7828353)):
+        assert face_count(from_facets(k + 1, boundary_facets(k)), p, k) == count
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_face_count_of_two_disjoint_boundaries_of_the_4_simplex(p):
+    # the empty face has multiplicity 2, one line per sphere: zero, the
+    # p - 1 other lines, either sphere's line with the 7,579 down-sets of
+    # its other faces, or the plane with both
+    assert face_count(TWO_BOUNDARY_4, p, 4) == 1 + (p - 1) + 2 * 7579 + 7579**2
+    assert face_count(TWO_BOUNDARY_4, p, 4) == {2: 57456401, 3: 57456402}[p]
+
+
+@pytest.mark.parametrize("p, most", [(2, 3), (3, 3), (5, 3), (257, 2)])
+def test_face_count_of_disjoint_triangles(p, most):
+    # each triangle has 17 nonempty down-sets of its other faces, and each
+    # needs that triangle's line in the block of the empty face, of
+    # multiplicity k: G(p, k - t) subspaces hold t such lines
+    for k in range(1, most + 1):
+        expected = sum(math.comb(k, t) * 17**t * galois(p, k - t) for t in range(k + 1))
+        assert face_count(disjoint_triangles(k), p, 2) == expected
+    if most == 3:
+        assert face_count(disjoint_triangles(3), p, 2) == {2: 6918, 3: 6981, 5: 7119}[p]
+
+
+def test_face_count_of_named_complexes():
+    # three points: the plane, zero, p + 1 lines of which three hold one
+    # point each (p + 13 in all)
+    three = from_facets(3, [[0], [1], [2]])
+    assert [face_count(three, p, 1) for p in (257, 263)] == [270, 276]
+    # RP^2 has no block at the empty face at p = 3, where H^2 vanishes
+    assert [face_count(RP2, p, 3) for p in (2, 3)] == [147246, 147245]
+    assert [face_count(TORUS, p, 3) for p in (2, 3)] == [15761633, 15761633]
+
+
+# the edge 01 of a fin on the tetrahedron boundary lies in three
+# triangles: its block of H^3 has multiplicity 2 and maps onto the blocks
+# of the vertices 0 and 1, which map onto the block of the empty face
+FIN = from_facets(5, boundary_facets(3) + [(0, 1, 4)])
+# the block of the vertex 0 in H^2 maps to zero in that of the empty face
+ZERO_MAP = from_facets(5, [(0, 1), (2, 3), (0, 2, 4), (0, 3, 4)])
+
+
+@pytest.mark.parametrize(
+    "c, i, edge, rank, counts",
+    [
+        (FIN, 3, (3, 0b11, 1), 1, {2: 546, 3: 596}),
+        (ZERO_MAP, 2, (2, 0b1, 0), 0, {2: 18, 3: 18}),
+        # the shared vertex, of multiplicity 3, maps into the empty face, of multiplicity 2
+        (WEDGE, 2, (2, 0b1, 0), 2, {2: 925, 3: 1302}),
+    ],
+    ids=["large-to-small", "zero-map", "large-to-large"],
+)
+@pytest.mark.parametrize("p", [2, 3])
+def test_counts_through_large_blocks_and_zero_maps_match_the_listing(c, i, edge, rank, counts, p):
+    assert map_ranks(c, p)[edge] == rank
+    assert face_count(c, p, i) == len(closed_families(c, p, i)) == counts[p]
 
 
 def test_antinilpotent_on_models():

@@ -11,13 +11,14 @@ from perp_oracle import (
     intersection_by_perps,
     kernel_basis,
     lattice,
+    lattice_contains,
     subspace_from_vectors,
     subspace_sum,
     subspace_vectors,
     zero_subspace,
 )
 from froblab.errors import UnsupportedInputError
-from froblab.fmodule import lattice_contains, num_subspaces, subspace_lattice
+from froblab.fmodule import num_subspaces, subspace_lattice
 from froblab.gfp_linalg import row_echelon
 
 

@@ -12,7 +12,9 @@ return plain values; the face-ring reports were rewritten again, and
 three-points-p3 added, when the window search gave way to checking each
 map's rank against the exact sequence of its pair (three-points-p3 is the
 one whose count is not validated: its empty-face block has multiplicity
-2).  The input file path is replaced by a placeholder.  To
+2); rp2-p2 and torus-p3 were rewritten when the count moved to the
+order of the nonzero maps and their top modules came under the cap.
+The input file path is replaced by a placeholder.  To
 rewrite them after an intended report change, run
 
     PYTHONPATH=src python tests/test_golden.py
