@@ -176,8 +176,6 @@ def cmd_analyze_hypersurface(args, threads: int) -> None:
     from .polyfp import parse_polynomial
 
     f = parse_polynomial(args.poly, args.prime)
-    if not f.is_homogeneous() or f.is_zero:
-        raise ParseError("the polynomial must be homogeneous and nonzero")
     params = None
     if args.params is not None:
         n = max([f.n_vars] + [parse_polynomial(s, args.prime).n_vars for s in args.params])

@@ -27,6 +27,7 @@ proof, of membership in the tight closure of zero.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -37,6 +38,10 @@ from .record import record
 
 DEGREE_CAP_FACTOR = 3
 MAX_SUBSTITUTED_TERMS = 10**6
+# the products c * m, m a monomial of degree deg f - 1, that the zero-divisor
+# test of a multiplier c may reduce and eliminate: about 1 s with a dense f
+# and c on a 2-CPU container
+MAX_DIVISOR_PRODUCTS = 1000
 
 
 @record
@@ -73,17 +78,16 @@ class GradedHypersurface:
 
 
 def make_hypersurface(f: PolynomialFp, params=None) -> GradedHypersurface:
-    """Build from f, defaulting the parameters to the trailing variables
-    when f is monic in the first one."""
-    n = f.n_vars
-    if params is None:
-        lead = tuple([f.degree()] + [0] * (n - 1))
-        if lead not in f.as_dict():
-            raise InvalidParametersError(
-                "f is not monic in x0; parameters must be supplied"
-            )
-        params = tuple(PolynomialFp.variable(f.p, n, j) for j in range(1, n))
-    return GradedHypersurface(f.p, n, f, tuple(params))
+    """Build from f, defaulting the parameters to the trailing variables,
+    which need f monic in the first one."""
+    if params is not None:
+        return GradedHypersurface(f.p, f.n_vars, f, tuple(params))
+    trailing = tuple(PolynomialFp.variable(f.p, f.n_vars, j) for j in range(1, f.n_vars))
+    try:
+        return GradedHypersurface(f.p, f.n_vars, f, trailing)
+    except InvalidParametersError:
+        # they leave x0 free, so A_t is Artinian exactly when f is monic in x0
+        raise InvalidParametersError("f is not monic in x0; parameters must be supplied") from None
 
 
 def _set_coordinates(h: GradedHypersurface) -> None:
@@ -142,37 +146,31 @@ def _up_to_degree(g: PolynomialFp, top: int) -> PolynomialFp:
     return PolynomialFp(g.p, g.n_vars, tuple((m, c) for m, c in g.terms if mono_deg(m) <= top))
 
 
-def _normal_form(h: GradedHypersurface, t: int | None, g: PolynomialFp) -> PolynomialFp:
+def _normal_form(h: GradedHypersurface, t: int, g: PolynomialFp) -> PolynomialFp:
     """Remainder of g, in y coordinates, on division by f in y_0, dropping
     every term with some y_i^(>= t), i >= 1, or of degree above the top of
-    A_t; with t None, plain division.
+    A_t.
 
     In lex order with y_0 first, f leads with y_0^e, which is coprime to
     y_1^t, ..., y_d^t; by Buchberger's first criterion these form a
     Gröbner basis, so the remainder is the lex normal form modulo
-    (f, y_1^t, ..., y_d^t), and modulo (f) when t is None.  Division by
-    the homogeneous f keeps degrees, so the degree test is made once.
+    (f, y_1^t, ..., y_d^t).  Division by the homogeneous f keeps degrees,
+    so the degree test is made once.
     """
     p, e = h.p, h.f.degree()
     inv = pow(h._f_y.as_dict()[(e,) + (0,) * (h.n_vars - 1)], -1, p)
     tail = [(m[0], m[1:], c * inv % p) for m, c in h._f_y.terms if m[0] < e]
-
-    def kept(rest: Monomial) -> bool:
-        return t is None or all(b < t for b in rest)
-
-    if t is not None:
-        g = _up_to_degree(g, level_top_degree(h, t))
     # terms bucketed by their y_0 exponent
     by_a: dict[int, dict[Monomial, int]] = {}
-    for m, c in g.terms:
-        if kept(m[1:]):
+    for m, c in _up_to_degree(g, level_top_degree(h, t)).terms:
+        if all(b < t for b in m[1:]):
             by_a.setdefault(m[0], {})[m[1:]] = c
     while by_a and max(by_a) >= e:
         a = max(by_a)
         for rest, c in by_a.pop(a).items():
             for k, f_rest, fc in tail:
                 m = tuple(x + y for x, y in zip(rest, f_rest))
-                if kept(m):
+                if all(b < t for b in m):
                     bucket = by_a.setdefault(a - e + k, {})
                     bucket[m] = (bucket.get(m, 0) - c * fc) % p
     return PolynomialFp.make(
@@ -185,7 +183,7 @@ def _frobenius_power(h: GradedHypersurface, t: int, g: PolynomialFp, e: int) -> 
     """The level-(p^e * t) normal form of g^(p^e), g in y coordinates,
     reduced from the e - 1 form as NF_ps(g^p) = NF_ps(NF_s(g)^p)."""
     prev = g if e == 1 else _frobenius_power(h, t, g, e - 1)
-    return _normal_form(h, h.p**e * t, prev.frobenius(h.p))
+    return _normal_form(h, h.p**e * t, prev.frobenius())
 
 
 def _socle(h: GradedHypersurface, t: int) -> PolynomialFp:
@@ -240,19 +238,33 @@ def socle_class(h: GradedHypersurface, t: int) -> PolynomialFp:
 
 def tight_closure_zero_bounded(h: GradedHypersurface, t: int, c: PolynomialFp, e_max: int) -> int | None:
     """The first e in 1..e_max with c * u^(p^e) nonzero at level p^e * t,
-    u the socle class of A_t, or None when every tested power vanishes."""
+    u the socle class of A_t, or None when every tested power vanishes.
+    A multiplier that is a zero divisor modulo f is refused: the verdict
+    would hold for it whatever u is."""
     _check_e_max(e_max)
     if c.degree() > h.degree_cap(1):
         raise CapacityError(f"degree {c.degree()} exceeds cap {h.degree_cap(1)}")
+    # monomials and linear forms have exact tests of their own, cheap at any degree of f
+    if len(c.terms) > 1 and c.degree() > 1:
+        products = math.comb(h.n_vars + h.f.degree() - 2, h.f.degree() - 1)
+        if products > MAX_DIVISOR_PRODUCTS:
+            raise CapacityError(
+                f"the zero-divisor test of the multiplier needs {products} products,"
+                f" which exceeds the cap {MAX_DIVISOR_PRODUCTS}"
+            )
     c_y = _substitute(c, h._to_y)
-    if _normal_form(h, None, c_y).is_zero:
+    # every y_i^t has degree above deg c, so this level form vanishes exactly when c lies in (f)
+    if _normal_form(h, c.degree() + 1, c_y).is_zero:
         raise UnsupportedInputError("the multiplier must be nonzero modulo f")
     if len(c.terms) == 1:
         shared = [j for j in _variable_factors(h) if c.terms[0][0][j]]
         if shared:
             raise UnsupportedInputError(f"the multiplier is a zero divisor: x{shared[0]} divides f")
-    elif c.degree() == 1 and _linear_divides(c, h.f):
-        raise UnsupportedInputError(f"the multiplier is a zero divisor: {c.to_text()} divides f")
+    elif c.degree() == 1:
+        if _linear_divides(c, h.f):
+            raise UnsupportedInputError(f"the multiplier is a zero divisor: {c.to_text()} divides f")
+    elif _is_zero_divisor(h, c_y):
+        raise UnsupportedInputError("the multiplier is a zero divisor: it shares a factor with f")
     u = _socle(h, t)
     for e in range(1, e_max + 1):
         if not _normal_form(h, h.p**e * t, c_y * _frobenius_power(h, t, u, e)).is_zero:
@@ -282,6 +294,26 @@ def _linear_divides(l: PolynomialFp, g: PolynomialFp) -> bool:
     j = m.index(1)
     forms[j] = forms[j] - l * PolynomialFp.constant(l.p, n, pow(a, -1, l.p))
     return _substitute(g, tuple(forms)).is_zero
+
+
+def _is_zero_divisor(h: GradedHypersurface, c_y: PolynomialFp) -> bool:
+    """Whether c, given in y coordinates, is a zero divisor modulo f, that
+    is, whether c * g lies in (f) for a nonzero form g of degree deg f - 1.
+
+    A factor k that c shares with f gives g = (f / k) * y_0^(deg k - 1),
+    and f divides no such c * g when c and f are coprime.  At level
+    t = deg f + deg c every y_i^t has degree above deg(c * g), so c * g
+    lies in (f) exactly when its level form vanishes: such a g exists
+    exactly when the level forms of c * m, over the monomials m of degree
+    deg f - 1, are linearly dependent."""
+    n, e = h.n_vars, h.f.degree()
+    forms = []
+    for combo in itertools.combinations_with_replacement(range(n), e - 1):
+        m = PolynomialFp.monomial(h.p, tuple(combo.count(j) for j in range(n)))
+        forms.append(_normal_form(h, e + c_y.degree(), c_y * m).as_dict())
+    columns = sorted({m for form in forms for m in form})
+    rank = len(row_echelon([[form.get(m, 0) for m in columns] for form in forms], h.p)[1])
+    return rank < len(forms)
 
 
 def rf_simplicity_probe(h: GradedHypersurface, t: int, e_max: int) -> str | None:

@@ -26,15 +26,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def check_p_power(q: int, p: int) -> None:
-    """Raise ValueError unless q = p^e for some e >= 0."""
-    r = q
-    while r > 0 and r % p == 0:
-        r //= p
-    if r != 1:
-        raise ValueError(f"{q} is not a power of {p}")
-
-
 def mono_to_text(m: Monomial) -> str:
     parts = []
     for i, e in enumerate(m):
@@ -136,12 +127,10 @@ class PolynomialFp:
             e >>= 1
         return result
 
-    def frobenius(self, q: int) -> "PolynomialFp":
-        """q-th power for q a power of p: exponents scale, coefficients fixed."""
-        check_p_power(q, self.p)
-        return PolynomialFp.make(
-            self.p, self.n_vars, {tuple(e * q for e in m): c for m, c in self.terms}
-        )
+    def frobenius(self) -> "PolynomialFp":
+        """The p-th power: exponents scale by p, coefficients stay fixed."""
+        p = self.p
+        return PolynomialFp.make(p, self.n_vars, {tuple(e * p for e in m): c for m, c in self.terms})
 
     def to_text(self) -> str:
         if self.is_zero:
@@ -162,11 +151,16 @@ class PolynomialFp:
             raise ValueError("polynomials from different rings")
 
 
-_TOKEN = re.compile(r"\s*(x\d+|\d+|\^|\*|\+|-)")
+# a variable's power is one token, so `^` stands nowhere else
+_TOKEN = re.compile(r"\s*(x\d+(?:\s*\^\s*\d+)?|\d+|\*|\+|-)")
 
 
 def parse_polynomial(text: str, p: int, n_vars: int | None = None) -> PolynomialFp:
-    """Parse `x0^3 + 2*x1*x2 - 1` style input; coefficients reduced mod p."""
+    """Parse `x0^3 + 2*x1*x2 - 1` style input; coefficients reduced mod p.
+
+    A term is a product of integers and variables, each variable with an
+    optional `^` exponent, side by side or joined by `*`; one `+` or `-`
+    stands between two terms, and one may lead the input."""
     check_prime(p)
     tokens = []
     pos = 0
@@ -181,71 +175,38 @@ def parse_polynomial(text: str, p: int, n_vars: int | None = None) -> Polynomial
     if not tokens:
         raise ParseError("empty polynomial")
 
-    terms: list[tuple[dict[int, int], int]] = []
-    sign = 1
-    i = 0
-
-    def parse_term(i: int, sign: int):
-        coeff = sign
-        expo: dict[int, int] = {}
-        saw_factor = False
-        while i < len(tokens):
-            t = tokens[i]
-            if t == "*":
-                i += 1
-                continue
+    # `*` only joins factors, so the terms are cut at the signs; a sign
+    # leads only as the first token, and a lone `*` is no term
+    factors = [t for t in tokens if t != "*"]
+    if not factors or (factors[0] in "+-" and tokens[0] == "*"):
+        raise ParseError("empty term")
+    terms: list[list] = []  # [coefficient, {variable: exponent}] per term
+    try:
+        for i, t in enumerate(factors):
+            prev = factors[i - 1] if i else "+"
             if t in "+-":
-                break
-            if t.isdigit():
-                coeff *= int(t)
-                i += 1
-            elif t.startswith("x"):
-                v = int(t[1:])
-                e = 1
-                if i + 1 < len(tokens) and tokens[i + 1] == "^":
-                    if i + 2 >= len(tokens) or not tokens[i + 2].isdigit():
-                        raise ParseError("exponent expected after '^'")
-                    e = int(tokens[i + 2])
-                    i += 3
-                else:
-                    i += 1
-                expo[v] = expo.get(v, 0) + e
+                nxt = factors[i + 1] if i + 1 < len(factors) else None
+                if nxt is None or nxt in "+-":
+                    raise ParseError(f"misplaced operator {nxt!r}" if nxt else "dangling operator")
+                continue
+            if prev in "+-":
+                terms.append([-1 if prev == "-" else 1, {}])
+            if t[0] == "x":
+                var, _, e = t[1:].partition("^")
+                v = int(var)
+                expo = terms[-1][1]
+                expo[v] = expo.get(v, 0) + int(e or 1)
             else:
-                raise ParseError(f"unexpected token {t!r}")
-            saw_factor = True
-        if not saw_factor:
-            raise ParseError("empty term")
-        return i, coeff, expo
+                terms[-1][0] *= int(t)
+    except ValueError as exc:  # int() refuses a literal past the interpreter's digit limit
+        raise ParseError(str(exc)) from None
 
-    expect_term = True
-    at_start = True
-    while i < len(tokens):
-        t = tokens[i]
-        if t in "+-":
-            if expect_term and not at_start:
-                raise ParseError(f"misplaced operator {t!r}")
-            sign = -sign if t == "-" else sign
-            expect_term = True
-            at_start = False
-            i += 1
-            continue
-        try:
-            i, coeff, expo = parse_term(i, sign)
-        except ValueError as exc:  # int() refuses a literal past the interpreter's digit limit
-            raise ParseError(str(exc)) from None
-        sign = 1
-        expect_term = False
-        at_start = False
-        terms.append((expo, coeff))
-    if expect_term:
-        raise ParseError("dangling operator")
-
-    max_var = max((v for expo, _ in terms for v in expo), default=-1)
+    max_var = max((v for _, expo in terms for v in expo), default=-1)
     n = max_var + 1 if n_vars is None else n_vars
     if max_var >= n:
         raise ParseError(f"variable x{max_var} out of range for {n} variables")
     coeffs: dict[Monomial, int] = {}
-    for expo, c in terms:
+    for c, expo in terms:
         m = tuple(expo.get(j, 0) for j in range(n))
         coeffs[m] = (coeffs.get(m, 0) + c) % p
     return PolynomialFp.make(p, n, coeffs)

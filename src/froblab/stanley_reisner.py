@@ -58,6 +58,12 @@ def fedder_fpure_monomial(generators: tuple[Monomial, ...], p: int) -> bool:
     that is when h divides x^ceil(g/p).  That bound is g itself for a
     square-free g, so it is looked up among the generators before the
     generators are scanned.  The colon itself is never formed.
+
+    The minimal nonfaces are square-free, so on a face ring the lookup
+    finds every witness and the answer is always True, as it must be:
+    face rings are F-pure (Hochster-Roberts).  The scan past the lookup
+    runs only on ideals that are not square-free, which only the tests
+    pass.
     """
     check_prime(p)
     present = set(generators)

@@ -18,7 +18,7 @@ table of face masks.
 import itertools
 
 from box_oracle import is_face
-from froblab.polyfp import check_p_power, mono_to_text
+from froblab.polyfp import mono_to_text
 from froblab.record import record
 from froblab.stanley_reisner import nonface_ideal
 
@@ -58,6 +58,15 @@ class MonomialIdeal:
         if self.is_zero:
             return "(0)"
         return "(" + ", ".join(mono_to_text(g) for g in sorted(self.generators, reverse=True)) + ")"
+
+
+def check_p_power(q: int, p: int) -> None:
+    """Raise ValueError unless q = p^e for some e >= 0."""
+    r = q
+    while r > 0 and r % p == 0:
+        r //= p
+    if r != 1:
+        raise ValueError(f"{q} is not a power of {p}")
 
 
 def frobenius_power(ideal: MonomialIdeal, q: int, p: int) -> MonomialIdeal:

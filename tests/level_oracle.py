@@ -71,7 +71,11 @@ def frobenius_powers_direct(h, t, g, e_max):
     """Level-(p^e * t) normal forms of g^(p^e), e = 1..e_max, for g in y
     coordinates, each from one normal form of the whole power; cached, as
     several multipliers are tested against one class."""
-    return tuple(_normal_form(h, h.p**e * t, g.frobenius(h.p**e)) for e in range(1, e_max + 1))
+    powers = []
+    for e in range(1, e_max + 1):
+        g = g.frobenius()
+        powers.append(_normal_form(h, h.p**e * t, g))
+    return tuple(powers)
 
 
 def tight_closure_direct(h, u, c, e_max):
@@ -90,13 +94,14 @@ def frobenius_powers_by_steps(h, t, g, e_max):
     coordinates, each reduced from the previous one; uncached."""
     powers = []
     for e in range(1, e_max + 1):
-        g = _normal_form(h, h.p**e * t, g.frobenius(h.p))
+        g = _normal_form(h, h.p**e * t, g.frobenius())
         powers.append(g)
     return powers
 
 
 def in_principal(h, c):
-    return _normal_form(h, None, _substitute(c, h._to_y)).is_zero
+    """Membership of c in (f), by the rank of each degree's span of f's multiples."""
+    return span_contains((h.f,), c, h.p, h.n_vars)
 
 
 def tight_closure_by_chain(h, t, c, e_max):

@@ -489,6 +489,25 @@ def test_linear_zero_divisor_multiplier_is_an_input_error(capsys):
     assert json.loads(out)["tight_closure"]["c"] == "x0 + 2*x1"
 
 
+def test_multiplier_sharing_a_factor_with_f_is_an_input_error(capsys):
+    # x0 + x1 divides f = x0^2 - x1^2 and c = x0^2 + x0*x1, so c * (x0 - x1)
+    # lies in (f); x0^2 + x1^2 is irreducible over F_3 and so coprime to f
+    args = ["analyze-hypersurface", "--poly", "x0^2 - x1^2", "--prime", "3"]
+    proc = run_cli_process([*args, "--c", "x0^2 + x0*x1"])
+    assert_input_error(proc)
+    assert proc.stderr == "error: the multiplier is a zero divisor: it shares a factor with f\n"
+    code, out, _ = run_cli([*args, "--c", "x0^2 + x1^2", "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["tight_closure"]["c"] == "x0^2 + x1^2"
+
+
+@pytest.mark.parametrize("text", ["1", "0", "x0^2 + x1", "-x0 + 1"])
+def test_f_of_no_positive_degree_is_refused_before_the_monic_test(text, capsys):
+    code, out, err = run_cli(["analyze-hypersurface", "--poly", text, "--prime", "3"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: f must be homogeneous of positive degree\n"
+
+
 @pytest.mark.parametrize(
     "extra",
     [[], ["--prime", "x"], ["--prime", "2", "--bogus"], ["--prime", "2", "--format", "xml"]],

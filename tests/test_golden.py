@@ -18,14 +18,17 @@ The input file path is replaced by a placeholder.  To
 rewrite them after an intended report change, run
 
     PYTHONPATH=src python tests/test_golden.py
+
+and to compare every report with its golden file without pytest, as on
+the oldest supported Python, add --check: it names each report that
+differs and exits 1 if any does.
 """
 
 import contextlib
 import io
 import json
+import sys
 from pathlib import Path
-
-import pytest
 
 from froblab.cli import main
 
@@ -110,7 +113,12 @@ def report_text(name: str, workdir: Path) -> str:
     return out
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+def pytest_generate_tests(metafunc):
+    # parametrized by this hook, so the module runs as a script without pytest
+    if "name" in metafunc.fixturenames:
+        metafunc.parametrize("name", sorted(CASES))
+
+
 def test_golden_report(name, tmp_path):
     expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     assert report_text(name, tmp_path) == expected
@@ -119,8 +127,18 @@ def test_golden_report(name, tmp_path):
 if __name__ == "__main__":
     import tempfile
 
+    check = sys.argv[1:] == ["--check"]
+    differ = []
     with tempfile.TemporaryDirectory() as tmp:
         for case in sorted(CASES):
             text = report_text(case, Path(tmp))
-            (GOLDEN / f"{case}.json").write_text(text, encoding="utf-8")
-            print(f"wrote {case}.json")
+            golden = GOLDEN / f"{case}.json"
+            if not check:
+                golden.write_text(text, encoding="utf-8")
+                print(f"wrote {case}.json")
+            elif text != golden.read_text(encoding="utf-8"):
+                differ.append(case)
+                print(f"differs: {case}.json")
+    if check:
+        print(f"{len(CASES) - len(differ)} of {len(CASES)} reports match their golden files")
+    sys.exit(1 if differ else 0)

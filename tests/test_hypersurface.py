@@ -432,6 +432,69 @@ def test_linear_divides_matches_sympy_membership(data):
 
 
 @st.composite
+def forms_and_multipliers(draw):
+    """A form f in 3 variables, monic in x0, and a multiplier c of degree
+    2 or 3 that is neither a monomial nor linear; half the time f, and
+    independently c, is a multiple of one shared form k."""
+    p = draw(PRIMES)
+
+    def monic_form(degree):
+        support = draw(st.lists(st.sampled_from(monomials_of_degree(3, degree)), max_size=3, unique=True))
+        coeffs = {m: draw(st.integers(1, p - 1)) for m in support}
+        coeffs[(degree, 0, 0)] = 1
+        return PolynomialFp.make(p, 3, coeffs)
+
+    k = monic_form(draw(st.integers(1, 2)))
+    f = k * monic_form(draw(st.integers(1, 2))) if draw(st.booleans()) else monic_form(draw(st.integers(2, 4)))
+    c = k * monic_form(3 - k.degree()) if draw(st.booleans()) else monic_form(draw(st.integers(2, 3)))
+    if draw(st.booleans()):
+        c = c + monic_form(draw(st.integers(0, 2)))
+    assume(len(c.terms) > 1 and c.degree() > 1)
+    return f, c
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(forms_and_multipliers())
+def test_zero_divisor_multiplier_matches_sympy_gcd(case):
+    # c is a zero divisor modulo f exactly when it shares a factor with f
+    sympy = pytest.importorskip("sympy")
+    f, c = case
+    xs = sympy.symbols("x0:3")
+
+    def to_sympy(r):
+        return sympy.Poly(sum(k * sympy.prod(x**e for x, e in zip(xs, m)) for m, k in r.terms), *xs, modulus=f.p)
+
+    shared = to_sympy(f).gcd(to_sympy(c))
+    if to_sympy(c).rem(to_sympy(f)).is_zero:
+        expected = "nonzero modulo f"
+    elif shared.total_degree() > 0:
+        expected = "zero divisor: it shares a factor with f"
+    else:
+        expected = None
+    try:
+        tight_closure_zero_bounded(make_hypersurface(f), 1, c, 1)
+        refused = None
+    except UnsupportedInputError as exc:
+        refused = str(exc)
+    if expected is None:
+        assert refused is None
+    else:
+        assert refused is not None and expected in refused
+
+
+def test_zero_divisor_test_is_refused_before_any_normal_form(monkeypatch):
+    # 99,999 monomials of degree deg f - 1 in two variables; the exact
+    # test of a linear multiplier runs at any degree
+    h = make_hypersurface(poly("x0^99999 + x1^99999", 3))
+    monkeypatch.setattr(hypersurface, "_normal_form", None)
+    with pytest.raises(CapacityError, match="99999 products"):
+        tight_closure_zero_bounded(h, 1, poly("x0^2 + x1^2", 3, 2), 1)
+    monkeypatch.undo()
+    with pytest.raises(UnsupportedInputError, match="x0 \\+ x1 divides f"):
+        tight_closure_zero_bounded(h, 1, poly("x0 + x1", 3, 2), 1)
+
+
+@st.composite
 def forms_and_params(draw, primes=PRIMES):
     """A form f of degree 1 to 3 in 3 variables and two nonzero linear forms."""
     p, e = draw(primes), draw(st.integers(1, 3))
