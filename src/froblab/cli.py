@@ -22,7 +22,6 @@ from . import __version__
 from .errors import CapacityError, FroblabError, OracleMismatchError, ParseError
 from .gfp_linalg import DEFAULT_ENUM_CAP, check_prime
 
-DEFAULT_BOX = "-3:1"
 DEFAULT_EMAX = 2
 NO_WITNESS = "no-proper-nonzero-F-stable-found-at-this-resolution"
 TIGHT_CLOSURE_NOTE = "one-sided bounded check: consistency is evidence, not a proof, of tight-closure membership"
@@ -47,16 +46,6 @@ def _positive_int(text: str) -> int:
     if n < 1:
         raise ParseError(f"expected a positive integer, got {text!r}")
     return n
-
-
-def _parse_box(text: str) -> tuple[int, int]:
-    try:
-        lo, hi = (int(part) for part in text.split(":"))
-    except ValueError:
-        raise ParseError(f"box must look like '-3:1', got {text!r}")
-    if lo > hi:
-        raise ParseError("box lower bound exceeds upper bound")
-    return lo, hi
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -90,9 +79,9 @@ def cmd_analyze_complex(args, threads: int) -> None:
     # other command's modules.  The names are read from their modules at
     # call time, so a patched module attribute is the one called.
     from .fmodule import check_maps, face_count
-    from .local_cohomology import analysis_report, decomposition, oracle_box_check
+    from .local_cohomology import BOX, analysis_report, decomposition, oracle_box_check
     from .simplicial import parse_facets_text
-    from .stanley_reisner import fedder_fpure_monomial, ideal_text, nonface_ideal
+    from .stanley_reisner import ideal_text, nonface_ideal
 
     try:
         with open(args.path, encoding="utf-8") as fh:
@@ -102,7 +91,7 @@ def cmd_analyze_complex(args, threads: int) -> None:
     complex_ = parse_facets_text(text)
     p = check_prime(args.prime)
     # first, so that a complex past the oracle's cap is refused before any elimination
-    agree, disagree = oracle_box_check(complex_, p, *args.box)
+    agree, disagree = oracle_box_check(complex_, p)
     maps_checked = check_maps(complex_, p)
     analysis = analysis_report(complex_, p)
     ideal = nonface_ideal(complex_)
@@ -137,16 +126,17 @@ def cmd_analyze_complex(args, threads: int) -> None:
         },
         "prime": p,
         "caps": {
-            "box": list(args.box),
+            "box": list(BOX),
             "enumerate_cap": args.enumerate_cap,
             "threads": threads,
         },
         "analysis": analysis,
-        "f_pure": fedder_fpure_monomial(ideal, p),
+        # face rings are F-pure (Hochster-Roberts)
+        "f_pure": True,
         "nonface_ideal": ideal_text(ideal),
         "models": models,
         "oracle_check": {
-            "box": list(args.box),
+            "box": list(BOX),
             "agreements": agree,
             "mismatches": disagree,
             "maps_checked": maps_checked,
@@ -173,15 +163,14 @@ def cmd_analyze_hypersurface(args, threads: int) -> None:
         socle_class,
         tight_closure_zero_bounded,
     )
-    from .polyfp import parse_polynomial
+    from .polyfp import PolynomialFp, parse_polynomial
 
-    f = parse_polynomial(args.poly, args.prime)
-    params = None
-    if args.params is not None:
-        n = max([f.n_vars] + [parse_polynomial(s, args.prime).n_vars for s in args.params])
-        f = parse_polynomial(args.poly, args.prime, n)
-        params = tuple(parse_polynomial(s, args.prime, n) for s in args.params)
-    h = make_hypersurface(f, params)
+    # each text parsed once, --poly first; all are then read in the largest
+    # number of variables, and appending zeros keeps the lex order of terms
+    parsed = [parse_polynomial(s, args.prime) for s in [args.poly, *(args.params or ())]]
+    n = max(g.n_vars for g in parsed)
+    f, *params = (PolynomialFp(g.p, n, tuple((m + (0,) * (n - g.n_vars), c) for m, c in g.terms)) for g in parsed)
+    h = make_hypersurface(f, None if args.params is None else params)
 
     f_pure = fedder_fpure_principal(h)
     f_inj = {f"t={t}": f_injective_top(h, t) for t in (1, 2)}
@@ -242,8 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--prime", type=int, required=True)
     # accepted for older command lines; it selects nothing
     pc.add_argument("--trunc", type=_positive_int, help="ignored")
-    pc.add_argument("--box", type=_parse_box, default=_parse_box(DEFAULT_BOX),
-                    help="multidegree box LO:HI (use --box=-3:1 for negative bounds)")
     pc.add_argument("--enumerate-cap", type=_positive_int, default=DEFAULT_ENUM_CAP,
                     help="bound on the branches and memo states of each submodule count")
     pc.add_argument("--format", choices=("text", "json"), default="text")

@@ -9,12 +9,13 @@ the graded dimensions exactly, and checks it against an independent
 oracle that evaluates a multidegree piece directly from the
 monomial-localization complex.  Both depend on a multidegree only
 through its sign pattern, and both vanish unless that pattern splits a
-face, so the oracle box is checked once per such pattern, not once per
-box point.  The two routes pick their faces independently, the table
-from each link's faces, read off the facets that contain nu
-(simplicial.link_cohomology), and the oracle by filtering the whole
-complex's face masks by sign pattern, and both take the cohomology from
-the one cochain routine, simplicial.cochain_dims.
+face, so the one oracle box, BOX = [-3, 1]^n, is checked once per such
+pattern, weighted by its 3^|nu| box points, not once per box point.  The
+two routes pick their faces independently, the table from each link's
+faces, read off the facets that contain nu (simplicial.link_cohomology),
+and the oracle by filtering the whole complex's face masks by sign
+pattern, and both take the cohomology from the one cochain routine,
+simplicial.cochain_dims.
 
 The table is not a module decomposition: x_j maps the block of nu into
 the block of nu minus {j}, often by a nonzero map, so H^i_m(R) is not a
@@ -44,6 +45,8 @@ from .simplicial import (
 # faces times the patterns that split a face (the sum of 2^|sigma| over the
 # faces): each pattern is one elimination over the filtered face table
 MAX_ORACLE_SIZE = 2**20
+# the one multidegree box [lo, hi]^n that the graded oracle checks
+BOX = (-3, 1)
 
 
 @lru_cache(maxsize=None)
@@ -81,21 +84,21 @@ def _cech_dims_by_signs(c: SimplicialComplex, p: int, nu_mask: int, pi_mask: int
     return cochain_dims(cochains, p)
 
 
-def oracle_box_check(c: SimplicialComplex, p: int, lo: int = -3, hi: int = 1) -> tuple[int, int]:
+def oracle_box_check(c: SimplicialComplex, p: int) -> tuple[int, int]:
     """Compare the table against the localization-complex oracle at every
-    multidegree theta in the box [lo, hi]^n and every cohomological index.
-    Returns the numbers of agreeing and of disagreeing (theta, i) pairs
-    (the second expected 0).
+    multidegree theta in the box BOX = [-3, 1]^n and every cohomological
+    index.  Returns the numbers of agreeing and of disagreeing (theta, i)
+    pairs (the second expected 0).
 
     Both sides depend on theta only through its sign pattern: nu where
     theta < 0 and pi where theta > 0.  The table side is m(i, nu) when pi
     is empty and 0 otherwise; the oracle's piece has no cochains unless
     nu union pi is a face.  So both vanish unless the pattern splits a
     face mask sigma into a submask nu and pi = sigma - nu; only those are
-    evaluated, each weighted by its |neg|^|nu| |pos|^|pi| |zero|^(n - |sigma|)
-    box points.  Past MAX_ORACLE_SIZE it raises CapacityError before any
-    elimination, and before listing the faces if one facet of k vertices,
-    2^k faces and 3^k patterns, does."""
+    evaluated, each weighted by its 3^|nu| box points: theta is one of
+    -3, -2, -1 on nu, 1 on pi and 0 elsewhere.  Past MAX_ORACLE_SIZE it
+    raises CapacityError before any elimination, and before listing the
+    faces if one facet of k vertices, 2^k faces and 3^k patterns, does."""
     least = 6 ** max(map(len, c.facets), default=0)
     if least > MAX_ORACLE_SIZE:
         raise CapacityError(f"graded oracle size at least {least} exceeds cap {MAX_ORACLE_SIZE}")
@@ -103,26 +106,19 @@ def oracle_box_check(c: SimplicialComplex, p: int, lo: int = -3, hi: int = 1) ->
     work = sum(map(len, by_size.values())) * sum(len(sigmas) << k for k, sigmas in by_size.items())
     if work > MAX_ORACLE_SIZE:
         raise CapacityError(f"graded oracle size {work} exceeds cap {MAX_ORACLE_SIZE}")
-    n = c.n_vertices
-    neg = len(range(lo, min(hi, -1) + 1))
-    zero = len(range(max(lo, 0), min(hi, 0) + 1))
-    pos = len(range(max(lo, 1), hi + 1))
     top = c.dim + 1
     table = {(i, vertex_mask(nu)): m for i, nu, m in decomposition(c, p)}
     disagree = 0
-    for size, sigmas in by_size.items():
-        rest = zero ** (n - size)
+    for sigmas in by_size.values():
         for sigma in sigmas:
             for nu in submasks(sigma):
                 pi = sigma ^ nu
-                weight = neg ** nu.bit_count() * pos ** pi.bit_count() * rest
-                if not weight:
-                    continue
                 oracle = dict(_cech_dims_by_signs(c, p, nu, pi))
                 for i in range(0, top + 1):
                     if (0 if pi else table.get((i, nu), 0)) != oracle.get(i, 0):
-                        disagree += weight
-    return max(hi - lo + 1, 0) ** n * (top + 1) - disagree, disagree
+                        disagree += 3 ** nu.bit_count()
+    lo, hi = BOX
+    return (hi - lo + 1) ** c.n_vertices * (top + 1) - disagree, disagree
 
 
 @lru_cache(maxsize=None)

@@ -79,10 +79,10 @@ def test_criterion_3_graded_oracle_equivalence():
     with Budget("3 (graded oracle equivalence)", 60):
         for c in acceptance_corpus():
             for p in (2, 3):
-                agree, disagree = oracle_box_check(c, p, -3, 1)
+                agree, disagree = oracle_box_check(c, p)
                 assert disagree == 0, (c, p, disagree)
         for c in (CROSS_POLYTOPE_8, TWO_BOUNDARY_4):
-            agree, disagree = oracle_box_check(c, 3, -3, 1)
+            agree, disagree = oracle_box_check(c, 3)
             assert disagree == 0 and agree == 5**c.n_vertices * (c.dim + 2)
 
 

@@ -378,12 +378,11 @@ def test_text_format_runs(two_points_file, capsys):
 
 
 def test_explicit_box_flag(two_points_file, capsys):
-    code, out, _ = run_cli(
-        ["analyze-complex", two_points_file, "--prime", "2", "--box=-2:0", "--format", "json"],
-        capsys,
-    )
-    assert code == 0
-    assert json.loads(out)["caps"]["box"] == [-2, 0]
+    # the oracle checks one box, [-3, 1]^n, and takes no flag for it
+    code, out, err = run_cli(["analyze-complex", two_points_file, "--prime", "2", "--box=-2:0"], capsys)
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "Traceback" not in err
 
 
 def run_cli_process(args):
@@ -478,6 +477,22 @@ def test_zero_divisor_multiplier_is_an_input_error():
              "--params", "x0-x1", "x1-x2", "--c", "x0^2*x2"]
         )
     )
+
+
+def test_poly_and_params_are_parsed_once_each(capsys, monkeypatch):
+    import froblab.polyfp as pf
+
+    texts, parse = [], pf.parse_polynomial
+
+    def counted(text, *args, **kwargs):
+        texts.append(text)
+        return parse(text, *args, **kwargs)
+
+    monkeypatch.setattr(pf, "parse_polynomial", counted)
+    args = ["analyze-hypersurface", "--poly", "x0*x1*x2", "--prime", "3", "--params", "x0 - x1", "x1 - x2"]
+    code, _, err = run_cli(args, capsys)
+    assert (code, err) == (0, "")
+    assert texts == ["x0*x1*x2", "x0 - x1", "x1 - x2"]
 
 
 def test_linear_zero_divisor_multiplier_is_an_input_error(capsys):
@@ -677,8 +692,6 @@ def complex_args(draw):
     args = ["--prime", str(draw(st.sampled_from([2, 3, 4, 5])))]
     if draw(st.booleans()):
         args += ["--trunc", str(draw(st.integers(1, 2)))]
-    if draw(st.booleans()):
-        args.append("--box=" + draw(st.sampled_from(["-3:1", "-2:0", "0:0", "-1:2", "1:-1", "x"])))
     if draw(st.booleans()):
         args += ["--enumerate-cap", str(draw(st.sampled_from([1, 8, 64, 256])))]
     return args + ["--format", draw(st.sampled_from(["json", "text"]))]

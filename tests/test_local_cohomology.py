@@ -33,6 +33,7 @@ from katzman_oracle import antichains, katzman_count
 from froblab import local_cohomology as lc
 from froblab.errors import CapacityError, UnsupportedInputError
 from froblab.local_cohomology import (
+    BOX,
     analysis_report,
     decomposition,
     depth_and_cm,
@@ -99,15 +100,17 @@ def test_oracle_agrees_on_projective_plane():
         assert disagree == 0
 
 
+# the reference loops take any box; the library checks BOX alone
 BOXES = [(-3, 1), (0, 0), (1, 3), (-2, -1)]
 
 
 def test_sign_patterns_match_per_theta_loop_on_corpus():
     for c in acceptance_corpus():
         for p in (2, 3):
+            agree, points = oracle_box_check_per_theta(c, p, *BOX)
+            assert oracle_box_check(c, p) == (agree, len(points))
             for lo, hi in BOXES:
-                agree, points = oracle_box_check_per_theta(c, p, lo, hi)
-                assert oracle_box_check(c, p, lo, hi) == (agree, len(points))
+                assert oracle_box_check_by_signs(c, p, lo, hi) == oracle_box_check_per_theta(c, p, lo, hi)
 
 
 @st.composite
@@ -122,9 +125,9 @@ def complexes(draw, max_vertices=5):
 @settings(derandomize=True, deadline=None)
 @given(complexes(), st.sampled_from([2, 3]), st.sampled_from(BOXES))
 def test_sign_patterns_match_per_theta_loop_on_random_complexes(c, p, box):
-    lo, hi = box
-    agree, points = oracle_box_check_per_theta(c, p, lo, hi)
-    assert oracle_box_check(c, p, lo, hi) == (agree, len(points))
+    agree, points = oracle_box_check_per_theta(c, p, *BOX)
+    assert oracle_box_check(c, p) == (agree, len(points))
+    assert oracle_box_check_by_signs(c, p, *box) == oracle_box_check_per_theta(c, p, *box)
 
 
 def assert_pieces_match_face_tuples(c, p):
@@ -153,9 +156,8 @@ def test_bitmask_pieces_match_face_tuples_on_random_complexes(c, p):
 
 def test_face_walk_matches_sign_pattern_loop():
     for c in (RP2, BOUNDARY_5):
-        for lo, hi in BOXES:
-            agree, points = oracle_box_check_by_signs(c, 3, lo, hi)
-            assert oracle_box_check(c, 3, lo, hi) == (agree, len(points))
+        agree, points = oracle_box_check_by_signs(c, 3, *BOX)
+        assert oracle_box_check(c, 3) == (agree, len(points))
 
 
 def test_forced_mismatch_is_reported_alike(monkeypatch):
@@ -170,10 +172,14 @@ def test_forced_mismatch_is_reported_alike(monkeypatch):
 
     monkeypatch.setattr(lc, "decomposition", with_phantom)
     for c in (TRIANGLE, TWO_EDGES, RP2):
+        agree, points = oracle_box_check_per_theta(c, 2, *BOX)
+        assert points
+        assert oracle_box_check_by_signs(c, 2, *BOX) == (agree, points)
+        assert oracle_box_check(c, 2) == (agree, len(points))
         for lo, hi in BOXES:
+            # the references see the phantom exactly in the boxes with a negative and a zero entry
             agree, points = oracle_box_check_per_theta(c, 2, lo, hi)
             assert oracle_box_check_by_signs(c, 2, lo, hi) == (agree, points)
-            assert oracle_box_check(c, 2, lo, hi) == (agree, len(points))
             assert bool(points) == (lo < 0 <= hi)
 
 
