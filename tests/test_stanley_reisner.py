@@ -19,7 +19,6 @@ from helpers import (
     splitting_containment_check,
     squarefree_minimal_primes,
 )
-from froblab.errors import UnsupportedInputError
 from froblab.simplicial import from_facets
 from froblab.stanley_reisner import ideal_text, nonface_ideal
 
