@@ -19,6 +19,8 @@ from helpers import (
     splitting_containment_check,
     squarefree_minimal_primes,
 )
+from froblab.errors import UnsupportedInputError
+from froblab.gfp_linalg import check_prime
 from froblab.simplicial import from_facets
 from froblab.stanley_reisner import ideal_text, nonface_ideal
 
@@ -101,6 +103,20 @@ def test_krull_dim():
     assert krull_dim(make_complex(0, [[]])) == 0
     for c in CORPUS:
         assert krull_dim(c) == 1 + max(len(f) - 1 for f in c.facets)
+
+
+def test_fedder_two_points_p2():
+    assert fedder_fpure_by_colon(nonface_monomial_ideal(TWO_POINTS), 2)
+    # the face-ring report refuses a modulus that is not prime
+    with pytest.raises(UnsupportedInputError):
+        check_prime(4)
+
+
+def test_fedder_full_simplex():
+    # the nonface ideal is (0), so the colon is the whole ring
+    assert nonface_monomial_ideal(FULL).generators == ()
+    for p in (2, 3, 5):
+        assert fedder_fpure_by_colon(nonface_monomial_ideal(FULL), p)
 
 
 def test_fedder_true_on_corpus():
