@@ -30,7 +30,7 @@ import itertools
 from functools import lru_cache
 
 from .errors import CapacityError, OracleMismatchError
-from .gfp_linalg import DEFAULT_ENUM_CAP, row_echelon
+from .gfp_linalg import DEFAULT_ENUM_CAP, row_echelon, subtract
 from .local_cohomology import decomposition, map_ranks
 from .simplicial import SimplicialComplex, coboundary_rows, face_masks, mask_vertices, vertex_mask
 
@@ -62,43 +62,42 @@ def subspace_lattice(p: int, dim: int) -> tuple[tuple[tuple[int, ...], ...], ...
 def block(c: SimplicialComplex, p: int, i: int, nu: int):
     """H^i(C_nu) for the face mask nu, as (faces, boundaries, classes):
     the faces of size i containing nu, and (row, pivot) pairs of the
-    reduced echelon forms of the coboundaries and of the cocycles, the
-    latter at the pivots that are not coboundary pivots.  Their classes are
-    a basis: a cocycle that is zero at the coboundary pivots is the
-    combination of them read off at their pivots."""
+    reduced echelon forms of the coboundaries and of the cocycles, rows
+    keyed by face mask, the latter at the pivots that are not coboundary
+    pivots.  Their classes are a basis: a cocycle that is zero at the
+    coboundary pivots is the combination of them read off at their pivots."""
     by_size = face_masks(c)[0]
     below, faces, above = ([m for m in by_size.get(k, ()) if m & nu == nu] for k in (i - 1, i, i + 1))
-    boundaries, fixed = row_echelon(zip(*coboundary_rows(below, faces)), p, reduced=True)
+    images: dict[int, dict[int, int]] = {}  # the coboundary of each face below
+    for tau, row in zip(faces, coboundary_rows(below, faces)):
+        for sigma, sign in row.items():
+            images.setdefault(sigma, {})[tau] = sign
+    boundaries, fixed = row_echelon(images.values(), p, reduced=True)
     rows, pivots = row_echelon(coboundary_rows(faces, above), p, reduced=True)
-    kernel = []
-    for free in sorted(set(range(len(faces))) - set(pivots)):
-        z = [int(k == free) for k in range(len(faces))]
-        for row, col in zip(rows, pivots):
-            z[col] = -row[free] % p
-        kernel.append(z)
+    kernel = [
+        {free: 1} | {col: -row[free] % p for row, col in zip(rows, pivots) if free in row}
+        for free in faces if free not in pivots
+    ]
     cocycles, z_pivots = row_echelon(boundaries + kernel, p, reduced=True)
     classes = [(row, col) for row, col in zip(cocycles, z_pivots) if col not in fixed]
     return faces, list(zip(boundaries, fixed)), classes
 
 
+@lru_cache(maxsize=None)
 def phi(c: SimplicialComplex, p: int, i: int, nu: int, j: int) -> tuple[tuple[int, ...], ...]:
     """Rows: the coordinates in H^i(C_{nu - j}) of the images of the basis
     classes of H^i(C_nu) under the inclusion of C_nu: each cocycle is
     cleared at the coboundary pivots of the target and read off at its
-    class pivots."""
-    faces, _, classes = block(c, p, i, nu)
-    target, boundaries, target_classes = block(c, p, i, nu & ~(1 << j))
-    column = {m: k for k, m in enumerate(target)}
+    class pivots.  Cached like block, so the result is shared and read-only."""
+    classes = block(c, p, i, nu)[2]
+    _, boundaries, target_classes = block(c, p, i, nu & ~(1 << j))
     out = []
     for cocycle, _ in classes:
-        w = [0] * len(target)
-        for m, a in zip(faces, cocycle):
-            w[column[m]] = a
+        w = dict(cocycle)
         for row, col in boundaries:
-            f = w[col]
-            if f:
-                w = [(a - f * b) % p for a, b in zip(w, row)]
-        out.append(tuple(w[col] for _, col in target_classes))
+            if col in w:
+                subtract(w, w[col], row, p)
+        out.append(tuple(w.get(col, 0) for _, col in target_classes))
     return tuple(out)
 
 
@@ -156,7 +155,7 @@ def face_count(c: SimplicialComplex, p: int, i: int, cap: int = DEFAULT_ENUM_CAP
         return memo[nodes]
 
     def fits(basis, rows) -> bool:
-        return len(row_echelon(list(basis) + list(rows), p)[1]) == len(basis)
+        return len(row_echelon([dict(enumerate(row)) for row in (*basis, *rows)], p)[1]) == len(basis)
 
     @lru_cache(maxsize=None)
     def image(basis, a: int, j: int) -> tuple[tuple[int, ...], ...]:
@@ -190,7 +189,7 @@ def check_maps(c: SimplicialComplex, p: int) -> int:
     returns the number of maps checked."""
     ranks = map_ranks(c, p)
     for (i, nu, j), rank in ranks.items():
-        found = len(row_echelon(phi(c, p, i, nu, j), p)[1])
+        found = len(row_echelon([dict(enumerate(row)) for row in phi(c, p, i, nu, j)], p)[1])
         if found != rank:
             where = f"i={i}, nu={mask_vertices(nu)}, j={j}"
             raise OracleMismatchError(f"phi at {where} has rank {found}, the exact sequence {rank}")

@@ -1,9 +1,11 @@
-"""Exact dense linear algebra over the prime field F_p, in pure Python.
+"""Exact sparse linear algebra over the prime field F_p, in pure Python.
 
-Vectors and matrices are lists (or tuples) of Python integers kept
-reduced to [0, p); p is bounded below 2^15 (desk scale) and checked
-prime, once per prime.  row_echelon is the one elimination kernel.  The
-command line reads DEFAULT_ENUM_CAP, fmodule's cap, without fmodule.
+A row is a mapping {column: value} without zero entries, its columns
+labels of one orderable kind (a face mask, a monomial or a position) and
+its values in [0, p); p is bounded below 2^15 (desk scale) and checked
+prime, once per prime.  row_echelon is the one elimination kernel and the
+only code that orders columns.  The command line reads DEFAULT_ENUM_CAP,
+fmodule's cap, without fmodule.
 """
 
 from __future__ import annotations
@@ -27,42 +29,41 @@ def check_prime(p: int) -> int:
     return p
 
 
-def _lead(v: list[int], start: int = 0) -> int | None:
-    for j in range(start, len(v)):
-        if v[j]:
-            return j
-    return None
+def subtract(v: dict, f: int, row: dict, p: int) -> None:
+    """v -= f * row over F_p in place, for f and the entries of row nonzero;
+    an entry that becomes zero is dropped, so a lead is never zero."""
+    for k, b in row.items():
+        if a := (v.get(k, 0) - f * b) % p:
+            v[k] = a
+        else:
+            del v[k]
 
 
-def row_echelon(rows, p: int, reduced: bool = False) -> tuple[list[list[int]], tuple[int, ...]]:
-    """Echelon basis of the span of `rows`, any sequence of integer rows
-    of equal length.
+def row_echelon(rows, p: int, reduced: bool = False) -> tuple[list[dict], tuple]:
+    """Echelon basis of the span of `rows`, mappings {column: value}.
 
-    Each row is reduced mod p and against the pivot rows found so far.
-    The result is one monic row per pivot column, rows sorted by pivot,
-    and the pivots; the number of rows is the rank.  With reduced=True
-    one back-substitution pass also clears the entries above every
-    pivot, giving the canonical reduced row-echelon form.
+    Each row is reduced mod p and against the pivot rows found so far,
+    least column first.  The result is one monic row per pivot column,
+    rows sorted by pivot, and the pivots; the number of rows is the rank.
+    With reduced=True one back-substitution pass also clears the entries
+    above every pivot, giving the canonical reduced row-echelon form.
     """
-    pivot_row: dict[int, list[int]] = {}
+    pivot_row: dict = {}
     for row in rows:
-        v = [int(x) % p for x in row]
-        lead = _lead(v)
-        while lead in pivot_row:
-            f, pivot = v[lead], pivot_row[lead]
-            # the pivot row is zero left of its pivot
-            v[lead:] = [(a - f * b) % p for a, b in zip(v[lead:], pivot[lead:])]
-            lead = _lead(v, lead + 1)
-        if lead is not None:
-            inv = pow(v[lead], p - 2, p)
-            pivot_row[lead] = v if inv == 1 else [x * inv % p for x in v]
+        v = {k: a for k, x in row.items() if (a := x % p)}
+        while v:
+            lead = min(v)
+            if lead not in pivot_row:
+                inv = pow(v[lead], p - 2, p)
+                pivot_row[lead] = v if inv == 1 else {k: a * inv % p for k, a in v.items()}
+                break
+            subtract(v, v[lead], pivot_row[lead], p)
     pivots = tuple(sorted(pivot_row))
     echelon = [pivot_row[c] for c in pivots]
     if reduced:
         for k in range(len(pivots) - 1, 0, -1):
             c, below = pivots[k], echelon[k]
             for row in echelon[:k]:
-                f = row[c]
-                if f:
-                    row[c:] = [(a - f * b) % p for a, b in zip(row[c:], below[c:])]
+                if c in row:
+                    subtract(row, row[c], below, p)
     return echelon, pivots

@@ -95,17 +95,14 @@ def _set_coordinates(h: GradedHypersurface) -> None:
     has no pivot, and y_i = l_i; A_t is Artinian exactly when the y_0^e
     coefficient of f is nonzero."""
     p, n = h.p, h.n_vars
-    lin = [[0] * n for _ in range(n)]
-    for row, l in zip(lin[1:], h.params):
-        for m, c in l.terms:
-            row[m.index(1)] = c
-    pivots = row_echelon(lin[1:], p)[1]
+    lin = [{m.index(1): c for m, c in l.terms} for l in h.params]
+    pivots = row_echelon(lin, p)[1]
     if len(pivots) != n - 1:
         raise InvalidParametersError("parameters are linearly dependent")
-    lin[0][next(j for j in range(n) if j not in pivots)] = 1
+    lin.insert(0, {next(j for j in range(n) if j not in pivots): 1})
     # y = lin x, so the reduced echelon form of [lin | 1] is [1 | lin^-1]
-    augmented = [row + [int(i == j) for j in range(n)] for i, row in enumerate(lin)]
-    to_y = tuple(_linear_form(p, row[n:]) for row in row_echelon(augmented, p, reduced=True)[0])
+    echelon = row_echelon([row | {n + i: 1} for i, row in enumerate(lin)], p, reduced=True)[0]
+    to_y = tuple(_linear_form(p, n, {j - n: a for j, a in row.items() if j >= n}) for row in echelon)
     f_y = _substitute(h.f, to_y)
     e = h.f.degree()
     if (e,) + (0,) * (n - 1) not in f_y.as_dict():
@@ -113,13 +110,12 @@ def _set_coordinates(h: GradedHypersurface) -> None:
             "quotient by (parameters) + (f) is not finite dimensional"
         )
     object.__setattr__(h, "_to_y", to_y)
-    object.__setattr__(h, "_to_x", tuple(_linear_form(p, row) for row in lin))
+    object.__setattr__(h, "_to_x", tuple(_linear_form(p, n, row) for row in lin))
     object.__setattr__(h, "_f_y", f_y)
 
 
-def _linear_form(p: int, row: list[int]) -> PolynomialFp:
-    n = len(row)
-    return PolynomialFp.make(p, n, {tuple(int(i == j) for i in range(n)): c for j, c in enumerate(row)})
+def _linear_form(p: int, n: int, row: dict[int, int]) -> PolynomialFp:
+    return PolynomialFp.make(p, n, {tuple(int(i == j) for i in range(n)): c for j, c in row.items()})
 
 
 def _substitute(g: PolynomialFp, forms: tuple[PolynomialFp, ...]) -> PolynomialFp:
@@ -311,8 +307,7 @@ def _is_zero_divisor(h: GradedHypersurface, c_y: PolynomialFp) -> bool:
     for combo in itertools.combinations_with_replacement(range(n), e - 1):
         m = PolynomialFp.monomial(h.p, tuple(combo.count(j) for j in range(n)))
         forms.append(_normal_form(h, e + c_y.degree(), c_y * m).as_dict())
-    columns = sorted({m for form in forms for m in form})
-    rank = len(row_echelon([[form.get(m, 0) for m in columns] for form in forms], h.p)[1])
+    rank = len(row_echelon(forms, h.p)[1])
     return rank < len(forms)
 
 

@@ -173,7 +173,7 @@ def depth_and_cm(c: SimplicialComplex, p: int) -> tuple[int, int, bool]:
         raise OracleMismatchError("decomposition table unexpectedly empty")
     depth = indices[0]
     is_cm = depth == dim
-    if (max(indices) > dim) or (is_cm != (indices == (dim,))):
+    if max(indices) > dim:
         raise OracleMismatchError("table shape contradicts the depth computation")
     if is_cm != reisner_cm_condition(c, p):
         raise OracleMismatchError("link condition disagrees with the table route")

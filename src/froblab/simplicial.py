@@ -160,22 +160,21 @@ def face_masks(c: SimplicialComplex) -> tuple[dict[int, tuple[int, ...]], frozen
     return _submask_table(vertex_mask(f) for f in c.facets)
 
 
-def coboundary_rows(src: Sequence[int], tgt: Sequence[int]) -> list[list[int]]:
+def coboundary_rows(src: Sequence[int], tgt: Sequence[int]) -> list[dict[int, int]]:
     """The coboundary from the cochains on the face masks src to those on
-    tgt, one row per tau of tgt over the columns of src: it sends sigma to
-    each tau = sigma + {v} with the sign (-1)^k, k the number of vertices
-    of tau below v."""
-    column = {m: k for k, m in enumerate(src)}
+    tgt, one row per tau of tgt keyed by the masks of src: it sends sigma
+    to each tau = sigma + {v} with the sign (-1)^k, k the number of
+    vertices of tau below v."""
+    src = set(src)
     rows = []
     for tau in tgt:
-        row = [0] * len(src)
+        row = {}
         sign = 1
         rest = tau
         while rest:
             bit = rest & -rest
-            k = column.get(tau ^ bit)
-            if k is not None:
-                row[k] = sign
+            if tau ^ bit in src:
+                row[tau ^ bit] = sign
             sign = -sign
             rest ^= bit
         rows.append(row)

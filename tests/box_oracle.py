@@ -27,8 +27,9 @@ import itertools
 import math
 from functools import lru_cache
 
+from dense_oracle import row_echelon
 from froblab import local_cohomology as lc
-from froblab.gfp_linalg import check_prime, row_echelon
+from froblab.gfp_linalg import check_prime
 from froblab.simplicial import face_masks, mask_vertices, vertex_mask
 
 

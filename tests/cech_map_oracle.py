@@ -40,6 +40,7 @@ from collections import Counter
 from functools import lru_cache
 
 from box_oracle import coboundary_matrix
+from dense_oracle import row_echelon
 from perp_oracle import (
     contains_vector,
     kernel_basis,
@@ -50,7 +51,7 @@ from perp_oracle import (
 )
 from froblab import fmodule
 from froblab.errors import CapacityError
-from froblab.gfp_linalg import DEFAULT_ENUM_CAP, row_echelon
+from froblab.gfp_linalg import DEFAULT_ENUM_CAP
 from froblab.local_cohomology import decomposition
 from froblab.simplicial import face_masks, mask_vertices, vertex_mask
 

@@ -12,8 +12,9 @@ import itertools
 from box_oracle import coboundary_matrix
 from colon_oracle import contains_ideal, ideal_from_generators, monomial_ideal_sum
 from corpus import make_complex
+from dense_oracle import row_echelon
 from froblab.errors import UnsupportedInputError
-from froblab.gfp_linalg import check_prime, row_echelon
+from froblab.gfp_linalg import check_prime
 from froblab.polyfp import PolynomialFp
 from froblab.simplicial import SimplicialComplex
 

@@ -3,20 +3,21 @@ of froblab.hypersurface.
 
 The per-degree route backs the normal-form route: each graded piece of
 the level ideal is spanned explicitly by the multiples m * g of its
-generators and decided by rank with gfp_linalg.row_echelon.  The direct
-Frobenius route backs the Frobenius-step helper: it reduces the whole
-power g^(p^e) in one normal form, and on it the bounded tight-closure
-test of any class.  The chain route backs the probe's shared chain: a
-copy of the probe that validates each variable as a --c multiplier and
-reduces its own chain of Frobenius powers for it.  The class helpers build classes of the direct-limit
-model from x coordinates and compare them across levels."""
+generators and decided by rank with the dense reference kernel of
+dense_oracle.  The direct Frobenius route backs the Frobenius-step
+helper: it reduces the whole power g^(p^e) in one normal form, and on it
+the bounded tight-closure test of any class.  The chain route backs the
+probe's shared chain: a copy of the probe that validates each variable
+as a --c multiplier and reduces its own chain of Frobenius powers for
+it.  The class helpers build classes of the direct-limit model from x
+coordinates and compare them across levels."""
 
 import itertools
 from functools import lru_cache
 from typing import NamedTuple
 
+from dense_oracle import row_echelon
 from froblab.errors import CapacityError, UnsupportedInputError
-from froblab.gfp_linalg import row_echelon
 from froblab.hypersurface import (
     _linear_divides,
     _normal_form,

@@ -18,8 +18,9 @@ so A ∩ B = (A^perp + B^perp)^perp.
 import functools
 import itertools
 
+from dense_oracle import row_echelon
 from froblab.fmodule import subspace_lattice
-from froblab.gfp_linalg import check_prime, row_echelon
+from froblab.gfp_linalg import check_prime
 from froblab.record import record
 
 

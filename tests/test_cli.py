@@ -231,9 +231,9 @@ def test_seven_disjoint_edges_validate_their_first_model(tmp_path, capsys):
     assert (entry["count"], model["anti_nilpotent"]) == (2825, True)
 
 
-def test_many_disjoint_points_pass_fedder_quickly(tmp_path, capsys):
-    # 780 minimal nonfaces: scanning every generator for the witness of
-    # every other took 1.3 s on a 2-CPU container, the lookup 0.05 s
+def test_many_disjoint_points_run_quickly(tmp_path, capsys):
+    # 40 points, whose face ring has 780 minimal nonfaces: the whole
+    # analyze-complex run, parse to report, within 0.5 s
     path = tmp_path / "points40.facets"
     path.write_text("".join(f"{v}\n" for v in range(40)))
     with Budget("40 disjoint points", 0.5):

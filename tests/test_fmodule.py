@@ -30,6 +30,7 @@ from corpus import (
     make_complex,
     small_complexes,
 )
+from dense_oracle import row_echelon
 from element_model import (
     BasisElement,
     adjoin_inverse_variable,
@@ -53,7 +54,7 @@ from test_gfp_linalg import gaussian_binomial
 from froblab import fmodule
 from froblab.errors import CapacityError, UnsupportedInputError
 from froblab.fmodule import check_maps, face_count
-from froblab.gfp_linalg import DEFAULT_ENUM_CAP, row_echelon
+from froblab.gfp_linalg import DEFAULT_ENUM_CAP
 from froblab.local_cohomology import decomposition, map_ranks
 from froblab.simplicial import from_facets, vertex_mask
 
@@ -547,6 +548,18 @@ def test_map_ranks_are_the_ranks_of_phi(p):
         assert ranks == {e: rank(fmodule.phi(c, p, *e), p) for e in ranks}, c
         assert check_maps(c, p) == len(ranks)
     assert sum(len(map_ranks(c, p)) for c in large) == 552
+
+
+def test_phi_is_built_once_per_map():
+    # check_maps builds every phi between two nonzero blocks; the counts
+    # then read each one from the cache, including the large-block leaves
+    fmodule.phi.cache_clear()
+    check_maps(WEDGE, 5)
+    misses = fmodule.phi.cache_info().misses
+    assert misses == len(map_ranks(WEDGE, 5)) == 17
+    for i in sorted({i for i, _, _ in decomposition(WEDGE, 5)}):
+        face_count(WEDGE, 5, i)
+    assert fmodule.phi.cache_info().misses == misses
 
 
 @st.composite

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_oracle
 from perp_oracle import (
     DimensionMismatchError,
     contains_vector,
@@ -23,11 +24,14 @@ from froblab.gfp_linalg import row_echelon
 
 
 def rank(a, p):
-    return len(row_echelon(a, p)[1])
+    return len(row_echelon([dict(enumerate(row)) for row in a], p)[1])
 
 
 def rref(a, p):
-    return row_echelon(a, p, reduced=True)
+    """The reduced echelon form of the dense rows a, its rows dense again."""
+    echelon, pivots = row_echelon([dict(enumerate(row)) for row in a], p, reduced=True)
+    width = max(map(len, a), default=0)
+    return [[row.get(j, 0) for j in range(width)] for row in echelon], pivots
 
 
 def transpose(a):
@@ -148,6 +152,36 @@ def test_reduced_form_is_canonical(case, rng):
 def test_rank_of_transpose(case):
     p, a, _ = case
     assert rank(a, p) == rank(transpose(a), p)
+
+
+@st.composite
+def labelled_matrices(draw):
+    """(p, labels, a): dense rows a over the sorted column labels, ints or
+    monomial tuples, with zero rows and repeated rows among them."""
+    p = draw(st.sampled_from([2, 3, 5, 257, 32749]))
+    cols = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from([st.integers(-50, 50), st.tuples(*[st.integers(0, 3)] * 3)]))
+    labels = sorted(draw(st.lists(kind, min_size=cols, max_size=cols, unique=True)))
+    row = st.lists(st.just(0) | st.integers(1, p - 1), min_size=cols, max_size=cols) | st.just([0] * cols)
+    a = draw(st.lists(row, max_size=6))
+    if a:
+        a += [a[k] for k in draw(st.lists(st.integers(0, len(a) - 1), max_size=3))]
+    return p, labels, a
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(labelled_matrices(), st.booleans())
+def test_kernel_matches_the_dense_reference(case, reduced):
+    # the zeros of a row are absent keys; the dense kernel orders columns by position
+    p, labels, a = case
+    rows = [{c: x for c, x in zip(labels, row) if x} for row in a]
+    copies = [dict(row) for row in rows]
+    echelon, pivots = row_echelon(rows, p, reduced)
+    dense, dense_pivots = dense_oracle.row_echelon(a, p, reduced)
+    assert pivots == tuple(labels[k] for k in dense_pivots)
+    assert [[row.get(c, 0) for c in labels] for row in echelon] == dense
+    assert all(0 not in row.values() for row in echelon)
+    assert rows == copies
 
 
 def test_subspace_ops_equal_operands():

@@ -31,7 +31,7 @@ from corpus import (
 from helpers import by_index, cone, relabel
 from katzman_oracle import antichains, katzman_count
 from froblab import local_cohomology as lc
-from froblab.errors import CapacityError, UnsupportedInputError
+from froblab.errors import CapacityError, OracleMismatchError, UnsupportedInputError
 from froblab.local_cohomology import (
     BOX,
     analysis_report,
@@ -205,6 +205,18 @@ def test_depth_and_cm_examples():
     d2 = depth_and_cm(RP2, 2)
     assert d2 == (2, 3, False)
     assert depth_and_cm(EMPTY, 2) == (0, 0, True)
+
+
+def test_index_above_the_dimension_is_a_table_shape_mismatch(monkeypatch):
+    true_table = lc.decomposition
+
+    def with_high_index(c, p):
+        # a phantom summand at index dim + 2, dim = c.dim + 1 the Krull dimension
+        return true_table(c, p) + ((c.dim + 3, (), 1),)
+
+    monkeypatch.setattr(lc, "decomposition", with_high_index)
+    with pytest.raises(OracleMismatchError, match="^table shape contradicts the depth computation$"):
+        depth_and_cm(TRIANGLE, 2)
 
 
 def test_reisner_condition_matches_depth_on_corpus():
