@@ -174,10 +174,13 @@ def cmd_analyze_hypersurface(args, threads: int) -> None:
 
     f_pure = fedder_fpure_principal(h)
     f_inj = {f"t={t}": f_injective_top(h, t) for t in (1, 2)}
+    # a hypersurface is Gorenstein, so F-pure exactly when F-injective (Fedder)
     if f_pure and not all(f_inj.values()):
         raise OracleMismatchError("F-pure but not F-injective")
     if f_inj["t=1"] != f_inj["t=2"]:
         raise OracleMismatchError("level instability in F-injectivity")
+    if f_inj["t=1"] and not f_pure:
+        raise OracleMismatchError("F-injective but not F-pure")
 
     report = {
         "tool": "froblab",

@@ -14,10 +14,10 @@ Frobenius commutes with the F_p-linear change to y, and
 NF_ps(g^p) = NF_ps(NF_s(g)^p).  Every Frobenius power u^(p^e) at level
 p^e * t is therefore taken in e steps, each one reduction of the p-th
 power of the previous normal form, never as one reduction of u^(p^e),
-which touches about p^(2e) terms.  The powers are cached
-(`_frobenius_power`), so F-injectivity, the simplicity probe and the
-tight-closure test share one chain of powers of the socle class, each
-reduced once per run.
+which touches about p^(2e) terms.  F-injectivity reads only the e = 1
+power of the socle class; the powers are cached (`_frobenius_power`), so
+the multiplier checks of the probe and the tight-closure test share one
+chain of them, each reduced once per run.
 
 The bounded tight-closure test of the socle class u of A_t returns the
 first e with c * u^(p^e) nonzero, or None: one-sided by design, as None
@@ -176,8 +176,8 @@ def _normal_form(h: GradedHypersurface, t: int, g: PolynomialFp) -> PolynomialFp
 
 @lru_cache(maxsize=None)
 def _frobenius_power(h: GradedHypersurface, t: int, g: PolynomialFp, e: int) -> PolynomialFp:
-    """The level-(p^e * t) normal form of g^(p^e), g in y coordinates,
-    reduced from the e - 1 form as NF_ps(g^p) = NF_ps(NF_s(g)^p)."""
+    """The level-(p^e * t) normal form of g^(p^e), g in y coordinates, one
+    step from the cached e - 1 form: NF_ps(g^p) = NF_ps(NF_s(g)^p)."""
     prev = g if e == 1 else _frobenius_power(h, t, g, e - 1)
     return _normal_form(h, h.p**e * t, prev.frobenius())
 
@@ -312,20 +312,20 @@ def _is_zero_divisor(h: GradedHypersurface, c_y: PolynomialFp) -> bool:
 
 
 def rf_simplicity_probe(h: GradedHypersurface, t: int, e_max: int) -> str | None:
-    """Search the level-t socle class for a proper nonzero stable span,
-    and return the reason it is a witness, or None.
+    """The reason the level-t socle class u spans a proper nonzero stable
+    submodule, or None: Frobenius kills u, or some variable multiplier not
+    dividing f keeps its tested powers of u, up to e_max, at zero (the
+    bounded tight-closure signal).  Finding none does not certify simplicity.
 
-    A witness is reported when Frobenius kills the socle class within
-    e_max steps, or when some variable multiplier that does not divide f
-    keeps all its tested Frobenius powers at zero (the bounded
-    tight-closure signal).  Finding none does not certify simplicity.
+    Frobenius can kill u only at e = 1: the socle of the Gorenstein H^d_m
+    is the line of u and Ker F is a submodule, so F^e(u) = 0, e least,
+    gives F(F^(e-1)(u)) = 0 and puts u in Ker F.
     """
     _check_e_max(e_max)
     if level_top_degree(h, t) == 0:
         return None  # the socle class is the unit, which spans everything
-    for e in range(1, e_max + 1):
-        if _frobenius_power(h, t, _socle(h, t), e).is_zero:
-            return f"frobenius-kills-socle-at-e={e}"
+    if not f_injective_top(h, t):
+        return "frobenius-kills-socle-at-e=1"
     # x_j in (f) forces f = a*x_j, so skipping the x_j that divide f
     # skips every variable the multiplier check would refuse
     zero_divisors = _variable_factors(h)

@@ -120,6 +120,16 @@ def test_level_instability_exit_code(capsys, monkeypatch):
     assert err == "internal cross-check failed: level instability in F-injectivity\n"
 
 
+def test_f_injective_but_not_f_pure_exit_code(capsys, monkeypatch):
+    import froblab.hypersurface as hs
+
+    # the Fermat cubic is F-injective at p = 7 at both levels
+    monkeypatch.setattr(hs, "fedder_fpure_principal", lambda h: False)
+    code, out, err = run_cli(["analyze-hypersurface", "--poly", "x0^3 + x1^3 + x2^3", "--prime", "7"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "internal cross-check failed: F-injective but not F-pure\n"
+
+
 def test_oracle_past_its_cap_is_a_capacity_error(tmp_path, capsys):
     # one 8-vertex facet: 2^8 faces times 3^8 sign patterns; the oracle
     # would run for several seconds

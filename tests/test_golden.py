@@ -13,7 +13,10 @@ three-points-p3 added, when the window search gave way to checking each
 map's rank against the exact sequence of its pair (three-points-p3 is the
 one whose count is not validated: its empty-face block has multiplicity
 2); rp2-p2 and torus-p3 were rewritten when the count moved to the
-order of the nonzero maps and their top modules came under the cap.
+order of the nonzero maps and their top modules came under the cap;
+fermat-cubic4-p7-emax5 was written before the probe's Frobenius-kill
+witness came to read F-injectivity alone, when the probe still reduced
+the socle class's powers up to e_max.
 The input file path is replaced by a placeholder.  To
 rewrite them after an intended report change, run
 
@@ -85,6 +88,12 @@ CASES = {
     "quadric4-p5": (
         None,
         ["--poly", "x0^2 + x1^2 + x2^2 + x3^2", "--prime", "5", "--c", "x0"],
+    ),
+    # F is injective and x0 * u^p is already nonzero, so at any --emax
+    # the report reads only the first Frobenius power of the socle class u
+    "fermat-cubic4-p7-emax5": (
+        None,
+        ["--poly", "x0^3 + x1^3 + x2^3 + x3^3", "--prime", "7", "--c", "x0", "--emax", "5"],
     ),
     # supplied parameters; every variable divides f, so the probe finds
     # nothing, and a non-monomial multiplier keeps the socle class consistent

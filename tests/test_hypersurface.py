@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from level_oracle import (
     classes_equal,
+    frobenius_powers_by_steps,
     frobenius_powers_direct,
     hilbert_function,
     level_contains,
@@ -29,6 +30,7 @@ from froblab.hypersurface import (
     GradedHypersurface,
     _frobenius_power,
     _linear_divides,
+    _socle,
     f_injective_top,
     fedder_fpure_principal,
     level_top_degree,
@@ -281,9 +283,10 @@ def test_probe_matches_a_chain_per_check(h):
 
 
 def test_one_chain_of_socle_powers_serves_every_check(monkeypatch):
-    # F-injectivity, the probe and --c x0 read the powers of the level-1
-    # socle class at levels 7, 49 and 343 from one chain; each multiplier
-    # then costs one normal form per power it tests
+    # F-injectivity and the probe read only the power of the level-1
+    # socle class at level 7; each multiplier walks one chain of powers
+    # from it and stops at its first nonzero power, here at level 7, so
+    # nothing is reduced at levels 49 and 343
     calls = collections.Counter()
     normal_form = hypersurface._normal_form
 
@@ -295,7 +298,8 @@ def test_one_chain_of_socle_powers_serves_every_check(monkeypatch):
     hypersurface._frobenius_power.cache_clear()
     code, _ = run_json(["--poly", "x0^3 + x1^3 + x2^3 + x3^3", "--prime", "7", "--emax", "3", "--c", "x0"])
     assert code == 0
-    assert sum(calls.values()) <= 14
+    assert calls[49] == calls[343] == 0
+    assert sum(calls.values()) <= 12
     assert calls[7] <= 6
 
 
@@ -332,11 +336,14 @@ def test_former_walls_finish(text, p):
     [
         ["--poly", "x0^2 + x1^2", "--prime", "3", "--emax", "40", "--c", "x0"],
         ["--poly", "x0^3 + x1^3 + x2^3 + x3^3", "--prime", "7", "--emax", "3"],
+        ["--poly", "x0^3 + x1^3 + x2^3 + x3^3", "--prime", "7", "--emax", "20", "--c", "x0"],
     ],
-    ids=["conic-p3-emax40", "cubic4-p7-emax3"],
+    ids=["conic-p3-emax40", "cubic4-p7-emax3", "cubic4-p7-emax20"],
 )
 def test_deep_frobenius_powers_finish(args):
-    # a single normal form of u^(p^e) would touch about p^(2e) terms
+    # a single normal form of u^(p^e) would touch about p^(2e) terms; on
+    # the cubic surface the chain of socle powers also grows about 15-fold
+    # per step, so it is walked only as far as a multiplier needs
     code, report = run_json(args)
     assert code == 0
     assert report["f_injective"] == {"t=1": report["f_pure"], "t=2": report["f_pure"]}
@@ -578,6 +585,24 @@ def test_frobenius_steps_match_one_step_normal_form(data):
     g = PolynomialFp.make(h.p, 3, {m: data.draw(st.integers(1, h.p - 1)) for m in support})
     steps = tuple(_frobenius_power(h, t, g, e) for e in range(1, e_max + 1))
     assert steps == frobenius_powers_direct(h, t, g, e_max)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.data())
+def test_frobenius_kills_the_socle_class_only_at_e_1(data):
+    # Ker F is a submodule, so it meets the socle line of the Gorenstein
+    # H^d_m when nonzero: the reference chain dies at e = 1 or never, and
+    # the probe, which reads only e = 1, agrees with the reference loop
+    f, params = data.draw(forms_and_params())
+    try:
+        h = GradedHypersurface(f.p, 3, f, params)
+    except InvalidParametersError:
+        assume(False)
+    t, e_max = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 4))
+    powers = frobenius_powers_by_steps(h, t, _socle(h, t), e_max)
+    if not powers[0].is_zero:
+        assert not any(power.is_zero for power in powers[1:])
+    assert rf_simplicity_probe(h, t, e_max) == simplicity_probe_by_chain(h, t, e_max)
 
 
 def fedder_by_full_power(f):
