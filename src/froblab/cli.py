@@ -79,8 +79,8 @@ def cmd_analyze_complex(args, threads: int) -> None:
     # other command's modules.  The names are read from their modules at
     # call time, so a patched module attribute is the one called.
     from .fmodule import check_maps, face_count
-    from .local_cohomology import BOX, analysis_report, decomposition, oracle_box_check
-    from .simplicial import parse_facets_text
+    from .local_cohomology import BOX, decomposition, depth_and_cm, oracle_box_check
+    from .simplicial import mask_vertices, parse_facets_text
     from .stanley_reisner import ideal_text, nonface_ideal
 
     try:
@@ -93,19 +93,19 @@ def cmd_analyze_complex(args, threads: int) -> None:
     # first, so that a complex past the oracle's cap is refused before any elimination
     agree, disagree = oracle_box_check(complex_, p)
     maps_checked = check_maps(complex_, p)
-    analysis = analysis_report(complex_, p)
+    table = decomposition(complex_, p)
+    depth, dim, is_cm = depth_and_cm(complex_, p)
     ideal = nonface_ideal(complex_)
 
-    table = decomposition(complex_, p)
     counts, models = [], []
-    for i in sorted({i for i, _, _ in table}):
+    for i in sorted({i for i, _ in table}):
         try:
             count = face_count(complex_, p, i, args.enumerate_cap)
         except CapacityError:
             count = None
         ran = count is not None
         # with multiplicity 1 everywhere the count reads only which maps are nonzero
-        validated = ran and all(m == 1 for ei, _, m in table if ei == i)
+        validated = ran and all(m == 1 for (ei, _), m in table.items() if ei == i)
         note = (
             "count (every map checked against the exact sequence of its pair)" if validated
             else "count (map ranks checked; images into blocks of multiplicity > 1 not checked)" if ran
@@ -114,23 +114,25 @@ def cmd_analyze_complex(args, threads: int) -> None:
         counts.append({"i": i, "count": count, "validated": validated, "note": note})
         # F is the identity on each block, so injective on every quotient of two counted submodules
         models.append({"i": i, "anti_nilpotent": True if ran else None, "skipped": None if ran else "cap"})
-    analysis["fh_counts"] = counts
+    complex_doc = {"n_vertices": complex_.n_vertices, "facets": [list(f) for f in complex_.facets]}
+    # the report lists the rows by (i, nu) with nu a vertex list, not in the table's mask order
+    rows = sorted((i, list(mask_vertices(nu)), m) for (i, nu), m in table.items())
 
     report = {
         "tool": "froblab",
         "version": __version__,
-        "input": {
-            "path": args.path,
-            "n_vertices": complex_.n_vertices,
-            "facets": [list(f) for f in complex_.facets],
-        },
+        "input": {"path": args.path, **complex_doc},
         "prime": p,
         "caps": {
             "box": list(BOX),
             "enumerate_cap": args.enumerate_cap,
             "threads": threads,
         },
-        "analysis": analysis,
+        "analysis": {
+            "complex": complex_doc, "p": p, "dim": dim, "depth": depth, "is_cm": is_cm,
+            "table": [{"i": i, "nu": nu, "mult": m} for i, nu, m in rows],
+            "fh_counts": counts,
+        },
         # face rings are F-pure (Hochster-Roberts)
         "f_pure": True,
         "nonface_ideal": ideal_text(ideal),
@@ -191,7 +193,7 @@ def cmd_analyze_hypersurface(args, threads: int) -> None:
             "n_vars": h.n_vars,
         },
         "prime": h.p,
-        "caps": {"e_max": args.emax, "degree_cap": h.degree_cap(1), "threads": threads},
+        "caps": {"e_max": args.emax, "degree_cap": h.degree_cap(), "threads": threads},
         "f_pure": f_pure,
         "f_injective": f_inj,
     }

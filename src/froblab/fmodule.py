@@ -12,7 +12,8 @@ walking back from p*theta with x, U(p*theta) ⊆ U(theta): a graded
 F-stable submodule is a family (U_nu) constant on each block, with
 phi_{nu,j}(U_nu) ⊆ U_{nu - j}.
 
-face_count counts such families, one node per nonzero block.  F is the
+face_count counts such families, one node per nonzero block, read off
+the table local_cohomology.decomposition, keyed by face mask.  F is the
 identity on each block, so it is injective on every quotient of two
 graded F-stable submodules: H^i is anti-nilpotent (Enescu-Hochster).
 The count searches graded submodules only.  Over the blocks of
@@ -20,7 +21,8 @@ multiplicity 1 the families are the down-sets of the order of the
 nonzero maps (Birkhoff), whose ranks local_cohomology.map_ranks reads
 off the exact sequence of each pair without building a block; a block
 of multiplicity above 1 branches over its subspace_lattice.  check_maps
-compares those ranks with the matrices phi, so where every block has
+compares the classes of the blocks at both ends of each map with the
+table, and those ranks with the matrices phi, so where every block has
 multiplicity 1 the check covers all the count reads.
 """
 
@@ -32,7 +34,7 @@ from functools import lru_cache
 from .errors import CapacityError, OracleMismatchError
 from .gfp_linalg import DEFAULT_ENUM_CAP, row_echelon, subtract
 from .local_cohomology import decomposition, map_ranks
-from .simplicial import SimplicialComplex, coboundary_rows, face_masks, mask_vertices, vertex_mask
+from .simplicial import SimplicialComplex, coboundary_rows, face_masks, mask_vertices
 
 
 def num_subspaces(p: int, n: int) -> int:
@@ -108,7 +110,7 @@ def face_count(c: SimplicialComplex, p: int, i: int, cap: int = DEFAULT_ENUM_CAP
     nonzero images, with all below them, and out the small sources of images
     outside the chosen subspace, with all above them, and counts the rest.
     Branches and memo states together may not pass cap."""
-    blocks = [(vertex_mask(nu), m) for ei, nu, m in decomposition(c, p) if ei == i]
+    blocks = [(nu, m) for (ei, nu), m in decomposition(c, p).items() if ei == i]
     blocks.sort(key=lambda b: (b[0].bit_count(), b[0]))
     node = {nu: k for k, (nu, _) in enumerate(blocks)}
     small = sum(1 << k for k, (_, m) in enumerate(blocks) if m == 1)
@@ -184,11 +186,16 @@ def face_count(c: SimplicialComplex, p: int, i: int, cap: int = DEFAULT_ENUM_CAP
 
 
 def check_maps(c: SimplicialComplex, p: int) -> int:
-    """Compare the rank of every phi_{nu,j} between two nonzero blocks
+    """Compare the class count of the blocks at both ends of every
+    phi_{nu,j} between two nonzero blocks with the table, and its rank
     with map_ranks, raising OracleMismatchError at the first difference;
     returns the number of maps checked."""
-    ranks = map_ranks(c, p)
+    table, ranks = decomposition(c, p), map_ranks(c, p)
     for (i, nu, j), rank in ranks.items():
+        for end in (nu, nu ^ 1 << j):
+            if (found := len(block(c, p, i, end)[2])) != table[i, end]:
+                where = f"i={i}, nu={mask_vertices(end)}"
+                raise OracleMismatchError(f"block at {where} has dimension {found}, the table {table[i, end]}")
         found = len(row_echelon([dict(enumerate(row)) for row in phi(c, p, i, nu, j)], p)[1])
         if found != rank:
             where = f"i={i}, nu={mask_vertices(nu)}, j={j}"

@@ -73,8 +73,8 @@ class GradedHypersurface:
                 raise ValueError("parameter lives in the wrong ring")
         _set_coordinates(self)
 
-    def degree_cap(self, t: int) -> int:
-        return DEGREE_CAP_FACTOR * self.p**2 * t * self.f.degree()
+    def degree_cap(self) -> int:
+        return DEGREE_CAP_FACTOR * self.p**2 * self.f.degree()
 
 
 def make_hypersurface(f: PolynomialFp, params=None) -> GradedHypersurface:
@@ -238,8 +238,8 @@ def tight_closure_zero_bounded(h: GradedHypersurface, t: int, c: PolynomialFp, e
     A multiplier that is a zero divisor modulo f is refused: the verdict
     would hold for it whatever u is."""
     _check_e_max(e_max)
-    if c.degree() > h.degree_cap(1):
-        raise CapacityError(f"degree {c.degree()} exceeds cap {h.degree_cap(1)}")
+    if c.degree() > h.degree_cap():
+        raise CapacityError(f"degree {c.degree()} exceeds cap {h.degree_cap()}")
     # monomials and linear forms have exact tests of their own, cheap at any degree of f
     if len(c.terms) > 1 and c.degree() > 1:
         products = math.comb(h.n_vars + h.f.degree() - 2, h.f.degree() - 1)

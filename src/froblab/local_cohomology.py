@@ -4,7 +4,7 @@ For a complex Delta with face ring R = K[Delta] and homogeneous maximal
 ideal m, the multidegree-theta piece of H^i_m(R) is nonzero only when
 theta has no positive entry and its negative support is a face nu; its
 dimension is then m(i, nu) = dim H~^{i-1-|nu|}(link(nu); F_p).  This
-module computes that table, a tuple of entries (i, nu, m), which gives
+module computes that table, {(i, nu): m} keyed by face mask, which gives
 the graded dimensions exactly, and checks it against an independent
 oracle that evaluates a multidegree piece directly from the
 monomial-localization complex.  Both depend on a multidegree only
@@ -22,24 +22,25 @@ the block of nu minus {j}, often by a nonzero map, so H^i_m(R) is not a
 direct sum of its face blocks.  froblab.fmodule counts its F-stable
 submodules from those maps, and map_ranks gives the rank of each from
 the table and the long exact sequence of its pair, which fmodule
-checks its matrices against.
+checks its matrices against.  Only froblab.cli turns the table into
+report rows, each nu as a vertex tuple.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import CapacityError, OracleMismatchError
 from .gfp_linalg import check_prime
 from .simplicial import (
-    Face,
     SimplicialComplex,
     cochain_dims,
     face_masks,
+    facet_masks,
     link_cohomology,
     mask_vertices,
     submasks,
-    vertex_mask,
 )
 
 # faces times the patterns that split a face (the sum of 2^|sigma| over the
@@ -50,18 +51,16 @@ BOX = (-3, 1)
 
 
 @lru_cache(maxsize=None)
-def decomposition(c: SimplicialComplex, p: int) -> tuple[tuple[int, Face, int], ...]:
+def decomposition(c: SimplicialComplex, p: int) -> MappingProxyType[tuple[int, int], int]:
     """The nonzero multiplicities m(i, nu) of the face blocks of
-    H^i_m(K[Delta]), as entries (i, nu, m) sorted by (i, nu): the
-    reduced cohomology of link(nu) in degree j, for every face nu (the
-    empty face included), placed at index i = |nu| + 1 + j."""
+    H^i_m(K[Delta]), as {(i, nu): m}, nu a face mask, in increasing key
+    order: the reduced cohomology of link(nu) in degree j, for every face
+    nu (the empty face included), placed at index i = |nu| + 1 + j.
+    Cached, so read-only."""
     check_prime(p)
-    entries = []
-    for size, nus in face_masks(c)[0].items():
-        for nu in nus:
-            for j, m in link_cohomology(c, p, nu):
-                entries.append((j + 1 + size, mask_vertices(nu), m))
-    return tuple(sorted(entries))
+    faces = ((size, nu) for size, nus in face_masks(c)[0].items() for nu in nus)
+    table = {(j + 1 + size, nu): m for size, nu in faces for j, m in link_cohomology(c, p, nu)}
+    return MappingProxyType(dict(sorted(table.items())))
 
 
 @lru_cache(maxsize=None)
@@ -107,7 +106,7 @@ def oracle_box_check(c: SimplicialComplex, p: int) -> tuple[int, int]:
     if work > MAX_ORACLE_SIZE:
         raise CapacityError(f"graded oracle size {work} exceeds cap {MAX_ORACLE_SIZE}")
     top = c.dim + 1
-    table = {(i, vertex_mask(nu)): m for i, nu, m in decomposition(c, p)}
+    table = decomposition(c, p)
     disagree = 0
     for sigmas in by_size.values():
         for sigma in sigmas:
@@ -132,7 +131,7 @@ def map_ranks(c: SimplicialComplex, p: int) -> dict[tuple[int, int, int], int]:
     (m(i + 1, nu) - rk phi_{i + 1}), solved from the top degree down with
     rank 0 above it: m from the table, H(Q) from cochain_dims on the
     filtered face masks, and no cocycle basis built.  Cached: read only."""
-    table = {(i, vertex_mask(nu)): m for i, nu, m in decomposition(c, p)}
+    table = decomposition(c, p)
     by_size = face_masks(c)[0]
     pairs = sorted({(nu, j) for i, nu in table for j in mask_vertices(nu) if (i, nu ^ 1 << j) in table})
     ranks = {}
@@ -152,7 +151,7 @@ def reisner_cm_condition(c: SimplicialComplex, p: int) -> bool:
     """Every link has reduced cohomology only in its own top dimension:
     the link of nu has dimension max |F - nu| - 1 over the facets F
     containing nu."""
-    facets = [vertex_mask(f) for f in c.facets]
+    facets = facet_masks(c)
     for nus in face_masks(c)[0].values():
         for nu in nus:
             top = max((f ^ nu).bit_count() for f in facets if f & nu == nu) - 1
@@ -168,7 +167,7 @@ def depth_and_cm(c: SimplicialComplex, p: int) -> tuple[int, int, bool]:
     from the link condition, and the two routes must agree.
     """
     dim = c.dim + 1
-    indices = tuple(sorted({i for i, _, _ in decomposition(c, p)}))
+    indices = sorted({i for i, _ in decomposition(c, p)})
     if not indices:
         raise OracleMismatchError("decomposition table unexpectedly empty")
     depth = indices[0]
@@ -178,22 +177,3 @@ def depth_and_cm(c: SimplicialComplex, p: int) -> tuple[int, int, bool]:
     if is_cm != reisner_cm_condition(c, p):
         raise OracleMismatchError("link condition disagrees with the table route")
     return depth, dim, is_cm
-
-
-def analysis_report(c: SimplicialComplex, p: int) -> dict:
-    """Serializable summary of the decomposition: {complex, p, dim, depth,
-    is_cm, table}."""
-    table = decomposition(c, p)
-    depth, dim, is_cm = depth_and_cm(c, p)
-    return {
-        "complex": {
-            "n_vertices": c.n_vertices,
-            "facets": [list(f) for f in c.facets],
-        },
-        "p": p,
-        "dim": dim,
-        "depth": depth,
-        "is_cm": is_cm,
-        "table": [{"i": i, "nu": list(nu), "mult": m} for i, nu, m in table],
-    }
-

@@ -1,22 +1,24 @@
 """Finite abstract simplicial complexes and reduced cohomology over F_p.
 
-Faces are sorted tuples of vertex labels.  The empty face () belongs to
+Facets are sorted tuples of vertex labels, and the computations hold
+faces as vertex bitmasks, bit v for vertex v.  The empty face belongs to
 every nonvoid complex and is the unique face of dimension -1.  Two
 degenerate objects are kept distinct: the empty complex {()} (whose
 degree -1 reduced cohomology is K) and the void complex with no faces
 at all, which only ever arises as a sentinel and has zero cohomology.
 
-Each complex has one cached table of its faces, face_masks: vertex
-bitmasks (bit v for vertex v), the submasks of its facet masks, grouped
-by size.  The nonface ideal, the face walks of froblab.local_cohomology
-and the graded oracle read it.  link_cohomology builds the same kind of
-table for the link of a face straight from the facets that contain it,
-so no complex is built per link.  coboundary_rows holds the one
-coboundary sign rule on such masks.  cochain_dims computes the
-cohomology of a cochain complex on them: the reduced cohomology of a
-link here, and in froblab.local_cohomology the graded oracle and the
-quotient of each pair of map_ranks, each a filter of the table; the
-face blocks of froblab.fmodule take cocycle bases from the same rows.
+Each complex has its facet masks, facet_masks, and one table of its
+faces, face_masks: the submasks of the facet masks, grouped by size;
+both cached.  The nonface ideal, the face walks of local_cohomology,
+whose table is keyed by face mask, and the graded oracle read them.
+link_cohomology builds the same kind of table for the link of a face
+straight from the facet masks that contain it, so no complex is built
+per link.  coboundary_rows holds the one coboundary sign rule on such
+masks.  cochain_dims computes the cohomology of a cochain complex on
+them: the reduced cohomology of a link here, and in local_cohomology
+the graded oracle and the quotient of each pair of map_ranks, each a
+filter of the table; the face blocks of froblab.fmodule take cocycle
+bases from the same rows.
 """
 
 from __future__ import annotations
@@ -154,10 +156,16 @@ def _submask_table(tops) -> tuple[dict[int, tuple[int, ...]], frozenset[int]]:
 
 
 @lru_cache(maxsize=None)
+def facet_masks(c: SimplicialComplex) -> tuple[int, ...]:
+    """The facets of c as vertex bitmasks, in the order of c.facets."""
+    return tuple(map(vertex_mask, c.facets))
+
+
+@lru_cache(maxsize=None)
 def face_masks(c: SimplicialComplex) -> tuple[dict[int, tuple[int, ...]], frozenset[int]]:
     """The faces of c as vertex bitmasks, grouped by size, sizes and masks
     each in increasing order, and their set: the submasks of the facets."""
-    return _submask_table(vertex_mask(f) for f in c.facets)
+    return _submask_table(facet_masks(c))
 
 
 def coboundary_rows(src: Sequence[int], tgt: Sequence[int]) -> list[dict[int, int]]:
@@ -207,5 +215,5 @@ def link_cohomology(c: SimplicialComplex, p: int, nu: int) -> tuple[tuple[int, i
     is not a face; the link of a facet, {()}, has exactly ((-1, 1),).
     """
     check_prime(p)
-    tops = (f ^ nu for f in map(vertex_mask, c.facets) if f & nu == nu)
+    tops = (f ^ nu for f in facet_masks(c) if f & nu == nu)
     return tuple((k - 1, h) for k, h in cochain_dims(_submask_table(tops)[0], p))

@@ -86,7 +86,7 @@ def graded_dim(c, p, i, theta):
     nu = neg_support(theta)
     if not is_face(c, nu):
         return 0
-    return sum(m for ei, enu, m in lc.decomposition(c, p) if (ei, enu) == (i, nu))
+    return lc.decomposition(c, p).get((i, vertex_mask(nu)), 0)
 
 
 def cech_graded_oracle(c, p, theta):

@@ -53,7 +53,7 @@ from froblab import fmodule
 from froblab.errors import CapacityError
 from froblab.gfp_linalg import DEFAULT_ENUM_CAP
 from froblab.local_cohomology import decomposition
-from froblab.simplicial import face_masks, mask_vertices, vertex_mask
+from froblab.simplicial import face_masks, mask_vertices
 
 EXACT_SIZE_BITS = 2**17  # the largest search space multiplied out, in bits
 
@@ -297,7 +297,7 @@ def window_count(c, p, i, depth, cap=DEFAULT_ENUM_CAP):
     stays in the window.  The search space is checked against cap first;
     the search helpers are read at call time, so a patched one is called."""
     bound = p * depth
-    blocks = [(vertex_mask(nu), m) for ei, nu, m in decomposition(c, p) if ei == i]
+    blocks = [(nu, m) for (ei, nu), m in decomposition(c, p).items() if ei == i]
     blocks.sort(key=lambda b: (-b[0].bit_count(), b[0]))
     sizes = Counter()
     for nu, m in blocks:

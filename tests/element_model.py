@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from cech_map_oracle import phi
 from colon_oracle import ideal_from_generators
-from helpers import cone
+from helpers import cone, table_entries
 from froblab.errors import UnsupportedInputError
 from froblab.fmodule import num_subspaces
 from froblab.local_cohomology import decomposition
@@ -50,7 +50,7 @@ class Truncation(NamedTuple):
     @property
     def summands(self):
         """(nu, multiplicity) of the nonzero blocks, nu as a vertex tuple."""
-        return tuple((nu, m) for i, nu, m in decomposition(self.c, self.p) if i == self.index)
+        return tuple((nu, m) for i, nu, m in table_entries(decomposition(self.c, self.p)) if i == self.index)
 
     @property
     def extension_depth(self):

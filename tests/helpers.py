@@ -1,11 +1,11 @@
 """Small helpers that only the tests use: the minimal primes of a
 square-free monomial ideal, prime and irrelevant ideals, the standard
 Frobenius splitting of a polynomial ring and the containment check
-built on it, lookups into decomposition tables and reduced cohomology,
-the Krull dimension of a face ring, links, cones and relabelings of
-complexes, the homology and Euler characteristic routes that
-cross-check reduced cohomology, and faces, the table of face tuples
-that froblab.simplicial.face_masks replaced."""
+built on it, the entries of a decomposition table and lookups into them
+and into reduced cohomology, the Krull dimension of a face ring, links,
+cones and relabelings of complexes, the homology and Euler
+characteristic routes that cross-check reduced cohomology, and faces,
+the table of face tuples that froblab.simplicial.face_masks replaced."""
 
 import itertools
 
@@ -16,7 +16,7 @@ from dense_oracle import row_echelon
 from froblab.errors import UnsupportedInputError
 from froblab.gfp_linalg import check_prime
 from froblab.polyfp import PolynomialFp
-from froblab.simplicial import SimplicialComplex
+from froblab.simplicial import SimplicialComplex, mask_vertices
 
 
 def is_squarefree(ideal):
@@ -79,9 +79,17 @@ def splitting_containment_check(i, p, j):
     return True
 
 
+def table_entries(table):
+    """The entries (i, nu, m) of a decomposition table {(i, nu mask): m},
+    nu as a vertex tuple, sorted by (i, nu): the table as the references
+    read it."""
+    return tuple(sorted((i, mask_vertices(nu), m) for (i, nu), m in table.items()))
+
+
 def by_index(table, i):
-    """The summands {nu: multiplicity} of H^i in a decomposition table."""
-    return {nu: m for ei, nu, m in table if ei == i}
+    """The summands {nu: multiplicity} of H^i in a decomposition table,
+    nu as a vertex tuple."""
+    return {nu: m for ei, nu, m in table_entries(table) if ei == i}
 
 
 def dim_at(dims, j):

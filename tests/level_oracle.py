@@ -43,8 +43,8 @@ def level_contains(h, t, g):
     """Membership of g in (params^t) + (f): its level-t normal form is zero."""
     if g.is_zero:
         return True
-    if g.degree() > h.degree_cap(t):
-        raise CapacityError(f"degree {g.degree()} exceeds the cap {h.degree_cap(t)} at level {t}")
+    if g.degree() > t * h.degree_cap():
+        raise CapacityError(f"degree {g.degree()} exceeds the cap {t * h.degree_cap()} at level {t}")
     return level_form(h, t, g).is_zero
 
 

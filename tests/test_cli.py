@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cech_map_oracle import closed_families
-from corpus import BOUNDARY_5, CROSS_POLYTOPE_8
+from corpus import BOUNDARY_5, CROSS_POLYTOPE_8, acceptance_corpus
 from froblab.cli import main
 from froblab.fmodule import face_count
-from froblab.simplicial import from_facets
+from froblab.local_cohomology import decomposition, depth_and_cm
+from froblab.simplicial import from_facets, mask_vertices
 from test_acceptance import Budget
 
 
@@ -172,6 +173,25 @@ def test_analyze_complex_zero_map_exit_code(triangle_file, capsys, monkeypatch):
     code, out, err = run_cli(["analyze-complex", triangle_file, "--prime", "2", "--enumerate-cap", "2097152"], capsys)
     assert (code, out) == (2, "")
     assert err == "internal cross-check failed: phi at i=2, nu=(0,), j=0 has rank 0, the exact sequence 1\n"
+
+
+def test_block_dimension_mismatch_exit_code(tmp_path, capsys, monkeypatch):
+    import froblab.fmodule as fm
+
+    # the block of vertex 3 in H^2 loses one of its two classes: its maps keep
+    # their ranks, so the rank check alone passes, and the count reads 11 for 10
+    path = tmp_path / "mixed.facets"
+    path.write_text("0 3\n3 4\n1 2 3\n")
+    block = fm.block
+
+    def dropped(c, p, i, nu):
+        faces, boundaries, classes = block(c, p, i, nu)
+        return faces, boundaries, classes[1:] if (i, nu) == (2, 0b1000) else classes
+
+    monkeypatch.setattr(fm, "block", dropped)
+    code, out, err = run_cli(["analyze-complex", str(path), "--prime", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "internal cross-check failed: block at i=2, nu=(3,) has dimension 1, the table 2\n"
 
 
 def test_internal_error_exit_code(two_points_file, capsys, monkeypatch):
@@ -717,6 +737,49 @@ def test_analyze_complex_fuzz(tmp_path_factory, text, args):
         code = main(["analyze-complex", str(path), *args])
     assert code in (0, 1), err.getvalue()
     assert "internal error" not in err.getvalue() and "Traceback" not in err.getvalue()
+
+
+def assert_analysis_is_the_table(c, p, path):
+    """The report's analysis block of c is depth_and_cm and the table read
+    through mask_vertices, its rows sorted by (i, nu)."""
+    path.write_text("".join(" ".join(map(str, f)) + "\n" for f in c.facets))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["analyze-complex", str(path), "--prime", str(p), "--format", "json"]) == 0
+    analysis = json.loads(out.getvalue())["analysis"]
+    rows = analysis.pop("table")
+    del analysis["fh_counts"]
+    depth, dim, is_cm = depth_and_cm(c, p)
+    complex_ = {"n_vertices": c.n_vertices, "facets": [list(f) for f in c.facets]}
+    assert analysis == {"complex": complex_, "p": p, "dim": dim, "depth": depth, "is_cm": is_cm}
+    table = decomposition(c, p)
+    assert all(set(row) == {"i", "nu", "mult"} for row in rows) and len(rows) == len(table)
+    assert {(row["i"], tuple(row["nu"])): row["mult"] for row in rows} == {
+        (i, mask_vertices(nu)): m for (i, nu), m in table.items()
+    }
+    keys = [(row["i"], row["nu"]) for row in rows]
+    assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_analysis_block_is_the_table_on_the_corpus(tmp_path, p):
+    # the empty complex has no facet file
+    for c in acceptance_corpus()[1:]:
+        assert_analysis_is_the_table(c, p, tmp_path / "complex.facets")
+
+
+@st.composite
+def covered_complexes(draw, max_vertices=5):
+    """Complexes on at most max_vertices vertices, each covered by a facet."""
+    facets = draw(st.lists(st.sets(st.integers(0, max_vertices - 1), min_size=1), min_size=1, max_size=5))
+    label = {v: k for k, v in enumerate(sorted(set().union(*facets)))}
+    return from_facets(len(label), [[label[v] for v in f] for f in facets])
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(covered_complexes(), st.sampled_from([2, 3]))
+def test_analysis_block_is_the_table_on_random_complexes(tmp_path_factory, c, p):
+    assert_analysis_is_the_table(c, p, tmp_path_factory.mktemp("analysis") / "complex.facets")
 
 
 def test_console_entry_point():

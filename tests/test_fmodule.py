@@ -56,7 +56,7 @@ from froblab.errors import CapacityError, UnsupportedInputError
 from froblab.fmodule import check_maps, face_count
 from froblab.gfp_linalg import DEFAULT_ENUM_CAP
 from froblab.local_cohomology import decomposition, map_ranks
-from froblab.simplicial import from_facets, vertex_mask
+from froblab.simplicial import from_facets, mask_vertices
 
 
 def two_points_model(T=2, p=2, **kw):
@@ -95,10 +95,9 @@ def test_blocks_are_the_table(p):
     # the cocycle classes of each block are as many as the table says,
     # and phi has one row per class and one column per target class
     for c in small_complexes() + [TRIANGLE, TWO_EDGES]:
-        for i, nu, m in decomposition(c, p):
-            mask = vertex_mask(nu)
+        for (i, mask), m in decomposition(c, p).items():
             assert len(fmodule.block(c, p, i, mask)[2]) == m
-            for j in nu:
+            for j in mask_vertices(mask):
                 target = len(fmodule.block(c, p, i, mask & ~(1 << j))[2])
                 assert [len(row) for row in fmodule.phi(c, p, i, mask, j)] == [target] * m
 
@@ -530,7 +529,7 @@ def test_random_enumerations_contain_the_whole_module(module, depth):
 def edges(c, p):
     """(i, nu, j) for every map phi_{nu,j} between two nonzero blocks of
     H^i, read off the decomposition table."""
-    table = {(i, vertex_mask(nu)) for i, nu, _ in decomposition(c, p)}
+    table = set(decomposition(c, p))
     return {(i, nu, j) for i, nu in table for j in range(nu.bit_length()) if nu >> j & 1 and (i, nu ^ 1 << j) in table}
 
 
@@ -557,7 +556,7 @@ def test_phi_is_built_once_per_map():
     check_maps(WEDGE, 5)
     misses = fmodule.phi.cache_info().misses
     assert misses == len(map_ranks(WEDGE, 5)) == 17
-    for i in sorted({i for i, _, _ in decomposition(WEDGE, 5)}):
+    for i in sorted({i for i, _ in decomposition(WEDGE, 5)}):
         face_count(WEDGE, 5, i)
     assert fmodule.phi.cache_info().misses == misses
 
