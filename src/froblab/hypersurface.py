@@ -54,7 +54,8 @@ class GradedHypersurface:
     f: PolynomialFp
     params: tuple[PolynomialFp, ...]
     # derived by _set_coordinates: x_j = _to_y[j](y) and y_i = _to_x[i](x),
-    # and _f_y is f in the y coordinates
+    # and _tail holds the terms of f / (its y_0^e coefficient) in y below
+    # y_0^e, as (y_0 exponent, rest, coefficient): the reducer of _normal_form
 
     def __post_init__(self):
         check_prime(self.p)
@@ -103,15 +104,16 @@ def _set_coordinates(h: GradedHypersurface) -> None:
     # y = lin x, so the reduced echelon form of [lin | 1] is [1 | lin^-1]
     echelon = row_echelon([row | {n + i: 1} for i, row in enumerate(lin)], p, reduced=True)[0]
     to_y = tuple(_linear_form(p, n, {j - n: a for j, a in row.items() if j >= n}) for row in echelon)
-    f_y = _substitute(h.f, to_y)
-    e = h.f.degree()
-    if (e,) + (0,) * (n - 1) not in f_y.as_dict():
+    # f in y is homogeneous of degree e, so y_0^e, when present, leads it in lex
+    (lead, a), *tail = _substitute(h.f, to_y).terms
+    if lead[0] != h.f.degree():
         raise InvalidParametersError(
             "quotient by (parameters) + (f) is not finite dimensional"
         )
+    inv = pow(a, -1, p)
     object.__setattr__(h, "_to_y", to_y)
     object.__setattr__(h, "_to_x", tuple(_linear_form(p, n, row) for row in lin))
-    object.__setattr__(h, "_f_y", f_y)
+    object.__setattr__(h, "_tail", tuple((m[0], m[1:], c * inv % p) for m, c in tail))
 
 
 def _linear_form(p: int, n: int, row: dict[int, int]) -> PolynomialFp:
@@ -138,10 +140,6 @@ def _substitute(g: PolynomialFp, forms: tuple[PolynomialFp, ...]) -> PolynomialF
     return PolynomialFp.make(g.p, g.n_vars, out)
 
 
-def _up_to_degree(g: PolynomialFp, top: int) -> PolynomialFp:
-    return PolynomialFp(g.p, g.n_vars, tuple((m, c) for m, c in g.terms if mono_deg(m) <= top))
-
-
 def _normal_form(h: GradedHypersurface, t: int, g: PolynomialFp) -> PolynomialFp:
     """Remainder of g, in y coordinates, on division by f in y_0, dropping
     every term with some y_i^(>= t), i >= 1, or of degree above the top of
@@ -153,18 +151,16 @@ def _normal_form(h: GradedHypersurface, t: int, g: PolynomialFp) -> PolynomialFp
     (f, y_1^t, ..., y_d^t).  Division by the homogeneous f keeps degrees,
     so the degree test is made once.
     """
-    p, e = h.p, h.f.degree()
-    inv = pow(h._f_y.as_dict()[(e,) + (0,) * (h.n_vars - 1)], -1, p)
-    tail = [(m[0], m[1:], c * inv % p) for m, c in h._f_y.terms if m[0] < e]
+    p, e, top = h.p, h.f.degree(), level_top_degree(h, t)
     # terms bucketed by their y_0 exponent
     by_a: dict[int, dict[Monomial, int]] = {}
-    for m, c in _up_to_degree(g, level_top_degree(h, t)).terms:
-        if all(b < t for b in m[1:]):
+    for m, c in g.terms:
+        if mono_deg(m) <= top and all(b < t for b in m[1:]):
             by_a.setdefault(m[0], {})[m[1:]] = c
     while by_a and max(by_a) >= e:
         a = max(by_a)
         for rest, c in by_a.pop(a).items():
-            for k, f_rest, fc in tail:
+            for k, f_rest, fc in h._tail:
                 m = tuple(x + y for x, y in zip(rest, f_rest))
                 if all(b < t for b in m):
                     bucket = by_a.setdefault(a - e + k, {})
@@ -287,8 +283,8 @@ def _linear_divides(l: PolynomialFp, g: PolynomialFp) -> bool:
     when it divides g."""
     (m, a), n = l.terms[0], l.n_vars
     forms = [PolynomialFp.variable(l.p, n, k) for k in range(n)]
-    j = m.index(1)
-    forms[j] = forms[j] - l * PolynomialFp.constant(l.p, n, pow(a, -1, l.p))
+    inv = pow(a, -1, l.p)
+    forms[m.index(1)] = PolynomialFp.make(l.p, n, {mm: -c * inv for mm, c in l.terms[1:]})
     return _substitute(g, tuple(forms)).is_zero
 
 

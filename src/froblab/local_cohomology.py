@@ -121,7 +121,7 @@ def oracle_box_check(c: SimplicialComplex, p: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def map_ranks(c: SimplicialComplex, p: int) -> dict[tuple[int, int, int], int]:
+def map_ranks(c: SimplicialComplex, p: int) -> MappingProxyType[tuple[int, int, int], int]:
     """The rank of phi_{nu,j} on H^i, keyed (i, nu, j), nu a face mask
     and j in nu, for every map between two nonzero blocks of H^i.
 
@@ -130,7 +130,8 @@ def map_ranks(c: SimplicialComplex, p: int) -> dict[tuple[int, int, int], int]:
     sequence of the pair gives dim H^i(Q) = (m(i, nu - j) - rk phi_i) +
     (m(i + 1, nu) - rk phi_{i + 1}), solved from the top degree down with
     rank 0 above it: m from the table, H(Q) from cochain_dims on the
-    filtered face masks, and no cocycle basis built.  Cached: read only."""
+    filtered face masks, and no cocycle basis built.  Cached, so
+    read-only."""
     table = decomposition(c, p)
     by_size = face_masks(c)[0]
     pairs = sorted({(nu, j) for i, nu in table for j in mask_vertices(nu) if (i, nu ^ 1 << j) in table})
@@ -144,27 +145,23 @@ def map_ranks(c: SimplicialComplex, p: int) -> dict[tuple[int, int, int], int]:
             rank = table.get((i, rest), 0) + table.get((i + 1, nu), 0) - rank - h.get(i, 0)
             if (i, nu) in table and (i, rest) in table:
                 ranks[i, nu, j] = rank
-    return ranks
+    return MappingProxyType(ranks)
 
 
 def reisner_cm_condition(c: SimplicialComplex, p: int) -> bool:
     """Every link has reduced cohomology only in its own top dimension:
-    the link of nu has dimension max |F - nu| - 1 over the facets F
-    containing nu."""
+    the link of nu has dimension max |F| - |nu| - 1 over the facets F
+    containing nu, so every block (i, nu) of the table sits at
+    i = max |F|."""
     facets = facet_masks(c)
-    for nus in face_masks(c)[0].values():
-        for nu in nus:
-            top = max((f ^ nu).bit_count() for f in facets if f & nu == nu) - 1
-            if any(j < top for j, _ in link_cohomology(c, p, nu)):
-                return False
-    return True
+    return all(i == max(f.bit_count() for f in facets if f & nu == nu) for i, nu in decomposition(c, p))
 
 
 def depth_and_cm(c: SimplicialComplex, p: int) -> tuple[int, int, bool]:
     """(depth, dim, is_cm) with depth = least index carrying a summand.
 
-    The Cohen-Macaulay verdict is computed twice, from the table and
-    from the link condition, and the two routes must agree.
+    The Cohen-Macaulay verdict is computed twice, from the table's depth
+    and from the link condition on its blocks, and the two must agree.
     """
     dim = c.dim + 1
     indices = sorted({i for i, _ in decomposition(c, p)})

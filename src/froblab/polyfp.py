@@ -39,7 +39,8 @@ def mono_to_text(m: Monomial) -> str:
 @record
 class PolynomialFp:
     """Polynomial over F_p with nonzero coefficients only; terms are kept
-    sorted lexicographically descending for deterministic output."""
+    sorted strictly lexicographically descending, one per monomial, for
+    deterministic output."""
 
     p: int
     n_vars: int
@@ -52,7 +53,8 @@ class PolynomialFp:
                 raise ValueError("bad monomial")
             if not (0 < c < self.p):
                 raise ValueError("coefficients must lie in [1, p)")
-        if list(self.terms) != sorted(self.terms, key=lambda t: t[0], reverse=True):
+        # strictly descending, so no monomial is repeated
+        if any(a[0] <= b[0] for a, b in zip(self.terms, self.terms[1:])):
             raise ValueError("terms not in canonical order")
 
     @classmethod
@@ -92,19 +94,6 @@ class PolynomialFp:
     def is_homogeneous(self) -> bool:
         degs = {mono_deg(m) for m, _ in self.terms}
         return len(degs) <= 1
-
-    def __add__(self, other: "PolynomialFp") -> "PolynomialFp":
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms:
-            out[m] = (out.get(m, 0) + c) % self.p
-        return PolynomialFp.make(self.p, self.n_vars, out)
-
-    def __neg__(self) -> "PolynomialFp":
-        return PolynomialFp.make(self.p, self.n_vars, {m: self.p - c for m, c in self.terms})
-
-    def __sub__(self, other: "PolynomialFp") -> "PolynomialFp":
-        return self + (-other)
 
     def __mul__(self, other: "PolynomialFp") -> "PolynomialFp":
         self._check(other)

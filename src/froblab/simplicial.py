@@ -202,7 +202,6 @@ def cochain_dims(cochains_by_size: dict[int, Sequence[int]], p: int) -> tuple[tu
     return tuple((k, h) for k, h in dims if h)
 
 
-@lru_cache(maxsize=None)
 def link_cohomology(c: SimplicialComplex, p: int, nu: int) -> tuple[tuple[int, int], ...]:
     """Nonzero (degree, dim) of the reduced cohomology over F_p of the link
     of the face with vertex bitmask nu: the faces disjoint from nu whose

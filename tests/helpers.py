@@ -1,8 +1,9 @@
 """Small helpers that only the tests use: the minimal primes of a
 square-free monomial ideal, prime and irrelevant ideals, the standard
 Frobenius splitting of a polynomial ring and the containment check
-built on it, the entries of a decomposition table and lookups into them
-and into reduced cohomology, the Krull dimension of a face ring, links,
+built on it, the sum of polynomials, the entries of a decomposition
+table and lookups into them and into reduced cohomology, Reisner's link
+condition by one link at a time, the Krull dimension of a face ring, links,
 cones and relabelings of complexes, the homology and Euler
 characteristic routes that cross-check reduced cohomology, and faces,
 the table of face tuples that froblab.simplicial.face_masks replaced."""
@@ -16,7 +17,7 @@ from dense_oracle import row_echelon
 from froblab.errors import UnsupportedInputError
 from froblab.gfp_linalg import check_prime
 from froblab.polyfp import PolynomialFp
-from froblab.simplicial import SimplicialComplex, mask_vertices
+from froblab.simplicial import SimplicialComplex, face_masks, facet_masks, link_cohomology, mask_vertices
 
 
 def is_squarefree(ideal):
@@ -79,6 +80,15 @@ def splitting_containment_check(i, p, j):
     return True
 
 
+def poly_sum(p, n, polys):
+    """The sum of the polynomials polys in n variables over F_p."""
+    out = {}
+    for g in polys:
+        for m, c in g.terms:
+            out[m] = out.get(m, 0) + c
+    return PolynomialFp.make(p, n, out)
+
+
 def table_entries(table):
     """The entries (i, nu, m) of a decomposition table {(i, nu mask): m},
     nu as a vertex tuple, sorted by (i, nu): the table as the references
@@ -90,6 +100,20 @@ def by_index(table, i):
     """The summands {nu: multiplicity} of H^i in a decomposition table,
     nu as a vertex tuple."""
     return {nu: m for ei, nu, m in table_entries(table) if ei == i}
+
+
+def reisner_by_links(c, p):
+    """Reisner's link condition by one reduced cohomology per face: the
+    link of nu, of dimension max |F - nu| - 1 over the facets F containing
+    nu, has cohomology only there.  The per-link loop that
+    local_cohomology.reisner_cm_condition replaced by reading the table."""
+    facets = facet_masks(c)
+    for nus in face_masks(c)[0].values():
+        for nu in nus:
+            top = max((f ^ nu).bit_count() for f in facets if f & nu == nu) - 1
+            if any(j < top for j, _ in link_cohomology(c, p, nu)):
+                return False
+    return True
 
 
 def dim_at(dims, j):

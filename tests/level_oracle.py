@@ -23,7 +23,6 @@ from froblab.hypersurface import (
     _normal_form,
     _socle,
     _substitute,
-    _up_to_degree,
     _variable_factors,
     level_top_degree,
 )
@@ -35,7 +34,8 @@ def level_form(h, t, g):
     """Normal form at level t of g given in x, in y coordinates; A_t is
     zero above its top degree, so those components are dropped before
     the change of coordinates."""
-    kept = _up_to_degree(g, level_top_degree(h, t))
+    top = level_top_degree(h, t)
+    kept = PolynomialFp(g.p, g.n_vars, tuple((m, c) for m, c in g.terms if sum(m) <= top))
     return _normal_form(h, t, _substitute(kept, h._to_y))
 
 

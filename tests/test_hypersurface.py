@@ -6,6 +6,7 @@ import json
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from helpers import poly_sum
 from level_oracle import (
     classes_equal,
     frobenius_powers_by_steps,
@@ -455,7 +456,7 @@ def forms_and_multipliers(draw):
     f = k * monic_form(draw(st.integers(1, 2))) if draw(st.booleans()) else monic_form(draw(st.integers(2, 4)))
     c = k * monic_form(3 - k.degree()) if draw(st.booleans()) else monic_form(draw(st.integers(2, 3)))
     if draw(st.booleans()):
-        c = c + monic_form(draw(st.integers(0, 2)))
+        c = poly_sum(p, 3, (c, monic_form(draw(st.integers(0, 2)))))
     assume(len(c.terms) > 1 and c.degree() > 1)
     return f, c
 
@@ -530,13 +531,10 @@ def levels_with_params(draw):
     def random_form(degree, low):
         return PolynomialFp.make(p, 3, {m: rng.randint(low, p - 1) for m in monomials_of_degree(3, degree)})
 
-    g = PolynomialFp(p, 3, ())
-    for q in level_generators(h, t):
-        if q.degree() <= d:
-            g = g + random_form(d - q.degree(), 0) * q
+    parts = [random_form(d - q.degree(), 0) * q for q in level_generators(h, t) if q.degree() <= d]
     if rng.random() < 0.5:
-        g = g + random_form(d, 1)
-    return h, t, g
+        parts.append(random_form(d, 1))
+    return h, t, poly_sum(p, 3, parts)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)

@@ -28,7 +28,7 @@ from corpus import (
     make_complex,
     small_complexes,
 )
-from helpers import by_index, cone, relabel, table_entries
+from helpers import by_index, cone, reisner_by_links, relabel, table_entries
 from katzman_oracle import antichains, katzman_count
 from froblab import local_cohomology as lc
 from froblab.errors import CapacityError, OracleMismatchError, UnsupportedInputError
@@ -36,6 +36,7 @@ from froblab.local_cohomology import (
     BOX,
     decomposition,
     depth_and_cm,
+    map_ranks,
     oracle_box_check,
     reisner_cm_condition,
 )
@@ -71,6 +72,13 @@ def test_decomposition_is_read_only_in_key_order():
     assert list(t) == sorted(t)
     with pytest.raises(TypeError):
         t[0, 0] = 1
+
+
+def test_map_ranks_are_read_only():
+    # cached and shared with fmodule.check_maps and face_count
+    ranks = map_ranks(TRIANGLE, 2)
+    with pytest.raises(TypeError):
+        ranks[2, 1, 0] = 0
 
 
 def test_graded_dim_positive_entry_vanishes():
@@ -230,6 +238,28 @@ def test_reisner_condition_matches_depth_on_corpus():
             depth, dim, is_cm = depth_and_cm(c, p)
             assert is_cm == reisner_cm_condition(c, p)
             assert 0 <= depth <= dim
+
+
+def test_reisner_condition_on_the_table_is_the_per_link_loop_on_corpus():
+    for c in acceptance_corpus():
+        for p in (2, 3):
+            assert reisner_cm_condition(c, p) == reisner_by_links(c, p)
+
+
+@st.composite
+def complexes_of_large_facets(draw, max_vertices=6):
+    """Random complexes on 3 to max_vertices vertices with facets of 2 to 4
+    vertices, a vertex possibly in none: about one in five fails Reisner's
+    condition, where small complexes nearly always pass it."""
+    n = draw(st.integers(3, max_vertices))
+    facets = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=2, max_size=4), min_size=2, max_size=6))
+    return make_complex(n, [sorted(f) for f in facets])
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(complexes_of_large_facets(), st.sampled_from([2, 3]))
+def test_reisner_condition_on_the_table_is_the_per_link_loop_on_random_complexes(c, p):
+    assert reisner_cm_condition(c, p) == reisner_by_links(c, p)
 
 
 def test_fh_count_examples():

@@ -88,5 +88,5 @@ def test_defaults_and_argument_count():
 
 def test_derived_attributes_stay_out_of_equality():
     h, other_h = hypersurface("x1", "x2"), hypersurface("x1", "x2")
-    object.__setattr__(other_h, "_f_y", None)
+    object.__setattr__(other_h, "_tail", None)
     assert h == other_h and hash(h) == hash(other_h)
