@@ -8,15 +8,18 @@ errors included) or a capacity limit (running out of memory included),
 2 and 3 indicate a bug.  The commands choose no exit code: a
 disagreement raises OracleMismatchError and bad input or a capacity
 limit another FroblabError where it arises, and main alone maps each
-outcome to its code and its one stderr line.
+outcome to its code and its one stderr line.  The command line is read
+by one loop over the COMMANDS table, by argparse's rules for the flags
+froblab has, so a run loads neither argparse nor its gettext and locale.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import CapacityError, FroblabError, OracleMismatchError, ParseError
@@ -46,6 +49,12 @@ def _positive_int(text: str) -> int:
     if n < 1:
         raise ParseError(f"expected a positive integer, got {text!r}")
     return n
+
+
+def _format(text: str) -> str:
+    if text not in ("text", "json"):
+        raise ParseError(f"argument --format: invalid choice: {text!r} (choose from 'text', 'json')")
+    return text
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -218,47 +227,163 @@ def cmd_analyze_hypersurface(args, threads: int) -> None:
     _emit(report, args.format)
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Usage errors raise ParseError and so exit 1 like other bad input;
-    argparse's own exit 2 would read as a disagreement between routes."""
+# command: (its function, its positional argument or None, {flag: (conversion,
+# default)}).  A flag converted by list takes every value up to the next flag,
+# any other flag exactly one; REQUIRED marks a flag that must be given.
+REQUIRED = object()
+COMMANDS = {
+    "analyze-complex": (cmd_analyze_complex, "path", {
+        "--prime": (int, REQUIRED),
+        # accepted for older command lines; it selects nothing
+        "--trunc": (_positive_int, None),
+        "--enumerate-cap": (_positive_int, DEFAULT_ENUM_CAP),
+        "--format": (_format, "text"),
+    }),
+    "analyze-hypersurface": (cmd_analyze_hypersurface, None, {
+        "--poly": (str, REQUIRED),
+        "--prime": (int, REQUIRED),
+        "--params": (list, None),
+        "--c": (str, None),
+        "--emax": (_positive_int, DEFAULT_EMAX),
+        "--format": (_format, "text"),
+    }),
+}
+HELP = ("-h", "--help")
+SYNOPSIS = """\
+froblab analyze-complex FACETS_FILE --prime P
+        [--enumerate-cap N] [--format text|json] [--trunc T]
 
-    def error(self, message):
-        raise ParseError(message)
+froblab analyze-hypersurface --poly "x0^3 + x1^3 + x2^3" --prime 7
+        [--params x1 x2] [--c x0] [--emax 2] [--format text|json]"""
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(prog="froblab", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"froblab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _flag(token: str, names) -> tuple:
+    """(flag, its "=value" or None) for a token that names a flag, a long
+    flag by any prefix that names it alone; ("", None) for a token that
+    looks like a flag but names none; (None, None) for a value."""
+    if not token.startswith("-") or token == "-":
+        return None, None
+    if token in names:
+        return token, None
+    head, eq, value = token.partition("=")
+    if eq and head in names:
+        return head, value
+    if token.startswith("--"):
+        matches = [name for name in names if name.startswith(head)]
+        if len(matches) > 1:
+            raise ParseError(f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    elif token.startswith("-h"):
+        # -h takes no value, so -hh is -h twice
+        return "-h", token[2:].lstrip("h") or None
+    # a token that names no flag is still a value when it reads as a
+    # negative number or holds a space
+    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
+        return None, None
+    return "", None
 
-    pc = sub.add_parser("analyze-complex", help="face-ring pipeline on a facet file")
-    pc.add_argument("path")
-    pc.add_argument("--prime", type=int, required=True)
-    # accepted for older command lines; it selects nothing
-    pc.add_argument("--trunc", type=_positive_int, help="ignored")
-    pc.add_argument("--enumerate-cap", type=_positive_int, default=DEFAULT_ENUM_CAP,
-                    help="bound on the branches and memo states of each submodule count")
-    pc.add_argument("--format", choices=("text", "json"), default="text")
-    pc.set_defaults(func=cmd_analyze_complex)
 
-    ph = sub.add_parser("analyze-hypersurface", help="hypersurface diagnostics")
-    ph.add_argument("--poly", required=True)
-    ph.add_argument("--prime", type=int, required=True)
-    ph.add_argument("--params", nargs="*", default=None)
-    ph.add_argument("--c", default=None)
-    ph.add_argument("--emax", type=_positive_int, default=DEFAULT_EMAX)
-    ph.add_argument("--format", choices=("text", "json"), default="text")
-    ph.set_defaults(func=cmd_analyze_hypersurface)
-    return parser
+def _read(tokens: list, names) -> list:
+    """_flag of each token, except that the first "--" reads as ("--", None)
+    and every token after it as a value."""
+    kinds = []
+    for k, token in enumerate(tokens):
+        if token == "--":
+            return kinds + [("--", None)] + [(None, None)] * (len(tokens) - k - 1)
+        kinds.append(_flag(token, names))
+    return kinds
+
+
+def _takes_no_value(flag: str, value) -> None:
+    if value is not None:
+        name = "-h/--help" if flag in HELP else flag
+        raise ParseError(f"argument {name}: ignored explicit argument {value!r}")
+
+
+def parse_args(argv: list) -> str | tuple:
+    """The function and arguments of the command argv names, or the text
+    that --help or --version prints.  Tokens are read and refused as
+    argparse read them, in order, so that the first refusal is argparse's;
+    a missing required argument and then an unrecognized one are refused
+    after the last token."""
+    kinds = _read(argv, (*HELP, "--version"))
+    extras = []
+    for k, (flag, value) in enumerate(kinds):
+        if flag == "--" and k + 1 == len(argv):
+            break
+        if flag is None or flag == "--":
+            if argv[k] not in COMMANDS:
+                raise ParseError(
+                    f"argument command: invalid choice: {argv[k]!r}"
+                    " (choose from 'analyze-complex', 'analyze-hypersurface')"
+                )
+            return _parse_command(argv[k], argv[k + 1:], extras)
+        if flag == "":
+            extras.append(argv[k])
+            continue
+        _takes_no_value(flag, value)
+        return SYNOPSIS if flag in HELP else f"froblab {__version__}"
+    raise ParseError("the following arguments are required: command")
+
+
+def _parse_command(name: str, tokens: list, extras: list) -> str | tuple:
+    """parse_args on the tokens after the command's name; extras holds
+    the unknown flags before it."""
+    func, positional, flags = COMMANDS[name]
+    kinds = _read(tokens, (*HELP, *flags))
+    values = {flag: default for flag, (_, default) in flags.items()}
+    k = 0
+    while k < len(tokens):
+        flag, value = kinds[k]
+        k += 1
+        if flag in HELP:
+            _takes_no_value(flag, value)
+            return SYNOPSIS
+        if flag in flags:
+            convert = flags[flag][0]
+            if value is None:
+                end = k
+                while end < len(tokens) and kinds[end][0] is None and (convert is list or end == k):
+                    end += 1
+                texts, k = tokens[k:end], end
+                if not texts and convert is not list:
+                    raise ParseError(f"argument {flag}: expected one argument")
+            else:
+                texts = [value]
+            try:
+                values[flag] = texts if convert is list else convert(texts[0])
+            except ValueError:
+                raise ParseError(f"argument {flag}: invalid {convert.__name__} value: {texts[0]!r}") from None
+        elif positional and positional not in values and (flag is None or (flag == "--" and k < len(tokens))):
+            # the positional takes one value and the "--" just before or after it
+            if flag == "--":
+                k += 1
+            values[positional] = tokens[k - 1]
+            if k < len(tokens) and kinds[k][0] == "--":
+                k += 1
+        else:
+            extras.append(tokens[k - 1])
+    missing = [arg for arg in (positional, *flags) if arg and values.get(arg, REQUIRED) is REQUIRED]
+    if missing:
+        raise ParseError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise ParseError(f"unrecognized arguments: {' '.join(extras)}")
+    return func, SimpleNamespace(**{arg.lstrip("-").replace("-", "_"): v for arg, v in values.items()})
 
 
 def main(argv=None) -> int:
     """Run one command and map its outcome to the exit code: the one place
     that writes an error line to stderr."""
     try:
-        args = build_parser().parse_args(argv)
+        parsed = parse_args(sys.argv[1:] if argv is None else argv)
+        if isinstance(parsed, str):
+            # --help and --version leave through SystemExit(0) before any work
+            print(parsed)
+            sys.exit(0)
+        func, args = parsed
         # a bad FROBLAB_THREADS fails before any work, not after it
-        args.func(args, _threads())
+        func(args, _threads())
     except OracleMismatchError as exc:
         print(f"internal cross-check failed: {exc}", file=sys.stderr)
         return 2

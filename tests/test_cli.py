@@ -669,8 +669,9 @@ import sys
 import froblab.cli
 
 code = froblab.cli.main(sys.argv[1:])
-watched = ["numpy", "dataclasses", "inspect", "froblab.simplicial", "froblab.local_cohomology",
-           "froblab.stanley_reisner", "froblab.fmodule", "froblab.polyfp", "froblab.hypersurface"]
+watched = ["numpy", "dataclasses", "inspect", "argparse", "gettext", "locale", "froblab.simplicial",
+           "froblab.local_cohomology", "froblab.stanley_reisner", "froblab.fmodule", "froblab.polyfp",
+           "froblab.hypersurface"]
 print(code, *[name for name in watched if name in sys.modules], file=sys.stderr)
 """
 

@@ -5,7 +5,7 @@ OracleMismatchError, bad input or a capacity limit as another
 FroblabError, raised where it arises.  main maps each to its exit code
 and writes the one stderr line.  So no other function of cli.py writes
 to sys.stderr, calls exit, or returns an integer constant, and the
-commands (the func defaults of the subparsers) return no value.
+commands (the functions of the COMMANDS table) return no value.
 """
 
 import ast
@@ -15,13 +15,15 @@ CLI = Path(__file__).resolve().parent.parent / "src" / "froblab" / "cli.py"
 
 
 def commands(tree):
-    """The names given as func= to set_defaults."""
+    """The functions that the module-level COMMANDS table names first in
+    its entries."""
     return {
-        kw.value.id
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "set_defaults"
-        for kw in node.keywords
-        if kw.arg == "func" and isinstance(kw.value, ast.Name)
+        entry.elts[0].id
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+        and any(isinstance(target, ast.Name) and target.id == "COMMANDS" for target in node.targets)
+        for entry in node.value.values
+        if isinstance(entry, ast.Tuple) and entry.elts and isinstance(entry.elts[0], ast.Name)
     }
 
 
@@ -63,7 +65,9 @@ def exit_code_choices(source):
 
 
 def test_only_main_chooses_an_exit_code():
-    assert exit_code_choices(CLI.read_text(encoding="utf-8")) == []
+    source = CLI.read_text(encoding="utf-8")
+    assert commands(ast.parse(source)) == {"cmd_analyze_complex", "cmd_analyze_hypersurface"}
+    assert exit_code_choices(source) == []
 
 
 def test_guard_catches_each_way_of_choosing_an_exit_code():
@@ -83,10 +87,7 @@ def test_guard_catches_each_way_of_choosing_an_exit_code():
         "    sys.exit(3)\n"
         "def parse(text):\n"
         "    return int(text)\n"
-        "def build(parser):\n"
-        "    parser.set_defaults(func=cmd_run)\n"
-        "    parser.set_defaults(func=cmd_ok)\n"
-        "    return parser\n"
+        "COMMANDS = {'run': (cmd_run, None, {}), 'ok': (cmd_ok, 'path', {'--n': (parse, 1)})}\n"
         "def main(argv):\n"
         "    print('error', file=sys.stderr)\n"
         "    return 1\n"
