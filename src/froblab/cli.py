@@ -8,9 +8,11 @@ errors included) or a capacity limit (running out of memory included),
 2 and 3 indicate a bug.  The commands choose no exit code: a
 disagreement raises OracleMismatchError and bad input or a capacity
 limit another FroblabError where it arises, and main alone maps each
-outcome to its code and its one stderr line.  The command line is read
-by one loop over the COMMANDS table, by argparse's rules for the flags
-froblab has, so a run loads neither argparse nor its gettext and locale.
+outcome to its code and its one stderr line, and returns it: --help and
+--version return 0 too.  One loop, parse_args, reads the whole command
+line, the top level by the TOP table and the rest by the COMMANDS entry
+of the command it names, by argparse's rules for the flags froblab has,
+so a run loads neither argparse nor its gettext and locale.
 """
 
 from __future__ import annotations
@@ -229,7 +231,8 @@ def cmd_analyze_hypersurface(args, threads: int) -> None:
 
 # command: (its function, its positional argument or None, {flag: (conversion,
 # default)}).  A flag converted by list takes every value up to the next flag,
-# any other flag exactly one; REQUIRED marks a flag that must be given.
+# one converted by None takes none and prints its default, any other flag
+# exactly one; REQUIRED marks a flag that must be given.
 REQUIRED = object()
 COMMANDS = {
     "analyze-complex": (cmd_analyze_complex, "path", {
@@ -248,6 +251,9 @@ COMMANDS = {
         "--format": (_format, "text"),
     }),
 }
+# the top level, read like a command with no function, whose positional is
+# the command's name
+TOP = (None, "command", {"--version": (None, f"froblab {__version__}")})
 HELP = ("-h", "--help")
 SYNOPSIS = """\
 froblab analyze-complex FACETS_FILE --prime P
@@ -284,69 +290,38 @@ def _flag(token: str, names) -> tuple:
     return "", None
 
 
-def _read(tokens: list, names) -> list:
-    """_flag of each token, except that the first "--" reads as ("--", None)
-    and every token after it as a value."""
-    kinds = []
-    for k, token in enumerate(tokens):
-        if token == "--":
-            return kinds + [("--", None)] + [(None, None)] * (len(tokens) - k - 1)
-        kinds.append(_flag(token, names))
-    return kinds
-
-
-def _takes_no_value(flag: str, value) -> None:
-    if value is not None:
-        name = "-h/--help" if flag in HELP else flag
-        raise ParseError(f"argument {name}: ignored explicit argument {value!r}")
-
-
-def parse_args(argv: list) -> str | tuple:
+def parse_args(argv: list, table=TOP, extras=()) -> str | tuple:
     """The function and arguments of the command argv names, or the text
     that --help or --version prints.  Tokens are read and refused as
     argparse read them, in order, so that the first refusal is argparse's;
     a missing required argument and then an unrecognized one are refused
-    after the last token."""
-    kinds = _read(argv, (*HELP, "--version"))
-    extras = []
-    for k, (flag, value) in enumerate(kinds):
-        if flag == "--" and k + 1 == len(argv):
-            break
-        if flag is None or flag == "--":
-            if argv[k] not in COMMANDS:
-                raise ParseError(
-                    f"argument command: invalid choice: {argv[k]!r}"
-                    " (choose from 'analyze-complex', 'analyze-hypersurface')"
-                )
-            return _parse_command(argv[k], argv[k + 1:], extras)
-        if flag == "":
-            extras.append(argv[k])
-            continue
-        _takes_no_value(flag, value)
-        return SYNOPSIS if flag in HELP else f"froblab {__version__}"
-    raise ParseError("the following arguments are required: command")
-
-
-def _parse_command(name: str, tokens: list, extras: list) -> str | tuple:
-    """parse_args on the tokens after the command's name; extras holds
-    the unknown flags before it."""
-    func, positional, flags = COMMANDS[name]
-    kinds = _read(tokens, (*HELP, *flags))
+    after the last token.  The top level reads the tokens after the
+    command's name by calling itself with that command's table and the
+    unknown flags before the name."""
+    func, positional, flags = table
+    extras = list(extras)
+    # (flag, its "=value" or None) of each token by _flag, except that the
+    # first "--" reads as ("--", None) and every token after it as a value
+    cut = argv.index("--") if "--" in argv else len(argv)
+    names = (*HELP, *flags)
+    kinds = [_flag(token, names) if k < cut else ("--" if k == cut else None, None) for k, token in enumerate(argv)]
     values = {flag: default for flag, (_, default) in flags.items()}
     k = 0
-    while k < len(tokens):
+    while k < len(argv):
         flag, value = kinds[k]
         k += 1
-        if flag in HELP:
-            _takes_no_value(flag, value)
-            return SYNOPSIS
+        if flag in HELP or (flag in flags and flags[flag][0] is None):
+            if value is not None:
+                name = "-h/--help" if flag in HELP else flag
+                raise ParseError(f"argument {name}: ignored explicit argument {value!r}")
+            return SYNOPSIS if flag in HELP else flags[flag][1]
         if flag in flags:
             convert = flags[flag][0]
             if value is None:
                 end = k
-                while end < len(tokens) and kinds[end][0] is None and (convert is list or end == k):
+                while end < len(argv) and kinds[end][0] is None and (convert is list or end == k):
                     end += 1
-                texts, k = tokens[k:end], end
+                texts, k = argv[k:end], end
                 if not texts and convert is not list:
                     raise ParseError(f"argument {flag}: expected one argument")
             else:
@@ -355,15 +330,23 @@ def _parse_command(name: str, tokens: list, extras: list) -> str | tuple:
                 values[flag] = texts if convert is list else convert(texts[0])
             except ValueError:
                 raise ParseError(f"argument {flag}: invalid {convert.__name__} value: {texts[0]!r}") from None
-        elif positional and positional not in values and (flag is None or (flag == "--" and k < len(tokens))):
+        elif positional and positional not in values and (flag is None or (flag == "--" and k < len(argv))):
+            if func is None:
+                # the command's name; a "--" here is read as the name, as argparse read it
+                if argv[k - 1] not in COMMANDS:
+                    raise ParseError(
+                        f"argument command: invalid choice: {argv[k - 1]!r}"
+                        " (choose from 'analyze-complex', 'analyze-hypersurface')"
+                    )
+                return parse_args(argv[k:], COMMANDS[argv[k - 1]], extras)
             # the positional takes one value and the "--" just before or after it
             if flag == "--":
                 k += 1
-            values[positional] = tokens[k - 1]
-            if k < len(tokens) and kinds[k][0] == "--":
+            values[positional] = argv[k - 1]
+            if k < len(argv) and kinds[k][0] == "--":
                 k += 1
         else:
-            extras.append(tokens[k - 1])
+            extras.append(argv[k - 1])
     missing = [arg for arg in (positional, *flags) if arg and values.get(arg, REQUIRED) is REQUIRED]
     if missing:
         raise ParseError(f"the following arguments are required: {', '.join(missing)}")
@@ -378,9 +361,9 @@ def main(argv=None) -> int:
     try:
         parsed = parse_args(sys.argv[1:] if argv is None else argv)
         if isinstance(parsed, str):
-            # --help and --version leave through SystemExit(0) before any work
+            # --help and --version print their text and do no work
             print(parsed)
-            sys.exit(0)
+            return 0
         func, args = parsed
         # a bad FROBLAB_THREADS fails before any work, not after it
         func(args, _threads())

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from cech_map_oracle import closed_families
 from corpus import BOUNDARY_5, CROSS_POLYTOPE_8, acceptance_corpus
-from froblab.cli import main
+from froblab import __version__
+from froblab.cli import SYNOPSIS, main
 from froblab.fmodule import face_count
 from froblab.local_cohomology import decomposition, depth_and_cm
 from froblab.simplicial import from_facets, mask_vertices
@@ -572,10 +573,15 @@ def test_missing_subcommand_is_an_input_error(capsys):
 
 @pytest.mark.parametrize("args", [["--help"], ["analyze-hypersurface", "--help"]])
 def test_help_exits_zero(args, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(args)
-    assert exc.value.code == 0
-    assert capsys.readouterr().out
+    assert run_cli(args, capsys) == (0, SYNOPSIS + "\n", "")
+
+
+@pytest.mark.parametrize("args", [["--help"], ["--version"]])
+def test_help_and_version_do_not_read_froblab_threads(args, monkeypatch, capsys):
+    # they print their text and return before the commands' FROBLAB_THREADS check
+    monkeypatch.setenv("FROBLAB_THREADS", "0")
+    text = SYNOPSIS if args == ["--help"] else f"froblab {__version__}"
+    assert run_cli(args, capsys) == (0, text + "\n", "")
 
 
 def test_huge_degree_finishes():

@@ -3,9 +3,11 @@
 The commands raise instead: a disagreement between two routes as
 OracleMismatchError, bad input or a capacity limit as another
 FroblabError, raised where it arises.  main maps each to its exit code
-and writes the one stderr line.  So no other function of cli.py writes
-to sys.stderr, calls exit, or returns an integer constant, and the
-commands (the functions of the COMMANDS table) return no value.
+and writes the one stderr line, and returns the code of every outcome,
+--help and --version included.  So no other function of cli.py writes to
+sys.stderr or returns an integer constant, no function calls exit (only
+the __main__ block does), and the commands (the functions of the COMMANDS
+table) return no value.
 """
 
 import ast
@@ -38,24 +40,25 @@ def own_nodes(func):
 
 
 def exit_code_choices(source):
-    """(function, what) for each place outside main that writes to stderr,
-    exits, or returns an exit code."""
+    """(function, what) for each place outside main that writes to stderr
+    or returns an exit code, and each function, main included, that exits."""
     tree = ast.parse(source)
     cmds = commands(tree)
     found = []
     for func in ast.walk(tree):
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        if func.name == "main" and func in tree.body:
-            continue
+        is_main = func.name == "main" and func in tree.body
         for node in own_nodes(func):
-            if isinstance(node, ast.Attribute) and node.attr == "stderr":
-                found.append((func.name, "stderr"))
-            elif isinstance(node, ast.Call) and (
+            if isinstance(node, ast.Call) and (
                 (isinstance(node.func, ast.Name) and node.func.id in ("exit", "quit"))
                 or (isinstance(node.func, ast.Attribute) and node.func.attr == "exit")
             ):
                 found.append((func.name, "exit"))
+            elif is_main:
+                continue
+            elif isinstance(node, ast.Attribute) and node.attr == "stderr":
+                found.append((func.name, "stderr"))
             elif isinstance(node, ast.Return) and node.value is not None:
                 if func.name in cmds:
                     found.append((func.name, "return"))
@@ -89,8 +92,12 @@ def test_guard_catches_each_way_of_choosing_an_exit_code():
         "    return int(text)\n"
         "COMMANDS = {'run': (cmd_run, None, {}), 'ok': (cmd_ok, 'path', {'--n': (parse, 1)})}\n"
         "def main(argv):\n"
+        "    if not argv:\n"
+        "        sys.exit(0)\n"
         "    print('error', file=sys.stderr)\n"
         "    return 1\n"
+        "if __name__ == '__main__':\n"
+        "    sys.exit(main(sys.argv[1:]))\n"
     )
     assert exit_code_choices(source) == [
         ("cmd_run", "return"),
@@ -99,4 +106,5 @@ def test_guard_catches_each_way_of_choosing_an_exit_code():
         ("helper", "exit"),
         ("helper", "stderr"),
         ("inner", "return"),
+        ("main", "exit"),
     ]
